@@ -8,11 +8,9 @@ Run as a script::
 
 This is the shipped acceptance run for the giant-n scale-out (see
 ``docs/scale.md``): ``trials`` independent trials of ``m = n`` balls into
-``n`` bins through :func:`repro.kernels.run_parallel_trials` — the numba
-``prange`` kernel when numba is importable, the numpy fallback otherwise
-(same results either way; that is the seed-equivalence contract).  Load
-tables are sharded per :func:`repro.kernels.default_shards` unless
-``--shards`` overrides.
+``n`` bins through :func:`repro.kernels.run_parallel_trials` on the numpy
+kernel.  Load tables are sharded per :func:`repro.kernels.default_shards`
+unless ``--shards`` overrides.
 
 The report records wall-clock, balls/second, peak RSS (must stay
 O(shard) + one O(n) load table per in-flight trial), and the merged
@@ -37,7 +35,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hashing import DoubleHashingChoices             # noqa: E402
 from repro.kernels import (                                # noqa: E402
-    available_backends,
+    KNOWN_BACKENDS,
     default_shards,
     resolve_backend,
     run_parallel_trials,
@@ -51,21 +49,18 @@ def _peak_rss_bytes():
     return rss * 1024 if sys.platform != "darwin" else rss
 
 
-def run(n=2**24, d=3, trials=2, seed=20140623, shards=None, backend=None):
+def run(n=2**24, d=3, trials=2, seed=20140623, shards=None):
     """One timed giant-n run; returns the JSON report dict."""
     scheme = DoubleHashingChoices(n, d)
-    impl = resolve_backend(backend)
     used_shards = shards if shards is not None else default_shards(n, d)
 
-    # Warm-up on a small geometry so numba JIT compilation (when present)
-    # stays outside the timed region.
-    run_parallel_trials(
-        DoubleHashingChoices(1024, d), 1024, 1, root=seed, backend=backend
-    )
+    # Warm-up on a small geometry so first-call allocations stay outside
+    # the timed region.
+    run_parallel_trials(DoubleHashingChoices(1024, d), 1024, 1, root=seed)
 
     t0 = time.perf_counter()
     hist = run_parallel_trials(
-        scheme, n, trials, root=seed, shards=used_shards, backend=backend
+        scheme, n, trials, root=seed, shards=used_shards
     )
     elapsed = time.perf_counter() - t0
 
@@ -81,8 +76,8 @@ def run(n=2**24, d=3, trials=2, seed=20140623, shards=None, backend=None):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "backends_available": list(available_backends()),
-            "backend_used": impl.name,
+            "backends_available": list(KNOWN_BACKENDS),
+            "backend_used": resolve_backend().name,
         },
         "results": {
             "wall_seconds": round(elapsed, 3),
@@ -112,10 +107,6 @@ def main(argv=None):
         help="aggregation shards (default: sized from n*d)",
     )
     parser.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="kernel backend (default: REPRO_BACKEND, then auto)",
-    )
-    parser.add_argument(
         "--budget-seconds", type=float, default=None, dest="budget_seconds",
         help="fail (exit 1) when the timed run exceeds this wall-clock",
     )
@@ -123,7 +114,7 @@ def main(argv=None):
 
     report = run(
         n=args.n, d=args.d, trials=args.trials, seed=args.seed,
-        shards=args.shards, backend=args.backend,
+        shards=args.shards,
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     r = report["results"]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""A/B benchmark of the placement-kernel backends vs the pre-kernel engine.
+"""A/B benchmark of the numpy placement kernel vs the pre-kernel engine.
 
 Run as a script (not under pytest-benchmark — the comparison needs
 *interleaved* rounds to survive noisy shared hosts)::
@@ -11,16 +11,7 @@ Contestants, measured on the acceptance geometry (``n = 2^12`` bins,
 
 - ``legacy``  — the per-ball-step engine this PR replaced, inlined below
   verbatim so the comparison stays runnable after the old code is gone;
-- ``numpy``   — the fused out-of-order commit kernel (always available);
-- ``numba``   — the JIT backend, included when numba is importable (first
-  call is warmed up outside the timed region);
-- ``numba-parallel`` — the parallel-trials prange kernel
-  (:func:`repro.kernels.run_parallel_trials`), numba only.
-
-When numba is not importable the ``numba``/``numba-parallel`` entries are
-still written, as ``{"status": "unavailable", "error": ...}`` — a silent
-fallback can never masquerade as a recorded tier.  ``--require-numba``
-(the CI bench job sets it) turns that into a hard failure.
+- ``numpy``   — the fused out-of-order commit kernel.
 
 Methodology: contestants run round-robin inside one process for ``--rounds``
 rounds, and per-contestant medians are compared.  Interleaving means slow
@@ -48,22 +39,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import simulate_batch                     # noqa: E402
 from repro.hashing import DoubleHashingChoices            # noqa: E402
-from repro.kernels import (                               # noqa: E402
-    available_backends,
-    run_parallel_trials,
-)
-from repro.kernels.numba_backend import NUMBA_IMPORT_ERROR  # noqa: E402
+from repro.kernels import KNOWN_BACKENDS                  # noqa: E402
 from repro.rng import default_generator                   # noqa: E402
-
-_NUMBA_CONTESTANTS = ("numba", "numba-parallel")
-
-
-def numba_unavailable_entry():
-    """The recorded-but-unavailable marker for numba contestants."""
-    return {
-        "status": "unavailable",
-        "error": f"numba not importable: {NUMBA_IMPORT_ERROR!r}",
-    }
 
 
 def _legacy_simulate_batch(scheme, n_balls, trials, *, seed, tie_break="random",
@@ -97,7 +74,7 @@ def _legacy_simulate_batch(scheme, n_balls, trials, *, seed, tie_break="random",
 
 
 def _contestants(n, d, n_balls, trials, seed):
-    runs = {
+    return {
         "legacy": lambda: _legacy_simulate_batch(
             DoubleHashingChoices(n, d), n_balls, trials, seed=seed
         ),
@@ -106,36 +83,16 @@ def _contestants(n, d, n_balls, trials, seed):
             backend="numpy",
         ).loads,
     }
-    if "numba" in available_backends():
-        runs["numba"] = lambda: simulate_batch(
-            DoubleHashingChoices(n, d), n_balls, trials, seed=seed,
-            backend="numba",
-        ).loads
-        # Per-trial counter streams inside one prange kernel; returns the
-        # (trials, width) histogram matrix instead of raw loads.
-        runs["numba-parallel"] = lambda: run_parallel_trials(
-            DoubleHashingChoices(n, d), n_balls, trials, root=seed,
-            backend="numba",
-        )
-    return runs
-
-
-def _balls_per_trial(name, result):
-    """Ball totals per trial; ``numba-parallel`` returns histogram rows."""
-    arr = np.asarray(result)
-    if name == "numba-parallel":  # (trials, width) histogram matrix
-        return (arr * np.arange(arr.shape[1])).sum(axis=1)
-    return arr.sum(axis=1)
 
 
 def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
     n_balls = n
     runs = _contestants(n, d, n_balls, trials, seed)
-    # Warm-up: touches every code path once (numba JIT compile, numpy
-    # allocator pools, scheme caches) outside the timed region, and checks
-    # ball conservation so a broken kernel can't post a fast time.
+    # Warm-up: touches every code path once (numpy allocator pools,
+    # scheme caches) outside the timed region, and checks ball
+    # conservation so a broken kernel can't post a fast time.
     for name, fn in runs.items():
-        totals = _balls_per_trial(name, fn())
+        totals = np.asarray(fn()).sum(axis=1)
         assert (totals == n_balls).all(), f"{name} lost balls"
 
     times = {name: [] for name in runs}
@@ -157,7 +114,7 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "backends_available": list(available_backends()),
+            "backends_available": list(KNOWN_BACKENDS),
         },
         "results": {
             name: {
@@ -171,9 +128,6 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
             for name, ts in times.items()
         },
     }
-    for name in _NUMBA_CONTESTANTS:
-        if name not in report["results"]:
-            report["results"][name] = numba_unavailable_entry()
     return report
 
 
@@ -188,10 +142,6 @@ def main(argv=None):
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--seed", type=int, default=20140623)
-    parser.add_argument(
-        "--require-numba", action="store_true", dest="require_numba",
-        help="fail (exit 1) when numba silently fell back to numpy",
-    )
     args = parser.parse_args(argv)
 
     report = run(
@@ -200,25 +150,12 @@ def main(argv=None):
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
-        if r.get("status") == "unavailable":
-            print(f"{name:>14}: UNAVAILABLE ({r['error']})")
-            continue
         print(
             f"{name:>14}: median {r['median_seconds']*1e3:8.1f} ms  "
             f"{r['balls_per_second']:>12,.0f} balls/s  "
             f"{r['speedup_vs_legacy']:5.2f}x vs legacy"
         )
     print(f"wrote {args.out}")
-    if args.require_numba and any(
-        report["results"][name].get("status") == "unavailable"
-        for name in _NUMBA_CONTESTANTS
-    ):
-        print(
-            "ERROR: --require-numba set but the numba tier was not "
-            "benchmarked (silent numpy fallback)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

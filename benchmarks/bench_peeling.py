@@ -8,7 +8,7 @@ follow-up paper's [30] threshold experiment at bench scale under the
 ``benchmarks/`` harness (see ``conftest.py``), asserting the transition
 shape and the duplicate-edge failure floor.
 
-**script face** — run directly (not under pytest-benchmark; the backend
+**script face** — run directly (not under pytest-benchmark; the kernel
 comparison needs *interleaved* rounds to survive noisy shared hosts)::
 
     PYTHONPATH=src python benchmarks/bench_peeling.py [--quick] \
@@ -16,18 +16,11 @@ comparison needs *interleaved* rounds to survive noisy shared hosts)::
 
 Contestants decode one fixed double-hashed hypergraph below the d = 3
 threshold (default ``m = 10^6`` edges, ``c = 0.70``, so the decode
-completes and every backend does identical work):
+completes and both contestants do identical work):
 
 - ``reference`` — :func:`repro.peeling.peel_reference`, the per-edge
-  Python oracle the kernels are certified against;
-- ``numpy``     — the flat-array scatter kernel (always available);
-- ``numba``     — the JIT worklist kernel, included when numba is
-  importable (first call warmed up outside the timed region).
-
-When numba is not importable its entry is still written, as
-``{"status": "unavailable", "error": ...}`` — a silent fallback can never
-masquerade as a recorded tier.  ``--require-numba`` (the CI bench job
-sets it) turns that into a hard failure.
+  Python oracle the kernel is certified against;
+- ``numpy``     — the flat-array scatter kernel.
 
 The report also records a **set-reconciliation** section
 (:func:`repro.extensions.reconcile.run_reconciliation`): two parties,
@@ -58,8 +51,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.extensions.reconcile import run_reconciliation      # noqa: E402
 from repro.hashing import DoubleHashingChoices                 # noqa: E402
-from repro.kernels import available_backends, run_peeling_kernel  # noqa: E402
-from repro.kernels.numba_peeling import NUMBA_IMPORT_ERROR     # noqa: E402
+from repro.kernels import KNOWN_BACKENDS, run_peeling_kernel  # noqa: E402
 from repro.peeling import (                                    # noqa: E402
     build_hypergraph,
     peel_reference,
@@ -101,29 +93,13 @@ def bench_peeling_threshold_sweep(benchmark, scale, attach):
 # Script face: decoder A/B benchmark + reconciliation throughput
 # --------------------------------------------------------------------------
 
-_NUMBA_CONTESTANTS = ("numba",)
-
-
-def numba_unavailable_entry():
-    """The recorded-but-unavailable marker for the numba contestant."""
-    return {
-        "status": "unavailable",
-        "error": f"numba not importable: {NUMBA_IMPORT_ERROR!r}",
-    }
-
-
 def _contestants(graph):
-    runs = {
+    return {
         "reference": lambda: peel_reference(graph),
         "numpy": lambda: run_peeling_kernel(
             graph.edges, graph.n_vertices, backend="numpy"
         ),
     }
-    if "numba" in available_backends():
-        runs["numba"] = lambda: run_peeling_kernel(
-            graph.edges, graph.n_vertices, backend="numba"
-        )
-    return runs
 
 
 def _reconcile_entry(n_items, n_diff, mode, seed):
@@ -149,8 +125,8 @@ def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
     graph = build_hypergraph(DoubleHashingChoices(n, d), m, seed=seed)
     runs = _contestants(graph)
     # Warm-up: every contestant decodes once outside the timed region
-    # (numba JIT compile, allocator pools) and must agree exactly with
-    # the reference — a broken kernel can never post a fast time.
+    # (allocator pools) and must agree exactly with the reference — a
+    # broken kernel can never post a fast time.
     oracle = runs["reference"]()
     for name, fn in runs.items():
         got = fn()
@@ -179,7 +155,7 @@ def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "backends_available": list(available_backends()),
+            "backends_available": list(KNOWN_BACKENDS),
         },
         "results": {
             name: {
@@ -202,15 +178,12 @@ def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
             },
         },
     }
-    for name in _NUMBA_CONTESTANTS:
-        if name not in report["results"]:
-            report["results"][name] = numba_unavailable_entry()
     return report
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="A/B benchmark of the peeling-decoder backends"
+        description="A/B benchmark of the peeling kernel vs its oracle"
     )
     parser.add_argument(
         "--out", default=str(REPO_ROOT / "BENCH_peeling.json"),
@@ -230,10 +203,6 @@ def main(argv=None):
         "--quick", action="store_true",
         help="CI scale: m=1e5 edges, 2e5 items, 3 rounds",
     )
-    parser.add_argument(
-        "--require-numba", action="store_true", dest="require_numba",
-        help="fail (exit 1) when the numba tier was not benchmarked",
-    )
     args = parser.parse_args(argv)
     if args.quick:
         args.m, args.items, args.rounds = 1e5, 2e5, 3
@@ -244,9 +213,6 @@ def main(argv=None):
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
-        if r.get("status") == "unavailable":
-            print(f"{name:>10}: UNAVAILABLE ({r['error']})")
-            continue
         print(
             f"{name:>10}: median {r['median_seconds']*1e3:8.1f} ms  "
             f"{r['edges_per_second']:>12,.0f} edges/s  "
@@ -262,16 +228,6 @@ def main(argv=None):
             f"{r['delta_per_second']:>10,.0f} delta-keys/s  {verdict}"
         )
     print(f"wrote {args.out}")
-    if args.require_numba and any(
-        report["results"][name].get("status") == "unavailable"
-        for name in _NUMBA_CONTESTANTS
-    ):
-        print(
-            "ERROR: --require-numba set but the numba tier was not "
-            "benchmarked (silent numpy fallback)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -6,10 +6,7 @@ Run as a script (not under pytest-benchmark — the comparison needs
 
     PYTHONPATH=src python benchmarks/bench_schemes.py [--out BENCH_schemes.json]
 
-Two timed sections per backend tier (numpy always; numba when
-importable — the hash kernels and the placement kernel both dispatch
-through the shared ``REPRO_BACKEND`` registry and are bit-identical
-across tiers):
+Two timed sections, recorded under the ``numpy`` tier:
 
 - **hashing** — raw batch throughput (keys/s) of each keyed hash
   family's vectorized ``__call__`` (multiply-shift, tabulation,
@@ -25,16 +22,12 @@ baseline, the certifier's seed convention) and records it under
 ``equivalence_map``; ``--map-out`` additionally renders it as the
 markdown table ``docs/hash-families.md`` embeds.  Theory columns come
 from ``repro.hashing.SCHEME_INFO`` — never transcribed here.
-
-``--require-numba`` exits nonzero when the numba tier was not measured,
-so a silent numba→numpy fallback cannot masquerade as a recorded tier.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -55,7 +48,6 @@ from repro.hashing import (                               # noqa: E402
     make_scheme,
 )
 from repro.hashing.registry import SCHEME_INFO            # noqa: E402
-from repro.kernels import available_backends              # noqa: E402
 
 HASH_FAMILIES = ("multiply-shift", "tabulation", "pairwise", "universal")
 PLACEMENT_SCHEMES = (
@@ -168,17 +160,12 @@ def render_map_markdown(rows, n, d, trials, seed) -> str:
 
 
 def run(n, d, trials, n_keys, seed, rounds, map_trials):
-    tiers = {}
-    requested = available_backends()
-    for backend in requested:
-        os.environ["REPRO_BACKEND"] = backend
-        try:
-            tiers[backend] = {
-                "hashing": _bench_hashing(n, n_keys, seed, rounds),
-                "placement": _bench_placement(n, d, trials, seed, rounds),
-            }
-        finally:
-            os.environ.pop("REPRO_BACKEND", None)
+    tiers = {
+        "numpy": {
+            "hashing": _bench_hashing(n, n_keys, seed, rounds),
+            "placement": _bench_placement(n, d, trials, seed, rounds),
+        },
+    }
     emap = equivalence_map(n, d, map_trials, seed)
     return {
         "geometry": {
@@ -220,10 +207,6 @@ def main(argv=None):
         "--quick", action="store_true",
         help="small fast configuration for CI smoke (2^14 bins, 2^18 keys)",
     )
-    parser.add_argument(
-        "--require-numba", action="store_true", dest="require_numba",
-        help="fail (exit 2) unless the numba tier was actually measured",
-    )
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -237,12 +220,6 @@ def main(argv=None):
         n=args.n, d=args.d, trials=args.trials, n_keys=int(args.keys),
         seed=args.seed, rounds=args.rounds, map_trials=args.map_trials,
     )
-    if args.require_numba and "numba" not in report["backends"]:
-        print(
-            "ERROR: --require-numba set but the numba tier was not "
-            "measured (numba not importable?)", file=sys.stderr,
-        )
-        return 2
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     if args.map_out:
         Path(args.map_out).write_text(render_map_markdown(

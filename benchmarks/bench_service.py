@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""A/B benchmark of keyed service throughput: schemes and kernel tiers.
+"""A/B benchmark of keyed service throughput: schemes and keymap backends.
 
 Run as a script (not under pytest-benchmark — the comparisons need
 *interleaved* rounds to survive noisy shared hosts)::
@@ -9,7 +9,7 @@ Run as a script (not under pytest-benchmark — the comparisons need
 Two sections, both on the acceptance geometry (``n = 2^16`` bins,
 ``d = 2``, fresh-key insert stream, then a full-hit lookup pass):
 
-**schemes** — hashing contestants on the default (numpy) kernel tier:
+**schemes** — hashing contestants on the default (numpy) keymap kernel:
 
 - ``double``     — keyed double hashing over multiply-shift (two hash
   computations per key — the paper's pitch);
@@ -18,19 +18,12 @@ Two sections, both on the acceptance geometry (``n = 2^16`` bins,
 - ``tabulation`` — d independent simple-tabulation hashes (the strongest
   practical family; the follow-up paper's setting).
 
-**backends** — assignment-map kernel tiers
-(:mod:`repro.kernels.keymap`) under the ``double`` scheme:
+**backends** — assignment-map backends (:mod:`repro.kernels.keymap`)
+under the ``double`` scheme:
 
 - ``reference``      — the demoted dict path, one Python loop per batch
-  (the semantics oracle every tier is certified against);
-- ``numpy``          — the vectorized cohort-probing kernel;
-- ``numba`` / ``numba-parallel`` — the JIT tiers, included when numba is
-  importable (first call warmed up outside the timed region).
-
-When numba is not importable those entries are still written, as
-``{"status": "unavailable", "error": ...}`` — a silent fallback can
-never masquerade as a recorded tier.  ``--require-numba`` (the CI bench
-job sets it) turns that into a hard failure.
+  (the semantics oracle the kernel is certified against);
+- ``numpy``          — the vectorized cohort-probing kernel.
 
 Each round builds a fresh presized :class:`repro.service.KeyedStore`,
 times one ``insert_many`` over ``--keys`` fresh keys (hashing +
@@ -60,21 +53,11 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.kernels.keymap import available_keymap_backends  # noqa: E402
-from repro.kernels.numba_keymap import NUMBA_IMPORT_ERROR   # noqa: E402
+from repro.kernels.keymap import KNOWN_KEYMAP_BACKENDS      # noqa: E402
 from repro.metrics import MetricsRegistry                   # noqa: E402
 from repro.service import KeyedStore                        # noqa: E402
 
 SCHEMES = ("double", "random", "tabulation")
-_NUMBA_TIERS = ("numba", "numba-parallel")
-
-
-def numba_unavailable_entry():
-    """The recorded-but-unavailable marker for a numba kernel tier."""
-    return {
-        "status": "unavailable",
-        "error": f"numba not importable: {NUMBA_IMPORT_ERROR!r}",
-    }
 
 
 def _one_round(scheme, backend, n, d, n_keys, seed, micro_batch, key_start,
@@ -109,7 +92,7 @@ def _bench_contestants(contestants, n, d, n_keys, seed, rounds, micro_batch):
     ``contestants`` maps name -> (scheme, backend).  Warm-up runs every
     contestant once outside the timed region (tabulation table draws,
     JIT compiles, allocator pools) with conservation and lookup
-    correctness checked — a broken tier can never post a fast time.
+    correctness checked — a broken contestant can never post a fast time.
     """
     ins = {name: [] for name in contestants}
     lkp = {name: [] for name in contestants}
@@ -160,16 +143,11 @@ def run(n=2**16, d=2, n_keys=2**20, seed=20140623, rounds=5,
         scheme_runs, n, d, n_keys, seed, rounds, micro_batch
     )
     backend_runs = {
-        backend: ("double", backend)
-        for backend in available_keymap_backends()
+        backend: ("double", backend) for backend in KNOWN_KEYMAP_BACKENDS
     }
     b_ins, b_lkp, b_tails = _bench_contestants(
         backend_runs, n, d, n_keys, seed, rounds, micro_batch
     )
-    backends = _results(b_ins, b_lkp, b_tails, n_keys, baseline="reference")
-    for tier in _NUMBA_TIERS:
-        if tier not in backends:
-            backends[tier] = numba_unavailable_entry()
     return {
         "geometry": {
             "n_bins": n, "d": d, "n_keys": n_keys, "seed": seed,
@@ -180,19 +158,18 @@ def run(n=2**16, d=2, n_keys=2**20, seed=20140623, rounds=5,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "keymap_backends_available": list(available_keymap_backends()),
+            "keymap_backends_available": list(KNOWN_KEYMAP_BACKENDS),
         },
         "results": _results(s_ins, s_lkp, s_tails, n_keys, baseline="double"),
-        "backends": backends,
+        "backends": _results(
+            b_ins, b_lkp, b_tails, n_keys, baseline="reference"
+        ),
     }
 
 
 def _print_section(title, results, ratio_key):
     print(f"-- {title} --")
     for name, r in results.items():
-        if r.get("status") == "unavailable":
-            print(f"{name:>14}: UNAVAILABLE ({r['error']})")
-            continue
         print(
             f"{name:>14}: insert {r['insert_ops_per_second']:>12,.0f} ops/s  "
             f"lookup {r['lookup_ops_per_second']:>12,.0f} ops/s  "
@@ -218,10 +195,6 @@ def main(argv=None):
         "--quick", action="store_true",
         help="small fast configuration for CI smoke (2^14 bins, 2^17 keys)",
     )
-    parser.add_argument(
-        "--require-numba", action="store_true", dest="require_numba",
-        help="fail (exit 1) when the numba tiers were not benchmarked",
-    )
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -234,21 +207,11 @@ def main(argv=None):
         rounds=args.rounds, micro_batch=args.micro_batch,
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    _print_section("schemes (numpy tier)", report["results"],
+    _print_section("schemes (numpy keymap)", report["results"],
                    "throughput_vs_double")
     _print_section("keymap backends (double scheme)", report["backends"],
                    "throughput_vs_reference")
     print(f"wrote {args.out}")
-    if args.require_numba and any(
-        report["backends"][tier].get("status") == "unavailable"
-        for tier in _NUMBA_TIERS
-    ):
-        print(
-            "ERROR: --require-numba set but a numba keymap tier was not "
-            "benchmarked (silent numpy fallback)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""A/B benchmark of the supermarket-kernel backends vs the legacy loop.
+"""A/B benchmark of the numpy supermarket kernel vs the legacy loop.
 
 Run as a script (not under pytest-benchmark — the comparison needs
 *interleaved* rounds to survive noisy shared hosts)::
@@ -15,19 +15,11 @@ depend on the simulated horizon):
   (``IndexedSet`` busy set, per-queue ``list.pop(0)`` FIFOs, per-departure
   scalar RNG call), inlined below verbatim — only event counters were
   added — so the comparison stays runnable after the old code is gone;
-- ``numpy``  — the blocked-draw kernel loop (always available);
-- ``numba``  — the JIT backend, included when numba is importable (first
-  call is warmed up outside the timed region).
-
-When numba is not importable the ``numba`` entry is still written, as
-``{"status": "unavailable", "error": ...}`` — a silent fallback can never
-masquerade as a recorded tier.  ``--require-numba`` (the CI bench job
-sets it) turns that into a hard failure.
+- ``numpy``  — the blocked-draw kernel loop.
 
 The legacy loop consumes the RNG in a different order than the kernel
-contract, so contestants are *statistically* equivalent to the kernels,
-not bit-equal; the numpy/numba contestants are asserted bit-identical to
-each other during warm-up.
+contract, so the two contestants are *statistically* equivalent, not
+bit-equal.
 
 Methodology: contestants run round-robin inside one process for
 ``--rounds`` rounds, and per-contestant medians are compared.
@@ -56,14 +48,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hashing import DoubleHashingChoices             # noqa: E402
 from repro.kernels import (                                # noqa: E402
-    available_backends,
+    KNOWN_BACKENDS,
     run_supermarket_kernel,
 )
 from repro.queueing.events import IndexedSet               # noqa: E402
 from repro.queueing.measures import SojournAccumulator     # noqa: E402
 from repro.rng import default_generator                    # noqa: E402
-
-from bench_kernels import numba_unavailable_entry          # noqa: E402
 
 _PREFETCH = 4096
 _TIE_BITS = 20
@@ -144,39 +134,34 @@ def _legacy_simulate_supermarket(scheme, lam, sim_time, *, burn_in, seed):
 
 
 def _contestants(n, d, lam, sim_time, burn_in, seed):
-    def kernel_run(backend):
+    def kernel_run():
         res = run_supermarket_kernel(
             DoubleHashingChoices(n, d), lam, sim_time, burn_in=burn_in,
-            seed=seed, backend=backend,
+            seed=seed, backend="numpy",
         )
         return res.mean_sojourn_time, res.completed_jobs, res.n_events
 
-    runs = {
+    return {
         "legacy": lambda: _legacy_simulate_supermarket(
             DoubleHashingChoices(n, d), lam, sim_time, burn_in=burn_in,
             seed=seed,
         ),
-        "numpy": lambda: kernel_run("numpy"),
+        "numpy": kernel_run,
     }
-    if "numba" in available_backends():
-        runs["numba"] = lambda: kernel_run("numba")
-    return runs
 
 
 def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
         rounds=7):
     """Measure all contestants round-robin; return the JSON report dict."""
     runs = _contestants(n, d, lam, sim_time, burn_in, seed)
-    # Warm-up: touches every code path once (numba JIT compile, numpy
-    # allocator pools, scheme caches) outside the timed region, and sanity
-    # checks each contestant so a broken loop can't post a fast time.
+    # Warm-up: touches every code path once (numpy allocator pools,
+    # scheme caches) outside the timed region, and sanity checks each
+    # contestant so a broken loop can't post a fast time.
     warm = {}
     for name, fn in runs.items():
         mean, completed, events = fn()
         assert completed > 0 and mean > 1.0, f"{name} produced nonsense"
         warm[name] = (mean, completed, events)
-    if "numba" in warm:  # kernel backends must agree exactly
-        assert warm["numba"] == warm["numpy"], "numba != numpy"
 
     times = {name: [] for name in runs}
     for _ in range(rounds):
@@ -196,7 +181,7 @@ def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "backends_available": list(available_backends()),
+            "backends_available": list(KNOWN_BACKENDS),
         },
         "results": {
             name: {
@@ -210,8 +195,6 @@ def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
             for name, ts in times.items()
         },
     }
-    if "numba" not in report["results"]:
-        report["results"]["numba"] = numba_unavailable_entry()
     return report
 
 
@@ -229,10 +212,6 @@ def main(argv=None):
     parser.add_argument("--burn-in", type=float, default=20.0)
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--seed", type=int, default=20140623)
-    parser.add_argument(
-        "--require-numba", action="store_true", dest="require_numba",
-        help="fail (exit 1) when numba silently fell back to numpy",
-    )
     args = parser.parse_args(argv)
 
     report = run(
@@ -241,24 +220,12 @@ def main(argv=None):
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
-        if r.get("status") == "unavailable":
-            print(f"{name:>7}: UNAVAILABLE ({r['error']})")
-            continue
         print(
             f"{name:>7}: median {r['median_seconds']*1e3:8.1f} ms  "
             f"{r['events_per_second']:>12,.0f} events/s  "
             f"{r['speedup_vs_legacy']:5.2f}x vs legacy"
         )
     print(f"wrote {args.out}")
-    if args.require_numba and (
-        report["results"]["numba"].get("status") == "unavailable"
-    ):
-        print(
-            "ERROR: --require-numba set but the numba tier was not "
-            "benchmarked (silent numpy fallback)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -26,16 +26,11 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=4)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--backend", choices=["numpy", "numba"], default=None,
-                        help="placement-kernel backend "
-                             "(default: REPRO_BACKEND, then auto)")
     parser.add_argument("--block", type=int, default=None,
                         help="ball-steps per kernel superblock "
                              "(default: sweep-derived)")
     args = parser.parse_args()
-    kernel_kwargs = {"backend": args.backend}
-    if args.block is not None:
-        kernel_kwargs["block"] = args.block
+    kernel_kwargs = {} if args.block is None else {"block": args.block}
 
     print(f"d-left: {args.n} bins in {args.d} subtables of "
           f"{args.n // args.d}, {args.n} balls, {args.trials} trials\n")

@@ -29,9 +29,6 @@ def main() -> None:
     parser.add_argument("--time", type=float, default=500.0)
     parser.add_argument("--burn-in", type=float, default=100.0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", choices=["numpy", "numba"], default=None,
-                        help="placement-kernel backend "
-                             "(default: REPRO_BACKEND, then auto)")
     args = parser.parse_args()
 
     print(f"{args.queues} queues, lambda = {args.lam}, d = {args.d}, "
@@ -43,7 +40,7 @@ def main() -> None:
     ):
         result = simulate_supermarket(
             scheme, args.lam, args.time,
-            burn_in=args.burn_in, seed=args.seed, backend=args.backend,
+            burn_in=args.burn_in, seed=args.seed,
         )
         print(f"{label}: mean sojourn {result.mean_sojourn_time:.4f}  "
               f"({result.completed_jobs} jobs, "

@@ -20,9 +20,9 @@ n_balls)`` matrix, so deletion of a random ball index and re-insertion is a
 vectorized gather/scatter per step.  The signature mirrors
 ``simulate_batch`` (``seed``/``tie_break``/``block``/``backend``/
 ``metrics``); note that churn must track *which bin every alive ball
-occupies*, which the packed placement kernels do not expose, so both
-backends currently execute the strided per-step path — ``backend`` is
-validated and recorded for API uniformity and forward compatibility.
+occupies*, which the packed placement kernel does not expose, so churn
+runs its own strided per-step path — ``backend`` is validated and
+recorded for API uniformity.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def simulate_churn(
         raise ConfigurationError(
             f"tie_break must be 'random' or 'left', got {tie_break!r}"
         )
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
     registry = metrics if metrics is not None else kernel_metrics()
     rng = default_generator(seed)
     n = scheme.n_bins

@@ -10,21 +10,16 @@ and progress instrumentation — then folds the chunk summaries into a
 O(max_load) no matter how many trials are requested, matching the
 paper's 10^4-trial scale.
 
-The preferred call style passes an
-:class:`~repro.experiments.config.ExperimentSpec`::
+Every call passes an :class:`~repro.experiments.config.ExperimentSpec`::
 
     spec = ExperimentSpec(n=2**14, d=3, trials=1000, seed=1, workers=4)
     result = run_experiment(DoubleHashingChoices(spec.n, spec.d), spec)
-
-The historical ``run_experiment(scheme, n_balls, trials, **kw)`` signature
-still works but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -147,52 +142,11 @@ def _run_parallel_chunk(
     )
 
 
-def _coerce_spec(
-    spec: Any,
-    trials: int | None,
-    kwargs: dict[str, Any],
-) -> "ExperimentSpec":
-    """Resolve the (spec | legacy keyword) calling conventions."""
-    from repro.experiments.config import ExperimentSpec
-
-    if isinstance(spec, ExperimentSpec):
-        if trials is not None:
-            spec = spec.replace(trials=trials)
-        overrides = {k: v for k, v in kwargs.items() if v is not None}
-        return spec.replace(**overrides) if overrides else spec
-    # Legacy: the second positional argument was ``n_balls``.
-    if spec is None and kwargs.get("n_balls") is None:
-        raise ConfigurationError(
-            "run_experiment needs an ExperimentSpec (or legacy n_balls/trials)"
-        )
-    warnings.warn(
-        "run_experiment(scheme, n_balls, trials, ...) is deprecated; "
-        "pass an ExperimentSpec instead: run_experiment(scheme, spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    n_balls = kwargs.pop("n_balls", None)
-    if n_balls is None:
-        n_balls = spec
-    legacy = {
-        "n_balls": int(n_balls),
-        "trials": 0 if trials is None else trials,
-        # Legacy default seed was None (fresh entropy), not the spec's 1.
-        "seed": None,
-        "tie_break": "random",
-        "block": 128,
-        "workers": 1,
-    }
-    legacy.update({k: v for k, v in kwargs.items() if v is not None})
-    return ExperimentSpec(n=legacy["n_balls"], **legacy)
-
-
 def run_experiment(
     scheme: ChoiceScheme,
-    spec: "ExperimentSpec | int | None" = None,
+    spec: "ExperimentSpec",
     trials: int | None = None,
     *,
-    n_balls: int | None = None,
     seed: int | None = None,
     tie_break: str | None = None,
     block: int | None = None,
@@ -211,12 +165,10 @@ def run_experiment(
         all built-in schemes are).
     spec:
         The :class:`~repro.experiments.config.ExperimentSpec` describing
-        the run.  (Legacy: an integer here is read as ``n_balls`` and
-        triggers the deprecated keyword path.)
-    trials, n_balls, seed, tie_break, block, backend, workers, chunks:
-        Per-call overrides of the corresponding spec fields; with a spec
-        these are conveniences (``None`` means "use the spec"), without
-        one they form the deprecated legacy signature.
+        the run.
+    trials, seed, tie_break, block, backend, workers, chunks:
+        Per-call overrides of the corresponding spec fields (``None``
+        means "use the spec").
     metrics:
         Registry to instrument the run with; when ``None`` one is created
         if ``spec.metrics_out`` is set (and saved there afterwards).
@@ -224,19 +176,27 @@ def run_experiment(
         Callback receiving a :class:`~repro.parallel.engine.ChunkProgress`
         per completed chunk.
     """
-    spec = _coerce_spec(
-        spec,
-        trials,
-        {
-            "n_balls": n_balls,
-            "seed": seed,
-            "tie_break": tie_break,
-            "block": block,
-            "backend": backend,
-            "workers": workers,
-            "chunks": chunks,
-        },
-    )
+    from repro.experiments.config import ExperimentSpec
+
+    if not isinstance(spec, ExperimentSpec):
+        raise TypeError(
+            f"run_experiment needs an ExperimentSpec, got {type(spec).__name__}"
+        )
+    overrides = {
+        k: v
+        for k, v in dict(
+            trials=trials,
+            seed=seed,
+            tie_break=tie_break,
+            block=block,
+            backend=backend,
+            workers=workers,
+            chunks=chunks,
+        ).items()
+        if v is not None
+    }
+    if overrides:
+        spec = spec.replace(**overrides)
     if spec.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {spec.trials}")
 

@@ -7,21 +7,17 @@ ball loop cannot be vectorized away naively.  Since this release the hot
 path lives in :mod:`repro.kernels`: choices (and integer tie keys) for a
 ``block``-ball superblock are generated in one fused pass — a single
 ``uint64`` draw per ball for power-of-two double hashing — packed into
-flat int32 candidates, and handed to a placement-kernel backend:
+flat int32 candidates, and handed to the numpy placement kernel, which
+commits balls out of sequential order whenever their candidate sets are
+provably disjoint from all earlier pending balls (exact, bit-identical
+to sequential placement on the same draws; see
+:mod:`repro.kernels.numpy_backend`).
 
-- the **numpy** backend commits balls out of sequential order whenever
-  their candidate sets are provably disjoint from all earlier pending
-  balls (exact, bit-identical to sequential placement on the same draws;
-  see :mod:`repro.kernels.numpy_backend`);
-- the optional **numba** backend JIT-compiles the plain sequential loop
-  over the same draws, bit-identical to numpy for the same seed.
-
-Backend choice: ``backend=`` argument > ``REPRO_BACKEND`` env > auto.
-Geometries beyond the int32 packed address space (``n ≳ 2^23``) now plan
-a *wide* int64 layout (see :mod:`repro.kernels.generate`) and keep the
-fused kernels; the strided per-ball engine
-(:func:`_simulate_batch_strided`) remains only for tables no packed
-layout can host (``n_bins + 1 > 2^31``).
+Geometries beyond the int32 packed address space (``n ≳ 2^23``) plan a
+*wide* int64 layout (see :mod:`repro.kernels.generate`) and keep the
+fused kernel; tables no packed layout can host (``n_bins + 1 > 2^31``)
+are rejected with :class:`~repro.errors.ConfigurationError` before any
+allocation.
 
 Memory: ``loads`` uses int32 — 4 bytes × trials × n_bins — which bounds
 ``n_balls`` at ``2**31 - 1``; heavier runs are rejected up front with the
@@ -88,10 +84,10 @@ def simulate_batch(
         If True, verify after the run that every trial placed exactly
         ``n_balls`` balls (cheap O(trials · n_bins) check; used in tests).
     backend:
-        Kernel backend name (``"numpy"``/``"numba"``); ``None`` defers to
-        ``REPRO_BACKEND`` then auto-detection.
+        Kernel backend name (``"numpy"``); ``None`` defers to
+        ``REPRO_BACKEND``, then ``"numpy"``.
     metrics:
-        Registry for kernel timers and backend events; defaults to the
+        Registry for kernel timers and counters; defaults to the
         process-global registry.
 
     Returns
@@ -116,52 +112,52 @@ def simulate_batch(
             f"tie_break must be 'random' or 'left', got {tie_break!r}"
         )
     rng = default_generator(seed)
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
     registry = metrics if metrics is not None else kernel_metrics()
     n = scheme.n_bins
     d = scheme.d
+    layout = plan_layout(n, d, tie_break, trials, max(1, min(block, n_balls)))
+    if layout is None:
+        raise ConfigurationError(
+            f"n_bins={n} exceeds the packed-kernel address space "
+            "(n_bins + 1 > 2**31)"
+        )
     loads = np.zeros((trials, n), dtype=_LOAD_DTYPE)
 
     if n_balls and n == 1:
         # Degenerate table: every ball lands in the only bin, no RNG needed.
         loads[:, 0] = n_balls
     elif n_balls:
-        layout = plan_layout(n, d, tie_break, trials, min(block, n_balls))
-        if layout is None:
-            _simulate_batch_strided(
-                scheme, n_balls, trials, rng, tie_break, block, loads
+        window = choose_window(n, d)
+        bins_p = layout.bins_p
+        for t0 in range(0, trials, layout.trial_chunk):
+            t1 = min(trials, t0 + layout.trial_chunk)
+            chunk = t1 - t0
+            work = np.zeros(chunk * bins_p, dtype=_LOAD_DTYPE)
+            ws = impl.make_workspace(
+                d=d, trials=chunk, window=window, bins_p=bins_p,
+                dtype=layout.dtype,
             )
-        else:
-            window = choose_window(n, d)
-            bins_p = layout.bins_p
-            for t0 in range(0, trials, layout.trial_chunk):
-                t1 = min(trials, t0 + layout.trial_chunk)
-                chunk = t1 - t0
-                work = np.zeros(chunk * bins_p, dtype=_LOAD_DTYPE)
-                ws = impl.make_workspace(
-                    d=d, trials=chunk, window=window, bins_p=bins_p,
-                    dtype=layout.dtype,
+            remaining = n_balls
+            while remaining > 0:
+                steps = min(block, remaining)
+                with registry.timer("kernel.generate_seconds"):
+                    pc = generate_packed(scheme, chunk, steps, rng, layout)
+                with registry.timer("kernel.place_seconds"):
+                    impl.place(work, pc, layout=layout, workspace=ws)
+                remaining -= steps
+            if layout.wide and int(work.max(initial=0)) >> layout.load_bits:
+                # Sound overflow detector: loads only grow, so a final
+                # load under 2**load_bits proves no intermediate
+                # packed key ever wrapped into the sign bit.
+                raise SimulationError(
+                    f"load field overflow: a bin exceeded 2**"
+                    f"{layout.load_bits} in the wide packed layout "
+                    f"(n_bins={n}, d={d}); results discarded"
                 )
-                remaining = n_balls
-                while remaining > 0:
-                    steps = min(block, remaining)
-                    with registry.timer("kernel.generate_seconds"):
-                        pc = generate_packed(scheme, chunk, steps, rng, layout)
-                    with registry.timer("kernel.place_seconds"):
-                        impl.place(work, pc, layout=layout, workspace=ws)
-                    remaining -= steps
-                if layout.wide and int(work.max(initial=0)) >> layout.load_bits:
-                    # Sound overflow detector: loads only grow, so a final
-                    # load under 2**load_bits proves no intermediate
-                    # packed key ever wrapped into the sign bit.
-                    raise SimulationError(
-                        f"load field overflow: a bin exceeded 2**"
-                        f"{layout.load_bits} in the wide packed layout "
-                        f"(n_bins={n}, d={d}); results discarded"
-                    )
-                loads[t0:t1] = work.reshape(chunk, bins_p)[:, :n]
-            registry.increment("kernel.balls_placed", n_balls * trials)
-            registry.increment(f"kernel.calls.{impl.name}", 1)
+            loads[t0:t1] = work.reshape(chunk, bins_p)[:, :n]
+        registry.increment("kernel.balls_placed", n_balls * trials)
+        registry.increment(f"kernel.calls.{impl.name}", 1)
 
     if check_invariants:
         totals = loads.sum(axis=1, dtype=np.int64)
@@ -171,39 +167,3 @@ def simulate_batch(
                 f"{n_balls} balls per trial, got totals {np.unique(totals)}"
             )
     return TrialBatchResult(n_bins=n, n_balls=n_balls, loads=loads)
-
-
-def _simulate_batch_strided(
-    scheme: ChoiceScheme,
-    n_balls: int,
-    trials: int,
-    rng: np.random.Generator,
-    tie_break: str,
-    block: int,
-    loads: np.ndarray,
-) -> None:
-    """Pre-kernel per-ball engine, kept for geometries beyond the packed
-    layout's address space: one fancy-indexed gather + argmin per ball
-    step, float-noise tie keys, RNG amortized over ``block`` steps."""
-    n = scheme.n_bins
-    d = scheme.d
-    rows = np.arange(trials)
-    random_ties = tie_break == "random" and d > 1
-    remaining = n_balls
-    while remaining > 0:
-        steps = min(block, remaining)
-        choices = scheme.batch(steps * trials, rng).reshape(steps, trials, d)
-        noise = rng.random((steps, trials, d)) if random_ties else None
-        for s in range(steps):
-            ball_choices = choices[s]
-            candidate = loads[rows[:, None], ball_choices]
-            if random_ties:
-                # Integer loads + U[0,1) noise: ordering between distinct
-                # loads is preserved; ties are broken uniformly.
-                keys = candidate + noise[s]
-                picks = np.argmin(keys, axis=1)
-            else:
-                picks = np.argmin(candidate, axis=1)
-            chosen = ball_choices[rows, picks]
-            loads[rows, chosen] += 1
-        remaining -= steps

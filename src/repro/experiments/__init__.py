@@ -17,7 +17,6 @@ resilient engine checkpoints long sweeps — see ``docs/engine.md``).
 from repro.experiments.config import (
     PAPER_VALUES,
     TABLE_DEFAULTS,
-    ExperimentScale,
     ExperimentSpec,
 )
 from repro.experiments.report import format_table, render_all
@@ -34,7 +33,6 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "ExperimentScale",
     "ExperimentSpec",
     "ExperimentTable",
     "PAPER_VALUES",

@@ -14,7 +14,7 @@ Commands
   (:mod:`repro.service`) and print throughput + tail-load SLOs, e.g.
   ``python -m repro serve --scheme tabulation --keys 5e6 --churn 0.5``;
 - ``fluid`` — print fluid-limit tail fractions for a given d and T;
-- ``peeling`` — peeling threshold sweep (``--backend`` picks the kernel);
+- ``peeling`` — peeling threshold sweep;
 - ``reconcile`` — two-party IBLT set reconciliation: build, subtract,
   peel the delta, double-hashed vs fully-random cells;
 - ``list`` — list available commands.
@@ -93,14 +93,11 @@ def _add_spec_options(p: argparse.ArgumentParser, spec: ExperimentSpec) -> None:
         help="ball-steps per kernel superblock (default: sweep-derived)",
     )
     p.add_argument(
-        "--backend", choices=["numpy", "numba"], default=spec.backend,
-        help="placement-kernel backend (default: REPRO_BACKEND, then auto)",
-    )
-    p.add_argument(
         "--trials-mode", choices=["chunked", "parallel"],
         default=spec.trials_mode, dest="trials_mode",
         help="'parallel' gives each trial an independent counter-based "
-             "stream and runs them in one prange kernel (see docs/scale.md)",
+             "stream, so results do not depend on chunking "
+             "(see docs/scale.md)",
     )
     p.add_argument(
         "--shards", type=int, default=spec.shards,
@@ -145,7 +142,6 @@ def _spec_from_args(command: str, args: argparse.Namespace) -> ExperimentSpec:
         workers=args.workers,
         chunks=args.chunks,
         block=args.block,
-        backend=args.backend,
         trials_mode=args.trials_mode,
         shards=args.shards,
         log2_n=args.log2_n,
@@ -217,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard count (power of two; 1 = single store)")
     serve.add_argument(
         "--backend", choices=list(KNOWN_KEYMAP_BACKENDS), default=None,
-        help="assignment-map kernel tier (default: REPRO_BACKEND, then auto)",
+        help="assignment-map backend (default: REPRO_BACKEND, then numpy)",
     )
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--micro-batch", type=int, default=None,
@@ -245,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     peeling.add_argument("--d", type=int, default=3)
     peeling.add_argument("--trials", type=int, default=8)
     peeling.add_argument("--seed", type=int, default=1)
-    peeling.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="peeling-kernel backend (default: REPRO_BACKEND, then auto)",
-    )
 
     reconcile = sub.add_parser(
         "reconcile",
@@ -285,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument(
         "--out", default="certification.json", metavar="PATH.json",
         help="where to write the machine-readable verdict",
-    )
-    certify.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="kernel backend override for every run",
     )
     certify.add_argument("--workers", type=int, default=None)
     certify.add_argument(
@@ -440,7 +428,7 @@ def _run_peeling(args) -> int:
 
     exp = threshold_experiment(
         args.n, args.d, [0.70, 0.78, 0.86, 0.94],
-        trials=args.trials, seed=args.seed, backend=args.backend,
+        trials=args.trials, seed=args.seed,
     )
     print(f"asymptotic threshold c*({args.d}) = "
           f"{exp.asymptotic_threshold:.5f}")
@@ -509,7 +497,7 @@ def _run_certify(args) -> int:
         return 0
     progress = _print_progress if args.progress else None
     cert = run_certification(
-        args.tier, backend=args.backend, workers=args.workers,
+        args.tier, workers=args.workers,
         trials_mode=args.trials_mode, shards=args.shards,
         progress=progress,
     )

@@ -26,7 +26,7 @@ from repro.hashing.registry import make_scheme, scheme_names
 from repro.kernels import DEFAULT_BLOCK, KNOWN_BACKENDS
 from repro.parallel.engine import EngineConfig
 
-__all__ = ["ExperimentScale", "ExperimentSpec", "PAPER_VALUES", "TABLE_DEFAULTS"]
+__all__ = ["ExperimentSpec", "PAPER_VALUES", "TABLE_DEFAULTS"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class ExperimentSpec:
         engine.  The default is the sweep-derived
         :data:`repro.kernels.DEFAULT_BLOCK` (see ``docs/performance.md``).
     backend:
-        Kernel backend (``"numpy"``/``"numba"``); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then auto-detection.
+        Kernel backend (``"numpy"``); ``None`` defers to the
+        ``REPRO_BACKEND`` environment variable, then ``"numpy"``.
         Worker processes inherit the choice.
     scheme:
         Choice-scheme registry name (see
@@ -78,10 +78,9 @@ class ExperimentSpec:
         ``"chunked"`` (default) runs trials lock-step per chunk on one
         shared generator; ``"parallel"`` gives every trial an
         independent counter-based stream
-        (:mod:`repro.kernels.parallel_trials`) so trials parallelize
-        inside one numba ``prange`` kernel — falling back to the
-        process-pool engine when numba is absent — with results
-        independent of chunking, backend, and host (*seed-equivalence*).
+        (:mod:`repro.kernels.parallel_trials`) so trials can run in any
+        interleaving, with results independent of chunking and host
+        (*seed-equivalence*).
     shards:
         Aggregation-shard count for ``trials_mode="parallel"``; ``None``
         sizes automatically (see
@@ -215,29 +214,6 @@ TABLE_DEFAULTS: dict[str, ExperimentSpec] = {
     "table7": ExperimentSpec(n=2**14, d=4, trials=100, seed=7),
     "table8": ExperimentSpec(n=2**10, d=3, seed=8, sim_time=1000.0, burn_in=100.0),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentScale:
-    """Knobs shared by the experiment functions.
-
-    .. deprecated::
-        Superseded by :class:`ExperimentSpec`, which additionally carries
-        geometry and engine policy; retained for existing callers.
-
-    Attributes
-    ----------
-    trials:
-        Trials per configuration (paper: 10000).
-    seed:
-        Root seed for reproducibility.
-    workers:
-        Process count for trial fan-out.
-    """
-
-    trials: int = 100
-    seed: int = 20140623  # SPAA 2014 start date
-    workers: int = 1
 
 
 # Published numbers, in the historical nested-dict shape.  The actual

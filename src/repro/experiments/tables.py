@@ -10,15 +10,12 @@ Each function takes an :class:`~repro.experiments.config.ExperimentSpec`
 
     table = table1_load_fractions(ExperimentSpec(n=2**14, trials=1000, seed=1))
 
-The historical keyword style — ``table1_load_fractions(3, n=..., trials=...)``
-— still works but emits a :class:`DeprecationWarning`.  Table-shape extras
-(``log2_n_values``, ``balls_per_bin``, ``lambdas``, ``d_values``) remain
-ordinary keyword arguments and compose with a spec.
+Table-shape extras (``log2_n_values``, ``balls_per_bin``, ``lambdas``,
+``d_values``) are ordinary keyword arguments and compose with a spec.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -82,37 +79,15 @@ class ExperimentTable:
     meta: dict = field(default_factory=dict)
 
 
-def _spec_for(
-    table: str,
-    spec: "ExperimentSpec | int | None",
-    **legacy,
-) -> ExperimentSpec:
-    """Resolve (spec | legacy keywords) against the table's default spec.
-
-    ``spec`` may be an :class:`ExperimentSpec` (preferred), ``None`` (use
-    ``TABLE_DEFAULTS[table]`` merged with any legacy keywords), or — for
-    the functions whose first positional argument used to be ``d`` — a
-    bare integer, read as that legacy ``d``.
-    """
-    base = TABLE_DEFAULTS[table]
-    if isinstance(spec, ExperimentSpec):
-        if any(v is not None for v in legacy.values()):
-            raise TypeError(
-                f"{table}: pass either an ExperimentSpec or legacy keyword "
-                "arguments, not both"
-            )
-        return spec
-    if isinstance(spec, int):
-        legacy["d"] = spec
-    overrides = {k: v for k, v in legacy.items() if v is not None}
-    if overrides:
-        warnings.warn(
-            f"{table}: keyword-style arguments {sorted(overrides)} are "
-            "deprecated; pass an ExperimentSpec instead",
-            DeprecationWarning,
-            stacklevel=3,
+def _spec_for(table: str, spec: ExperimentSpec | None) -> ExperimentSpec:
+    """``spec``, or the table's ``TABLE_DEFAULTS`` entry when ``None``."""
+    if spec is None:
+        return TABLE_DEFAULTS[table]
+    if not isinstance(spec, ExperimentSpec):
+        raise TypeError(
+            f"{table} needs an ExperimentSpec, got {type(spec).__name__}"
         )
-    return base.replace(**overrides) if overrides else base
+    return spec
 
 
 def _subrun(
@@ -134,20 +109,13 @@ def _subrun(
 
 
 def table1_load_fractions(
-    spec: "ExperimentSpec | int | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    d: int | None = None,
-    n: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 1: load fractions, random vs double, n balls into n bins."""
-    spec = _spec_for(
-        "table1", spec, d=d, n=n, trials=trials, seed=seed, workers=workers
-    )
+    spec = _spec_for("table1", spec)
     random_res = run_experiment(
         FullyRandomChoices(spec.n, spec.d),
         _subrun(spec, "random"),
@@ -186,20 +154,13 @@ def table1_load_fractions(
 
 
 def table2_fluid_vs_simulation(
-    spec: "ExperimentSpec | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    n: int | None = None,
-    d: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 2: fluid-limit tail fractions vs both simulated schemes."""
-    spec = _spec_for(
-        "table2", spec, n=n, d=d, trials=trials, seed=seed, workers=workers
-    )
+    spec = _spec_for("table2", spec)
     fluid = solve_balls_bins(spec.d, 1.0)
     random_res = run_experiment(
         FullyRandomChoices(spec.n, spec.d),
@@ -237,21 +198,13 @@ def table2_fluid_vs_simulation(
 
 
 def table3_larger_n(
-    spec: "ExperimentSpec | int | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    d: int | None = None,
-    log2_n: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 3: load fractions at larger table sizes (2^16, 2^18)."""
-    spec = _spec_for(
-        "table3", spec, d=d, log2_n=log2_n, trials=trials, seed=seed,
-        workers=workers,
-    )
+    spec = _spec_for("table3", spec)
     spec = spec.replace(n=2**spec.log2_n)
     table = table1_load_fractions(spec, metrics=metrics, progress=progress)
     table.table_id = f"Table 3 (n = 2^{spec.log2_n}, d = {spec.d})"
@@ -263,20 +216,14 @@ def table3_larger_n(
 
 
 def table4_max_load(
-    spec: "ExperimentSpec | int | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     log2_n_values: tuple[int, ...] = (10, 11, 12, 13, 14),
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    d: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 4: percentage of trials whose maximum load is exactly 3."""
-    spec = _spec_for(
-        "table4", spec, d=d, trials=trials, seed=seed, workers=workers
-    )
+    spec = _spec_for("table4", spec)
     rows = []
     for k, log2_n in enumerate(log2_n_values):
         n = 2**log2_n
@@ -314,20 +261,13 @@ def table4_max_load(
 
 
 def table5_level_stats(
-    spec: "ExperimentSpec | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    n: int | None = None,
-    d: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 5: per-load min/avg/max/std of bin counts across trials."""
-    spec = _spec_for(
-        "table5", spec, n=n, d=d, trials=trials, seed=seed, workers=workers
-    )
+    spec = _spec_for("table5", spec)
     rows: list[tuple] = []
     paper = PAPER_VALUES["table5"]
     for label, scheme, offset in (
@@ -357,21 +297,14 @@ def table5_level_stats(
 
 
 def table6_heavy_load(
-    spec: "ExperimentSpec | int | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     balls_per_bin: int = 16,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
-    d: int | None = None,
-    n: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentTable:
     """Table 6: m = 16n balls into n bins — the higher-load regime."""
-    spec = _spec_for(
-        "table6", spec, d=d, n=n, trials=trials, seed=seed, workers=workers
-    )
+    spec = _spec_for("table6", spec)
     m = spec.n * balls_per_bin
     spec = spec.replace(n_balls=m)
     random_res = run_experiment(
@@ -414,16 +347,9 @@ def table6_heavy_load(
     )
 
 
-def table7_dleft(
-    spec: "ExperimentSpec | None" = None,
-    *,
-    n: int | None = None,
-    d: int | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> ExperimentTable:
+def table7_dleft(spec: ExperimentSpec | None = None) -> ExperimentTable:
     """Table 7: Vöcking's d-left scheme, random vs double vs fluid."""
-    spec = _spec_for("table7", spec, n=n, d=d, trials=trials, seed=seed)
+    spec = _spec_for("table7", spec)
     random_batch = simulate_dleft(
         make_dleft_scheme(spec.n, spec.d, "random"),
         spec.n,
@@ -464,14 +390,10 @@ def table7_dleft(
 
 
 def table8_queueing(
-    spec: "ExperimentSpec | None" = None,
+    spec: ExperimentSpec | None = None,
     *,
     lambdas: tuple[float, ...] = (0.9, 0.99),
     d_values: tuple[int, ...] = (3, 4),
-    n: int | None = None,
-    sim_time: float | None = None,
-    burn_in: float | None = None,
-    seed: int | None = None,
 ) -> ExperimentTable:
     """Table 8: supermarket model, mean time in system.
 
@@ -479,9 +401,7 @@ def table8_queueing(
     equilibrium fluid-limit column provides the scale-free reference the
     simulated values converge to.
     """
-    spec = _spec_for(
-        "table8", spec, n=n, sim_time=sim_time, burn_in=burn_in, seed=seed
-    )
+    spec = _spec_for("table8", spec)
     rows = []
     k = 0
     for lam in lambdas:

@@ -22,8 +22,8 @@ These families provide that, each with the standard universality guarantee:
 
 All families hash 64-bit integer keys and are vectorized over numpy arrays;
 :class:`TabulationHash` and :class:`PairwiseAffineHash` delegate their batch
-paths to the kernel tier (:mod:`repro.kernels.hash_schemes`, numpy gather /
-Mersenne limb arithmetic with an optional numba ``@njit`` tier) and expose
+paths to the kernels in :mod:`repro.kernels.hash_schemes` (numpy gather /
+Mersenne limb arithmetic) and expose
 :meth:`TabulationHash.scalar` / :meth:`PairwiseAffineHash.scalar`
 pure-Python oracles the bit-identity suites check the kernels against.
 Construction draws the family's random parameters from ``rng`` (``None``
@@ -147,7 +147,7 @@ class PairwiseAffineHash:
     buys a division-free reduction (fold the top 3 bits back with
     shift + mask), a 61-bit key space, and a kernel-grade batch path
     (:func:`repro.kernels.hash_schemes.pairwise_affine_u64`, exact
-    uint64 limb arithmetic, optional numba tier).  Keys at or above
+    uint64 limb arithmetic).  Keys at or above
     ``p`` are reduced mod ``p`` first.
 
     Parameters
@@ -247,11 +247,11 @@ class TabulationHash:
     power-of-two ``n`` the reduction is a mask (preserving full
     independence properties); otherwise a modulo.
 
-    The batch path runs through the kernel tier
+    The batch path runs through the kernel
     (:func:`repro.kernels.hash_schemes.tabulation_hash_u64`): the eight
     tables flatten into one contiguous 16 KiB gather array consumed by
-    blocked ``np.take`` (or the numba loop); :meth:`scalar` is the
-    pure-Python oracle the tiers are certified bit-identical against.
+    blocked ``np.take``; :meth:`scalar` is the pure-Python oracle the
+    kernel is certified bit-identical against.
     """
 
     CHARS = 8

@@ -15,8 +15,8 @@ so correlated on arithmetic key streams that cohort probing degenerates
 into hundred-round tails.  Splitmix64's xor-multiply chain breaks that
 structure at the cost of three vector multiplies.
 
-The scalar forms are the oracle the vectorized (and numba) forms are
-tested bit-identical against.
+The scalar forms are the oracle the vectorized forms are tested
+bit-identical against.
 """
 
 from __future__ import annotations

@@ -16,19 +16,11 @@ place a scheme name resolves to a constructor:
 - :func:`resolve_scheme_name` mirrors the :mod:`repro.kernels` selection
   idiom: explicit name > ``REPRO_SCHEME`` environment variable > default
   (``"double"``).
-
-Deprecations
-------------
-The pre-registry call form ``make_scheme(name, n_bins=..., d=...)`` (the
-old parameter was named ``n_bins``) still works but emits a
-``DeprecationWarning``; it will be removed two releases after 1.1 (see
-``docs/service.md`` for the timeline).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,12 +233,11 @@ def resolve_scheme_name(name: str | None = None) -> str:
 
 def make_scheme(
     name: str | None,
-    n: int | None = None,
+    n: int,
     d: int = 2,
     *,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    n_bins: int | None = None,
 ) -> ChoiceScheme:
     """Build an engine-facing scheme by registry name.
 
@@ -270,9 +261,6 @@ def make_scheme(
         Construction-time randomness for the keyed families (hash-table
         parameter draws); at most one may be given.  Stateless engine
         schemes ignore both.
-    n_bins:
-        .. deprecated:: 1.1
-            Old name for ``n``; emits ``DeprecationWarning``.
 
     Raises
     ------
@@ -280,18 +268,6 @@ def make_scheme(
         For an unknown name (kept for backward compatibility with the
         pre-registry factory).
     """
-    if n_bins is not None:
-        if n is not None:
-            raise ConfigurationError("pass n or n_bins, not both")
-        warnings.warn(
-            "make_scheme(..., n_bins=...) is deprecated; use the n "
-            "parameter (removal two releases after 1.1)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        n = n_bins
-    if n is None:
-        raise ConfigurationError("make_scheme requires the table size n")
     if rng is not None and seed is not None:
         raise ConfigurationError("pass rng or seed, not both")
     key = resolve_scheme_name(None) if name is None else name.strip().lower()

@@ -1,53 +1,45 @@
-"""Pluggable placement-kernel backends for the balanced-allocation hot path.
+"""Placement, queueing, peeling and keymap kernels for the hot paths.
 
 Every table in the paper reduces to the same inner loop — gather candidate
 loads, argmin with tie-breaking, scatter-increment — executed ``m × trials``
-times.  This package isolates that loop behind a small backend registry:
+times.  This package isolates that loop behind one numpy kernel, the fused
+out-of-order commit kernel of :mod:`repro.kernels.numpy_backend` (flat
+``np.take`` gathers, packed integer tie keys, preallocated scratch reused
+across blocks), bit-identical to the sequential oracle
+:func:`repro.kernels.reference.sequential_packed_reference`.
 
-- ``"numpy"`` — always available; the fused out-of-order commit kernel of
-  :mod:`repro.kernels.numpy_backend` (flat ``np.take`` gathers, packed
-  integer tie keys, preallocated scratch reused across blocks).
-- ``"numba"`` — optional; a ``@njit(cache=True)`` whole-block sequential
-  loop over the same packed draws (:mod:`repro.kernels.numba_backend`),
-  bit-identical to numpy for the same seed.  When numba is not importable
-  the registry silently falls back to numpy and logs a
-  ``backend-fallback`` event to the :func:`repro.metrics.global_registry`.
-
-Backend selection order: an explicit ``backend=`` argument (or
-``ExperimentSpec.backend``) wins, then the ``REPRO_BACKEND`` environment
-variable, then auto-detection (numba if importable, else numpy).  Worker
-processes inherit the backend through the pickled chunk task *and* the
-environment variable, so ``run_experiment`` fan-out uses one backend
-everywhere.
+Backend names resolve in the order explicit ``backend=`` argument (or
+``ExperimentSpec.backend``) > the ``REPRO_BACKEND`` environment variable
+> ``"numpy"``; any other name raises
+:class:`~repro.errors.ConfigurationError`.  Worker processes inherit the
+name through the pickled chunk task *and* the environment variable, so
+``run_experiment`` fan-out resolves identically everywhere.
 
 The shared data contract (packed candidates, tie keys, dummy padding) is
 documented in :mod:`repro.kernels.generate`; :func:`run_placement_kernel`
 is the single public entry point over raw choice/tie arrays, and
 ``simulate_batch`` drives the same machinery with fused generation.
 
-The same registry also serves the queueing path: the supermarket-model
-CTMC of Tables 7–8 runs through :func:`run_supermarket_kernel`, whose
-backends (blocked numpy loop in :mod:`repro.kernels.supermarket`, JIT in
-:mod:`repro.kernels.numba_supermarket`) are bit-identical to the oracle
+The queueing path: the supermarket-model CTMC of Tables 7–8 runs through
+:func:`run_supermarket_kernel`, whose blocked numpy loop
+(:mod:`repro.kernels.supermarket`) is bit-identical to the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference` under the
-draw-stream contract documented in :mod:`repro.kernels.supermarket`.
+draw-stream contract documented there.
 
-And the peeling path: 2-core computation on the key-cell hypergraph
-(IBLT listing, the peeling-threshold experiments) runs through
-:func:`run_peeling_kernel`, whose backends (vectorized worklist loop in
-:mod:`repro.kernels.peeling`, JIT in :mod:`repro.kernels.numba_peeling`)
-are exactly equivalent — success flag, peel order, core-edge set, and
-round count — to the oracle :func:`repro.peeling.decoder.peel_reference`
-under the synchronous-round contract documented in
-:mod:`repro.kernels.peeling`.
+The peeling path: 2-core computation on the key-cell hypergraph (IBLT
+listing, the peeling-threshold experiments) runs through
+:func:`run_peeling_kernel`, whose vectorized worklist loop
+(:mod:`repro.kernels.peeling`) is exactly equivalent — success flag, peel
+order, core-edge set, and round count — to the oracle
+:func:`repro.peeling.decoder.peel_reference` under the synchronous-round
+contract documented there.
 
-And the service path: the keyed store's assignment map (key → bin) runs
-on the vectorized open-addressed :class:`repro.kernels.keymap.KeyMap`
+The service path: the keyed store's assignment map (key → bin) runs on
+the vectorized open-addressed :class:`repro.kernels.keymap.KeyMap`
 kernel — itself a double-hashed table, see :mod:`repro.hashing.probe` —
-behind :func:`make_keymap` with its own four-tier backend registry
-(``reference`` / ``numpy`` / ``numba`` / ``numba-parallel``); every tier
-is exactly equal, batch by batch, to the dict oracle
-:class:`repro.kernels.keymap.ReferenceKeyMap`.
+behind :func:`make_keymap`, which also accepts ``"reference"`` for the
+dict oracle :class:`repro.kernels.keymap.ReferenceKeyMap` that the kernel
+is exactly equal to, batch by batch.
 """
 
 from __future__ import annotations
@@ -56,11 +48,8 @@ import os
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels import numba_backend as _numba_mod
-from repro.kernels import numba_peeling as _numba_peel
-from repro.kernels import numba_supermarket as _numba_sm
 from repro.kernels.generate import (
     KEY_SHIFT,
     KernelLayout,
@@ -79,14 +68,12 @@ from repro.kernels.keymap import (
     NOT_FOUND,
     KeyMap,
     ReferenceKeyMap,
-    available_keymap_backends,
     make_keymap,
     resolve_keymap_backend,
 )
 from repro.kernels.numpy_backend import NumpyBackend, choose_window
 from repro.kernels.peeling import (
     PeelOutcome,
-    build_accumulators,
     peel_arrays_numpy,
     validate_edges,
 )
@@ -120,8 +107,6 @@ __all__ = [
     "NOT_FOUND",
     "PeelOutcome",
     "ReferenceKeyMap",
-    "available_backends",
-    "available_keymap_backends",
     "check_queue_packing",
     "choose_window",
     "default_shards",
@@ -135,6 +120,7 @@ __all__ = [
     "place_ball",
     "plan_layout",
     "resolve_backend",
+    "resolve_backend_name",
     "resolve_keymap_backend",
     "run_parallel_trials",
     "run_peeling_kernel",
@@ -154,61 +140,35 @@ __all__ = [
 DEFAULT_BLOCK = 4096
 
 ENV_VAR = "REPRO_BACKEND"
-KNOWN_BACKENDS = ("numpy", "numba")
+KNOWN_BACKENDS = ("numpy",)
 
 _NUMPY = NumpyBackend()
-_NUMBA = _numba_mod.NumbaBackend() if _numba_mod.NUMBA_AVAILABLE else None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends importable in this process."""
-    return KNOWN_BACKENDS if _NUMBA is not None else ("numpy",)
 
 
 def kernel_metrics() -> MetricsRegistry:
-    """The registry kernel-level timers and fallback events default to."""
+    """The registry kernel-level timers and counters default to."""
     return global_registry()
 
 
-def _log_fallback(
-    requested: str, source: str, metrics: MetricsRegistry | None
-) -> None:
-    fields = dict(
-        requested=requested,
-        using="numpy",
-        source=source,
-        error=repr(_numba_mod.NUMBA_IMPORT_ERROR),
-    )
-    global_registry().event("backend-fallback", **fields)
-    if metrics is not None and metrics is not global_registry():
-        metrics.event("backend-fallback", **fields)
+def resolve_backend_name(name: str | None, known: tuple[str, ...]) -> str:
+    """Resolve a backend name: explicit ``name`` > ``REPRO_BACKEND`` > numpy.
 
-
-def resolve_backend(name: str | None = None, *, metrics: MetricsRegistry | None = None):
-    """Resolve a backend: explicit ``name`` > ``REPRO_BACKEND`` env > auto.
-
-    Unknown names raise :class:`~repro.errors.ConfigurationError`.
-    Requesting ``"numba"`` where numba is not importable returns the numpy
-    backend and logs a ``backend-fallback`` event (to ``metrics`` when
-    given, and always to the global registry) — runs keep working, the
-    degradation is observable.
+    Names are case- and space-insensitive.  A name outside ``known``,
+    from either source, raises :class:`~repro.errors.ConfigurationError`.
     """
-    source = "explicit"
     if name is None:
-        name = os.environ.get(ENV_VAR) or None
-        source = "env"
-    if name is None:
-        return _NUMBA if _NUMBA is not None else _NUMPY
-    name = name.strip().lower()
-    if name not in KNOWN_BACKENDS:
+        name = os.environ.get(ENV_VAR) or "numpy"
+    key = name.strip().lower()
+    if key not in known:
         raise ConfigurationError(
-            f"unknown kernel backend {name!r}; known: {', '.join(KNOWN_BACKENDS)}"
+            f"unknown kernel backend {name!r}; known: {', '.join(known)}"
         )
-    if name == "numba":
-        if _NUMBA is None:
-            _log_fallback("numba", source, metrics)
-            return _NUMPY
-        return _NUMBA
+    return key
+
+
+def resolve_backend(name: str | None = None) -> NumpyBackend:
+    """The placement backend for ``name`` (see :func:`resolve_backend_name`)."""
+    resolve_backend_name(name, KNOWN_BACKENDS)
     return _NUMPY
 
 
@@ -268,8 +228,7 @@ def run_placement_kernel(
     if layout is None:
         raise ConfigurationError(
             f"n_bins={n_bins} exceeds the packed-kernel address space "
-            "(even the wide int64 layout); use simulate_batch, which "
-            "falls back to the strided engine"
+            "(n_bins + 1 > 2**31)"
         )
     if tie_keys is not None:
         if tie_keys.shape != choices.shape:
@@ -292,7 +251,7 @@ def run_placement_kernel(
             "loads must be non-negative and fit the packed load field "
             f"(max {load_budget}) after placing all balls"
         )
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
     registry = metrics if metrics is not None else kernel_metrics()
     window = choose_window(n_bins, d)
     bins_p = layout.bins_p
@@ -341,12 +300,10 @@ def run_peeling_kernel(
 
     The peeling face of the kernel subsystem:
     :func:`repro.peeling.decoder.peel` and the batched IBLT lister drive
-    this function.  Backend selection follows the standard order
-    (explicit ``backend`` > ``REPRO_BACKEND`` env > auto), and every
-    backend is exactly equivalent — success flag, peel order, core-edge
-    set, round count — to :func:`repro.peeling.decoder.peel_reference`
-    under the synchronous-round contract documented in
-    :mod:`repro.kernels.peeling`.
+    this function.  The result is exactly equivalent — success flag, peel
+    order, core-edge set, round count — to
+    :func:`repro.peeling.decoder.peel_reference` under the
+    synchronous-round contract documented in :mod:`repro.kernels.peeling`.
 
     Parameters
     ----------
@@ -357,8 +314,7 @@ def run_peeling_kernel(
     n_vertices:
         Vertex-space size (IBLT cell count / hypergraph vertex count).
     backend:
-        Kernel-backend name (``"numpy"`` / ``"numba"``), or None for
-        env/auto resolution.
+        Kernel-backend name (``"numpy"``), or None for env resolution.
     metrics:
         Registry receiving the kernel timer/counters (global by default).
 
@@ -368,26 +324,10 @@ def run_peeling_kernel(
         ``(success, peeled_order, core_edges, rounds)``.
     """
     edges = validate_edges(edges, n_vertices)
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
     registry = metrics if metrics is not None else kernel_metrics()
     with registry.timer("kernel.peel_seconds"):
-        if impl.name == "numba" and edges.shape[0]:
-            degree, edge_xor = build_accumulators(edges, n_vertices)
-            n_peeled, order, alive, rounds, status = (
-                _numba_peel.peel_arrays_numba(edges, degree, edge_xor)
-            )
-            if status != _numba_peel.PEEL_OK:
-                raise SimulationError(
-                    "peeling invariant violated: a degree-1 vertex claimed "
-                    "a dead or out-of-range edge (numba backend, status "
-                    f"{status})"
-                )
-            core = np.flatnonzero(~alive)
-            outcome = PeelOutcome(
-                core.size == 0, order[:n_peeled].copy(), core, rounds
-            )
-        else:
-            outcome = peel_arrays_numpy(edges, n_vertices)
+        outcome = peel_arrays_numpy(edges, n_vertices)
     registry.increment("kernel.edges_peeled", int(outcome.peeled_order.size))
     registry.increment(f"kernel.calls.{impl.name}", 1)
     return outcome
@@ -410,9 +350,7 @@ def run_supermarket_kernel(
 
     The queueing face of the kernel subsystem (Tables 7-8):
     :func:`repro.queueing.simulate_supermarket` is a thin wrapper over this
-    function.  Backend selection follows the standard order (explicit
-    ``backend`` > ``REPRO_BACKEND`` env > auto), and every backend is
-    bit-identical to
+    function.  It is bit-identical to
     :func:`repro.kernels.reference.simulate_supermarket_reference` for the
     same seed under the draw-stream contract documented in
     :mod:`repro.kernels.supermarket`.
@@ -431,7 +369,7 @@ def run_supermarket_kernel(
         and all time averages (the paper used 1000).
     seed:
         Seed or generator.  A passed-in generator is left in the same
-        state regardless of backend.
+        state as after the oracle run.
     max_total_jobs:
         Safety valve: abort with :class:`~repro.errors.StabilityError`
         when the population exceeds this (defaults to ``50 * n``).
@@ -442,8 +380,7 @@ def run_supermarket_kernel(
         ``"random"`` (the standard model) or ``"left"`` (join the first
         shortest candidate in choice order).
     backend:
-        Kernel-backend name (``"numpy"`` / ``"numba"``), or None for
-        env/auto resolution.
+        Kernel-backend name (``"numpy"``), or None for env resolution.
     metrics:
         Registry receiving the kernel timer/counters (global by default).
 
@@ -453,20 +390,15 @@ def run_supermarket_kernel(
         Sojourn mean, event counts, busy fraction, and optional tails.
     """
     validate_supermarket_args(lam, sim_time, burn_in, tie_break)
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
     registry = metrics if metrics is not None else kernel_metrics()
     rng = default_generator(seed)
     n = scheme.n_bins
     if max_total_jobs is None:
         max_total_jobs = 50 * n
     check_queue_packing(max_total_jobs)
-    left_ties = tie_break == "left"
-    if impl.name == "numba":
-        simulate = _numba_sm.simulate_supermarket_numba
-    else:
-        simulate = simulate_supermarket_numpy
     with registry.timer("kernel.supermarket_seconds"):
-        stats = simulate(
+        stats = simulate_supermarket_numpy(
             scheme,
             lam,
             sim_time,
@@ -474,7 +406,7 @@ def run_supermarket_kernel(
             rng,
             max_total_jobs,
             track_tails,
-            left_ties,
+            tie_break == "left",
         )
     registry.increment(
         "kernel.supermarket_events", stats.n_arrivals + stats.n_departures

@@ -28,14 +28,12 @@ two mechanisms, defined here once:
    ``SeedSequence(entropy=seed, spawn_key=(i,))`` — the same child the
    process-pool engine would spawn.  Draw ``k`` of the stream is the pure
    function ``mix64(key + (k+1) * GAMMA)`` (:func:`splitmix64_block`),
-   identical whether computed vectorized here, scalar inside a numba
-   kernel, or by :class:`repro.rng.splitmix.SplitMix64` — so per-trial
+   identical whether computed vectorized here or scalar by
+   :class:`repro.rng.splitmix.SplitMix64` — so per-trial
    results are independent of scheduling, chunking, and host (the
    *seed-equivalence* guarantee).
 
-The block sizes and the tie width are owned here; the historical homes in
-:mod:`repro.kernels.supermarket` re-export them through a deprecation
-shim for one release.
+The block sizes and the tie width are owned here.
 """
 
 from __future__ import annotations

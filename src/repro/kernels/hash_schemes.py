@@ -6,11 +6,8 @@ Carter–Wegman families through per-element Python-int arithmetic — fine
 for correctness, far too slow for the n = 2^24 equivalence sweeps the
 certification tiers run.  This module is the kernel-grade hot path those
 families now delegate to, mirroring the placement/supermarket/peeling
-split: a numpy tier that is always available, an optional ``@njit`` tier
-(:mod:`repro.kernels.numba_hash`) selected through the same backend
-registry (explicit ``backend=`` > ``REPRO_BACKEND`` env > auto), and
-pure-Python scalar oracles that the cross-backend bit-identity suites
-check both tiers against.
+split: one numpy kernel per family plus a pure-Python scalar oracle that
+the bit-identity suites check the kernel against.
 
 Two primitives ship:
 
@@ -22,9 +19,7 @@ Two primitives ship:
     character becomes a single flat ``np.take`` gather at offset
     ``c * 256`` — eight gathers XOR-folded into the accumulator, block
     chunked so key block, byte scratch, and accumulator stay cache
-    resident.  The flat layout also feeds the numba tier unchanged,
-    where the eight gathers unroll into one load per character with the
-    XOR chain carried in a register.
+    resident.
 
 ``pairwise_affine_u64``
     The degree-1 Carter–Wegman family ``(a·x + b) mod p`` over the
@@ -47,7 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels import numba_hash as _numba_hash
 
 __all__ = [
     "MERSENNE_P",
@@ -96,16 +90,6 @@ def _keys_u64(keys: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _use_numba(backend: str | None) -> bool:
-    """Resolve to the numba tier through the shared backend registry."""
-    from repro.kernels import resolve_backend
-
-    return (
-        resolve_backend(backend).name == "numba"
-        and _numba_hash.NUMBA_AVAILABLE
-    )
-
-
 def flatten_tables(tables: np.ndarray) -> np.ndarray:
     """Flatten ``(8, 256)`` tabulation tables into the gather layout.
 
@@ -129,7 +113,7 @@ def flatten_tables(tables: np.ndarray) -> np.ndarray:
 
 def _tabulation_numpy(keys: np.ndarray, flat: np.ndarray,
                       out: np.ndarray) -> None:
-    """Numpy tier: eight flat gathers XOR-folded, block chunked."""
+    """Numpy kernel: eight flat gathers XOR-folded, block chunked."""
     m = keys.size
     idx = np.empty(min(m, _BLOCK), dtype=np.int64)
     shifted = np.empty(min(m, _BLOCK), dtype=_U64)
@@ -149,8 +133,6 @@ def _tabulation_numpy(keys: np.ndarray, flat: np.ndarray,
 def tabulation_hash_u64(
     keys: np.ndarray,
     flat_tables: np.ndarray,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Hash a key batch through simple tabulation; full 64-bit output.
 
@@ -161,11 +143,6 @@ def tabulation_hash_u64(
         the full 64-bit pattern is hashed).
     flat_tables:
         ``(2048,)`` uint64 gather table from :func:`flatten_tables`.
-    backend:
-        Kernel backend name; resolution follows
-        :func:`repro.kernels.resolve_backend` (explicit >
-        ``REPRO_BACKEND`` env > auto), with the registry's silent
-        numba-to-numpy fallback.  Tiers are bit-identical.
     """
     flat = np.asarray(flat_tables, dtype=_U64)
     if flat.shape != (TAB_CHARS * TAB_TABLE_SIZE,):
@@ -175,10 +152,7 @@ def tabulation_hash_u64(
         )
     arr = _keys_u64(keys)
     out = np.empty(arr.size, dtype=_U64)
-    if _use_numba(backend):
-        _numba_hash.tabulation_u64(arr, flat, out)
-    else:
-        _tabulation_numpy(arr, flat, out)
+    _tabulation_numpy(arr, flat, out)
     return out
 
 
@@ -186,7 +160,7 @@ def tabulation_hash_scalar(key: int, tables: np.ndarray) -> int:
     """Pure-Python scalar oracle for :func:`tabulation_hash_u64`.
 
     Walks the ``(8, 256)`` tables with Python ints only; the vectorized
-    tiers must match it bit for bit on every key (the cross-backend
+    kernel must match it bit for bit on every key (the bit-identity
     suites assert exactly this).
     """
     x = int(key) & ((1 << 64) - 1)
@@ -214,7 +188,7 @@ def _mod_p61(x: np.ndarray) -> np.ndarray:
 
 def _pairwise_numpy(keys: np.ndarray, a: int, b: int,
                     out: np.ndarray) -> None:
-    """Numpy tier: exact ``(a·x + b) mod (2^61-1)`` in uint64 limbs.
+    """Numpy kernel: exact ``(a·x + b) mod (2^61-1)`` in uint64 limbs.
 
     Keys are first reduced mod p, then the 61×61-bit product is split
     into 32-bit limbs; the cross terms re-enter via ``2^64 ≡ 8`` and
@@ -243,15 +217,12 @@ def pairwise_affine_u64(
     keys: np.ndarray,
     a: int,
     b: int,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Hash a key batch through ``(a·x + b) mod (2^61 - 1)``.
 
     Returns the unreduced hash in ``[0, p)``; keys at or above ``p``
     are reduced mod ``p`` first (the family is exactly pairwise
-    independent on ``[0, p)``).  Backend resolution as in
-    :func:`tabulation_hash_u64`; tiers are bit-identical.
+    independent on ``[0, p)``).
     """
     if not 1 <= a < MERSENNE_P:
         raise ConfigurationError(f"need 1 <= a < 2^61-1, got {a}")
@@ -259,10 +230,7 @@ def pairwise_affine_u64(
         raise ConfigurationError(f"need 0 <= b < 2^61-1, got {b}")
     arr = _keys_u64(keys)
     out = np.empty(arr.size, dtype=_U64)
-    if _use_numba(backend):
-        _numba_hash.pairwise_u64(arr, _U64(a), _U64(b), out)
-    else:
-        _pairwise_numpy(arr, a, b, out)
+    _pairwise_numpy(arr, a, b, out)
     return out
 
 

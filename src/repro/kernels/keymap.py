@@ -15,42 +15,35 @@ with an odd stride from one splitmix64 pass, see
   ``-1`` per key, again with exact sequential batch semantics.
 - ``lookup_many(keys)`` — stored value or ``-1`` per key.
 
-Three backends share the registry idiom (explicit argument >
-``REPRO_BACKEND`` env > auto):
+Two backends share the registry idiom (explicit argument >
+``REPRO_BACKEND`` env > ``"numpy"``; unknown names raise):
 
 - ``"reference"`` — the demoted dict path (:class:`ReferenceKeyMap`),
-  the semantics oracle every other backend is tested exactly equal to;
+  the semantics oracle the kernel is tested exactly equal to;
 - ``"numpy"`` — cohort probe rounds: hash all unresolved keys, gather
   the probed slots, resolve hits, claim empty slots by scatter with a
-  rare same-key ordering fixup, advance the survivors;
-- ``"numba"`` / ``"numba-parallel"`` — a JIT straight probe loop
-  (:mod:`repro.kernels.numba_keymap`); the parallel variant runs
-  lookups under ``prange``.  Falls back to numpy with a logged
-  ``backend-fallback`` event when numba is not importable.
+  rare same-key ordering fixup, advance the survivors.
 
 Capacity is negotiated per batch: the table rehashes (amortized, counted
 under ``keymap.rehashes``) whenever live + tombstone + incoming slots
 would exceed ``MAX_FILL`` of capacity, sizing the new power-of-two table
 so the post-rehash fill is at most ``GROW_FILL``.  Tombstones are *not*
-reused by inserts — rehash purges them — which keeps every backend's
-slot bookkeeping identical in count.
+reused by inserts — rehash purges them — which keeps the kernel's slot
+bookkeeping identical in count to a sequential probe loop.
 
 Observable behavior (returned arrays, mapping contents, live/tombstone
-counts) is exactly equal across all backends for any operation stream;
-the physical slot *layout* may differ between the cohort and sequential
-execution orders, which is invisible through the API and safe because
-every backend maintains the open-addressing reachability invariant.
+counts) is exactly equal to the oracle for any operation stream; the
+physical slot *layout* depends on the cohort execution order, which is
+invisible through the API and safe because the kernel maintains the
+open-addressing reachability invariant.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.probe import DEFAULT_PROBE_SEED, probe_start_stride
-from repro.kernels import numba_keymap as _njm
 from repro.metrics import MetricsRegistry, global_registry
 
 __all__ = [
@@ -63,7 +56,6 @@ __all__ = [
     "TOMBSTONE",
     "KeyMap",
     "ReferenceKeyMap",
-    "available_keymap_backends",
     "make_keymap",
     "resolve_keymap_backend",
 ]
@@ -83,54 +75,21 @@ GROW_FILL = 0.4
 #: Smallest table: 2**MIN_CAP_BITS slots.
 MIN_CAP_BITS = 6
 
-KNOWN_KEYMAP_BACKENDS = ("reference", "numpy", "numba", "numba-parallel")
+KNOWN_KEYMAP_BACKENDS = ("reference", "numpy")
 
-_ENV_VAR = "REPRO_BACKEND"
 _I32_MAX = np.iinfo(np.int32).max
 
 
-def available_keymap_backends() -> tuple[str, ...]:
-    """Keymap backend names importable in this process."""
-    if _njm.NUMBA_AVAILABLE:
-        return KNOWN_KEYMAP_BACKENDS
-    return ("reference", "numpy")
+def resolve_keymap_backend(name: str | None = None) -> str:
+    """Resolve a keymap backend name: explicit > ``REPRO_BACKEND`` > numpy.
 
-
-def resolve_keymap_backend(
-    name: str | None = None, *, metrics: MetricsRegistry | None = None
-) -> str:
-    """Resolve a keymap backend name: explicit > ``REPRO_BACKEND`` > auto.
-
-    Mirrors :func:`repro.kernels.resolve_backend`: requesting a numba
-    tier where numba is not importable degrades to ``"numpy"`` and logs
-    a ``backend-fallback`` event (to ``metrics`` when given, and always
-    to the global registry); unknown names raise
+    The same resolution as :func:`repro.kernels.resolve_backend`, over
+    :data:`KNOWN_KEYMAP_BACKENDS`; unknown names raise
     :class:`~repro.errors.ConfigurationError`.
     """
-    source = "explicit"
-    if name is None:
-        name = os.environ.get(_ENV_VAR) or None
-        source = "env"
-    if name is None:
-        return "numba" if _njm.NUMBA_AVAILABLE else "numpy"
-    name = name.strip().lower()
-    if name not in KNOWN_KEYMAP_BACKENDS:
-        raise ConfigurationError(
-            f"unknown keymap backend {name!r}; known: "
-            f"{', '.join(KNOWN_KEYMAP_BACKENDS)}"
-        )
-    if name.startswith("numba") and not _njm.NUMBA_AVAILABLE:
-        fields = dict(
-            requested=name,
-            using="numpy",
-            source=source,
-            error=repr(_njm.NUMBA_IMPORT_ERROR),
-        )
-        global_registry().event("backend-fallback", **fields)
-        if metrics is not None and metrics is not global_registry():
-            metrics.event("backend-fallback", **fields)
-        return "numpy"
-    return name
+    from repro.kernels import resolve_backend_name
+
+    return resolve_backend_name(name, KNOWN_KEYMAP_BACKENDS)
 
 
 def make_keymap(
@@ -143,11 +102,11 @@ def make_keymap(
     """Build a keymap through the backend registry.
 
     ``backend="reference"`` returns the dict oracle
-    (:class:`ReferenceKeyMap`); every other name returns a flat-array
-    :class:`KeyMap` running that kernel tier.  ``expected`` presizes
-    capacity for that many live keys (still grows on demand).
+    (:class:`ReferenceKeyMap`); ``"numpy"`` returns the flat-array
+    :class:`KeyMap`.  ``expected`` presizes capacity for that many live
+    keys (still grows on demand).
     """
-    resolved = resolve_keymap_backend(backend, metrics=metrics)
+    resolved = resolve_keymap_backend(backend)
     if resolved == "reference":
         return ReferenceKeyMap(metrics=metrics)
     return KeyMap(
@@ -502,10 +461,9 @@ class KeyMap:
         Presize capacity for this many live keys (the map still grows on
         demand; 0 starts at the 64-slot minimum).
     backend:
-        Kernel tier (``"numpy"``, ``"numba"``, ``"numba-parallel"``), or
-        ``None`` for registry resolution.  ``"reference"`` is rejected
-        here — use :func:`make_keymap`, which routes it to
-        :class:`ReferenceKeyMap`.
+        Kernel tier (``"numpy"``), or ``None`` for registry resolution.
+        ``"reference"`` is rejected here — use :func:`make_keymap`, which
+        routes it to :class:`ReferenceKeyMap`.
     metrics:
         Registry receiving ``keymap.*`` counters (global by default).
     probe_seed:
@@ -521,7 +479,7 @@ class KeyMap:
         metrics: MetricsRegistry | None = None,
         probe_seed: int = DEFAULT_PROBE_SEED,
     ) -> None:
-        resolved = resolve_keymap_backend(backend, metrics=metrics)
+        resolved = resolve_keymap_backend(backend)
         if resolved == "reference":
             raise ConfigurationError(
                 "KeyMap is the flat-array form; use make_keymap() for the "
@@ -602,25 +560,15 @@ class KeyMap:
         vals32 = vals.astype(np.int32)
         self._alloc(cap_bits)
         if keys.size:
-            if self.backend == "numpy":
-                _rebuild_numpy(
-                    self._keys,
-                    self._vals,
-                    cap_bits,
-                    keys,
-                    vals32,
-                    self._claim,
-                    self.probe_seed,
-                )
-            else:
-                _njm.rebuild_njit(
-                    self._keys,
-                    self._vals,
-                    np.int64(cap_bits),
-                    keys,
-                    vals32,
-                    np.uint64(self.probe_seed),
-                )
+            _rebuild_numpy(
+                self._keys,
+                self._vals,
+                cap_bits,
+                keys,
+                vals32,
+                self._claim,
+                self.probe_seed,
+            )
         self._tombstones = 0
         self._metrics.increment("keymap.rehashes", 1)
         self._metrics.increment("keymap.rehash_slots", int(keys.size))
@@ -634,33 +582,20 @@ class KeyMap:
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         self._ensure_capacity(keys.size)
-        if self.backend == "numpy":
-            fn = (
-                _insert_fresh_numpy
-                if self._live == 0 and self._tombstones == 0
-                else _insert_numpy
-            )
-            prev, inserted, probes, rounds = fn(
-                self._keys,
-                self._vals,
-                self.cap_bits,
-                keys,
-                vals,
-                self._claim,
-                self.probe_seed,
-            )
-        else:
-            prev = np.empty(keys.size, dtype=np.int64)
-            inserted, probes = _njm.insert_njit(
-                self._keys,
-                self._vals,
-                np.int64(self.cap_bits),
-                keys,
-                vals,
-                prev,
-                np.uint64(self.probe_seed),
-            )
-            rounds = 1
+        fn = (
+            _insert_fresh_numpy
+            if self._live == 0 and self._tombstones == 0
+            else _insert_numpy
+        )
+        prev, inserted, probes, rounds = fn(
+            self._keys,
+            self._vals,
+            self.cap_bits,
+            keys,
+            vals,
+            self._claim,
+            self.probe_seed,
+        )
         self._live += int(inserted)
         self._count(probes, rounds)
         return prev
@@ -670,26 +605,14 @@ class KeyMap:
         keys = _as_keys(keys)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        if self.backend == "numpy":
-            prev, deleted, probes, rounds = _delete_numpy(
-                self._keys,
-                self._vals,
-                self.cap_bits,
-                keys,
-                self._claim,
-                self.probe_seed,
-            )
-        else:
-            prev = np.empty(keys.size, dtype=np.int64)
-            deleted, probes = _njm.delete_njit(
-                self._keys,
-                self._vals,
-                np.int64(self.cap_bits),
-                keys,
-                prev,
-                np.uint64(self.probe_seed),
-            )
-            rounds = 1
+        prev, deleted, probes, rounds = _delete_numpy(
+            self._keys,
+            self._vals,
+            self.cap_bits,
+            keys,
+            self._claim,
+            self.probe_seed,
+        )
         self._live -= int(deleted)
         self._tombstones += int(deleted)
         self._count(probes, rounds)
@@ -700,31 +623,9 @@ class KeyMap:
         keys = _as_keys(keys)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        if self.backend == "numpy":
-            out, probes, rounds = _lookup_numpy(
-                self._keys, self._vals, self.cap_bits, keys, self.probe_seed
-            )
-        else:
-            out = np.empty(keys.size, dtype=np.int64)
-            if self.backend == "numba-parallel":
-                probes = _njm.lookup_parallel_njit(
-                    self._keys,
-                    self._vals,
-                    np.int64(self.cap_bits),
-                    keys,
-                    out,
-                    np.uint64(self.probe_seed),
-                )
-            else:
-                probes = _njm.lookup_njit(
-                    self._keys,
-                    self._vals,
-                    np.int64(self.cap_bits),
-                    keys,
-                    out,
-                    np.uint64(self.probe_seed),
-                )
-            rounds = 1
+        out, probes, rounds = _lookup_numpy(
+            self._keys, self._vals, self.cap_bits, keys, self.probe_seed
+        )
         self._count(probes, rounds)
         return out
 
@@ -735,7 +636,7 @@ class KeyMap:
 
 
 class ReferenceKeyMap:
-    """The demoted dict path: the semantics oracle for every kernel tier.
+    """The demoted dict path: the semantics oracle for the kernel.
 
     Exactly the per-key Python loop the service layer used to run — one
     ``dict`` walked in batch order — behind the same batched API, so the

@@ -4,10 +4,9 @@ The chunked engine (:mod:`repro.core.runner`) parallelizes across
 *processes*, with every trial of a chunk sharing one generator.  This
 module is the giant-``n`` alternative: every trial owns an independent
 counter-based RNG stream (:func:`repro.kernels.blockrng.trial_seed` →
-splitmix64), so trials can run in any interleaving — a numba
-``prange`` over trials inside one ``@njit(parallel=True)`` kernel, the
-numpy fallback trial-by-trial, or process-pool chunks of either — and
-produce **identical results** (*seed-equivalence*, pinned by
+splitmix64), so trials can run in any interleaving — trial-by-trial in
+one process or spread over process-pool chunks — and produce **identical
+results** (*seed-equivalence*, pinned by
 ``tests/kernels/test_parallel_trials.py``).
 
 Two execution paths, chosen by geometry alone:
@@ -18,18 +17,18 @@ Two execution paths, chosen by geometry alone:
   trial's stream: the first supplies ``f`` (``log2 n`` bits) and the odd
   stride ``g`` (``log2 n - 1`` bits), the second up to six 10-bit tie
   keys.  Placement compares ``load << key_shift | tie << cidx_bits |
-  bin`` exactly like the packed kernels, so the numpy fallback reuses
+  bin`` exactly like the packed kernels, so the path reuses
   :class:`~repro.kernels.numpy_backend.NumpyBackend` on per-trial packed
-  arrays while the numba kernel walks the same keys scalar-sequentially
-  — bit-identical by the packed-kernel equivalence proof.
+  arrays — bit-identical to a scalar sequential walk of the same keys by
+  the packed-kernel equivalence proof.
 - **Generic path**: any other scheme/tie rule runs one
   :func:`~repro.core.vectorized.simulate_batch` call per trial, seeded
   with the trial's own ``SeedSequence`` child.  Slower, but the same
-  per-trial stream on every host and backend.
+  per-trial stream on every host.
 
 Whether the decision lands fused or generic depends **only** on the
-scheme type and geometry — never on numba availability or worker count —
-so a run's results are a pure function of ``(root seed, spec)``.
+scheme type and geometry — never on worker count — so a run's results
+are a pure function of ``(root seed, spec)``.
 
 Memory model (see ``docs/scale.md``): each in-flight trial owns one
 O(``n_bins``) load table — the irreducible chain state — while
@@ -47,9 +46,7 @@ from repro.hashing.base import ChoiceScheme
 from repro.hashing.double_hashing import DoubleHashingChoices
 from repro.kernels.blockrng import splitmix64_block, trial_seed
 from repro.kernels.generate import _RANDOM_TIE_BITS, KernelLayout
-from repro.kernels.numba_backend import NUMBA_AVAILABLE, njit
-from repro.kernels.numpy_backend import NumpyBackend, choose_window
-from repro.rng.splitmix import _GAMMA, _MIX1, _MIX2
+from repro.kernels.numpy_backend import choose_window
 
 __all__ = [
     "PLACEMENT_TIE_BITS",
@@ -61,8 +58,8 @@ __all__ = [
 #: Tie-key width of the parallel fused path (same as the packed layouts).
 PLACEMENT_TIE_BITS = _RANDOM_TIE_BITS
 
-#: Widest per-trial histogram the numba kernel records.  A max load at or
-#: beyond this is impossible for any sane d >= 2 geometry and raises
+#: Per-trial max-load budget of the fused path.  A max load at or beyond
+#: this is impossible for any sane d >= 2 geometry and raises
 #: SimulationError rather than truncating silently.
 _HIST_CAP = 4096
 
@@ -72,9 +69,6 @@ _HIST_CAP = 4096
 _SHARD_ELEMENTS = 1 << 23
 
 _U64 = np.uint64
-_G = np.uint64(_GAMMA)
-_M1 = np.uint64(_MIX1)
-_M2 = np.uint64(_MIX2)
 
 
 def default_shards(n_bins: int, d: int) -> int:
@@ -89,9 +83,8 @@ def fused_parallel_supported(scheme: ChoiceScheme, tie_break: str) -> bool:
     """Whether the two-draw fused counter-stream path applies.
 
     A pure function of scheme type and geometry — deliberately
-    independent of numba availability, worker count, and chunking, so the
-    fused/generic decision (and therefore every result bit) is identical
-    on every host.
+    independent of worker count and chunking, so the fused/generic
+    decision (and therefore every result bit) is identical on every host.
     """
     n = scheme.n_bins
     return (
@@ -104,7 +97,7 @@ def fused_parallel_supported(scheme: ChoiceScheme, tie_break: str) -> bool:
 
 
 def _fused_layout(n: int, d: int) -> KernelLayout:
-    """The shared packed layout of the fused path (both backends)."""
+    """The packed layout of the fused path."""
     cidx_bits = n.bit_length()  # bins_p = n + 1 values, n = 2**lb
     return KernelLayout(
         n_bins=n,
@@ -142,60 +135,8 @@ def _stack_rows(rows: list[np.ndarray], trials: int) -> np.ndarray:
     return out
 
 
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-
-    @njit(cache=True)
-    def _splitmix_at(seed: np.uint64, ctr: np.uint64) -> np.uint64:
-        # Draw `ctr - 1` of the stream: mix64(seed + ctr * GAMMA), the
-        # scalar twin of blockrng.splitmix64_block (ctr is 1-based).
-        z = seed + ctr * _G
-        z = (z ^ (z >> _U64(30))) * _M1
-        z = (z ^ (z >> _U64(27))) * _M2
-        return z ^ (z >> _U64(31))
-
-    @njit(cache=True, parallel=True)
-    def _fused_trials_numba(
-        keys, n, d, n_balls, lb, tie_bits, cidx_bits, key_shift, hist, maxima
-    ):
-        n_mask = _U64(n - 1)
-        half_mask = _U64(n // 2 - 1)
-        tie_mask = _U64((1 << tie_bits) - 1)
-        hist_cap = hist.shape[1]
-        nm1 = np.int64(n - 1)
-        for t in prange(keys.shape[0]):
-            key = keys[t]
-            loads = np.zeros(n, np.int64)
-            for b in range(n_balls):
-                ra = _splitmix_at(key, _U64(2 * b + 1))
-                rb = _splitmix_at(key, _U64(2 * b + 2))
-                f = np.int64(ra & n_mask)
-                g = np.int64((ra >> _U64(lb)) & half_mask) * 2 + 1
-                cur = f
-                best_key = np.int64(0x7FFFFFFFFFFFFFFF)
-                best = np.int64(0)
-                for j in range(d):
-                    if j:
-                        cur = (cur + g) & nm1  # (f + j*g) mod 2**lb
-                    tie = np.int64((rb >> _U64(j * tie_bits)) & tie_mask)
-                    k = (loads[cur] << key_shift) | (tie << cidx_bits) | cur
-                    if k < best_key:
-                        best_key = k
-                        best = cur
-                loads[best] += 1
-            mx = np.int64(0)
-            for i in range(n):
-                v = loads[i]
-                if v > mx:
-                    mx = v
-                if v < hist_cap:
-                    hist[t, v] += 1
-            maxima[t] = mx
-
-
 def _fused_trial_numpy(
     key: int,
-    scheme: ChoiceScheme,
     n_balls: int,
     layout: KernelLayout,
     impl,
@@ -207,8 +148,8 @@ def _fused_trial_numpy(
 
     Generates the packed candidates from the trial's splitmix64 counter
     stream (vectorized, superblocks of ``block`` balls) and places them
-    with the out-of-order commit kernel — bit-identical to the scalar
-    numba walk of the same keys.
+    with the out-of-order commit kernel — bit-identical to a scalar
+    sequential walk of the same keys.
     """
     n = layout.n_bins
     d = layout.d
@@ -257,9 +198,9 @@ def run_parallel_trials(
 
     Trial ``i`` (globally indexed ``trial_offset + i``) draws from the
     stream keyed by ``trial_seed(root, trial_offset + i)`` — results
-    depend only on ``(root, global index)``, never on chunking, backend,
-    or host.  Returns the ``(trials, width)`` per-trial histogram matrix
-    (the engine transport format; feed to
+    depend only on ``(root, global index)``, never on chunking or host.
+    Returns the ``(trials, width)`` per-trial histogram matrix (the
+    engine transport format; feed to
     :meth:`repro.core.stats.StreamingLoadAggregator.update_histograms`).
 
     Parameters
@@ -272,10 +213,7 @@ def run_parallel_trials(
     trial_offset:
         Global index of this chunk's first trial.
     backend:
-        ``"numba"`` runs the fused trials inside one
-        ``@njit(parallel=True)`` prange kernel; ``"numpy"`` (or a numba
-        fallback) runs them trial-by-trial through the packed kernel.
-        Results are identical either way.
+        Kernel-backend name (``"numpy"``), or None for env resolution.
     shards:
         Aggregation-slice count (``None`` = :func:`default_shards`); the
         histogram passes touch O(n_bins / shards) elements at a time.
@@ -303,63 +241,36 @@ def run_parallel_trials(
     if shards is None:
         shards = default_shards(n, d)
     registry = metrics if metrics is not None else kernel_metrics()
-    impl = resolve_backend(backend, metrics=metrics)
+    impl = resolve_backend(backend)
 
     if fused_parallel_supported(scheme, tie_break):
         layout = _fused_layout(n, d)
-        lb = n.bit_length() - 1
         load_cap = min(_HIST_CAP, 1 << layout.load_bits)
-        keys = np.empty(trials, np.uint64)
-        for i in range(trials):
-            keys[i] = trial_seed(root, trial_offset + i)
-        if impl.name == "numba":
-            hist = np.zeros((trials, _HIST_CAP), np.int64)
-            maxima = np.zeros(trials, np.int64)
-            with registry.timer("kernel.parallel_trials_seconds"):
-                _fused_trials_numba(
-                    keys,
-                    n,
-                    d,
-                    n_balls,
-                    lb,
-                    PLACEMENT_TIE_BITS,
-                    layout.cidx_bits,
-                    layout.key_shift,
-                    hist,
-                    maxima,
+        ws = impl.make_workspace(
+            d=d,
+            trials=1,
+            window=choose_window(n, d),
+            bins_p=layout.bins_p,
+            dtype=layout.dtype,
+        )
+        work = np.zeros(layout.bins_p, np.int32)
+        rows = []
+        with registry.timer("kernel.parallel_trials_seconds"):
+            for i in range(trials):
+                _fused_trial_numpy(
+                    trial_seed(root, trial_offset + i), n_balls, layout,
+                    impl, ws, work, block,
                 )
-            top = int(maxima.max(initial=0))
-            if top >= load_cap:
-                raise SimulationError(
-                    f"per-trial max load {top} exceeds the fused parallel "
-                    f"path's load budget ({load_cap}); results discarded"
-                )
-            out = np.ascontiguousarray(hist[:, : top + 1])
-        else:
-            bins_p = layout.bins_p
-            window = choose_window(n, d)
-            numpy_impl = impl if isinstance(impl, NumpyBackend) else NumpyBackend()
-            ws = numpy_impl.make_workspace(
-                d=d, trials=1, window=window, bins_p=bins_p, dtype=layout.dtype
-            )
-            work = np.zeros(bins_p, np.int32)
-            rows = []
-            with registry.timer("kernel.parallel_trials_seconds"):
-                for i in range(trials):
-                    _fused_trial_numpy(
-                        int(keys[i]), scheme, n_balls, layout, numpy_impl,
-                        ws, work, block,
+                table = work[:n]
+                top = int(table.max(initial=0))
+                if top >= load_cap:
+                    raise SimulationError(
+                        f"per-trial max load {top} exceeds the fused "
+                        f"parallel path's load budget ({load_cap}); "
+                        "results discarded"
                     )
-                    table = work[:n]
-                    top = int(table.max(initial=0))
-                    if top >= load_cap:
-                        raise SimulationError(
-                            f"per-trial max load {top} exceeds the fused "
-                            f"parallel path's load budget ({load_cap}); "
-                            "results discarded"
-                        )
-                    rows.append(_sharded_histogram(table, shards))
-            out = _stack_rows(rows, trials)
+                rows.append(_sharded_histogram(table, shards))
+        out = _stack_rows(rows, trials)
     else:
         from repro.core.vectorized import simulate_batch
 

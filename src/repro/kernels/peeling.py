@@ -5,11 +5,10 @@ the hypergraph's 2-core remains — the decoding process of erasure codes
 and invertible Bloom lookup tables, and the workload of the follow-up
 paper ([30], Mitzenmacher–Thaler) whose threshold experiments this
 repository reproduces.  This module is the contract home and the numpy
-backend; :mod:`repro.kernels.numba_peeling` compiles the identical
-process, and :func:`repro.peeling.decoder.peel_reference` is the slow
-executable specification every backend is pinned against.
+kernel; :func:`repro.peeling.decoder.peel_reference` is the slow
+executable specification the kernel is pinned against.
 
-**Process contract** (normative — all backends must match it exactly):
+**Process contract** (normative — kernel and oracle must match it exactly):
 
 1. State is two flat per-vertex accumulators built from the ``(m, d)``
    edge array: ``degree[v]`` counts incidences (an edge hitting a vertex
@@ -27,7 +26,7 @@ executable specification every backend is pinned against.
 3. ``rounds`` counts the synchronous generations that peeled at least
    one edge — the parallel depth of the process (O(log n) below the
    density-evolution threshold).  ``peeled_order`` concatenates the
-   per-round batches, so it is identical across backends; ``success``
+   per-round batches, so it is identical to the oracle's; ``success``
    is "every edge peeled", and ``core_edges`` lists the 2-core in
    ascending id order.
 
@@ -122,8 +121,7 @@ def build_accumulators(
 
     One ``np.bincount`` over the flattened incidences plus one
     ``np.bitwise_xor.at`` scatter of the shifted edge ids — the flat-array
-    replacement for the historical O(m·d) pure-Python double loop, shared
-    by the kernel backends and the reference oracle.
+    replacement for the historical O(m·d) pure-Python double loop.
     """
     m, d = edges.shape
     flat = edges.ravel()

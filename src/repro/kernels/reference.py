@@ -11,8 +11,8 @@ Two layers live here:
   home.
 - :func:`sequential_packed_reference` — a pure-Python walk of the *packed*
   candidate arrays of :mod:`repro.kernels.generate`, used by the kernel
-  test suite to assert that the fused numpy backend (and numba, when
-  present) is bit-identical to sequential placement on the same draws.
+  test suite to assert that the fused numpy backend is bit-identical to
+  sequential placement on the same draws.
 - :func:`simulate_supermarket_reference` — the supermarket CTMC written
   as the plainest possible event loop over the draw-stream contract of
   :mod:`repro.kernels.supermarket`.  ``tests/data/golden_supermarket.json``

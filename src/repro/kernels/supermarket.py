@@ -10,11 +10,10 @@ of a uniformly random busy queue.  No event heap is needed — the simulator
 repeatedly draws an ``Exp(λn + b)`` inter-event time and an event-type
 coin.
 
-Draw-stream contract (bit-identity across backends)
+Draw-stream contract (bit-identity with the oracle)
 ---------------------------------------------------
-Every backend — the oracle loop in :mod:`repro.kernels.reference`, the
-blocked numpy loop here, and the numba JIT in
-:mod:`repro.kernels.numba_supermarket` — consumes the generator through
+Both implementations — the oracle loop in :mod:`repro.kernels.reference`
+and the blocked numpy loop here — consume the generator through
 the unified block contract of :mod:`repro.kernels.blockrng`: lazily
 refilled *event blocks* (:func:`~repro.kernels.blockrng.refill_event_block`)
 and *choice blocks* (:func:`~repro.kernels.blockrng.refill_choice_block`),
@@ -47,7 +46,6 @@ variants must reproduce exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,28 +80,6 @@ __all__ = [
     "stability_message",
     "validate_supermarket_args",
 ]
-
-# The draw-block sizes and tie width now live in repro.kernels.blockrng;
-# the historical public names here remain importable for one release via
-# the deprecation shim in __getattr__ below.
-_DEPRECATED_CONSTANTS = {
-    "EVENT_BLOCK": _EVENT_BLOCK,
-    "CHOICE_BLOCK": _CHOICE_BLOCK,
-    "TIE_BITS": _TIE_BITS,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        warnings.warn(
-            f"repro.kernels.supermarket.{name} is deprecated; import it "
-            "from repro.kernels.blockrng (removal one release after 1.2)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def check_queue_packing(max_total_jobs: int) -> None:
     """Guard the ``queue_len << TIE_BITS | tie`` packing against overflow.

@@ -212,10 +212,9 @@ def global_registry() -> MetricsRegistry:
     """The process-wide default registry (created on first use).
 
     Library layers that have no caller-supplied registry — most notably
-    the kernel backends in :mod:`repro.kernels`, whose backend-fallback
-    events must be observable even from code that never constructs a
-    registry — publish here.  Runs that pass an explicit registry are
-    unaffected.
+    the kernels in :mod:`repro.kernels`, whose timers and counters must be
+    observable even from code that never constructs a registry — publish
+    here.  Runs that pass an explicit registry are unaffected.
     """
     global _global_registry
     with _global_lock:

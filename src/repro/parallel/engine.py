@@ -1,8 +1,7 @@
 """Resilient chunked execution engine: retries, checkpoints, metrics.
 
-:class:`ExecutionEngine` generalizes the bare pool in
-:mod:`repro.parallel.pool` into a fault-tolerant runner for the paper's
-10^4-trial sweeps:
+:class:`ExecutionEngine` is the fault-tolerant chunk runner for the
+paper's 10^4-trial sweeps:
 
 - **Fault tolerance** — each chunk is retried up to
   :attr:`EngineConfig.max_retries` times with exponential backoff, and a
@@ -18,8 +17,11 @@
   is published to a :class:`~repro.metrics.MetricsRegistry`, and an
   optional progress callback receives a :class:`ChunkProgress` per chunk.
 
-The work-unit contract is unchanged from :func:`map_trial_chunks`:
-``func(task, chunk_trials, seed_seq)`` with a picklable ``func``/``task``.
+The work unit is ``func(task, chunk_trials, seed_seq)`` with a picklable
+``func``/``task``; every chunk receives its own spawned ``SeedSequence``
+child, so results are reproducible from the root seed regardless of
+scheduling — the multiprocessing analogue of MPI rank-indexed RNG
+streams.
 """
 
 from __future__ import annotations

@@ -1,29 +1,18 @@
-"""Process-pool mapping of trial chunks with deterministic seed streams.
+"""Worker-count and trial-partition helpers for the execution engine.
 
-The work unit is "run ``k`` trials and return a compact summary".  Workers
-receive a picklable task object plus their own ``SeedSequence`` child, so the
-overall result is reproducible from the root seed regardless of scheduling —
-the multiprocessing analogue of MPI rank-indexed RNG streams.
-
-:func:`map_trial_chunks` is the stable, minimal front door; it delegates to
-the resilient :class:`~repro.parallel.engine.ExecutionEngine`, which adds
-retries, per-chunk timeouts, checkpointing, and metrics for callers that
-need them.
+The work unit is "run ``k`` trials and return a compact summary";
+:class:`~repro.parallel.engine.ExecutionEngine` fans those chunks out.
+This module holds the two pure helpers it sizes the fan-out with:
+:func:`default_workers` and :func:`partition_trials`.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
-from typing import Any, TypeVar
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["partition_trials", "map_trial_chunks", "default_workers"]
-
-T = TypeVar("T")
+__all__ = ["partition_trials", "default_workers"]
 
 
 def default_workers() -> int:
@@ -63,43 +52,3 @@ def partition_trials(trials: int, chunks: int) -> list[int]:
     chunks = min(chunks, trials) or 1
     base, extra = divmod(trials, chunks)
     return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
-def map_trial_chunks(
-    func: Callable[[Any, int, np.random.SeedSequence], T],
-    task: Any,
-    trials: int,
-    *,
-    seed: int | None = None,
-    workers: int | None = None,
-    chunks: int | None = None,
-) -> list[T]:
-    """Run ``func(task, chunk_trials, seed_seq)`` over partitioned trials.
-
-    Parameters
-    ----------
-    func:
-        Top-level (picklable) callable executing one chunk of trials.
-    task:
-        Picklable description of the work (scheme, geometry, options).
-    trials:
-        Total number of trials across all chunks.
-    seed:
-        Root seed; each chunk gets an independent spawned child sequence.
-    workers:
-        Process count.  ``0`` or ``1`` runs chunks serially in-process
-        (useful under coverage and on single-core machines); ``None`` uses
-        :func:`default_workers`.
-    chunks:
-        Number of chunks (defaults to the worker count, or 4 when serial so
-        the chunked code path is still exercised).
-
-    Returns
-    -------
-    list
-        One result per chunk, in chunk order.
-    """
-    from repro.parallel.engine import EngineConfig, ExecutionEngine
-
-    engine = ExecutionEngine(EngineConfig(workers=workers, chunks=chunks))
-    return engine.map_chunks(func, task, trials, seed=seed)

@@ -15,8 +15,8 @@ This subpackage provides:
   any :class:`~repro.hashing.base.ChoiceScheme` (the same objects the
   balls-and-bins engines use);
 - :mod:`repro.peeling.decoder` — the peeling decoder: ``peel`` (batched
-  flat-array kernel via :func:`repro.kernels.run_peeling_kernel`, numpy
-  or numba backends) and ``peel_reference`` (the slow executable
+  flat-array kernel via :func:`repro.kernels.run_peeling_kernel`) and
+  ``peel_reference`` (the slow executable
   specification), exactly equivalent on every observable;
 - :mod:`repro.peeling.density_evolution` — the fluid limit of peeling:
   the survival recursion ``β ← (1 − e^{−c·d·β})^{d−1}``, numeric threshold

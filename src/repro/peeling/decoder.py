@@ -13,11 +13,9 @@ Two implementations live behind one result type:
   counter + XOR of incident edge ids; a degree-1 vertex's XOR *is* its
   remaining edge, so no adjacency lists are needed).
 - :func:`peel` — a thin wrapper over the batched flat-array kernel
-  (:func:`repro.kernels.run_peeling_kernel`), which resolves a backend
-  (``numpy`` / optional ``numba``) through the standard registry.  All
-  backends are exactly equivalent to the oracle on success, peel order,
-  core-edge set, and round count; the contract itself is documented in
-  :mod:`repro.kernels.peeling`.
+  (:func:`repro.kernels.run_peeling_kernel`), exactly equivalent to the
+  oracle on success, peel order, core-edge set, and round count; the
+  contract itself is documented in :mod:`repro.kernels.peeling`.
 """
 
 from __future__ import annotations
@@ -121,7 +119,7 @@ def peel(graph: Hypergraph, *, backend=None, metrics=None) -> PeelResult:
     """Peel ``graph`` to its 2-core through a kernel backend.
 
     Thin wrapper over :func:`repro.kernels.run_peeling_kernel` (explicit
-    ``backend`` > ``REPRO_BACKEND`` env > auto resolution); exactly
+    ``backend`` > ``REPRO_BACKEND`` env > ``"numpy"``); exactly
     equivalent to :func:`peel_reference` on every observable.  ``metrics``
     optionally receives the kernel timer/counters.
     """

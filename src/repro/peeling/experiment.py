@@ -107,9 +107,8 @@ def threshold_experiment(
     seed:
         Seed for hypergraph construction (one stream across the sweep).
     backend:
-        Peeling-kernel backend (``"numpy"`` / ``"numba"``), or None for
-        env/auto resolution; results are backend-independent by the
-        kernel equivalence contract.
+        Peeling-kernel backend (``"numpy"``), or None for env
+        resolution.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be positive, got {trials}")

@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
+from repro.kernels import resolve_backend
 from repro.metrics import global_registry
-from repro.parallel import map_trial_chunks
+from repro.parallel import EngineConfig, ExecutionEngine
 from repro.queueing.supermarket_sim import simulate_supermarket
 
 __all__ = ["QueueingExperiment", "run_queueing_experiment"]
@@ -101,9 +102,13 @@ def run_queueing_experiment(
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be positive, got {runs}")
+    # Reject an unknown backend (explicit or from REPRO_BACKEND) here,
+    # not after every chunk has exhausted its retries.
+    resolve_backend(backend)
     # One run per chunk: every run draws from its own spawned seed stream,
     # making results identical for any worker count.
-    chunks = map_trial_chunks(
+    engine = ExecutionEngine(EngineConfig(workers=workers, chunks=runs))
+    chunks = engine.map_chunks(
         _run_queue_chunk,
         _QueueTask(
             scheme=scheme,
@@ -114,8 +119,6 @@ def run_queueing_experiment(
         ),
         runs,
         seed=seed,
-        workers=workers,
-        chunks=runs,
     )
     per_run = np.array([m for chunk in chunks for m, _ in chunk])
     registry = global_registry()

@@ -15,12 +15,10 @@ So the simulator needs no event heap: it repeatedly draws the next event
 type with probability proportional to the two rates and an Exp(λn + b)
 inter-event time.
 
-Since PR 5 the inner loop lives in the kernel subsystem:
+The inner loop lives in the kernel subsystem:
 :func:`simulate_supermarket` forwards to
-:func:`repro.kernels.run_supermarket_kernel`, which selects a backend
-(blocked numpy loop, or the numba JIT when installed) under the standard
-explicit > ``REPRO_BACKEND`` > auto resolution.  All backends are
-bit-identical to the oracle
+:func:`repro.kernels.run_supermarket_kernel`, the blocked numpy loop,
+which is bit-identical to the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference`; the
 draw-stream contract lives in :mod:`repro.kernels.supermarket`.
 """
@@ -78,9 +76,8 @@ def simulate_supermarket(
         shortest candidate in choice order, the asymmetric rule matching
         Vöcking's scheme when used with a partitioned choice scheme.
     backend:
-        Kernel-backend name (``"numpy"``/``"numba"``); None resolves via
-        ``REPRO_BACKEND`` then auto-detection.  Every backend returns
-        bit-identical results for the same seed.
+        Kernel-backend name (``"numpy"``); None resolves via
+        ``REPRO_BACKEND``, then ``"numpy"``.
     """
     return run_supermarket_kernel(
         scheme,

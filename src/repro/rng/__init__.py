@@ -7,12 +7,10 @@ The paper's simulations used the C ``drand48`` generator as a proxy for
   POSIX 48-bit LCG family (``drand48``/``lrand48``/``srand48``), so the
   paper's exact randomness source can be used in ablations;
 - :class:`~repro.rng.splitmix.SplitMix64` — the standard 64-bit seeding mixer;
-- :class:`~repro.rng.xorshift.Xorshift128Plus` — a fast 128-bit xorshift;
-- :class:`~repro.rng.pcg.PCG32` — the PCG-XSH-RR 32-bit generator;
 - :mod:`~repro.rng.streams` — deterministic spawning of independent numpy
   generator streams for parallel trials.
 
-All bespoke generators implement a tiny shared protocol (``next_u64`` /
+The bespoke generators implement a tiny shared protocol (``next_u64`` /
 ``random`` / ``integers``) defined in :mod:`repro.rng.base` so the choice
 schemes can consume any of them interchangeably.
 """
@@ -20,18 +18,14 @@ schemes can consume any of them interchangeably.
 from repro.rng.adapter import GeneratorAdapter
 from repro.rng.base import BitGenerator64
 from repro.rng.drand48 import Drand48
-from repro.rng.pcg import PCG32
 from repro.rng.splitmix import SplitMix64
 from repro.rng.streams import default_generator, spawn_generators, spawn_seeds
-from repro.rng.xorshift import Xorshift128Plus
 
 __all__ = [
     "BitGenerator64",
     "Drand48",
     "GeneratorAdapter",
-    "PCG32",
     "SplitMix64",
-    "Xorshift128Plus",
     "default_generator",
     "spawn_generators",
     "spawn_seeds",

@@ -5,7 +5,7 @@ Every scheme and engine consumes the small numpy ``Generator`` surface
 ``exponential(scale, size)``).  :class:`GeneratorAdapter` implements exactly
 that surface on top of a :class:`~repro.rng.base.BitGenerator64`, so the
 *entire simulation stack* — not just hand-rolled loops — can be driven by
-the paper's drand48, by xorshift128+, or by PCG32.  This is what makes the
+the paper's drand48 or by SplitMix64.  This is what makes the
 PRNG ablation an apples-to-apples comparison: same engine code, different
 raw bits.
 
@@ -40,8 +40,7 @@ class GeneratorAdapter:
     Parameters
     ----------
     bitgen:
-        Any :class:`~repro.rng.base.BitGenerator64` (drand48, SplitMix64,
-        xorshift128+, PCG32).
+        Any :class:`~repro.rng.base.BitGenerator64` (drand48, SplitMix64).
 
     Only the methods the repro engines use are implemented; anything else
     raises ``AttributeError`` naturally.

@@ -3,8 +3,8 @@
 SplitMix64 (Steele, Lea, Flood 2014) advances a counter by a fixed odd
 constant and scrambles it with two xor-shift-multiply rounds.  It is the
 conventional generator for expanding a single 64-bit seed into the larger
-state needed by other generators (we use it to seed xorshift128+), and it is
-itself equidistributed enough for simulation use.
+state needed by other generators, and it is itself equidistributed enough
+for simulation use.
 """
 
 from __future__ import annotations

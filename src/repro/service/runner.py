@@ -106,8 +106,8 @@ def run_service_workload(
     micro_batch:
         Placement micro-batch size (see the store docs).
     backend:
-        Assignment-map kernel tier for every store/shard (explicit >
-        ``REPRO_BACKEND`` env > auto; see
+        Assignment-map backend for every store/shard (explicit >
+        ``REPRO_BACKEND`` env > ``"numpy"``; see
         :func:`repro.kernels.keymap.resolve_keymap_backend`).
     slo_samples:
         Target number of tail-SLO samples over the run (0 disables

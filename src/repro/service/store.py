@@ -25,9 +25,9 @@ State
 Per-bin loads are a flat int64 vector; the key→bin assignment lives in a
 flat open-addressed kernel map (:mod:`repro.kernels.keymap` — the service
 layer eating the paper's own double-hashing medicine), selected through
-the usual explicit > ``REPRO_BACKEND`` > auto registry via ``backend``
-(``"reference"`` recovers the demoted per-key dict path, the oracle the
-kernels are tested exactly equal to).  Because speculative load
+the usual explicit > ``REPRO_BACKEND`` > ``"numpy"`` registry via
+``backend`` (``"reference"`` recovers the demoted per-key dict path, the
+oracle the kernel is tested exactly equal to).  Because speculative load
 increments happen for *every* key of a batch — reinserts included — and
 are only rolled back afterwards, the placement loop is independent of
 reinsert status, and the whole batch resolves through **one**
@@ -103,10 +103,9 @@ class KeyedStore:
     micro_batch:
         Keys per load-snapshot micro-batch (see module docstring).
     backend:
-        Assignment-map kernel tier (``"reference"``, ``"numpy"``,
-        ``"numba"``, ``"numba-parallel"``) resolved through
-        :func:`repro.kernels.keymap.resolve_keymap_backend`; ``None``
-        follows ``REPRO_BACKEND`` then auto-detection.
+        Assignment-map backend (``"reference"`` or ``"numpy"``) resolved
+        through :func:`repro.kernels.keymap.resolve_keymap_backend`;
+        ``None`` follows ``REPRO_BACKEND``, then ``"numpy"``.
     expected_keys:
         Presize the assignment map for this many live keys, keeping
         amortized rehashes out of the serving path (it still grows on

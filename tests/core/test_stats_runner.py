@@ -156,10 +156,9 @@ class TestRunExperiment:
             serial.distribution.counts, parallel.distribution.counts
         )
 
-    def test_legacy_signature_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            res = run_experiment(DoubleHashingChoices(64, 3), 64, 10, seed=1)
-        assert res.distribution.trials == 10
+    def test_legacy_signature_rejected(self):
+        with pytest.raises(TypeError, match="ExperimentSpec"):
+            run_experiment(DoubleHashingChoices(64, 3), 64, 10, seed=1)
 
     def test_invalid_trials(self):
         with pytest.raises(ConfigurationError):

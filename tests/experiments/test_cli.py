@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.cli import build_parser, main
 
 
@@ -69,9 +70,15 @@ class TestExecution:
         threshold = anchor_value("derived/peeling-threshold/d3")
         assert f"{threshold:.5f}" in out
 
-    def test_peeling_backend_knob(self, capsys):
-        assert main(["peeling", "--n", "256", "--trials", "2",
-                     "--backend", "numpy"]) == 0
+    def test_peeling_backend_knob(self, capsys, monkeypatch):
+        # The backend knob is REPRO_BACKEND (the subcommand has no flag):
+        # numpy runs, an unknown name fails loudly.
+        argv = ["peeling", "--n", "256", "--trials", "2"]
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert main(argv) == 0
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            main(argv)
 
     def test_reconcile_small(self, capsys):
         assert main(["reconcile", "--items", "2e3", "--diff", "20",

@@ -1,4 +1,4 @@
-"""Tests for the unified ExperimentSpec API and its deprecation shims."""
+"""Tests for the unified ExperimentSpec API."""
 
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ class TestSpec:
             {"max_retries": -1},
             {"chunk_timeout": -2.0},
             {"backend": "fortran"},
+            {"backend": "numba"},
         ],
     )
     def test_validation(self, bad):
@@ -58,7 +59,6 @@ class TestSpec:
     def test_backend_field(self):
         assert ExperimentSpec().backend is None
         assert ExperimentSpec(backend="numpy").backend == "numpy"
-        assert ExperimentSpec(backend="numba").backend == "numba"
 
     def test_block_default_is_kernel_default(self):
         from repro.kernels import DEFAULT_BLOCK
@@ -91,15 +91,6 @@ class TestRunExperimentSpec:
             warnings.simplefilter("error", DeprecationWarning)
             res = run_experiment(DoubleHashingChoices(64, 3), spec)
         assert res.distribution.trials == 6
-
-    def test_legacy_call_warns_and_matches_spec_call(self):
-        spec = ExperimentSpec(n=64, d=3, trials=6, seed=9)
-        new = run_experiment(FullyRandomChoices(64, 3), spec)
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            old = run_experiment(FullyRandomChoices(64, 3), 64, 6, seed=9)
-        assert np.array_equal(
-            new.distribution.counts, old.distribution.counts
-        )
 
     def test_overrides_on_top_of_spec(self):
         spec = ExperimentSpec(n=64, d=3, trials=4, seed=1)
@@ -143,6 +134,8 @@ class TestRunExperimentSpec:
 
 
 class TestTableShims:
+    """Table call forms: spec calls are warning-free, pre-spec forms fail."""
+
     def test_spec_call_is_warning_free(self):
         spec = ExperimentSpec(n=256, d=3, trials=5, seed=1)
         with warnings.catch_warnings():
@@ -150,20 +143,16 @@ class TestTableShims:
             table = table1_load_fractions(spec)
         assert table.meta["n"] == 256
 
-    def test_legacy_keywords_warn_and_match(self):
-        spec = ExperimentSpec(n=256, d=3, trials=5, seed=1)
-        new = table1_load_fractions(spec)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = table1_load_fractions(3, n=256, trials=5, seed=1)
-        assert old.rows == new.rows
+    def test_legacy_keywords_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            table1_load_fractions(n=256, trials=5, seed=1)
 
-    def test_legacy_positional_d_warns(self):
-        with pytest.warns(DeprecationWarning):
-            table = table1_load_fractions(4, n=128, trials=3, seed=1)
-        assert table.meta["d"] == 4
+    def test_legacy_positional_d_rejected(self):
+        with pytest.raises(TypeError, match="ExperimentSpec"):
+            table1_load_fractions(4)
 
     def test_spec_plus_legacy_keywords_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             table1_load_fractions(ExperimentSpec(), n=128)
 
     def test_defaults_need_no_warning(self):
@@ -204,22 +193,25 @@ class TestCliSpecDefaults:
         assert args.chunks == 2
 
     def test_backend_and_block_flags_parse_and_thread(self):
+        # The table subcommands take no --backend flag (numpy is the only
+        # placement backend); --block threads into the spec.
         from repro.experiments.cli import _spec_from_args
 
-        args = build_parser().parse_args(
-            ["table1", "--backend", "numpy", "--block", "512"]
-        )
-        assert args.backend == "numpy" and args.block == 512
+        args = build_parser().parse_args(["table1", "--block", "512"])
+        assert args.block == 512
         spec = _spec_from_args("table1", args)
-        assert spec.backend == "numpy" and spec.block == 512
+        assert spec.backend is None and spec.block == 512
 
     def test_backend_flag_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--backend", "fortran"])
+        for value in ("fortran", "numba"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["table1", "--backend", value])
 
     def test_backend_default_is_none(self):
+        from repro.experiments.cli import _spec_from_args
+
         args = build_parser().parse_args(["table1"])
-        assert args.backend is None
+        assert _spec_from_args("table1", args).backend is None
 
     def test_metrics_out_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -121,14 +121,14 @@ class TestRegistry:
 
 
 class TestDeprecationShims:
-    def test_n_bins_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="n_bins"):
-            scheme = make_scheme("double", n_bins=1 << 8, d=3)
-        assert isinstance(scheme, DoubleHashingChoices)
-        assert scheme.n_bins == 1 << 8
+    """``make_scheme`` takes the table size only as ``n``."""
+
+    def test_n_bins_kwarg_rejected(self):
+        with pytest.raises(TypeError, match="n_bins"):
+            make_scheme("double", n_bins=1 << 8, d=3)
 
     def test_n_and_n_bins_together_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="n_bins"):
             make_scheme("double", 1 << 8, 2, n_bins=1 << 8)
 
 

@@ -1,4 +1,4 @@
-"""Backend registry: resolution order, fallback logging, public contract."""
+"""Backend registry: resolution order, fail-loudly names, public contract."""
 
 from __future__ import annotations
 
@@ -7,22 +7,14 @@ import pytest
 
 import repro.kernels as kernels
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    available_backends,
-    resolve_backend,
-    run_placement_kernel,
-)
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
+from repro.kernels import resolve_backend, run_placement_kernel
 from repro.metrics import MetricsRegistry
 
 
 class TestResolution:
     def test_default_is_known_backend(self, monkeypatch):
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        impl = resolve_backend()
-        assert impl.name in kernels.KNOWN_BACKENDS
-        if not NUMBA_AVAILABLE:
-            assert impl.name == "numpy"
+        assert resolve_backend().name == "numpy"
 
     def test_explicit_numpy(self):
         assert resolve_backend("numpy").name == "numpy"
@@ -41,50 +33,21 @@ class TestResolution:
 
     def test_empty_env_means_auto(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "")
-        assert resolve_backend().name in kernels.KNOWN_BACKENDS
+        assert resolve_backend().name == "numpy"
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            resolve_backend("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                resolve_backend(name)
 
     def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            resolve_backend()
+        for name in ("fortran", "numba"):
+            monkeypatch.setenv(kernels.ENV_VAR, name)
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                resolve_backend()
 
     def test_available_backends(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert ("numba" in names) == NUMBA_AVAILABLE
-
-
-@pytest.mark.skipif(NUMBA_AVAILABLE, reason="fallback only fires without numba")
-class TestFallback:
-    def test_numba_request_falls_back_to_numpy(self):
-        assert resolve_backend("numba").name == "numpy"
-
-    def test_fallback_event_logged_globally(self):
-        before = len(kernels.kernel_metrics().events)
-        resolve_backend("numba")
-        events = kernels.kernel_metrics().events
-        assert len(events) > before
-        ev = events[-1]
-        assert ev["kind"] == "backend-fallback"
-        assert ev["requested"] == "numba"
-        assert ev["using"] == "numpy"
-        assert ev["source"] == "explicit"
-
-    def test_fallback_event_logged_to_caller_registry(self):
-        registry = MetricsRegistry()
-        resolve_backend("numba", metrics=registry)
-        kinds = [e["kind"] for e in registry.events]
-        assert "backend-fallback" in kinds
-
-    def test_env_fallback_records_source(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        registry = MetricsRegistry()
-        assert resolve_backend(metrics=registry).name == "numpy"
-        assert registry.events[-1]["source"] == "env"
+        assert kernels.KNOWN_BACKENDS == ("numpy",)
 
 
 class TestRunPlacementKernel:
@@ -176,3 +139,19 @@ class TestRunPlacementKernel:
         )
         assert registry.get_counter("kernel.balls_placed") == 2 * 50
         assert registry.get_counter("kernel.calls.numpy") == 1
+
+    def test_numba_request_fails_loudly(self):
+        # No silent downgrade to numpy: the request raises before placing
+        # a ball and logs no backend-fallback event anywhere.
+        registry = MetricsRegistry()
+        before = len(kernels.kernel_metrics().events)
+        loads, choices, tie_keys = self._arrays()
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            run_placement_kernel(
+                loads, choices, tie_keys, backend="numba", metrics=registry
+            )
+        assert (loads == 0).all()
+        assert registry.events == []
+        assert registry.get_counter("kernel.balls_placed") == 0
+        new = kernels.kernel_metrics().events[before:]
+        assert not any(e["kind"] == "backend-fallback" for e in new)

@@ -1,6 +1,6 @@
 """Tests for the vectorized hash-scheme kernel primitives.
 
-Exactness contract: every backend tier returns bit-identical output to
+Exactness contract: the numpy kernels return bit-identical output to
 the pure-Python scalar oracles in ``repro.kernels.hash_schemes`` for
 every uint64 key, including the boundary keys 0 and 2^64 - 1.
 """
@@ -20,18 +20,12 @@ from repro.kernels import (
     tabulation_hash_u64,
 )
 from repro.kernels.hash_schemes import MERSENNE_P
-from repro.kernels.numba_hash import NUMBA_AVAILABLE
 
 BOUNDARY_KEYS = np.array(
     [0, 1, 2, 255, 256, (1 << 32) - 1, 1 << 32, (1 << 63) - 1,
      1 << 63, (1 << 64) - 1, MERSENNE_P - 1, MERSENNE_P, MERSENNE_P + 1],
     dtype=np.uint64,
 )
-
-needs_numba = pytest.mark.skipif(
-    not NUMBA_AVAILABLE, reason="numba not installed"
-)
-
 
 @pytest.fixture(scope="module")
 def tables():
@@ -70,15 +64,6 @@ class TestTabulationKernel:
         with pytest.raises(ValueError):
             flatten_tables(tables[:4])
 
-    @needs_numba
-    def test_numba_bit_identical_to_numpy(self, tables):
-        rng = np.random.default_rng(13)
-        keys = rng.integers(0, 1 << 64, size=50_000, dtype=np.uint64)
-        flat = flatten_tables(tables)
-        a = tabulation_hash_u64(keys, flat, backend="numpy")
-        b = tabulation_hash_u64(keys, flat, backend="numba")
-        assert np.array_equal(a, b)
-
 
 class TestPairwiseKernel:
     A, B = 0x1234_5678_9ABC_DEF1 % MERSENNE_P, 987654321
@@ -115,35 +100,3 @@ class TestPairwiseKernel:
             pairwise_affine_u64(keys, MERSENNE_P, 0)
         with pytest.raises(ValueError):
             pairwise_affine_u64(keys, 1, MERSENNE_P)
-
-    @needs_numba
-    def test_numba_bit_identical_to_numpy(self):
-        rng = np.random.default_rng(17)
-        keys = rng.integers(0, 1 << 64, size=50_000, dtype=np.uint64)
-        a = pairwise_affine_u64(keys, self.A, self.B, backend="numpy")
-        b = pairwise_affine_u64(keys, self.A, self.B, backend="numba")
-        assert np.array_equal(a, b)
-
-
-class TestBackendDispatch:
-    def test_env_var_routes_kernel(self, tables, monkeypatch):
-        keys = np.arange(1000, dtype=np.uint64)
-        flat = flatten_tables(tables)
-        base = tabulation_hash_u64(keys, flat)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert np.array_equal(tabulation_hash_u64(keys, flat), base)
-
-    def test_numba_request_falls_back_without_numba(self, tables):
-        # Explicit backend="numba" must still return correct results
-        # (silent fallback to numpy when the JIT tier is absent).
-        keys = np.arange(1000, dtype=np.uint64)
-        flat = flatten_tables(tables)
-        out = tabulation_hash_u64(keys, flat, backend="numba")
-        assert np.array_equal(out, tabulation_hash_u64(keys, flat))
-
-    def test_unknown_backend_rejected(self, tables):
-        from repro.errors import ConfigurationError
-
-        keys = np.arange(4, dtype=np.uint64)
-        with pytest.raises(ConfigurationError):
-            tabulation_hash_u64(keys, flatten_tables(tables), backend="gpu")

@@ -1,8 +1,8 @@
-"""Cross-backend assignment-map equivalence: every tier vs the dict oracle.
+"""Assignment-map equivalence: the numpy kernel vs the dict oracle.
 
 The keymap contract pins every observable — the per-key return array of
 ``insert_many`` (set-default), ``delete_many``, and ``lookup_many``, and
-the final live ``(key, value)`` mapping — so every kernel tier must agree
+the final live ``(key, value)`` mapping — so the kernel must agree
 *exactly* with :class:`~repro.kernels.keymap.ReferenceKeyMap` on any
 stream, including intra-batch duplicate keys, reinserts of deleted keys,
 delete misses, and rehash-triggering growth.  Structured golden streams
@@ -30,21 +30,13 @@ from repro.kernels.keymap import (
     NOT_FOUND,
     KeyMap,
     ReferenceKeyMap,
-    available_keymap_backends,
     make_keymap,
     resolve_keymap_backend,
 )
-from repro.kernels.numba_keymap import NUMBA_AVAILABLE
 from repro.metrics import MetricsRegistry
 
-requires_numba = pytest.mark.skipif(
-    not NUMBA_AVAILABLE, reason="numba not installed"
-)
-
-#: Kernel tiers importable here (the oracle is the comparison baseline).
-KERNEL_BACKENDS = tuple(
-    b for b in available_keymap_backends() if b != "reference"
-)
+#: Kernel backends (the oracle is the comparison baseline).
+KERNEL_BACKENDS = tuple(b for b in KNOWN_KEYMAP_BACKENDS if b != "reference")
 
 
 def _apply_stream(backend, stream):
@@ -302,11 +294,7 @@ class TestValidation:
 
 class TestRegistry:
     def test_known_and_available(self):
-        assert KNOWN_KEYMAP_BACKENDS == (
-            "reference", "numpy", "numba", "numba-parallel"
-        )
-        avail = available_keymap_backends()
-        assert "numpy" in avail and "reference" in avail
+        assert KNOWN_KEYMAP_BACKENDS == ("reference", "numpy")
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "reference")
@@ -314,25 +302,25 @@ class TestRegistry:
         assert resolve_keymap_backend(None) == "reference"
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_keymap_backend("cupy")
+        for name in ("cupy", "numba", "numba-parallel"):
+            with pytest.raises(ConfigurationError):
+                resolve_keymap_backend(name)
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_numba_fallback_logs_event(self):
+    def test_numba_request_fails_loudly(self):
+        # The former numba tiers raise on both constructor paths, with no
+        # silent downgrade to numpy and nothing logged.
         reg = MetricsRegistry()
-        assert resolve_keymap_backend("numba-parallel", metrics=reg) == "numpy"
-        events = [e for e in reg.events if e["kind"] == "backend-fallback"]
-        assert events and events[-1]["requested"] == "numba-parallel"
+        for name in ("numba", "numba-parallel"):
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                make_keymap(backend=name, metrics=reg)
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                KeyMap(backend=name, metrics=reg)
+        assert reg.events == []
 
     def test_make_keymap_routes_reference(self):
         m = make_keymap(backend="reference", metrics=MetricsRegistry())
         assert isinstance(m, ReferenceKeyMap)
         assert m.backend == "reference"
-
-    @requires_numba
-    def test_auto_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_keymap_backend(None) == "numba"
 
 
 class TestMetrics:

@@ -2,7 +2,7 @@
 
 The contract under test: `run_parallel_trials` results are a pure
 function of `(root, global trial index, spec)` — independent of
-chunking, shard count, backend, and host — and the fused fast path
+chunking, shard count, and host — and the fused fast path
 matches a straight-line scalar oracle of the documented draw contract.
 """
 
@@ -131,8 +131,7 @@ class TestFusedDecision:
         assert not fused_parallel_supported(FullyRandomChoices(256, 3), "random")
 
     def test_backend_does_not_change_results(self):
-        # Explicit numpy vs auto-resolution (numba when installed) must
-        # agree bit for bit — the decision is geometry, not availability.
+        # Explicit numpy vs default resolution must agree bit for bit.
         scheme = DoubleHashingChoices(N, D)
         assert np.array_equal(
             run_parallel_trials(scheme, M, 3, root=21, backend="numpy"),

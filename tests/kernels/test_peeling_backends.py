@@ -1,8 +1,8 @@
-"""Cross-backend peeling equivalence: reference vs numpy vs numba.
+"""Peeling equivalence: the numpy kernel vs the reference oracle.
 
 The synchronous-round contract (``repro.kernels.peeling``) pins every
 observable — success flag, peeled order, core-edge set, round count —
-so the three implementations must agree *exactly*, not statistically,
+so the two implementations must agree *exactly*, not statistically,
 on any input: structured graphs, random hypergraphs from both schemes,
 and adversarial edge lists with repeated vertices inside one edge.
 """
@@ -17,29 +17,20 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import kernel_metrics, run_peeling_kernel
-from repro.kernels.numba_peeling import NUMBA_AVAILABLE
 from repro.metrics import MetricsRegistry
 from repro.peeling import build_hypergraph, peel, peel_reference
 from repro.peeling.hypergraph import Hypergraph
 
-requires_numba = pytest.mark.skipif(
-    not NUMBA_AVAILABLE, reason="numba not installed"
-)
-
-BACKENDS = ("numpy",) + (("numba",) if NUMBA_AVAILABLE else ())
-
-
 def _all_outcomes(edges, n_vertices):
-    """Decode with the oracle and every installed kernel backend."""
+    """Decode with the oracle and the kernel."""
     edges = np.asarray(edges, dtype=np.int64)
     graph = Hypergraph(n_vertices=n_vertices, edges=edges)
     ref = peel_reference(graph)
     outcomes = {"reference": (ref.success, ref.peeled_order, ref.core_edges,
                               ref.rounds)}
-    for name in BACKENDS:
-        out = run_peeling_kernel(edges, n_vertices, backend=name)
-        outcomes[name] = (out.success, out.peeled_order,
-                          np.sort(out.core_edges), out.rounds)
+    out = run_peeling_kernel(edges, n_vertices, backend="numpy")
+    outcomes["numpy"] = (out.success, out.peeled_order,
+                         np.sort(out.core_edges), out.rounds)
     return outcomes
 
 
@@ -118,14 +109,16 @@ class TestKernelDriver:
         with pytest.raises(ConfigurationError):
             run_peeling_kernel(np.array([[0, 1, 2]]), 3, backend="cuda")
 
-    def test_numba_request_falls_back_when_missing(self):
-        # Fallback contract: asking for numba where it is not installed
-        # degrades to numpy with a logged event, never an error.
+    def test_numba_request_fails_loudly(self):
+        # No silent downgrade to numpy: the request raises before any
+        # peeling work and leaves the caller's registry empty.
+        metrics = MetricsRegistry()
         graph = build_hypergraph(DoubleHashingChoices(64, 3), 40, seed=5)
-        want = run_peeling_kernel(graph.edges, 64, backend="numpy")
-        got = run_peeling_kernel(graph.edges, 64, backend="numba")
-        assert got.success == want.success
-        assert np.array_equal(got.peeled_order, want.peeled_order)
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            run_peeling_kernel(graph.edges, 64, backend="numba",
+                               metrics=metrics)
+        snap = metrics.snapshot()
+        assert snap["counters"] == {} and snap["events"] == []
 
     def test_metrics_recorded(self):
         metrics = MetricsRegistry()
@@ -150,27 +143,14 @@ class TestDecoderFacade:
     def test_peel_matches_reference(self):
         graph = build_hypergraph(DoubleHashingChoices(512, 3), 350, seed=21)
         ref = peel_reference(graph)
-        for backend in BACKENDS:
-            got = peel(graph, backend=backend)
-            assert got.success == ref.success
-            assert np.array_equal(got.peeled_order, ref.peeled_order)
-            assert np.array_equal(np.sort(got.core_edges),
-                                  np.sort(ref.core_edges))
-            assert got.rounds == ref.rounds
+        got = peel(graph, backend="numpy")
+        assert got.success == ref.success
+        assert np.array_equal(got.peeled_order, ref.peeled_order)
+        assert np.array_equal(np.sort(got.core_edges),
+                              np.sort(ref.core_edges))
+        assert got.rounds == ref.rounds
 
     def test_peel_core_fraction_property(self):
         graph = build_hypergraph(FullyRandomChoices(64, 3), 70, seed=3)
         result = peel(graph)
         assert result.core_fraction == result.core_edges.size / 70
-
-
-@requires_numba
-class TestNumbaSpecific:
-    def test_numba_selected_is_not_numpy_path(self):
-        # The driver must actually dispatch to the JIT kernel: its
-        # metrics label the call under the numba backend.
-        metrics = MetricsRegistry()
-        graph = build_hypergraph(DoubleHashingChoices(128, 3), 90, seed=13)
-        run_peeling_kernel(graph.edges, 128, backend="numba",
-                           metrics=metrics)
-        assert metrics.snapshot()["counters"]["kernel.calls.numba"] == 1

@@ -1,7 +1,7 @@
-"""Supermarket kernel: golden regression + cross-backend bit-identity.
+"""Supermarket kernel: golden regression + bit-identity with the oracle.
 
-The contract (``repro.kernels.supermarket``): every backend reachable
-through :func:`repro.kernels.run_supermarket_kernel` consumes the
+The contract (``repro.kernels.supermarket``): the numpy kernel behind
+:func:`repro.kernels.run_supermarket_kernel` consumes the
 generator in exactly the same order as the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference`, produces
 bit-identical results, raises identical stability errors, and leaves a
@@ -27,7 +27,6 @@ from repro.kernels import (
     run_supermarket_kernel,
     simulate_supermarket_reference,
 )
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
 from repro.metrics import MetricsRegistry
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_supermarket.json"
@@ -57,7 +56,7 @@ CASES = {
     ),
 }
 
-BACKENDS = ["reference", "numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+BACKENDS = ["reference", "numpy"]
 
 
 def _run_case(case: dict, backend: str):
@@ -243,23 +242,14 @@ class TestDriver:
         assert snap["counters"]["kernel.calls.numpy"] == 1
         assert snap["timers"]["kernel.supermarket_seconds"]["count"] == 1
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_numba_request_falls_back_with_event(self):
-        from repro.metrics import global_registry
-
+    def test_numba_request_fails_loudly(self):
+        # No silent downgrade to numpy: the request raises before
+        # simulating and logs no backend-fallback event.
         registry = MetricsRegistry()
-        before = len(global_registry().events)
-        res = run_supermarket_kernel(
-            FullyRandomChoices(32, 2), 0.6, 40.0, seed=6, backend="numba",
-            metrics=registry,
-        )
-        ref = run_supermarket_kernel(
-            FullyRandomChoices(32, 2), 0.6, 40.0, seed=6, backend="numpy",
-        )
-        _assert_results_identical(ref, res, context="fallback")
-        fallbacks = [
-            e for e in registry.events if e["kind"] == "backend-fallback"
-        ]
-        assert fallbacks and fallbacks[-1]["requested"] == "numba"
-        assert fallbacks[-1]["using"] == "numpy"
-        assert len(global_registry().events) > before
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            run_supermarket_kernel(
+                FullyRandomChoices(32, 2), 0.6, 40.0, seed=6, backend="numba",
+                metrics=registry,
+            )
+        snap = registry.snapshot()
+        assert snap["counters"] == {} and snap["events"] == []

@@ -1,11 +1,14 @@
 """Wide (int64) packed-layout tests: planning, exactness, overflow guard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.vectorized import simulate_batch
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hashing import DoubleHashingChoices
+from repro.kernels import run_placement_kernel
 from repro.kernels.generate import (
     KEY_SHIFT,
     KernelLayout,
@@ -46,6 +49,10 @@ class TestPlanning:
         assert layout.cidx_bits <= 31
         assert (layout.n_bins + 1) * layout.trial_chunk <= 1 << 31
         assert layout.load_bits == 63 - layout.key_shift
+        # n_bins + 1 must fit a 31-bit index: 2**31 - 1 bins is the last
+        # addressable table, and one more bin has no layout.
+        assert plan_layout(2**31 - 1, 2, "random", 1, 1).wide
+        assert plan_layout(2**31, 2, "random", 1, 1) is None
 
     def test_wide_layouts_chunk_trials(self):
         layout = plan_layout((1 << 23) + 7, 2, "random", 64, 512)
@@ -57,6 +64,30 @@ class TestPlanning:
         layout = plan_layout((1 << 22) - 1, 3, "random", 1, 512)
         assert not layout.wide
         assert layout.tie_bits == 9
+
+
+class TestAddressSpaceBoundary:
+    """Tables no packed layout can host fail loudly before allocating."""
+
+    def test_simulate_batch_rejects_before_allocating(self):
+        scheme = DoubleHashingChoices(2**31, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="address space"):
+                simulate_batch(scheme, 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (1, 2**31) int32 load table alone would be 8 GiB.
+        assert peak < 1 << 20
+
+    def test_run_placement_kernel_message(self):
+        # A zero-copy (1, 2**31) view: the check must fire before any write.
+        loads = np.broadcast_to(np.zeros(1, np.int32), (1, 2**31))
+        choices = np.zeros((1, 1, 2), np.int64)
+        with pytest.raises(ConfigurationError, match="address space") as exc:
+            run_placement_kernel(loads, choices)
+        assert "strided" not in str(exc.value)
 
 
 class TestExactness:

@@ -94,11 +94,17 @@ class TestEdgeCases:
             EngineConfig(chunks=0)
 
     def test_matches_plain_pool(self):
-        from repro.parallel import map_trial_chunks
+        # The engine's result is exactly a plain serial map over the
+        # partitioned chunks and their spawned seed streams.
+        from repro.parallel import partition_trials
+        from repro.rng import spawn_seeds
 
-        a = map_trial_chunks(_echo_chunk, "t", 10, seed=3, workers=1, chunks=4)
+        plain = [
+            _echo_chunk("t", size, ss)
+            for size, ss in zip(partition_trials(10, 4), spawn_seeds(3, 4))
+        ]
         engine = ExecutionEngine(EngineConfig(workers=1, chunks=4))
-        assert engine.map_chunks(_echo_chunk, "t", 10, seed=3) == a
+        assert engine.map_chunks(_echo_chunk, "t", 10, seed=3) == plain
 
 
 class TestRetries:

@@ -1,11 +1,11 @@
-"""Tests for the trial-chunk process pool."""
+"""Tests for the pool helpers and trial-chunk fan-out through the engine."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.parallel import map_trial_chunks, partition_trials
+from repro.parallel import EngineConfig, ExecutionEngine, partition_trials
 from repro.parallel.pool import default_workers
 
 
@@ -13,6 +13,12 @@ def _echo_chunk(task, chunk_trials, seed_seq):
     """Top-level worker: returns (task, chunk size, first random draw)."""
     rng = np.random.default_rng(seed_seq)
     return (task, chunk_trials, int(rng.integers(0, 2**31)))
+
+
+def _map_chunks(func, task, trials, *, seed, workers, chunks):
+    """Scatter/gather trial chunks through the execution engine."""
+    engine = ExecutionEngine(EngineConfig(workers=workers, chunks=chunks))
+    return engine.map_chunks(func, task, trials, seed=seed)
 
 
 class TestPartition:
@@ -43,32 +49,34 @@ class TestPartition:
 
 
 class TestMapTrialChunks:
+    """Trial-chunk fan-out via ``ExecutionEngine.map_chunks``."""
+
     def test_serial_execution(self):
-        results = map_trial_chunks(
+        results = _map_chunks(
             _echo_chunk, "task", 10, seed=1, workers=1, chunks=4
         )
         assert len(results) == 4
         assert sum(r[1] for r in results) == 10
 
     def test_deterministic_across_runs(self):
-        a = map_trial_chunks(_echo_chunk, None, 8, seed=5, workers=1, chunks=4)
-        b = map_trial_chunks(_echo_chunk, None, 8, seed=5, workers=1, chunks=4)
+        a = _map_chunks(_echo_chunk, None, 8, seed=5, workers=1, chunks=4)
+        b = _map_chunks(_echo_chunk, None, 8, seed=5, workers=1, chunks=4)
         assert a == b
 
     def test_chunks_get_distinct_streams(self):
-        results = map_trial_chunks(
+        results = _map_chunks(
             _echo_chunk, None, 8, seed=5, workers=1, chunks=4
         )
         draws = [r[2] for r in results]
         assert len(set(draws)) == 4
 
     def test_parallel_matches_serial(self):
-        serial = map_trial_chunks(_echo_chunk, "x", 8, seed=9, workers=1, chunks=4)
-        parallel = map_trial_chunks(_echo_chunk, "x", 8, seed=9, workers=2, chunks=4)
+        serial = _map_chunks(_echo_chunk, "x", 8, seed=9, workers=1, chunks=4)
+        parallel = _map_chunks(_echo_chunk, "x", 8, seed=9, workers=2, chunks=4)
         assert serial == parallel
 
     def test_task_passed_through(self):
-        results = map_trial_chunks(
+        results = _map_chunks(
             _echo_chunk, {"n": 3}, 4, seed=1, workers=1, chunks=2
         )
         assert all(r[0] == {"n": 3} for r in results)

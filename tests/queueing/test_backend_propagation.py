@@ -4,8 +4,8 @@ Satellite of the supermarket-kernel PR: ``REPRO_BACKEND`` and explicit
 ``backend=`` arguments must propagate into ``simulate_supermarket`` —
 in-process, through the pickled ``_QueueTask`` of
 ``run_queueing_experiment`` worker fan-out, and through
-``ExperimentSpec.backend`` in the table/certify runners — including the
-numba-absent graceful fallback event.
+``ExperimentSpec.backend`` in the table/certify runners — and unknown
+names must fail loudly on every one of those paths.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hashing import FullyRandomChoices
 from repro.kernels import ENV_VAR
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
 from repro.metrics import global_registry
 from repro.queueing import run_queueing_experiment, simulate_supermarket
 from repro.queueing.batch import _QueueTask
@@ -31,29 +30,27 @@ class TestEnvPropagation:
         assert res.completed_jobs > 0
 
     def test_env_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "cuda")
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            simulate_supermarket(FullyRandomChoices(32, 2), 0.6, 30.0, seed=3)
+        for name in ("cuda", "numba"):
+            monkeypatch.setenv(ENV_VAR, name)
+            with pytest.raises(
+                ConfigurationError, match="unknown kernel backend"
+            ):
+                simulate_supermarket(
+                    FullyRandomChoices(32, 2), 0.6, 30.0, seed=3
+                )
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_env_numba_falls_back_with_event(self, monkeypatch):
+    def test_env_numba_fails_loudly(self, monkeypatch):
+        # REPRO_BACKEND=numba reaching the run fan-out raises instead of
+        # degrading to numpy, and logs no backend-fallback event.
         before = len(global_registry().events)
         monkeypatch.setenv(ENV_VAR, "numba")
-        res = simulate_supermarket(
-            FullyRandomChoices(32, 2), 0.6, 30.0, seed=3
-        )
-        monkeypatch.delenv(ENV_VAR)
-        ref = simulate_supermarket(
-            FullyRandomChoices(32, 2), 0.6, 30.0, seed=3, backend="numpy"
-        )
-        assert res.mean_sojourn_time == ref.mean_sojourn_time
-        assert res.completed_jobs == ref.completed_jobs
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            run_queueing_experiment(
+                FullyRandomChoices(32, 2), 0.7, runs=2, sim_time=20.0,
+                burn_in=2.0, seed=13,
+            )
         new = global_registry().events[before:]
-        fallbacks = [e for e in new if e["kind"] == "backend-fallback"]
-        assert fallbacks
-        assert fallbacks[-1]["requested"] == "numba"
-        assert fallbacks[-1]["using"] == "numpy"
-        assert fallbacks[-1]["source"] == "env"
+        assert not any(e["kind"] == "backend-fallback" for e in new)
 
 
 class TestWorkerPropagation:
@@ -89,25 +86,6 @@ class TestWorkerPropagation:
         )
         np.testing.assert_array_equal(serial.per_run, fanned.per_run)
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_worker_numba_request_falls_back_in_process(self):
-        """Serial fan-out (workers=1) runs in-process: a numba request
-        without numba must degrade to numpy and log the event."""
-        before = len(global_registry().events)
-        kwargs = dict(runs=2, sim_time=20.0, burn_in=2.0, seed=13)
-        with_numba = run_queueing_experiment(
-            FullyRandomChoices(32, 2), 0.7, backend="numba", **kwargs
-        )
-        with_numpy = run_queueing_experiment(
-            FullyRandomChoices(32, 2), 0.7, backend="numpy", **kwargs
-        )
-        np.testing.assert_array_equal(with_numba.per_run, with_numpy.per_run)
-        new = global_registry().events[before:]
-        assert any(
-            e["kind"] == "backend-fallback" and e["requested"] == "numba"
-            for e in new
-        )
-
     def test_throughput_counters_published(self):
         before = global_registry().get_counter("queueing.events")
         run_queueing_experiment(
@@ -118,22 +96,20 @@ class TestWorkerPropagation:
 
 
 class TestSpecPropagation:
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_table8_spec_backend_reaches_kernel(self):
-        """table8 with spec.backend='numba' (numba absent) must complete
-        and log the fallback, proving the spec value reaches the kernel."""
+    def test_table8_spec_backend_reaches_kernel(self, monkeypatch):
+        """table8 with spec.backend='numpy' must complete under an unknown
+        ``REPRO_BACKEND``: the explicit spec value reaches the kernel and
+        wins over the environment, which would otherwise raise."""
         from repro.experiments.config import ExperimentSpec
         from repro.experiments.tables import table8_queueing
 
-        before = len(global_registry().events)
+        monkeypatch.setenv(ENV_VAR, "fortran")
         table = table8_queueing(
             ExperimentSpec(
                 n=32, d=2, seed=5, sim_time=20.0, burn_in=4.0,
-                backend="numba",
+                backend="numpy",
             ),
             lambdas=(0.8,),
             d_values=(2,),
         )
         assert len(table.rows) == 1
-        new = global_registry().events[before:]
-        assert any(e["kind"] == "backend-fallback" for e in new)

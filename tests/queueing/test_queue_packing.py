@@ -1,4 +1,4 @@
-"""Queue-length packing guard and the blockrng deprecation shim.
+"""Queue-length packing guard and the blockrng constants' single home.
 
 Regression for the latent overflow: the supermarket kernels pack
 ``queue_len << TIE_BITS | tie_key`` into int64, so a queue length that
@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices
 from repro.kernels import run_supermarket_kernel
-from repro.kernels.blockrng import CHOICE_BLOCK, EVENT_BLOCK, TIE_BITS
 from repro.kernels.supermarket import check_queue_packing
 
 
@@ -44,19 +43,14 @@ class TestCheckQueuePacking:
 
 
 class TestDeprecationShim:
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("EVENT_BLOCK", EVENT_BLOCK),
-            ("CHOICE_BLOCK", CHOICE_BLOCK),
-            ("TIE_BITS", TIE_BITS),
-        ],
-    )
-    def test_old_constants_importable_with_warning(self, name, value):
+    """The draw-contract constants live only in ``repro.kernels.blockrng``."""
+
+    @pytest.mark.parametrize("name", ["EVENT_BLOCK", "CHOICE_BLOCK", "TIE_BITS"])
+    def test_old_names_removed(self, name):
         import repro.kernels.supermarket as sm
 
-        with pytest.warns(DeprecationWarning, match="blockrng"):
-            assert getattr(sm, name) == value
+        with pytest.raises(AttributeError):
+            getattr(sm, name)
 
     def test_unknown_attribute_still_raises(self):
         import repro.kernels.supermarket as sm

@@ -1,22 +1,18 @@
-"""Tests for SplitMix64, xorshift128+, and PCG32.
+"""Tests for SplitMix64 and the shared bit-generator protocol.
 
-SplitMix64 and PCG32 are checked against published reference vectors
-(Steele et al.'s splitmix64.c outputs for seed 0; O'Neill's pcg32-demo
-output for seed (42, 54)).
+SplitMix64 is checked against published reference vectors (Steele et
+al.'s splitmix64.c outputs for seed 0).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.rng import PCG32, Drand48, SplitMix64, Xorshift128Plus
+from repro.rng import Drand48, SplitMix64
 from repro.rng.splitmix import splitmix64_mix
 
 # Reference outputs of splitmix64.c with state = 0.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-
-# Reference outputs of O'Neill's pcg32-global-demo, seeded (42, 54).
-PCG32_DEMO = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
 
 
 class TestSplitMix64:
@@ -37,52 +33,10 @@ class TestSplitMix64:
         assert a != b
 
 
-class TestPCG32:
-    def test_reference_vector(self):
-        gen = PCG32(42, 54)
-        assert [gen.next_u32() for _ in range(6)] == PCG32_DEMO
-
-    def test_streams_differ(self):
-        a = PCG32(7, 1)
-        b = PCG32(7, 2)
-        assert [a.next_u32() for _ in range(4)] != [b.next_u32() for _ in range(4)]
-
-    def test_next_u64_combines_two_words(self):
-        a, b = PCG32(9, 3), PCG32(9, 3)
-        hi, lo = b.next_u32(), b.next_u32()
-        assert a.next_u64() == (hi << 32) | lo
-
-    def test_output_range(self):
-        gen = PCG32(1)
-        assert all(0 <= gen.next_u32() < 2**32 for _ in range(1000))
-
-
-class TestXorshift128Plus:
-    def test_deterministic(self):
-        a = [Xorshift128Plus(5).next_u64() for _ in range(1)]
-        b = [Xorshift128Plus(5).next_u64() for _ in range(1)]
-        assert a == b
-
-    def test_nonzero_state(self):
-        gen = Xorshift128Plus(0)
-        s0, s1 = gen.state
-        assert (s0, s1) != (0, 0)
-
-    def test_output_range(self):
-        gen = Xorshift128Plus(3)
-        assert all(0 <= gen.next_u64() < 2**64 for _ in range(1000))
-
-    def test_no_short_cycle(self):
-        gen = Xorshift128Plus(1)
-        seen = [gen.next_u64() for _ in range(5000)]
-        assert len(set(seen)) == 5000
-
-
 @pytest.mark.parametrize(
     "factory",
-    [lambda: Drand48(4), lambda: SplitMix64(4), lambda: Xorshift128Plus(4),
-     lambda: PCG32(4)],
-    ids=["drand48", "splitmix", "xorshift", "pcg32"],
+    [lambda: Drand48(4), lambda: SplitMix64(4)],
+    ids=["drand48", "splitmix"],
 )
 class TestSharedProtocol:
     def test_random_in_unit_interval(self, factory):

@@ -23,7 +23,6 @@ def _write_fixture(root: Path) -> None:
                        "speedup_vs_legacy": 1.0},
             "numpy": {"median_seconds": 0.037, "balls_per_second": 5.5e6,
                       "speedup_vs_legacy": 1.9},
-            "numba": {"status": "unavailable", "error": "no numba"},
         },
     }))
     (root / "BENCH_service.json").write_text(json.dumps({
@@ -38,7 +37,8 @@ def _write_fixture(root: Path) -> None:
                           "throughput_vs_reference": 1.0},
             "numpy": {"insert_ops_per_second": 1.0e7,
                       "lookup_ops_per_second": 2.0e7,
-                      "throughput_vs_reference": 3.2},
+                      "throughput_vs_reference": 3.2,
+                      "lookup_vs_reference": 2.85},
         },
     }))
 
@@ -51,20 +51,23 @@ class TestCollect:
         assert ("kernels", "placement", "numpy", "balls") in keys
         assert ("service", "schemes", "double", "insert ops") in keys
         assert ("service", "keymap", "numpy", "lookup ops") in keys
-        # Unavailable tiers are listed, not dropped.
-        unavailable = [r for r in rows if r[4] == "unavailable"]
-        assert [r[2] for r in unavailable] == ["numba"]
+        assert all(r[4].endswith("/s") for r in rows)
 
     def test_missing_files_are_skipped(self, tmp_path):
         assert bench_trend.collect(tmp_path) == []
 
     def test_ratio_column_names_baseline(self, tmp_path):
         _write_fixture(tmp_path)
-        rows = bench_trend.collect(tmp_path)
-        numpy_keymap = [
-            r for r in rows if r[:3] == ("service", "keymap", "numpy")
-        ]
-        assert all(r[5] == "3.20x vs reference" for r in numpy_keymap)
+        ratios = {
+            (r[1], r[2], r[3]): r[5] for r in bench_trend.collect(tmp_path)
+        }
+        # Each metric carries its own ratio key, never its neighbour's.
+        assert ratios[("keymap", "numpy", "insert ops")] == "3.20x vs reference"
+        assert ratios[("keymap", "numpy", "lookup ops")] == "2.85x vs reference"
+        assert ratios[("placement", "numpy", "balls")] == "1.90x vs legacy"
+        assert ratios[("schemes", "double", "insert ops")] == "1.00x vs double"
+        # No lookup_vs_* key recorded: no ratio, not the insert one.
+        assert ratios[("schemes", "double", "lookup ops")] == "—"
 
 
 class TestSplice:

@@ -5,7 +5,7 @@ Every benchmark family writes a JSON artifact at the repo root
 (``BENCH_kernels.json``, ``BENCH_supermarket.json``,
 ``BENCH_peeling.json``, ``BENCH_service.json``) with the same shape: a
 ``results`` dict of contestant -> per-round metrics (plus, for the
-service bench, a ``backends`` section of keymap kernel tiers).  This
+service bench, a ``backends`` section of keymap backends).  This
 tool renders one throughput table over all of them — the single place to
 see every hot path's recorded numbers side by side — and maintains it
 between marker comments in ``docs/performance.md``::
@@ -17,8 +17,9 @@ The ``--check`` mode runs in the docs CI job, so a regenerated benchmark
 JSON without a regenerated document (or vice versa) fails the build —
 the same drift contract the certification anchors use.
 
-Tiers recorded as ``{"status": "unavailable", ...}`` (numba on hosts
-without it) are listed as such rather than silently dropped.
+Each ``<metric>_per_second`` row carries its own same-run ratio:
+``lookup_vs_*`` for lookup metrics, ``throughput_vs_*`` /
+``speedup_vs_*`` for the rest, and ``—`` when the entry records none.
 """
 
 from __future__ import annotations
@@ -44,22 +45,28 @@ FAMILIES = (
 )
 
 
+def _ratio(entry, metric):
+    """The ratio column for ``metric``: its own ``*_vs_*`` key, or ``—``."""
+    if metric.startswith("lookup"):
+        prefixes = ("lookup_vs_",)
+    else:
+        prefixes = ("speedup_vs_", "throughput_vs_")
+    for key, value in entry.items():
+        if key.startswith(prefixes):
+            return f"{value:.2f}x vs {key.rsplit('_', 1)[-1]}"
+    return "—"
+
+
 def _metric_rows(family, section, contestant, entry):
     """Rows for one contestant: one per ``*_per_second`` metric."""
-    if entry.get("status") == "unavailable":
-        return [(family, section, contestant, "—", "unavailable", "—")]
-    ratio = "—"
-    for key, value in entry.items():
-        if key.startswith(("speedup_vs_", "throughput_vs_")):
-            ratio = f"{value:.2f}x vs {key.rsplit('_', 1)[-1]}"
-            break
     rows = []
     for key, value in entry.items():
         if key.endswith("_per_second"):
-            unit = key[: -len("_per_second")].replace("_", " ")
-            rows.append(
-                (family, section, contestant, unit, f"{value:,.0f}/s", ratio)
-            )
+            metric = key[: -len("_per_second")]
+            rows.append((
+                family, section, contestant, metric.replace("_", " "),
+                f"{value:,.0f}/s", _ratio(entry, metric),
+            ))
     return rows
 
 
