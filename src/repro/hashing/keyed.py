@@ -74,16 +74,33 @@ def make_hash_family(name: str, n: int, rng: np.random.Generator | None = None):
     return cls(n, default_generator(rng))
 
 
+#: Largest key batch: the keymap kernels index a batch with int32.
+_MAX_BATCH = np.iinfo(np.int32).max
+
+
 def _as_key_array(keys) -> np.ndarray:
-    """Normalize a key batch to a 1-D int64 array (no copy when possible)."""
+    """Normalize a key batch to a contiguous 1-D int64 array.
+
+    Integer dtypes convert (no copy when already contiguous int64).  Any
+    other dtype — floating, complex, bool, object — raises instead of
+    being silently truncated onto some integer key; an empty batch of any
+    dtype is accepted, since ``[]`` becomes float64.  Batches are limited
+    to ``2^31 - 1`` keys.
+    """
     arr = np.asarray(keys)
     if arr.ndim != 1:
         raise ConfigurationError(
             f"keys must be a 1-D array, got shape {arr.shape}"
         )
     if arr.dtype != np.int64:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"keys must be integers, got dtype {arr.dtype}"
+            )
         arr = arr.astype(np.int64)
-    return arr
+    if arr.size > _MAX_BATCH:
+        raise ConfigurationError("key batches are limited to 2^31 - 1 keys")
+    return np.ascontiguousarray(arr)
 
 
 class KeyedChoices(abc.ABC):

@@ -21,8 +21,8 @@ Two backends share the registry idiom (explicit argument >
 - ``"reference"`` — the demoted dict path (:class:`ReferenceKeyMap`),
   the semantics oracle the kernel is tested exactly equal to;
 - ``"numpy"`` — cohort probe rounds: hash all unresolved keys, gather
-  the probed slots, resolve hits, claim empty slots by scatter with a
-  rare same-key ordering fixup, advance the survivors.
+  the probed slots, resolve hits, claim empty slots through the value
+  array with a rare same-key ordering fixup, advance the survivors.
 
 Capacity is negotiated per batch: the table rehashes (amortized, counted
 under ``keymap.rehashes``) whenever live + tombstone + incoming slots
@@ -43,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hashing.keyed import _as_key_array
 from repro.hashing.probe import DEFAULT_PROBE_SEED, probe_start_stride
 from repro.metrics import MetricsRegistry, global_registry
 
@@ -117,26 +118,19 @@ def make_keymap(
     )
 
 
-def _as_keys(keys) -> np.ndarray:
-    """Normalize a key batch to a contiguous 1-D int64 array."""
-    arr = np.asarray(keys)
-    if arr.ndim != 1:
-        raise ConfigurationError(
-            f"keys must be a 1-D array, got shape {arr.shape}"
-        )
-    if arr.dtype != np.int64:
-        arr = arr.astype(np.int64)
-    if arr.size > _I32_MAX:
-        raise ConfigurationError("key batches are limited to 2^31 - 1 keys")
-    return np.ascontiguousarray(arr)
-
-
 def _as_vals(values, n_keys: int) -> np.ndarray:
-    """Normalize a value batch to int32 in ``[0, 2^31)``."""
+    """Normalize a value batch to int32 in ``[0, 2^31)``.
+
+    Like keys, non-integer values raise instead of being truncated.
+    """
     arr = np.asarray(values)
     if arr.shape != (n_keys,):
         raise ConfigurationError(
             f"values must have shape ({n_keys},), got {arr.shape}"
+        )
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"keymap values must be integers, got dtype {arr.dtype}"
         )
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) > _I32_MAX):
         raise ConfigurationError(
@@ -165,17 +159,24 @@ def _cap_bits_for(needed: int) -> int:
 # Claim protocol: a probe round gathers the slots of every unresolved
 # key, resolves hits (reinserts / found deletes), and lets the keys that
 # landed on usable slots *claim* them by scattering their batch index
-# into the claim scratch.  NumPy fancy assignment stores the LAST value
-# written for a repeated index (documented in the indexing guide, and
-# pinned by a canary test in tests/kernels/test_keymap.py), so
-# scattering in REVERSE batch order makes the EARLIEST occurrence win —
-# exactly the sequential/dict winner, which is what makes duplicate keys
-# inside one batch behave bit-identically to the oracle without any
-# per-slot reduction pass.
+# into the value array ``tvals`` and reading it back.  NumPy fancy
+# assignment stores the LAST value written for a repeated index
+# (documented in the indexing guide, and pinned by a canary test in
+# tests/kernels/test_keymap.py), so scattering in REVERSE batch order
+# makes the EARLIEST occurrence win — exactly the sequential/dict
+# winner, which is what makes duplicate keys inside one batch behave
+# bit-identically to the oracle without any per-slot reduction pass.
+# The general kernels overwrite every claimed batch index within the
+# same round (with the winner's value, or TOMBSTONE for a delete), so no
+# later round reads one and the table needs no claim scratch: 12 bytes
+# per slot, int64 key plus int32 value.
 
 
-def _insert_fresh_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
+def _insert_fresh_numpy(tkeys, tvals, cap_bits, keys, vals, probe_seed):
     """Batch insert into a known-empty table.  Returns (prev, stats).
+
+    Also the rehash kernel: a rehash is a fresh insert of distinct keys,
+    whose losers never match their winner's key.
 
     Duplicate keys share a probe sequence, so they move in lockstep:
     whenever one occurrence *wins* a slot, its twins contend for that
@@ -186,15 +187,12 @@ def _insert_fresh_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
     their slot, so each round keeps the full reversed-claim protocol.
 
     Because neither table array is *read* for keys or values during the
-    loop (only the empty/occupied distinction matters), the value table
-    itself serves as the claim array: rounds scatter winner **batch
-    indexes** into ``tvals`` (one reversed scatter + one gather per
-    round instead of three scatters + one gather), and a final fixup
-    pass — sequential writes, the slots come out of ``flatnonzero``
-    sorted — converts winner indexes into the stored keys and values.
-    ``claim`` is accepted for signature symmetry but unused.
+    loop (only the empty/occupied distinction matters), claimed slots
+    keep their winner **batch indexes** until the loop ends (one
+    reversed scatter + one gather per round), and a final fixup pass —
+    sequential writes, the slots come out of ``flatnonzero`` sorted —
+    converts them into the stored keys and values.
     """
-    del claim
     mask = np.int32((1 << cap_bits) - 1)
     n = keys.size
     cur, stride = probe_start_stride(keys, cap_bits, probe_seed)
@@ -255,15 +253,19 @@ def _insert_fresh_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
     return prev, int(slots.size), probes, rounds
 
 
-def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
-    """Cohort-probe batch insert (set-default).  Returns (prev, stats)."""
+def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, probe_seed):
+    """Cohort-probe batch insert (set-default).  Returns (prev, stats).
+
+    Keys are gathered only at probed slots whose value is live: an
+    EMPTY or TOMBSTONE slot cannot hold the probing key, and the int64
+    key gather is a round's costliest read.
+    """
     mask = np.int32((1 << cap_bits) - 1)
     n = keys.size
     cur, stride = probe_start_stride(keys, cap_bits, probe_seed)
     prev = np.full(n, NOT_FOUND, dtype=np.int64)
     idx = np.arange(n, dtype=np.int32)
     kk = keys
-    vv = vals
     probes = 0
     rounds = 0
     inserted = 0
@@ -271,55 +273,35 @@ def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
         rounds += 1
         probes += cur.size
         v = tvals.take(cur)
-        empty = v == EMPTY
-        if (v >= 0).any():
-            hit = tkeys.take(cur) == kk
-            hit &= v >= 0
-            if hit.any():
-                prev[idx[hit]] = v[hit]
-            else:
-                hit = None
-        else:
-            hit = None
-        e_sel = np.flatnonzero(empty)
-        ecur = cur[e_sel]
-        ekk = kk[e_sel]
-        evv = vv[e_sel]
-        eidx = idx[e_sel]
-        if ecur.size:
-            # Three full reversed scatters over the claimants: identical
-            # index order makes all three store the same (first-batch-
-            # occurrence) winner's index, key, and value — losers' writes
-            # are simply overwritten, so no winner compaction is needed.
+        res = np.zeros(cur.size, dtype=bool)
+        l_sel = np.flatnonzero(v >= 0)
+        if l_sel.size:
+            h_sel = l_sel[tkeys.take(cur.take(l_sel)) == kk.take(l_sel)]
+            prev[idx.take(h_sel)] = v.take(h_sel)
+            res[h_sel] = True
+        e_sel = np.flatnonzero(v == EMPTY)
+        if e_sel.size:
+            ecur = cur.take(e_sel)
+            eidx = idx.take(e_sel)
             rv = slice(None, None, -1)
-            claim[ecur[rv]] = eidx[rv]
-            tkeys[ecur[rv]] = ekk[rv]
-            tvals[ecur[rv]] = evv[rv]
-            w = claim.take(ecur)
+            tvals[ecur[rv]] = eidx[rv]
+            w = tvals.take(ecur)
+            # Every claimant of a slot stores its winner's key and value,
+            # so the slot is final before any later round can probe it.
+            tkeys[ecur] = keys.take(w)
+            tvals[ecur] = vals.take(w)
             ewin = w == eidx
             inserted += int(np.count_nonzero(ewin))
             # Claim losers chasing a duplicate of their own key resolve
             # against the winner's value; different-key losers probe on
             # (no empty slot can precede a key's storage slot, so a key
             # probing an empty slot is guaranteed absent).
-            eres = ewin
-            elose = ~ewin
-            if elose.any():
-                l_sel = np.flatnonzero(elose)
-                wi = w[l_sel]
-                samek = keys.take(wi) == ekk[l_sel]
-                if samek.any():
-                    s_sel = l_sel[samek]
-                    prev[eidx[s_sel]] = vals.take(w[s_sel])
-                    eres[s_sel] = True
-        else:
-            eres = None
-        if hit is None:
-            res = np.zeros(cur.size, dtype=bool)
-        else:
-            res = hit
-        if eres is not None:
-            res[e_sel] = eres
+            l_sel = np.flatnonzero(~ewin)
+            if l_sel.size:
+                s_sel = l_sel[keys.take(w[l_sel]) == kk.take(e_sel[l_sel])]
+                prev[eidx[s_sel]] = vals.take(w[s_sel])
+                ewin[s_sel] = True
+            res[e_sel] = ewin
         sel = np.flatnonzero(~res)
         if sel.size == 0:
             break
@@ -327,58 +309,10 @@ def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
         cur = (cur.take(sel) + stride) & mask
         idx = idx.take(sel)
         kk = kk.take(sel)
-        vv = vv.take(sel)
     return prev, inserted, probes, rounds
 
 
-def _rebuild_numpy(tkeys, tvals, cap_bits, keys, vals, claim, probe_seed):
-    """Insert distinct keys into a fresh table (the rehash kernel).
-
-    No reinserts, no duplicates, no tombstones — so the hit test and the
-    duplicate arbitration vanish: any winner among *distinct* keys is
-    correct.  As in :func:`_insert_fresh_numpy`, the value table doubles
-    as the claim array — rounds scatter winner batch indexes into
-    ``tvals`` (one forward scatter + one gather per round), and a final
-    sorted-slot fixup stores the real keys and values.  ``claim`` is
-    accepted for signature symmetry but unused.
-    """
-    del claim
-    mask = np.int32((1 << cap_bits) - 1)
-    cur, stride = probe_start_stride(keys, cap_bits, probe_seed)
-    idx = np.arange(keys.size, dtype=np.int32)
-    first = True
-    while cur.size:
-        if first:
-            e_sel = None
-            e_cur, e_idx = cur, idx
-            first = False
-        else:
-            e_sel = np.flatnonzero(tvals.take(cur) == EMPTY)
-            e_cur = cur[e_sel]
-            e_idx = idx[e_sel]
-        if e_cur.size:
-            tvals[e_cur] = e_idx
-            win = tvals.take(e_cur) == e_idx
-        else:
-            win = np.empty(0, dtype=bool)
-        if e_sel is None:
-            res = win
-        else:
-            res = np.zeros(cur.size, dtype=bool)
-            res[e_sel] = win
-        sel = np.flatnonzero(~res)
-        if sel.size == 0:
-            break
-        stride = stride.take(sel)
-        cur = (cur.take(sel) + stride) & mask
-        idx = idx.take(sel)
-    slots = np.flatnonzero(tvals != EMPTY)
-    widx = tvals.take(slots)
-    tkeys[slots] = keys.take(widx)
-    tvals[slots] = vals.take(widx)
-
-
-def _delete_numpy(tkeys, tvals, cap_bits, keys, claim, probe_seed):
+def _delete_numpy(tkeys, tvals, cap_bits, keys, probe_seed):
     """Cohort-probe batch delete (tombstones).  Returns (prev, stats)."""
     mask = np.int32((1 << cap_bits) - 1)
     n = keys.size
@@ -399,14 +333,16 @@ def _delete_numpy(tkeys, tvals, cap_bits, keys, claim, probe_seed):
         h_sel = np.flatnonzero(hit)
         if h_sel.size:
             # Only same-key duplicates can contend for a found slot; the
-            # reversed scatter hands the pop to the first occurrence and
+            # reversed claim hands the pop to the first occurrence and
             # the rest probe on to a miss — the oracle's exact behavior.
+            # Each hit slot has exactly one winner, so every one of them
+            # becomes a tombstone.
             ht = cur[h_sel]
             hidx = idx[h_sel]
-            claim[ht[::-1]] = hidx[::-1]
-            w = h_sel[claim.take(ht) == hidx]
+            tvals[ht[::-1]] = hidx[::-1]
+            w = h_sel[tvals.take(ht) == hidx]
+            tvals[ht] = TOMBSTONE
             prev[idx[w]] = v[w]
-            tvals[cur[w]] = TOMBSTONE
             deleted += w.size
             resolved[w] = True
         sel = np.flatnonzero(~resolved)
@@ -502,8 +438,6 @@ class KeyMap:
         self._keys.fill(0)
         self._vals = np.empty(cap, dtype=np.int32)
         self._vals.fill(EMPTY)
-        self._claim = np.empty(cap, dtype=np.int32)
-        self._claim.fill(0)
 
     # -- inspection -------------------------------------------------------
 
@@ -524,8 +458,8 @@ class KeyMap:
 
     @property
     def nbytes(self) -> int:
-        """Flat storage footprint (keys + values + claim scratch)."""
-        return self._keys.nbytes + self._vals.nbytes + self._claim.nbytes
+        """Flat storage footprint: 12 bytes per slot (keys + values)."""
+        return self._keys.nbytes + self._vals.nbytes
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """Live ``(keys, values)`` int64 arrays, in slot (unspecified) order."""
@@ -556,18 +490,12 @@ class KeyMap:
         self._rehash(_cap_bits_for(self._live + incoming))
 
     def _rehash(self, cap_bits: int) -> None:
-        keys, vals = self.items()
-        vals32 = vals.astype(np.int32)
+        live = self._vals >= 0
+        keys, vals = self._keys[live], self._vals[live]
         self._alloc(cap_bits)
         if keys.size:
-            _rebuild_numpy(
-                self._keys,
-                self._vals,
-                cap_bits,
-                keys,
-                vals32,
-                self._claim,
-                self.probe_seed,
+            _insert_fresh_numpy(
+                self._keys, self._vals, cap_bits, keys, vals, self.probe_seed
             )
         self._tombstones = 0
         self._metrics.increment("keymap.rehashes", 1)
@@ -577,7 +505,7 @@ class KeyMap:
 
     def insert_many(self, keys, values) -> np.ndarray:
         """Set-default a batch; returns the prior value or ``-1`` per key."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         vals = _as_vals(values, keys.size)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -593,7 +521,6 @@ class KeyMap:
             self.cap_bits,
             keys,
             vals,
-            self._claim,
             self.probe_seed,
         )
         self._live += int(inserted)
@@ -602,16 +529,11 @@ class KeyMap:
 
     def delete_many(self, keys) -> np.ndarray:
         """Tombstone a batch; returns the freed value or ``-1`` per key."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         prev, deleted, probes, rounds = _delete_numpy(
-            self._keys,
-            self._vals,
-            self.cap_bits,
-            keys,
-            self._claim,
-            self.probe_seed,
+            self._keys, self._vals, self.cap_bits, keys, self.probe_seed
         )
         self._live -= int(deleted)
         self._tombstones += int(deleted)
@@ -620,7 +542,7 @@ class KeyMap:
 
     def lookup_many(self, keys) -> np.ndarray:
         """Stored value or ``-1`` per key; the map is not modified."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         out, probes, rounds = _lookup_numpy(
@@ -683,7 +605,7 @@ class ReferenceKeyMap:
 
     def insert_many(self, keys, values) -> np.ndarray:
         """Set-default a batch; returns the prior value or ``-1`` per key."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         vals = _as_vals(values, keys.size)
         out = np.empty(keys.size, dtype=np.int64)
         d = self._d
@@ -700,7 +622,7 @@ class ReferenceKeyMap:
 
     def delete_many(self, keys) -> np.ndarray:
         """Remove a batch; returns the freed value or ``-1`` per key."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         out = np.empty(keys.size, dtype=np.int64)
         pop = self._d.pop
         for i, k in enumerate(keys.tolist()):
@@ -710,7 +632,7 @@ class ReferenceKeyMap:
 
     def lookup_many(self, keys) -> np.ndarray:
         """Stored value or ``-1`` per key; the map is not modified."""
-        keys = _as_keys(keys)
+        keys = _as_key_array(keys)
         out = np.empty(keys.size, dtype=np.int64)
         get = self._d.get
         for i, k in enumerate(keys.tolist()):

@@ -14,11 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.metrics import MetricsRegistry, global_registry
 from repro.service.shard import ShardedRouter
-from repro.service.store import DEFAULT_MICRO_BATCH, KeyedStore
+from repro.service.store import (
+    DEFAULT_MICRO_BATCH,
+    KeyedStore,
+    histogram_quantiles,
+)
 from repro.service.workloads import WorkloadSpec, generate_stream
 
 __all__ = ["ServiceReport", "run_service_workload"]
@@ -166,9 +168,7 @@ def run_service_workload(
     slo_target.record_slo()
 
     loads = store.loads
-    p50, p99, p999 = (
-        float(q) for q in np.quantile(loads, (0.5, 0.99, 0.999))
-    )
+    p50, p99, p999 = histogram_quantiles(loads)
     counters = store.counters
     scheme_label = (
         store.keyed.describe() if scheme is None else scheme

@@ -33,7 +33,12 @@ from repro.hashing.keyed import KeyedChoices, _as_key_array
 from repro.hashing.registry import make_keyed_scheme
 from repro.metrics import MetricsRegistry, global_registry
 from repro.rng import default_generator
-from repro.service.store import DEFAULT_MICRO_BATCH, KeyedStore
+from repro.service.store import (
+    DEFAULT_MICRO_BATCH,
+    SLO_QUANTILES,
+    KeyedStore,
+    histogram_quantiles,
+)
 
 __all__ = ["RoutePlan", "ShardedRouter"]
 
@@ -258,16 +263,14 @@ class ShardedRouter:
 
     # -- SLO sampling and merge -------------------------------------------
 
-    def load_quantiles(self, qs=(0.5, 0.99, 0.999)) -> tuple[float, ...]:
+    def load_quantiles(self, qs=SLO_QUANTILES) -> tuple[float, ...]:
         """Quantiles of the cluster-wide per-bin load vector."""
-        return tuple(float(q) for q in np.quantile(self.loads, qs))
+        return histogram_quantiles(self.loads, qs)
 
     def record_slo(self) -> dict:
         """Record one cluster-wide tail-SLO sample onto the series."""
         loads = self.loads
-        p50, p99, p999 = (
-            float(q) for q in np.quantile(loads, (0.5, 0.99, 0.999))
-        )
+        p50, p99, p999 = histogram_quantiles(loads)
         sample = {
             "ops": self.ops,
             "size": self.size,

@@ -63,13 +63,16 @@ from repro.hashing.registry import make_keyed_scheme
 from repro.kernels.keymap import NOT_FOUND, make_keymap
 from repro.metrics import MetricsRegistry, global_registry
 
-__all__ = ["KeyedStore", "DEFAULT_MICRO_BATCH"]
+__all__ = ["KeyedStore", "DEFAULT_MICRO_BATCH", "histogram_quantiles"]
 
 #: Keys placed per load-snapshot micro-batch.  Large enough that the
 #: per-micro-batch numpy dispatch overhead amortizes (the gather/argmin/
 #: scatter costs ~3 ops of this length), small enough that the snapshot
 #: staleness stays far below one ball per bin for the default geometries.
 DEFAULT_MICRO_BATCH = 2048
+
+#: The tail-SLO quantiles every sample reports (p50, p99, p999).
+SLO_QUANTILES = (0.5, 0.99, 0.999)
 
 _COUNTERS = (
     "inserts",
@@ -79,6 +82,34 @@ _COUNTERS = (
     "delete_misses",
     "lookup_misses",
 )
+
+
+def histogram_quantiles(loads, qs=SLO_QUANTILES) -> tuple[float, ...]:
+    """Quantiles of a non-negative integer load vector, from its histogram.
+
+    Returns exactly what numpy's ``quantile(loads, qs)`` (linear
+    method) returns, without sorting or partitioning the vector: one
+    ``bincount`` pass, then each order statistic is found by
+    ``searchsorted`` over the cumulative counts, and the pair around
+    each virtual index ``(n - 1) * q`` is blended with numpy's own
+    interpolation formula.  The histogram has ``max(loads) + 1`` bins,
+    which for a load vector is at most the number of stored keys.
+    """
+    loads = np.asarray(loads)
+    q = np.asarray(qs, dtype=np.float64)
+    if not ((q >= 0) & (q <= 1)).all():
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    n = loads.size
+    cum = np.cumsum(np.bincount(loads))
+    virtual = (n - 1) * q
+    lo = np.floor(virtual)
+    t = virtual - lo
+    k = lo.astype(np.intp)
+    a = np.searchsorted(cum, k, side="right")
+    b = np.searchsorted(cum, np.minimum(k + 1, n - 1), side="right")
+    diff = b - a
+    out = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    return tuple(float(x) for x in out)
 
 
 class KeyedStore:
@@ -191,9 +222,9 @@ class KeyedStore:
         order = np.argsort(keys, kind="stable")
         return keys[order], bins[order]
 
-    def load_quantiles(self, qs=(0.5, 0.99, 0.999)) -> tuple[float, ...]:
+    def load_quantiles(self, qs=SLO_QUANTILES) -> tuple[float, ...]:
         """Quantiles of the per-bin load vector (the SLO tail view)."""
-        return tuple(float(q) for q in np.quantile(self.loads, qs))
+        return histogram_quantiles(self.loads, qs)
 
     def describe(self) -> str:
         """One-line description used in reports."""

@@ -25,9 +25,11 @@ from repro.hashing.probe import (
     splitmix64_scalar,
 )
 from repro.kernels.keymap import (
+    EMPTY,
     KNOWN_KEYMAP_BACKENDS,
     MIN_CAP_BITS,
     NOT_FOUND,
+    TOMBSTONE,
     KeyMap,
     ReferenceKeyMap,
     make_keymap,
@@ -70,6 +72,17 @@ def _assert_stream_equal(stream):
         assert np.array_equal(keys, ref_keys), f"{backend}: final keys"
         assert np.array_equal(vals, ref_vals), f"{backend}: final values"
         assert m.size == ref_keys.size, f"{backend}: size"
+        # Slot states recounted from the value array: a claim that left a
+        # batch index behind in a losing or tombstoned slot shows up as
+        # an extra live slot here.
+        tvals = m._vals
+        assert np.count_nonzero(tvals >= 0) == m.size, f"{backend}: live"
+        assert np.count_nonzero(tvals == TOMBSTONE) == m.tombstones, (
+            f"{backend}: tombstones"
+        )
+        assert (
+            (tvals == EMPTY) | (tvals == TOMBSTONE) | (tvals >= 0)
+        ).all(), f"{backend}: slot values"
 
 
 class TestGoldenStreams:
@@ -127,6 +140,43 @@ class TestGoldenStreams:
             ops.append(("delete", rng.integers(0, 1000, size=20)))
         ops.append(("lookup", np.arange(1000)))
         _assert_stream_equal(ops)
+
+    def test_general_path_at_high_fill(self):
+        # Drives the general (non-fresh) insert kernel near 60% fill,
+        # over tombstones, with reinserts and intra-batch duplicates, so
+        # claims contend across several probe rounds.  The setup checks
+        # below keep the stream doing that if the capacity policy moves.
+        rng = np.random.default_rng(2024)
+        first = rng.permutation(1 << 20)[:256]
+        victims = first[:64]
+        batch = np.concatenate([
+            rng.integers(1 << 20, 1 << 21, size=330),  # fresh keys
+            first[64:104],  # reinserts of live keys
+            victims[:20],  # reinserts of deleted keys
+            rng.choice(first[100:200], size=20),  # more live duplicates
+        ])
+        batch = np.concatenate([batch, rng.choice(batch, size=10)])
+        rng.shuffle(batch)
+        stream = [
+            ("insert", first, rng.integers(0, 1 << 30, size=first.size)),
+            ("delete", victims),
+            ("insert", batch, rng.integers(0, 1 << 30, size=batch.size)),
+            ("delete", np.concatenate([batch[:50], batch[:10]])),
+            ("lookup", np.concatenate([first, batch])),
+        ]
+        _assert_stream_equal(stream)
+
+        reg = MetricsRegistry()
+        m = KeyMap(backend="numpy", metrics=reg)
+        m.insert_many(*stream[0][1:])
+        m.delete_many(stream[1][1])
+        rounds_before = reg.get_counter("keymap.probe_rounds")
+        cap = m.capacity
+        m.insert_many(*stream[2][1:])
+        assert m.capacity == cap and reg.get_counter("keymap.rehashes") == 1
+        assert m.tombstones > 0
+        assert (m.size + m.tombstones) / cap >= 0.55
+        assert reg.get_counter("keymap.probe_rounds") - rounds_before >= 3
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_fresh_and_general_insert_paths_agree(self, backend):
@@ -252,6 +302,8 @@ class TestCapacityManagement:
         m.insert_many(np.arange(10_000), np.zeros(10_000, dtype=np.int64))
         assert m.capacity == cap
         assert reg.get_counter("keymap.rehashes") == 0
+        # int64 key + int32 value per slot; claims need no scratch array.
+        assert m.nbytes == 12 * cap
 
     def test_tombstones_are_never_reused(self):
         # Deleting and reinserting different keys must not resurrect
@@ -286,6 +338,36 @@ class TestValidation:
             m.insert_many([1], [-5])  # negative value = sentinel space
         with pytest.raises(ConfigurationError):
             m.insert_many([1], [1 << 40])  # over 31-bit ceiling
+        # Non-integer keys and values raise instead of truncating (1.5
+        # and 1.0 used to collapse onto key 1, and 2.7 was stored as 2),
+        # on the oracle as well as the kernel.
+        bad_keys = (
+            np.array([1.5, 1.0]),
+            np.array([1 + 0j, 2 + 0j]),
+            np.array([True, False]),
+            np.array([1, 2], dtype=object),
+        )
+        for backend in ("reference",) + KERNEL_BACKENDS:
+            m = make_keymap(backend=backend, metrics=MetricsRegistry())
+            for keys in bad_keys:
+                for call in (
+                    lambda: m.insert_many(keys, [0, 1]),
+                    lambda: m.delete_many(keys),
+                    lambda: m.lookup_many(keys),
+                ):
+                    with pytest.raises(ConfigurationError, match="integers"):
+                        call()
+            for vals in ([2.7], [True]):
+                with pytest.raises(ConfigurationError, match="integers"):
+                    m.insert_many([1], vals)
+            assert m.size == 0
+            # Empty batches of any dtype still pass ([] is float64), and
+            # integer dtypes other than int64 convert.
+            assert m.insert_many([], []).size == 0
+            assert m.lookup_many([]).size == 0
+            keys = np.array([3, 4], dtype=np.uint8)
+            m.insert_many(keys, np.array([5, 6], dtype=np.int16))
+            assert m.lookup_many(keys).tolist() == [5, 6]
 
     def test_keymap_rejects_reference_backend(self):
         with pytest.raises(ConfigurationError):

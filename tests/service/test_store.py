@@ -8,7 +8,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hashing import make_keyed_scheme
 from repro.metrics import MetricsRegistry
-from repro.service import KeyedStore
+from repro.service import (
+    KeyedStore,
+    ShardedRouter,
+    WorkloadSpec,
+    generate_stream,
+    run_service_workload,
+)
+from repro.service.store import histogram_quantiles
 
 
 def fresh_store(**kwargs):
@@ -65,6 +72,16 @@ class TestInvariants:
         assert st.delete_many([]).size == 0
         assert st.lookup_many([]).size == 0
         assert st.ops == 0
+
+    def test_non_integer_keys_raise_and_leave_store_untouched(self):
+        # 1.5 and 1.0 used to truncate onto one key: two equal bins, one
+        # stored key and a phantom reinsert.
+        st = fresh_store(seed=1)
+        with pytest.raises(ConfigurationError, match="integers"):
+            st.insert_many(np.array([1.5, 1.0]))
+        assert st.size == 0 and st.ops == 0
+        assert st.counters["reinserts"] == 0
+        assert st.loads.sum() == 0
 
 
 class TestDeterminism:
@@ -227,3 +244,55 @@ class TestKernelBacking:
         st.insert_many(np.arange(1, 20_001, dtype=np.int64))
         assert reg.get_counter("keymap.rehashes") == 0
         assert st.size == 20_000
+
+
+class TestHistogramQuantiles:
+    """The SLO quantiles come from a load histogram, equal to np.quantile."""
+
+    def test_matches_np_quantile_exactly(self):
+        rng = np.random.default_rng(41)
+        fixed = ((0.0,), (1.0,), (0.5, 0.99, 0.999), (0.0, 0.25, 1.0))
+        for i in range(1200):
+            n = int(rng.integers(1, 5001))
+            max_load = int(rng.integers(0, 61))
+            loads = rng.integers(0, max_load + 1, size=n)
+            qs = fixed[i % len(fixed)] + tuple(rng.random(3))
+            want = tuple(float(q) for q in np.quantile(loads, qs))
+            assert histogram_quantiles(loads, qs) == want, (n, max_load, qs)
+
+    def test_rejects_out_of_range_quantiles(self):
+        for qs in ((1.5,), (-0.1, 0.5)):
+            with pytest.raises(ValueError):
+                histogram_quantiles(np.arange(10), qs)
+
+    def test_router_and_runner_report_np_quantile(self):
+        def np_tails(loads):
+            return tuple(float(q) for q in np.quantile(loads, (0.5, 0.99, 0.999)))
+
+        router = ShardedRouter(
+            1 << 10, 2, n_shards=4, scheme="double", seed=3,
+            metrics=MetricsRegistry(),
+        )
+        router.insert_many(np.arange(1, 7001, dtype=np.int64))
+        sample = router.record_slo()
+        assert (sample["p50"], sample["p99"], sample["p999"]) == np_tails(
+            router.loads
+        )
+
+        spec = WorkloadSpec(n_keys=6000, batch=1024, churn=0.5, lookups=0.25)
+        report = run_service_workload(
+            spec, n_bins=1 << 10, d=2, scheme="double", seed=5,
+            metrics=MetricsRegistry(),
+        )
+        # Replaying the same stream into the same store rebuilds the
+        # report's final loads.
+        replay = KeyedStore(
+            1 << 10, 2, scheme="double", seed=5,
+            expected_keys=spec.n_keys, metrics=MetricsRegistry(),
+        )
+        for batch in generate_stream(spec, seed=5):
+            replay.insert_many(batch.inserts)
+            replay.delete_many(batch.deletes)
+            replay.lookup_many(batch.lookups)
+        assert replay.size == report.size
+        assert (report.p50, report.p99, report.p999) == np_tails(replay.loads)
