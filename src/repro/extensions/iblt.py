@@ -27,11 +27,16 @@ The table has two faces:
   one key at a time, kept as the easy-to-audit reference;
 - a batched face (``insert_many`` / ``delete_many`` /
   ``list_entries_batched``) — whole key arrays hashed through the fused
-  vectorized cell generator (:meth:`IBLT.cells_batch`), updates applied
-  with ``np.add.at`` / ``np.bitwise_xor.at`` scatters, and listing run
-  as synchronous peeling rounds mirroring the kernel contract of
-  :mod:`repro.kernels.peeling`.  Both faces produce identical cell
-  states for the same operations (asserted in the test suite).
+  vectorized cell generator (:meth:`IBLT.cells_batch`, built
+  column-major), updates applied one cell column at a time with
+  ``np.add.at`` / ``np.bitwise_xor.at`` scatters straight from the key,
+  checksum and value arrays, and listing run as synchronous peeling
+  rounds mirroring the kernel contract of :mod:`repro.kernels.peeling`.
+  A key whose cells repeat (random mode, or double mode on a composite
+  ``m`` that is not a power of two) touches each distinct cell once:
+  a column skips the keys whose cell there repeats an earlier one.
+  Both faces produce identical cell states for the same operations,
+  and a pure-Python oracle pins those states in the test suite.
 
 Field widths are negotiated up front in the
 :func:`~repro.kernels.packing.check_packed_fields` style: ``key_bits``
@@ -39,7 +44,9 @@ Field widths are negotiated up front in the
 values accepted, and ``capacity`` sizes the count dtype (int32 when the
 signed count range fits 31 value bits, int64 otherwise) — overflow is a
 loud :class:`~repro.errors.ConfigurationError` at construction or
-insertion, never a silent wrap mid-experiment.
+insertion, never a silent wrap mid-experiment.  Keys and values must be
+integers on both faces: a floating, complex, bool or object key or value
+raises the same error instead of being truncated onto some integer.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.hash_functions import TabulationHash, _digest
+from repro.hashing.keyed import _as_key_array
 from repro.kernels.packing import (
     INT32_VALUE_BITS,
     INT64_VALUE_BITS,
@@ -267,37 +275,48 @@ class IBLT:
     def cells_batch(self, keys: np.ndarray) -> np.ndarray:
         """The ``(len(keys), d)`` cell matrix, hashed as whole arrays.
 
-        Double mode is one fused array op: both tabulation hashes run
-        over the full key array, the stride is forced to a unit
-        (``g | 1`` for power-of-two ``m``, ``g → 1`` where zero
-        otherwise), and the progression ``(f + i·g) mod m`` broadcasts
-        across columns.  Rows may contain repeats when ``m`` is neither
-        a power of two nor prime (the stride may share a factor with
-        ``m``); the update paths deduplicate per row.
+        Built column-major: a ``(d, len(keys))`` array filled in place
+        and returned transposed, so each cell column is contiguous for
+        the update scatters.  Double mode runs both tabulation hashes
+        over the full key array, forces the stride to a unit (``g | 1``
+        for power-of-two ``m``, ``g → 1`` where zero otherwise), and
+        fills the progression ``(f + i·g) mod m`` as ``g·i``, then
+        ``+= f``, then a mask (power-of-two ``m``) or a modulo.  Rows
+        may contain repeats in random mode, or in double mode when ``m``
+        is neither a power of two nor prime (the stride may share a
+        factor with ``m``); the update path touches such a cell once.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _as_key_array(keys)
+        cols = np.empty((self.d, keys.size), dtype=np.int64)
         if self.mode == "random":
-            return np.stack([h(keys) for h in self._hashes], axis=1)
+            for col, h in zip(cols, self._hashes):
+                col[:] = h(keys)
+            return cols.T
         f = self._h1(keys)
         g = self._h2(keys)
         if self._is_pow2:
-            g = g | 1
+            g |= 1
         else:
-            g = np.where(g == 0, 1, g)
-        steps = np.arange(self.d, dtype=np.int64)
-        return (f[:, None] + g[:, None] * steps) % self.m
+            np.maximum(g, 1, out=g)
+        np.multiply(np.arange(self.d, dtype=np.int64)[:, None], g, out=cols)
+        cols += f
+        if self._is_pow2:
+            cols &= self.m - 1
+        else:
+            cols %= self.m
+        return cols.T
 
     def cells(self, key: int) -> np.ndarray:
         """The ``d`` cells of ``key`` (scalar face of :meth:`cells_batch`)."""
-        return self.cells_batch(np.array([key], dtype=np.int64))[0]
+        return self.cells_batch([key])[0]
 
     # -- updates ------------------------------------------------------------
 
     def _validate_batch(
         self, keys: np.ndarray, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.int64).ravel()
+        keys = _as_key_array(keys)
+        values = _as_key_array(values)
         if keys.shape != values.shape:
             raise ConfigurationError(
                 f"keys and values must align, got {keys.shape} vs {values.shape}"
@@ -323,32 +342,34 @@ class IBLT:
     ) -> None:
         """Scatter a batch of signed entries into the cell arrays.
 
-        One fused ``cells_batch`` per call; rows are deduplicated by an
-        in-row sort + adjacent-duplicate mask (a key occupying a cell
-        twice touches it once, matching the scalar ``np.unique`` path),
-        then four scatters (``np.add.at`` on the counts,
-        ``np.bitwise_xor.at`` on the key/checksum/value accumulators).
+        One fused ``cells_batch`` per call, then one pass per cell
+        column: ``np.add.at`` on the counts and ``np.bitwise_xor.at`` on
+        the key/checksum/value accumulators, straight from the sign,
+        key, checksum and value arrays.  A key occupying a cell twice
+        touches it once (matching the scalar ``np.unique`` path): column
+        ``j`` skips the keys whose ``j``-th cell repeats one of their
+        earlier cells, and is scattered whole when no key repeats.
         """
         k = keys.size
         if k == 0:
             return
-        rows = np.sort(self.cells_batch(keys), axis=1)
-        mask = np.ones_like(rows, dtype=bool)
-        mask[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        flat_cells = rows[mask]
-        reps = mask.sum(axis=1)
-        signs = np.broadcast_to(
-            np.asarray(signs, dtype=self.count.dtype), (k,)
+        cols = self.cells_batch(keys).T
+        signs = np.broadcast_to(np.asarray(signs, dtype=self.count.dtype), (k,))
+        updates = (
+            (np.add, self.count, signs),
+            (np.bitwise_xor, self.key_sum, keys),
+            (np.bitwise_xor, self.check_sum, self._check(keys)),
+            (np.bitwise_xor, self.value_sum, values),
         )
-        np.add.at(self.count, flat_cells, np.repeat(signs, reps))
-        np.bitwise_xor.at(self.key_sum, flat_cells, np.repeat(keys, reps))
-        np.bitwise_xor.at(
-            self.check_sum, flat_cells, np.repeat(self._check(keys), reps)
-        )
-        np.bitwise_xor.at(self.value_sum, flat_cells, np.repeat(values, reps))
+        for j, cells in enumerate(cols):
+            fresh = ~(cols[:j] == cells).any(axis=0)
+            pick = slice(None) if fresh.all() else fresh
+            cells = cells[pick]
+            for ufunc, target, x in updates:
+                ufunc.at(target, cells, x[pick])
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Insert whole key/value arrays (one fused hash + three scatters)."""
+        """Insert whole key/value arrays (one fused hash, column scatters)."""
         keys, values = self._validate_batch(keys, values)
         self._apply_many(keys, values, +1)
         self._n_ops += keys.size
@@ -361,15 +382,11 @@ class IBLT:
 
     def insert(self, key: int, value: int) -> None:
         """Insert a key/value pair (scalar face of :meth:`insert_many`)."""
-        self.insert_many(
-            np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
-        )
+        self.insert_many([key], [value])
 
     def delete(self, key: int, value: int) -> None:
         """Delete a pair (scalar face of :meth:`delete_many`)."""
-        self.delete_many(
-            np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
-        )
+        self.delete_many([key], [value])
 
     def subtract(self, other: IBLT) -> IBLT:
         """The cell-wise difference ``self − other`` as a new table.
@@ -421,7 +438,6 @@ class IBLT:
         Returns None both for absent keys and for keys whose cells are all
         shared (an inherent IBLT limitation).
         """
-        key = int(key)
         for c in self.cells(key):
             if self.count[c] == 1 and self.key_sum[c] == key:
                 return int(self.value_sum[c])

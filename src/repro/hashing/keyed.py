@@ -85,21 +85,22 @@ def _as_key_array(keys) -> np.ndarray:
     other dtype — floating, complex, bool, object — raises instead of
     being silently truncated onto some integer key; an empty batch of any
     dtype is accepted, since ``[]`` becomes float64.  Batches are limited
-    to ``2^31 - 1`` keys.
+    to ``2^31 - 1`` entries.  The IBLT normalizes its value batches here
+    too, so the messages do not say "keys".
     """
     arr = np.asarray(keys)
     if arr.ndim != 1:
         raise ConfigurationError(
-            f"keys must be a 1-D array, got shape {arr.shape}"
+            f"expected a 1-D array, got shape {arr.shape}"
         )
     if arr.dtype != np.int64:
         if arr.size and arr.dtype.kind not in "iu":
             raise ConfigurationError(
-                f"keys must be integers, got dtype {arr.dtype}"
+                f"expected integers, got dtype {arr.dtype}"
             )
         arr = arr.astype(np.int64)
     if arr.size > _MAX_BATCH:
-        raise ConfigurationError("key batches are limited to 2^31 - 1 keys")
+        raise ConfigurationError("batches are limited to 2^31 - 1 entries")
     return np.ascontiguousarray(arr)
 
 

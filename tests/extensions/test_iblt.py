@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.extensions.iblt import IBLT
+from repro.numtheory import is_prime
 from repro.peeling import peeling_threshold
 
 
@@ -239,6 +240,43 @@ class TestBatchedAPI:
             t.insert_many(np.array([1, 2]), np.array([1]))  # length mismatch
         with pytest.raises(ConfigurationError):
             t.insert_many(np.arange(11), np.arange(11))  # over capacity
+        non_integer = (
+            np.array([1.5, 7.9]),
+            np.array([1.0, 7.0]),
+            np.array([True, False]),
+            np.array([1 + 0j, 7 + 0j]),
+            np.array([1, 7], dtype=object),
+        )
+        for bad in non_integer:
+            with pytest.raises(ConfigurationError, match="integers"):
+                t.insert_many(bad, np.array([2, 3]))
+            with pytest.raises(ConfigurationError, match="integers"):
+                t.insert_many(np.array([1, 7]), bad)
+            with pytest.raises(ConfigurationError, match="integers"):
+                t.delete_many(bad, np.array([2, 3]))
+        assert t.is_empty
+        t.insert_many([], [])  # an empty batch of any dtype passes
+        t.insert_many(np.array([], dtype=bool), np.array([], dtype=float))
+        t.insert_many(np.array([1], dtype=np.uint8), np.array([2], dtype=np.int16))
+        assert t.get(1) == 2
+
+    def test_scalar_face_rejects_non_integers(self):
+        """The scalar face used to truncate 1.5 onto key 1 (and 2.7 onto 2)."""
+        t = IBLT(256, 3, seed=1)
+        for bad_call in (
+            lambda: t.insert(1.5, 2.7),
+            lambda: t.insert(1, 2.7),
+            lambda: t.insert(True, 1),
+            lambda: t.delete(1.5, 2),
+            lambda: t.get(1.5),
+            lambda: t.cells(1.5),
+        ):
+            with pytest.raises(ConfigurationError, match="integers"):
+                bad_call()
+        assert t.is_empty
+        t.insert(1, 2)
+        assert t.get(1) == 2
+        assert t.get(np.int64(1)) == 2
 
 
 class TestWidthNegotiation:
@@ -253,3 +291,128 @@ class TestWidthNegotiation:
     def test_overwide_keys_rejected(self):
         with pytest.raises(ConfigurationError):
             IBLT(64, 3, seed=21, key_bits=64)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: cell state from the scalar hashes, one key at a time
+# ---------------------------------------------------------------------------
+
+
+def _oracle_cells(table: IBLT, key: int) -> list[int]:
+    """The documented cell progression from the scalar tabulation hashes.
+
+    Double mode: ``(f + i·g) mod m`` with the stride made a unit — odd for
+    power-of-two ``m``, 0 → 1 otherwise.  Random mode: ``d`` independent
+    hashes.
+    """
+    m = table.m
+    if table.mode == "random":
+        return [h.scalar(key) for h in table._hashes]
+    f, g = table._h1.scalar(key), table._h2.scalar(key)
+    if m & (m - 1) == 0:
+        g |= 1
+    elif g == 0:
+        g = 1
+    return [(f + i * g) % m for i in range(table.d)]
+
+
+class _OracleCells:
+    """Pure-Python cell state: four lists of ints, one key at a time."""
+
+    def __init__(self, table: IBLT) -> None:
+        self.table = table
+        self.count = [0] * table.m
+        self.key_sum = [0] * table.m
+        self.check_sum = [0] * table.m
+        self.value_sum = [0] * table.m
+
+    def apply(self, keys, values, signs) -> None:
+        signs = np.broadcast_to(signs, keys.shape).tolist()
+        for key, value, sign in zip(keys.tolist(), values.tolist(), signs):
+            check = self.table._check.scalar(key)
+            for c in set(_oracle_cells(self.table, key)):
+                self.count[c] += sign
+                self.key_sum[c] ^= key
+                self.check_sum[c] ^= check
+                self.value_sum[c] ^= value
+
+    def subtract(self, other: _OracleCells) -> _OracleCells:
+        diff = _OracleCells(self.table)
+        diff.count = [a - b for a, b in zip(self.count, other.count)]
+        for name in ("key_sum", "check_sum", "value_sum"):
+            setattr(diff, name, [
+                a ^ b for a, b in zip(getattr(self, name), getattr(other, name))
+            ])
+        return diff
+
+    def assert_matches(self, table: IBLT) -> None:
+        for name in ("count", "key_sum", "check_sum", "value_sum"):
+            assert getattr(table, name).tolist() == getattr(self, name), name
+
+
+def _keys_with_repeated_cells(table: IBLT, limit: int = 1 << 16) -> np.ndarray:
+    """Up to 8 keys in ``[0, limit)`` whose cell rows repeat a cell."""
+    rows = np.sort(table.cells_batch(np.arange(limit)), axis=1)
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    return np.flatnonzero(repeated)[:8].astype(np.int64)
+
+
+class TestOracleCellState:
+    """Batched updates and the batched lister against :class:`_OracleCells`.
+
+    ``m`` covers a power of two, two primes and two composites that are
+    not powers of two; on the composites a double-mode stride can share
+    a factor with ``m`` (3072 = 2^10·3 with g = 1536; 4100 = 2^2·5^2·41
+    with g = 2050), so a key's row repeats a cell for ``d ≥ 3``.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mode", ["double", "random"])
+    @pytest.mark.parametrize("m", [256, 97, 4099, 3072, 4100])
+    def test_cell_state_matches_oracle(self, m, mode, d):
+        seed = 10 * m + d
+        rng = np.random.default_rng(seed)
+        ta = IBLT(m, d, mode=mode, seed=seed)
+        tb = IBLT(m, d, mode=mode, seed=seed)
+        oa, ob = _OracleCells(ta), _OracleCells(tb)
+
+        def draw(n):
+            return rng.integers(0, 1 << 62, n, dtype=np.int64)
+
+        shared = np.concatenate([draw(200), _keys_with_repeated_cells(ta)])
+        shared = np.concatenate([shared, shared[:30]])  # duplicates in a batch
+        n_delta = max(4, min(m // 16, 64))
+        a_only, b_only = draw(n_delta // 2), draw(n_delta - n_delta // 2)
+        batch_a = np.concatenate([shared, a_only])
+        batch_b = np.concatenate([b_only, shared])
+        vals_a, vals_b = draw(batch_a.size), draw(batch_b.size)
+        vals_b[b_only.size:] = vals_a[: shared.size]
+
+        rows = [_oracle_cells(ta, key) for key in batch_a.tolist()]
+        assert ta.cells_batch(batch_a).tolist() == rows
+        repeats_possible = mode == "random" or (
+            d >= 3 and m & (m - 1) != 0 and not is_prime(m)
+        )
+        assert any(len(set(r)) < d for r in rows) == repeats_possible
+
+        ta.insert_many(batch_a, vals_a)
+        oa.apply(batch_a, vals_a, 1)
+        oa.assert_matches(ta)
+        tb.insert_many(batch_b, vals_b)
+        ob.apply(batch_b, vals_b, 1)
+        ob.assert_matches(tb)
+
+        # Deletes, including a never-inserted key, on both sides.
+        dels = np.concatenate([shared[:40], draw(1)])
+        dvals = np.concatenate([vals_a[:40], draw(1)])
+        for t, o in ((ta, oa), (tb, ob)):
+            t.delete_many(dels, dvals)
+            o.apply(dels, dvals, -1)
+            o.assert_matches(t)
+
+        diff, od = ta.subtract(tb), oa.subtract(ob)
+        od.assert_matches(diff)
+        listing = diff.list_entries_batched()
+        assert listing.keys.size > 0
+        od.apply(listing.keys, listing.values, -listing.signs)
+        od.assert_matches(diff)
