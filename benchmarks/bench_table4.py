@@ -9,8 +9,6 @@ from the anchor registry.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.certify.anchors import paper_values
 from repro.experiments import table4_max_load
 

@@ -7,7 +7,6 @@ baseline — each timed and checked for its defining qualitative claim.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (

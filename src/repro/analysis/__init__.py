@@ -17,8 +17,9 @@ measured, and tested:
 - :mod:`repro.analysis.branching` — the Galton–Watson process that
   dominates ancestry growth, with the Karp–Zhang exponential tail.
 - :mod:`repro.analysis.comparison` — the statistical meaning of
-  "essentially indistinguishable": chi-square tests, sampling envelopes,
-  and total-variation distances between load distributions.
+  "essentially indistinguishable": chi-square tests, per-level deviations
+  in standard errors, and total-variation distances between load
+  distributions.
 """
 
 from repro.analysis.branching import (
@@ -32,7 +33,6 @@ from repro.analysis.comparison import (
     compare_distributions,
     cramers_v,
     holm_correction,
-    sampling_envelope,
     total_variation,
 )
 from repro.analysis.dleft_bound import (
@@ -50,10 +50,8 @@ from repro.analysis.majorization import (
 )
 from repro.analysis.max_load_stats import (
     MaxLoadComparison,
-    bootstrap_fraction_ci,
     bootstrap_mean_ci,
     compare_max_loads,
-    max_load_fraction_ci,
 )
 from repro.analysis.witness_extraction import (
     WitnessTree,
@@ -71,7 +69,6 @@ __all__ = [
     "MaxLoadComparison",
     "WitnessTree",
     "beta_trajectory",
-    "bootstrap_fraction_ci",
     "bootstrap_mean_ci",
     "chi_square_comparison",
     "compare_distributions",
@@ -85,10 +82,8 @@ __all__ = [
     "layered_induction_bound",
     "leaf_activation_bound",
     "majorizes",
-    "max_load_fraction_ci",
     "pair_collision_bound",
     "phi_d",
-    "sampling_envelope",
     "simulate_branching_population",
     "symmetric_max_load_coefficient",
     "total_variation",

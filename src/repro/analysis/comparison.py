@@ -8,11 +8,10 @@ fully random hashing.  This module quantifies that:
   over the pooled load histograms (small-expectation cells merged);
 - :func:`total_variation` — TV distance between the two empirical load
   distributions;
-- :func:`sampling_envelope` — the per-level standard error implied by the
-  trial count, the yardstick the paper's "well within experimental
-  variance" refers to;
-- :func:`compare_distributions` — all of the above in one report object
-  with an overall verdict;
+- :func:`compare_distributions` — both of the above in one report object
+  with an overall verdict, plus the largest per-level deviation in pooled
+  standard errors (the yardstick the paper's "well within experimental
+  variance" refers to);
 - :func:`cramers_v` — the chi-square effect size, so "not significant"
   can be distinguished from "significant but negligible";
 - :func:`holm_correction` — step-down multiple-testing control, used by
@@ -37,7 +36,6 @@ __all__ = [
     "compare_distributions",
     "cramers_v",
     "holm_correction",
-    "sampling_envelope",
     "total_variation",
 ]
 
@@ -59,19 +57,6 @@ def total_variation(a: LoadDistribution, b: LoadDistribution) -> float:
     pa = ca / ca.sum()
     pb = cb / cb.sum()
     return 0.5 * float(np.abs(pa - pb).sum())
-
-
-def sampling_envelope(dist: LoadDistribution, load: int, z: float = 2.0) -> float:
-    """``z`` standard errors of the fraction estimate at ``load``.
-
-    Treats bins as independent Bernoulli observations — an approximation
-    (bin loads within a trial are negatively correlated), so the envelope
-    is slightly conservative in the right direction for an
-    indistinguishability claim.
-    """
-    p = dist.fraction_at(load)
-    n_obs = dist.trials * dist.n_bins
-    return z * float(np.sqrt(max(p * (1 - p), 1e-300) / n_obs))
 
 
 def chi_square_comparison(

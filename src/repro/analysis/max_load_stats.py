@@ -3,13 +3,12 @@
 Table 4 compares the *fraction of trials* whose maximum load equals 3.
 Because max loads are small integers concentrated on two or three values,
 the right comparison is a contingency test over per-trial max-load counts;
-this module provides it plus binomial confidence intervals for single
-fractions.
+this module provides it plus a percentile-bootstrap confidence interval for
+the mean max load.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +18,9 @@ from repro.types import LoadDistribution
 
 __all__ = [
     "MaxLoadComparison",
-    "bootstrap_fraction_ci",
     "bootstrap_mean_ci",
     "compare_max_loads",
-    "max_load_fraction_ci",
 ]
-
-
-def max_load_fraction_ci(
-    dist: LoadDistribution, load: int, *, z: float = 1.96
-) -> tuple[float, float, float]:
-    """``(fraction, low, high)`` Wilson interval for P(max load == load).
-
-    The Wilson interval behaves correctly near 0 and 1, where Table 4's
-    fractions live for most n.
-    """
-    k = int(np.sum(dist.max_load_per_trial == load))
-    n = len(dist.max_load_per_trial)
-    if n == 0:
-        return (float("nan"), float("nan"), float("nan"))
-    p = k / n
-    denom = 1 + z**2 / n
-    center = (p + z**2 / (2 * n)) / denom
-    half = (
-        z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-    )
-    return (p, max(0.0, center - half), min(1.0, center + half))
 
 
 def bootstrap_mean_ci(
@@ -72,27 +48,6 @@ def bootstrap_mean_ci(
     means = values[idx].mean(axis=1)
     low, high = np.quantile(means, [alpha / 2, 1 - alpha / 2])
     return (mean, float(low), float(high))
-
-
-def bootstrap_fraction_ci(
-    values: np.ndarray,
-    target,
-    *,
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float, float]:
-    """``(fraction, low, high)`` bootstrap CI for ``P(value == target)``.
-
-    The bootstrap analogue of :func:`max_load_fraction_ci` — Table 4's
-    observable resampled rather than Wilson-approximated, so the two
-    interval constructions can cross-check each other.
-    """
-    values = np.asarray(values)
-    if values.size == 0:
-        return (float("nan"), float("nan"), float("nan"))
-    hits = (values == target).astype(float)
-    return bootstrap_mean_ci(hits, n_boot=n_boot, alpha=alpha, seed=seed)
 
 
 @dataclass(frozen=True)

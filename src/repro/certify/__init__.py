@@ -41,7 +41,6 @@ from repro.certify.anchors import (
     PaperAnchor,
     anchor,
     anchor_value,
-    anchors_for_table,
     paper_values,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "PaperAnchor",
     "anchor",
     "anchor_value",
-    "anchors_for_table",
     "paper_values",
     # Lazily resolved (PEP 562):
     "TIERS",

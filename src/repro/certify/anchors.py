@@ -35,7 +35,6 @@ __all__ = [
     "PaperAnchor",
     "anchor",
     "anchor_value",
-    "anchors_for_table",
     "paper_values",
 ]
 
@@ -334,11 +333,6 @@ def anchor(anchor_id: str) -> PaperAnchor:
 def anchor_value(anchor_id: str) -> float:
     """The published value behind ``anchor_id``."""
     return anchor(anchor_id).value
-
-
-def anchors_for_table(table: str) -> tuple[PaperAnchor, ...]:
-    """All anchors belonging to one paper table (or ``"derived"``)."""
-    return tuple(a for a in ANCHORS if a.table == table)
 
 
 def paper_values() -> dict[str, dict]:

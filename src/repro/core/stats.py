@@ -1,11 +1,9 @@
-"""Table-shaped summaries of simulation results.
+"""Aggregation of simulation results into the paper's table statistics.
 
-Helpers that turn raw :class:`~repro.types.TrialBatchResult` /
-:class:`~repro.types.LoadDistribution` objects into the row formats the
-paper's tables report: per-load fractions, tail fractions, max-load trial
-fractions, and per-level sample statistics (Table 5's min/avg/max/std).
-
-Also provides :class:`StreamingLoadAggregator`, a Welford-style accumulator
+:func:`trial_histograms` reduces a chunk's per-trial loads to per-trial
+load histograms, and :class:`StreamingLoadAggregator` folds those into a
+:class:`~repro.types.LoadDistribution` plus per-level sample statistics
+(Table 5's min/avg/max/std).  The aggregator is a Welford-style accumulator
 for runs too large to keep all per-trial loads in memory: trials are fed in
 chunks and only O(max_load) state is retained.
 """
@@ -20,9 +18,6 @@ from repro.types import LevelStats, LoadDistribution, TrialBatchResult
 
 __all__ = [
     "StreamingLoadAggregator",
-    "level_stats_table",
-    "load_fraction_rows",
-    "tail_fraction_rows",
     "trial_histograms",
 ]
 
@@ -40,41 +35,6 @@ def trial_histograms(loads: np.ndarray) -> np.ndarray:
     for t in range(loads.shape[0]):
         out[t] = np.bincount(loads[t], minlength=width)
     return out
-
-
-def load_fraction_rows(
-    dist: LoadDistribution, *, min_fraction: float = 0.0
-) -> list[tuple[int, float]]:
-    """``(load, fraction)`` rows as in paper Tables 1, 3, 6, 7.
-
-    Loads whose fraction is at most ``min_fraction`` are dropped (the paper
-    omits all-zero rows).
-    """
-    fractions = dist.fractions
-    return [
-        (load, float(frac))
-        for load, frac in enumerate(fractions)
-        if frac > min_fraction
-    ]
-
-
-def tail_fraction_rows(
-    dist: LoadDistribution, *, max_load: int | None = None
-) -> list[tuple[int, float]]:
-    """``(load, fraction with load >= load)`` rows as in paper Table 2."""
-    tails = dist.tail_fractions
-    stop = len(tails) if max_load is None else min(len(tails), max_load + 1)
-    return [(load, float(tails[load])) for load in range(1, stop)]
-
-
-def level_stats_table(
-    batch: TrialBatchResult, *, max_load: int | None = None
-) -> list[LevelStats]:
-    """Per-load min/avg/max/std of bin counts across trials (Table 5)."""
-    top = int(batch.loads.max(initial=0))
-    if max_load is not None:
-        top = min(top, max_load)
-    return [batch.level_stats(load) for load in range(top + 1)]
 
 
 @dataclass

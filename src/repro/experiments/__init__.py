@@ -19,7 +19,7 @@ from repro.experiments.config import (
     TABLE_DEFAULTS,
     ExperimentSpec,
 )
-from repro.experiments.report import format_table, render_all
+from repro.experiments.report import format_table
 from repro.experiments.tables import (
     ExperimentTable,
     table1_load_fractions,
@@ -38,7 +38,6 @@ __all__ = [
     "PAPER_VALUES",
     "TABLE_DEFAULTS",
     "format_table",
-    "render_all",
     "table1_load_fractions",
     "table2_fluid_vs_simulation",
     "table3_larger_n",

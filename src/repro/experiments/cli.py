@@ -25,10 +25,10 @@ same per-table :class:`~repro.experiments.config.ExperimentSpec` objects
 the ``table*`` functions use (``TABLE_DEFAULTS``), so the CLI and the
 programmatic path cannot drift.
 
-Engine flags (every experiment subcommand): ``--workers``/``--chunks``
-control fan-out; ``--retries``/``--chunk-timeout`` the fault-tolerance
-policy; ``--checkpoint <path>.jsonl`` enables resumable sweeps;
-``--metrics-out <path>.json`` writes the run's metrics snapshot; and
+Engine flags (every ``table*`` subcommand and ``compare``):
+``--workers``/``--chunks`` control fan-out; ``--retries``/``--chunk-timeout``
+the fault-tolerance policy; ``--checkpoint <path>.jsonl`` enables resumable
+sweeps; ``--metrics-out <path>.json`` writes the run's metrics snapshot; and
 ``--progress`` streams per-chunk completions to stderr.  See
 ``docs/engine.md``.
 """
@@ -232,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     fluid.add_argument("--levels", type=int, default=6)
 
     zoo = sub.add_parser("zoo", help="all schemes side by side")
-    _add_spec_options(zoo, ExperimentSpec())
+    zoo.add_argument("--n", type=int, default=4096, help="bins (and balls)")
+    zoo.add_argument("--d", type=int, default=4,
+                     help="choices per ball (even, dividing --n)")
+    zoo.add_argument("--trials", type=int, default=50)
+    zoo.add_argument("--seed", type=int, default=1)
 
     peeling = sub.add_parser(
         "peeling", help="peeling threshold sweep (follow-up paper [30])"
@@ -413,9 +417,9 @@ def _run_fluid(args) -> int:
 def _run_zoo(args) -> int:
     from repro.experiments.extra import scheme_zoo_experiment
 
-    d = args.d if args.d % 2 == 0 else args.d + 1
-    n = args.n - args.n % d
-    zoo = scheme_zoo_experiment(n, trials=args.trials, d=d, seed=args.seed)
+    zoo = scheme_zoo_experiment(
+        args.n, trials=args.trials, d=args.d, seed=args.seed
+    )
     print(f"{'scheme':<20} {'empty':>9} {'load>=2':>9} {'mean max':>9}")
     for name, stats in zoo.items():
         print(f"{name:<20} {stats['empty']:>9.5f} {stats['tail2']:>9.5f} "

@@ -1,19 +1,14 @@
 """Text rendering of reproduced tables, paper-vs-measured.
 
 :func:`format_table` prints one :class:`~repro.experiments.tables.ExperimentTable`
-in an aligned fixed-width layout resembling the paper's tables;
-:func:`render_all` runs a configurable subset of the experiments and
-concatenates the reports (used by ``examples/`` and by EXPERIMENTS.md
-generation).
+in an aligned fixed-width layout resembling the paper's tables.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-
 from repro.experiments.tables import ExperimentTable
 
-__all__ = ["format_number", "format_table", "render_all"]
+__all__ = ["format_number", "format_table"]
 
 
 def format_number(value) -> str:
@@ -56,13 +51,3 @@ def format_table(table: ExperimentTable, *, show_meta: bool = True) -> str:
     for r in str_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
     return "\n".join(header + lines)
-
-
-def render_all(
-    experiments: Iterable[Callable[[], ExperimentTable]],
-) -> str:
-    """Run each experiment thunk and join the formatted reports."""
-    blocks = []
-    for thunk in experiments:
-        blocks.append(format_table(thunk()))
-    return "\n\n".join(blocks)

@@ -56,7 +56,6 @@ __all__ = [
     "refill_choice_block",
     "refill_event_block",
     "splitmix64_block",
-    "take_field",
     "trial_seed",
 ]
 
@@ -162,8 +161,3 @@ def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
     z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
     return z ^ (z >> _U64(31))
-
-
-def take_field(raw: np.ndarray, shift: int, bits: int) -> np.ndarray:
-    """Slice a ``bits``-wide field at ``shift`` out of uint64 draws."""
-    return (raw >> _U64(shift)) & _U64((1 << bits) - 1)

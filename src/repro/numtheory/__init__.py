@@ -10,14 +10,12 @@ totient, and uniform sampling of units mod ``n`` for arbitrary ``n``.
 
 from repro.numtheory.coprime import (
     count_units,
-    is_unit,
     sample_units,
     units_mod,
 )
 from repro.numtheory.primes import (
     is_prime,
     next_prime,
-    prev_prime,
 )
 from repro.numtheory.totient import euler_phi, factorize
 
@@ -26,9 +24,7 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "is_unit",
     "next_prime",
-    "prev_prime",
     "sample_units",
     "units_mod",
 ]

@@ -12,7 +12,6 @@ The fast paths exploit the two geometries the paper highlights:
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -20,14 +19,7 @@ import numpy as np
 from repro.numtheory.primes import is_prime
 from repro.numtheory.totient import euler_phi
 
-__all__ = ["is_unit", "count_units", "units_mod", "sample_units"]
-
-
-def is_unit(g: int, n: int) -> bool:
-    """True when ``g`` is invertible mod ``n`` (``gcd(g, n) == 1``)."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return math.gcd(g % n, n) == 1
+__all__ = ["count_units", "units_mod", "sample_units"]
 
 
 def count_units(n: int) -> int:

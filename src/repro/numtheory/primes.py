@@ -10,7 +10,7 @@ document) rather than silently failing.
 
 from __future__ import annotations
 
-__all__ = ["is_prime", "next_prime", "prev_prime"]
+__all__ = ["is_prime", "next_prime"]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -70,26 +70,4 @@ def next_prime(n: int) -> int:
         candidate += 1
     while not is_prime(candidate):
         candidate += 2
-    return candidate
-
-
-def prev_prime(n: int) -> int:
-    """Largest prime strictly less than ``n``.
-
-    Raises
-    ------
-    ValueError
-        If ``n <= 2`` (no smaller prime exists).
-    """
-    if n <= 2:
-        raise ValueError(f"no prime below {n}")
-    candidate = n - 1
-    if candidate == 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate -= 1
-    while candidate >= 2 and not is_prime(candidate):
-        candidate -= 2
-    if candidate < 2:
-        raise ValueError(f"no prime below {n}")  # pragma: no cover
     return candidate

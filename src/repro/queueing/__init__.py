@@ -12,13 +12,10 @@ queue is uniform among busy queues), so no event heap is needed; see
 :mod:`repro.queueing.supermarket_sim`.
 """
 
-from repro.queueing.batch import QueueingExperiment, run_queueing_experiment
 from repro.queueing.measures import SojournAccumulator
 from repro.queueing.supermarket_sim import simulate_supermarket
 
 __all__ = [
-    "QueueingExperiment",
     "SojournAccumulator",
-    "run_queueing_experiment",
     "simulate_supermarket",
 ]

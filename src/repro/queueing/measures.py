@@ -4,9 +4,8 @@ The paper reports "the average time over all packets after time 1000" —
 mean sojourn time with a burn-in cutoff.  :class:`SojournAccumulator`
 implements that plus streaming variance (Welford) and a normal-approximation
 confidence interval, and tracks the time-averaged total queue length for
-cross-checking against Little's law.  It also counts raw arrival/departure
-events and integrates the busy-queue count, so simulators built on it can
-report event throughput and busy fraction (the quantities
+cross-checking against Little's law.  It also integrates the busy-queue
+count, so simulators built on it can report the busy fraction (a quantity
 :class:`~repro.types.QueueingResult` carries for the metrics layer).
 """
 
@@ -31,9 +30,6 @@ class SojournAccumulator:
 
     burn_in: float = 0.0
     count: int = 0
-    # Raw event counters over the whole run (burn-in included).
-    n_arrivals: int = 0
-    n_departures: int = 0
     _mean: float = 0.0
     _m2: float = 0.0
     # Time-integral of the total number of jobs in the system after burn-in.
@@ -58,19 +54,6 @@ class SojournAccumulator:
         delta = sojourn - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (sojourn - self._mean)
-
-    def count_arrival(self) -> None:
-        """Count one arrival event (burn-in included)."""
-        self.n_arrivals += 1
-
-    def count_departure(self) -> None:
-        """Count one departure event (burn-in included)."""
-        self.n_departures += 1
-
-    @property
-    def n_events(self) -> int:
-        """Total events counted (arrivals + departures)."""
-        return self.n_arrivals + self.n_departures
 
     def observe_population(
         self, time: float, total_jobs: int, busy_queues: int | None = None

@@ -19,7 +19,7 @@ from repro.rng.adapter import GeneratorAdapter
 from repro.rng.base import BitGenerator64
 from repro.rng.drand48 import Drand48
 from repro.rng.splitmix import SplitMix64
-from repro.rng.streams import default_generator, spawn_generators, spawn_seeds
+from repro.rng.streams import default_generator, spawn_seeds
 
 __all__ = [
     "BitGenerator64",
@@ -27,6 +27,5 @@ __all__ = [
     "GeneratorAdapter",
     "SplitMix64",
     "default_generator",
-    "spawn_generators",
     "spawn_seeds",
 ]

@@ -10,13 +10,11 @@ fan-out logic lives in one place.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.rng.adapter import GeneratorAdapter
 
-__all__ = ["default_generator", "spawn_seeds", "spawn_generators"]
+__all__ = ["default_generator", "spawn_seeds"]
 
 
 def default_generator(
@@ -48,17 +46,3 @@ def spawn_seeds(seed: int | None, count: int) -> list[np.random.SeedSequence]:
         raise ValueError(f"count must be non-negative, got {count}")
     root = np.random.SeedSequence(seed)
     return root.spawn(count)
-
-
-def spawn_generators(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` independent numpy generators from a root seed."""
-    return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
-
-
-def interleave_check(seeds: Sequence[np.random.SeedSequence]) -> bool:
-    """Sanity check that spawned seed sequences have distinct entropy pools.
-
-    Used by tests; returns True when all spawn keys differ.
-    """
-    keys = {tuple(s.spawn_key) for s in seeds}
-    return len(keys) == len(seeds)

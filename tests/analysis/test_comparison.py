@@ -13,7 +13,6 @@ from repro.analysis import (
 from repro.analysis.comparison import (
     cramers_v,
     holm_correction,
-    sampling_envelope,
 )
 from repro.core import simulate_batch, simulate_one_choice
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
@@ -112,19 +111,6 @@ class TestChiSquare:
         b = _dist([10000, 0, 3000], trials=100)
         _, p, _ = chi_square_comparison(a, b)
         assert p < 1e-10
-
-
-class TestSamplingEnvelope:
-    def test_scales_inverse_sqrt_trials(self):
-        a = _dist([500, 500], trials=10)
-        b = _dist([50000, 50000], trials=1000)
-        assert sampling_envelope(a, 0) == pytest.approx(
-            10 * sampling_envelope(b, 0), rel=1e-6
-        )
-
-    def test_zero_fraction_has_tiny_envelope(self):
-        d = _dist([900, 100])
-        assert sampling_envelope(d, 5) < sampling_envelope(d, 1)
 
 
 class TestCompareDistributions:

@@ -5,10 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.max_load_stats import (
-    compare_max_loads,
-    max_load_fraction_ci,
-)
+from repro.analysis.max_load_stats import compare_max_loads
 from repro.core import simulate_batch, simulate_one_choice
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.types import LoadDistribution
@@ -23,29 +20,6 @@ def _dist_with_max_loads(max_loads) -> LoadDistribution:
         counts=np.array([len(max_loads) * 10]),
         max_load_per_trial=max_loads,
     )
-
-
-class TestWilsonCI:
-    def test_brackets_fraction(self):
-        d = _dist_with_max_loads([2] * 30 + [3] * 70)
-        p, low, high = max_load_fraction_ci(d, 3)
-        assert p == pytest.approx(0.7)
-        assert low < 0.7 < high
-
-    def test_extreme_fractions_stay_in_unit_interval(self):
-        d = _dist_with_max_loads([3] * 50)
-        p, low, high = max_load_fraction_ci(d, 3)
-        assert p == 1.0
-        assert 0.0 <= low <= high <= 1.0
-        p0, low0, high0 = max_load_fraction_ci(d, 2)
-        assert p0 == 0.0 and low0 == 0.0
-
-    def test_wider_at_smaller_samples(self):
-        small = _dist_with_max_loads([2] * 5 + [3] * 5)
-        large = _dist_with_max_loads([2] * 500 + [3] * 500)
-        _, lo_s, hi_s = max_load_fraction_ci(small, 3)
-        _, lo_l, hi_l = max_load_fraction_ci(large, 3)
-        assert (hi_s - lo_s) > (hi_l - lo_l)
 
 
 class TestCompareMaxLoads:
@@ -138,25 +112,3 @@ class TestBootstrapCI:
         _, lo_s, hi_s = bootstrap_mean_ci(small, seed=2)
         _, lo_l, hi_l = bootstrap_mean_ci(large, seed=2)
         assert (hi_s - lo_s) > (hi_l - lo_l)
-
-    def test_fraction_ci_matches_manual_hits(self):
-        from repro.analysis.max_load_stats import (
-            bootstrap_fraction_ci,
-            bootstrap_mean_ci,
-        )
-
-        values = np.array([2] * 40 + [3] * 60)
-        frac = bootstrap_fraction_ci(values, 3, seed=5)
-        hits = (values == 3).astype(float)
-        assert frac == bootstrap_mean_ci(hits, seed=5)
-        assert frac[0] == pytest.approx(0.6)
-
-    def test_fraction_ci_cross_checks_wilson(self):
-        """Bootstrap and Wilson intervals for the same fraction overlap."""
-        from repro.analysis.max_load_stats import bootstrap_fraction_ci
-
-        d = _dist_with_max_loads([2] * 30 + [3] * 70)
-        p_w, lo_w, hi_w = max_load_fraction_ci(d, 3)
-        p_b, lo_b, hi_b = bootstrap_fraction_ci(d.max_load_per_trial, 3, seed=3)
-        assert p_b == pytest.approx(p_w)
-        assert max(lo_w, lo_b) < min(hi_w, hi_b)

@@ -11,7 +11,6 @@ from repro.certify.anchors import (
     PAPER_SOURCE,
     anchor,
     anchor_value,
-    anchors_for_table,
     paper_values,
 )
 
@@ -55,11 +54,6 @@ class TestRegistryShape:
         a = anchor("table1/d4/random/load3")
         assert a.value == pytest.approx(2.25e-5)
         assert a.quantum == pytest.approx(0.5e-7)
-
-    def test_anchors_for_table(self):
-        t2 = anchors_for_table("table2")
-        assert len(t2) == 9  # 3 columns x 3 tails
-        assert all(a.table == "table2" for a in t2)
 
 
 class TestLegacyView:

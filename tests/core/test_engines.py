@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import simulate_batch, simulate_single_trial
 from repro.core.balls_bins import place_ball
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 
 

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from repro.core import run_experiment, simulate_batch
 from repro.core.stats import (
     StreamingLoadAggregator,
-    level_stats_table,
-    load_fraction_rows,
-    tail_fraction_rows,
     trial_histograms,
 )
 from repro.errors import ConfigurationError
@@ -96,30 +93,6 @@ class TestStreamingAggregator:
         agg.update_histograms(np.array([[2, 2]]))
         st9 = agg.level_stats(9)
         assert st9.minimum == 0 and st9.maximum == 0 and st9.mean == 0.0
-
-
-class TestRowHelpers:
-    def test_load_fraction_rows_sum_to_one(self):
-        dist = _small_batch().distribution()
-        rows = load_fraction_rows(dist)
-        assert sum(frac for _, frac in rows) == pytest.approx(1.0)
-
-    def test_min_fraction_filter(self):
-        dist = _small_batch().distribution()
-        rows = load_fraction_rows(dist, min_fraction=0.5)
-        assert all(frac > 0.5 for _, frac in rows)
-
-    def test_tail_rows_monotone(self):
-        dist = _small_batch().distribution()
-        rows = tail_fraction_rows(dist)
-        tails = [frac for _, frac in rows]
-        assert tails == sorted(tails, reverse=True)
-
-    def test_level_stats_table_covers_all_levels(self):
-        batch = _small_batch()
-        table = level_stats_table(batch)
-        assert table[0].load == 0
-        assert len(table) == int(batch.loads.max()) + 1
 
 
 class TestRunExperiment:

@@ -62,6 +62,17 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "double-hashing" in out and "one-choice" in out
 
+    def test_zoo_rejects_geometry_instead_of_rounding(self):
+        # The zoo runs the geometry asked for or none: it needs an even d
+        # that divides n.
+        with pytest.raises(ConfigurationError):
+            main(["zoo", "--d", "3", "--n", "1001", "--trials", "2"])
+
+    def test_zoo_has_no_engine_options(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["zoo", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_peeling_small(self, capsys):
         assert main(["peeling", "--n", "256", "--trials", "2"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,6 @@
 """Tests for the unified block-RNG substrate (`repro.kernels.blockrng`)."""
 
 import numpy as np
-import pytest
 
 from repro.hashing import DoubleHashingChoices
 from repro.kernels.blockrng import (
@@ -12,7 +11,6 @@ from repro.kernels.blockrng import (
     refill_choice_block,
     refill_event_block,
     splitmix64_block,
-    take_field,
     trial_seed,
 )
 from repro.rng.splitmix import SplitMix64
@@ -107,13 +105,3 @@ class TestSplitmixBlock:
         seed = 1234567
         full = splitmix64_block(seed, 0, 32)
         assert np.array_equal(splitmix64_block(seed, 10, 22), full[10:])
-
-    @pytest.mark.parametrize("bits", [1, 10, 20, 63])
-    def test_take_field_widths(self, bits):
-        raw = splitmix64_block(42, 0, 256)
-        field = take_field(raw, 0, bits)
-        assert int(field.max()) < 1 << bits
-        shifted = take_field(raw, 7, bits)
-        assert np.array_equal(
-            shifted, (raw >> np.uint64(7)) & np.uint64((1 << bits) - 1)
-        )

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing.probe import (
-    DEFAULT_PROBE_SEED,
     probe_start_stride,
     probe_start_stride_scalar,
     splitmix64,

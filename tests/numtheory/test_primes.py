@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.numtheory import is_prime, next_prime, prev_prime
+from repro.numtheory import is_prime, next_prime
 
 
 def _sieve(limit: int) -> list[bool]:
@@ -55,20 +55,11 @@ class TestNextPrevPrime:
         assert next_prime(2) == 3
         assert next_prime(13) == 17
 
-    def test_prev_prime_examples(self):
-        assert prev_prime(2**14) == 16381
-        assert prev_prime(3) == 2
-        assert prev_prime(20) == 19
-
-    def test_prev_prime_below_smallest_raises(self):
-        with pytest.raises(ValueError):
-            prev_prime(2)
-
     def test_round_trip(self):
         for n in (100, 1000, 2**16, 2**20):
             p = next_prime(n)
             assert is_prime(p)
-            assert prev_prime(p + 1) == p
+            assert not any(is_prime(k) for k in range(n + 1, p))
 
     def test_next_prime_strictly_greater(self):
         assert next_prime(17) == 19

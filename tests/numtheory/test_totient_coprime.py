@@ -13,7 +13,6 @@ from repro.numtheory import (
     count_units,
     euler_phi,
     factorize,
-    is_unit,
     sample_units,
     units_mod,
 )
@@ -67,14 +66,6 @@ class TestEulerPhi:
 
 
 class TestUnits:
-    def test_is_unit_basic(self):
-        assert is_unit(3, 10)
-        assert not is_unit(5, 10)
-        assert is_unit(1, 2)
-
-    def test_is_unit_reduces_mod_n(self):
-        assert is_unit(13, 10)  # 13 mod 10 = 3
-
     def test_units_mod_prime_is_everything(self):
         units = units_mod(13)
         assert list(units) == list(range(1, 13))
