@@ -20,7 +20,8 @@ completes and both contestants do identical work):
 
 - ``reference`` — :func:`repro.peeling.peel_reference`, the per-edge
   Python oracle the kernel is certified against;
-- ``numpy``     — the flat-array scatter kernel.
+- ``numpy``     — the flat-array scatter kernel, through
+  :func:`repro.peeling.peel`.
 
 The report also records a **set-reconciliation** section
 (:func:`repro.extensions.reconcile.run_reconciliation`): two parties,
@@ -51,9 +52,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.extensions.reconcile import run_reconciliation      # noqa: E402
 from repro.hashing import DoubleHashingChoices                 # noqa: E402
-from repro.kernels import KNOWN_BACKENDS, run_peeling_kernel  # noqa: E402
+from repro.kernels import KNOWN_BACKENDS                       # noqa: E402
 from repro.peeling import (                                    # noqa: E402
     build_hypergraph,
+    peel,
     peel_reference,
     peeling_threshold,
     threshold_experiment,
@@ -96,9 +98,7 @@ def bench_peeling_threshold_sweep(benchmark, scale, attach):
 def _contestants(graph):
     return {
         "reference": lambda: peel_reference(graph),
-        "numpy": lambda: run_peeling_kernel(
-            graph.edges, graph.n_vertices, backend="numpy"
-        ),
+        "numpy": lambda: peel(graph, backend="numpy"),
     }
 
 

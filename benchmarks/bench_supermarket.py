@@ -15,7 +15,8 @@ depend on the simulated horizon):
   (``IndexedSet`` busy set, per-queue ``list.pop(0)`` FIFOs, per-departure
   scalar RNG call), inlined below verbatim — only event counters were
   added — so the comparison stays runnable after the old code is gone;
-- ``numpy``  — the blocked-draw kernel loop.
+- ``numpy``  — the blocked-draw kernel loop, through
+  :func:`repro.queueing.simulate_supermarket`.
 
 The legacy loop consumes the RNG in a different order than the kernel
 contract, so the two contestants are *statistically* equivalent, not
@@ -47,10 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hashing import DoubleHashingChoices             # noqa: E402
-from repro.kernels import (                                # noqa: E402
-    KNOWN_BACKENDS,
-    run_supermarket_kernel,
-)
+from repro.kernels import KNOWN_BACKENDS                   # noqa: E402
+from repro.queueing import simulate_supermarket            # noqa: E402
 from repro.queueing.events import IndexedSet               # noqa: E402
 from repro.queueing.measures import SojournAccumulator     # noqa: E402
 from repro.rng import default_generator                    # noqa: E402
@@ -135,7 +134,7 @@ def _legacy_simulate_supermarket(scheme, lam, sim_time, *, burn_in, seed):
 
 def _contestants(n, d, lam, sim_time, burn_in, seed):
     def kernel_run():
-        res = run_supermarket_kernel(
+        res = simulate_supermarket(
             DoubleHashingChoices(n, d), lam, sim_time, burn_in=burn_in,
             seed=seed, backend="numpy",
         )

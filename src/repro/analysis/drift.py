@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.balls_bins import place_ball
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
+from repro.kernels.reference import place_ball
 from repro.rng import default_generator
 
 __all__ = ["DriftMeasurement", "measure_drift"]

@@ -3,10 +3,10 @@
 This module is the single place in the codebase where numbers from the
 paper (Mitzenmacher, *Balanced Allocations and Double Hashing*,
 arXiv:1209.5360v4) are transcribed.  Everything else — ``PAPER_VALUES``
-in :mod:`repro.experiments.config`, the self-validation suite, the
-table benchmarks, the EXPERIMENTS.md emitter, and the certification
-runner — looks values up here, so a transcription typo can only ever
-exist (and be fixed) in one file.
+in :mod:`repro.experiments.config`, the table benchmarks, the
+EXPERIMENTS.md emitter, and the certification runner — looks values
+up here, so a transcription typo can only ever exist (and be fixed) in
+one file.
 
 Two views are exposed:
 
@@ -52,7 +52,7 @@ class PaperAnchor:
         Stable slash-separated identifier, e.g. ``"table1/d3/random/load0"``.
     table:
         Owning table (``"table1"`` … ``"table8"``) or ``"derived"`` for
-        literature constants the validation suite also certifies.
+        literature constants the certification runner also checks.
     key:
         The structured key within the owning table's legacy dict shape.
     value:
@@ -181,8 +181,8 @@ _TRANSCRIPTION: dict[str, dict] = {
     },
 }
 
-# Constants from the follow-up literature that the validation suite also
-# certifies (peeling thresholds for d = 3/4/5 random hypergraphs).
+# Constants from the follow-up literature that the certification runner
+# also checks (peeling thresholds for d = 3/4/5 random hypergraphs).
 _DERIVED: dict[str, tuple[float, str]] = {
     "derived/peeling-threshold/d3": (
         0.81847, "density-evolution threshold c*_3 (paper's reference [30])",

@@ -3,8 +3,9 @@
 Two implementations of the same process, cross-validated against each other
 in the test suite:
 
-- :mod:`repro.core.balls_bins` — a readable, single-trial reference engine
-  in pure Python.  This is the executable specification.
+- :func:`~repro.kernels.reference.simulate_single_trial` — a readable,
+  single-trial reference engine in pure Python, re-exported here from
+  :mod:`repro.kernels.reference`.  This is the executable specification.
 - :mod:`repro.core.vectorized` — the production engine.  It simulates many
   independent trials in lock-step: bin loads live in a ``(trials, n_bins)``
   array and each ball step is a handful of numpy operations over all trials
@@ -23,7 +24,6 @@ On top of these:
 - :mod:`repro.core.stats` — table-shaped summaries of results.
 """
 
-from repro.core.balls_bins import simulate_single_trial
 from repro.core.churn import simulate_churn
 from repro.core.dleft import simulate_dleft
 from repro.core.trajectory import simulate_trajectory
@@ -32,6 +32,7 @@ from repro.core.one_choice import simulate_one_choice
 from repro.core.one_plus_beta import simulate_one_plus_beta
 from repro.core.runner import run_experiment
 from repro.core.vectorized import simulate_batch
+from repro.kernels.reference import simulate_single_trial
 
 __all__ = [
     "run_experiment",

@@ -27,6 +27,7 @@ from repro.core.stats import StreamingLoadAggregator, trial_histograms
 from repro.core.vectorized import simulate_batch
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
+from repro.kernels import resolve_backend, run_parallel_trials
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress, ExecutionEngine
 from repro.types import LoadDistribution
@@ -127,8 +128,6 @@ def _run_parallel_chunk(
     ``task.root`` and the global trial index so the histogram matrix does
     not depend on how trials were partitioned into chunks.
     """
-    from repro.kernels import run_parallel_trials
-
     return run_parallel_trials(
         task.scheme,
         task.n_balls,
@@ -170,11 +169,16 @@ def run_experiment(
         Per-call overrides of the corresponding spec fields (``None``
         means "use the spec").
     metrics:
-        Registry to instrument the run with; when ``None`` one is created
-        if ``spec.metrics_out`` is set (and saved there afterwards).
+        Registry to instrument the run with (the engine creates a private
+        one when ``None``).
     progress:
         Callback receiving a :class:`~repro.parallel.engine.ChunkProgress`
         per completed chunk.
+
+    The kernel backend (``spec.backend``, else ``REPRO_BACKEND``) is
+    resolved once before any chunk runs, so an unknown name raises
+    :class:`~repro.errors.ConfigurationError` instead of failing every
+    chunk attempt.
     """
     from repro.experiments.config import ExperimentSpec
 
@@ -199,12 +203,10 @@ def run_experiment(
         spec = spec.replace(**overrides)
     if spec.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {spec.trials}")
+    resolve_backend(spec.backend)
 
-    registry = metrics
-    if registry is None and (spec.metrics_out or progress is not None):
-        registry = MetricsRegistry()
     engine = ExecutionEngine(
-        spec.engine_config(), metrics=registry, progress=progress
+        spec.engine_config(), metrics=metrics, progress=progress
     )
     registry = engine.metrics  # the engine creates one when none was given
 
@@ -260,11 +262,9 @@ def run_experiment(
     registry.increment(
         "rng.draws_estimate", spec.trials * n_balls_run * scheme.d
     )
-    if spec.metrics_out:
-        registry.save(spec.metrics_out)
     return ExperimentResult(
         distribution=aggregator.distribution(),
         aggregator=aggregator,
         scheme_description=scheme.describe(),
-        metrics=registry if (metrics is not None or spec.metrics_out or progress) else None,
+        metrics=registry if (metrics is not None or progress is not None) else None,
     )

@@ -23,14 +23,15 @@ The CLI is a thin veneer over :mod:`repro.experiments`; everything it
 prints is available programmatically.  Subcommand defaults come from the
 same per-table :class:`~repro.experiments.config.ExperimentSpec` objects
 the ``table*`` functions use (``TABLE_DEFAULTS``), so the CLI and the
-programmatic path cannot drift.
+programmatic path cannot drift.  Each subcommand registers only the
+flags its function reads, so an ignored flag is a usage error.
 
-Engine flags (every ``table*`` subcommand and ``compare``):
-``--workers``/``--chunks`` control fan-out; ``--retries``/``--chunk-timeout``
-the fault-tolerance policy; ``--checkpoint <path>.jsonl`` enables resumable
-sweeps; ``--metrics-out <path>.json`` writes the run's metrics snapshot; and
-``--progress`` streams per-chunk completions to stderr.  See
-``docs/engine.md``.
+Engine flags (``table1`` … ``table6`` and ``compare``, the commands that
+run through the chunked engine): ``--workers``/``--chunks`` control
+fan-out; ``--retries``/``--chunk-timeout`` the fault-tolerance policy;
+``--checkpoint <path>.jsonl`` enables resumable sweeps; ``--metrics-out
+<path>.json`` writes the run's metrics snapshot; and ``--progress``
+streams per-chunk completions to stderr.  See ``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -49,107 +50,109 @@ from repro.parallel.engine import ChunkProgress
 
 __all__ = ["main", "build_parser"]
 
-_TABLE_COMMANDS = {
-    "table1": lambda spec, a, m, p: _tables.table1_load_fractions(
-        spec, metrics=m, progress=p
+_RUN_FIELDS = ("n", "d", "trials", "seed")
+
+#: Table subcommands that run through the chunked engine: the spec
+#: fields each one reads, and its table function.
+_ENGINE_TABLES = {
+    "table1": (_RUN_FIELDS, _tables.table1_load_fractions),
+    "table2": (_RUN_FIELDS, _tables.table2_fluid_vs_simulation),
+    "table3": (("log2_n", "d", "trials", "seed"), _tables.table3_larger_n),
+    "table4": (("d", "trials", "seed"), _tables.table4_max_load),
+    "table5": (_RUN_FIELDS, _tables.table5_level_stats),
+    "table6": (_RUN_FIELDS, _tables.table6_heavy_load),
+}
+
+#: Tables 7 and 8 run their own simulators, so they take no engine flags.
+_PLAIN_TABLES = {
+    "table7": (
+        _RUN_FIELDS,
+        lambda spec: _tables.table7_dleft(spec.replace(d=max(spec.d, 2))),
     ),
-    "table2": lambda spec, a, m, p: _tables.table2_fluid_vs_simulation(
-        spec, metrics=m, progress=p
-    ),
-    "table3": lambda spec, a, m, p: _tables.table3_larger_n(
-        spec, metrics=m, progress=p
-    ),
-    "table4": lambda spec, a, m, p: _tables.table4_max_load(
-        spec, metrics=m, progress=p
-    ),
-    "table5": lambda spec, a, m, p: _tables.table5_level_stats(
-        spec, metrics=m, progress=p
-    ),
-    "table6": lambda spec, a, m, p: _tables.table6_heavy_load(
-        spec, metrics=m, progress=p
-    ),
-    "table7": lambda spec, a, m, p: _tables.table7_dleft(
-        spec.replace(d=max(spec.d, 2))
-    ),
-    "table8": lambda spec, a, m, p: _tables.table8_queueing(
-        spec.replace(n=min(spec.n, 2**12), burn_in=spec.sim_time / 5)
+    "table8": (
+        ("n", "sim_time", "seed"),
+        lambda spec: _tables.table8_queueing(
+            spec.replace(n=min(spec.n, 2**12), burn_in=spec.sim_time / 5)
+        ),
     ),
 }
 
+_ENGINE_FIELDS = (
+    "workers", "chunks", "block", "trials_mode", "shards", "max_retries",
+    "chunk_timeout", "checkpoint",
+)
 
-def _add_spec_options(p: argparse.ArgumentParser, spec: ExperimentSpec) -> None:
-    """Register the shared experiment options, defaulted from ``spec``."""
-    p.add_argument("--n", type=int, default=spec.n, help="bins (and balls)")
-    p.add_argument("--d", type=int, default=spec.d, help="choices per ball")
-    p.add_argument("--trials", type=int, default=spec.trials)
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--workers", type=int, default=spec.workers)
-    p.add_argument(
-        "--chunks", type=int, default=spec.chunks,
-        help="trial-chunk count (default: engine picks)",
-    )
-    p.add_argument(
-        "--block", type=int, default=spec.block,
-        help="ball-steps per kernel superblock (default: sweep-derived)",
-    )
-    p.add_argument(
-        "--trials-mode", choices=["chunked", "parallel"],
-        default=spec.trials_mode, dest="trials_mode",
+#: Flag and argparse options for each spec field the CLI can set.
+_SPEC_FLAGS: dict[str, tuple[str, dict]] = {
+    "n": ("--n", dict(type=int, help="bins (and balls)")),
+    "log2_n": ("--log2-n", dict(type=int, help="table size is 2**LOG2_N")),
+    "d": ("--d", dict(type=int, help="choices per ball")),
+    "trials": ("--trials", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "sim_time": ("--sim-time", dict(type=float, help="simulated time")),
+    "workers": ("--workers", dict(type=int)),
+    "chunks": ("--chunks", dict(
+        type=int, help="trial-chunk count (default: engine picks)")),
+    "block": ("--block", dict(
+        type=int,
+        help="ball-steps per kernel superblock (default: sweep-derived)")),
+    "trials_mode": ("--trials-mode", dict(
+        choices=["chunked", "parallel"],
         help="'parallel' gives each trial an independent counter-based "
              "stream, so results do not depend on chunking "
-             "(see docs/scale.md)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=spec.shards,
+             "(see docs/scale.md)")),
+    "shards": ("--shards", dict(
+        type=int,
         help="aggregation shards for --trials-mode parallel "
-             "(default: sized from n*d)",
-    )
-    p.add_argument("--log2-n", type=int, default=spec.log2_n, dest="log2_n")
-    p.add_argument(
-        "--sim-time", type=float, default=spec.sim_time, dest="sim_time"
-    )
-    p.add_argument(
-        "--retries", type=int, default=spec.max_retries,
-        help="per-chunk retries before the run fails",
-    )
-    p.add_argument(
-        "--chunk-timeout", type=float, default=spec.chunk_timeout,
-        dest="chunk_timeout",
-        help="per-chunk wall-clock bound in seconds (pooled mode)",
-    )
-    p.add_argument(
-        "--checkpoint", default=spec.checkpoint, metavar="PATH.jsonl",
-        help="chunk-level checkpoint file; re-running resumes from it",
-    )
-    p.add_argument(
-        "--metrics-out", default=spec.metrics_out, dest="metrics_out",
-        metavar="PATH.json", help="write run metrics (timings, retries) here",
-    )
-    p.add_argument(
-        "--progress", action="store_true",
-        help="print per-chunk completions to stderr",
-    )
+             "(default: sized from n*d)")),
+    "max_retries": ("--retries", dict(
+        type=int, help="per-chunk retries before the run fails")),
+    "chunk_timeout": ("--chunk-timeout", dict(
+        type=float,
+        help="per-chunk wall-clock bound in seconds (pooled mode)")),
+    "checkpoint": ("--checkpoint", dict(
+        metavar="PATH.jsonl",
+        help="chunk-level checkpoint file; re-running resumes from it")),
+}
+
+
+def _dest(field: str) -> str:
+    """The argparse destination of the flag that sets spec ``field``."""
+    return _SPEC_FLAGS[field][0][2:].replace("-", "_")
+
+
+def _command_fields(command: str) -> tuple[str, ...]:
+    """The spec fields subcommand ``command`` registers flags for."""
+    if command in _PLAIN_TABLES:
+        return _PLAIN_TABLES[command][0]
+    run = _ENGINE_TABLES[command][0] if command in _ENGINE_TABLES else _RUN_FIELDS
+    return run + _ENGINE_FIELDS
+
+
+def _add_spec_options(
+    p: argparse.ArgumentParser, command: str, spec: ExperimentSpec
+) -> None:
+    """Register ``command``'s experiment options, defaulted from ``spec``."""
+    for field in _command_fields(command):
+        flag, options = _SPEC_FLAGS[field]
+        p.add_argument(flag, default=getattr(spec, field), **options)
+    if command not in _PLAIN_TABLES:
+        p.add_argument(
+            "--metrics-out", default=None, dest="metrics_out",
+            metavar="PATH.json",
+            help="write run metrics (timings, retries) here",
+        )
+        p.add_argument(
+            "--progress", action="store_true",
+            help="print per-chunk completions to stderr",
+        )
 
 
 def _spec_from_args(command: str, args: argparse.Namespace) -> ExperimentSpec:
     """Materialize the run spec for a parsed subcommand."""
     base = TABLE_DEFAULTS.get(command, ExperimentSpec())
     return base.replace(
-        n=args.n,
-        d=args.d,
-        trials=args.trials,
-        seed=args.seed,
-        workers=args.workers,
-        chunks=args.chunks,
-        block=args.block,
-        trials_mode=args.trials_mode,
-        shards=args.shards,
-        log2_n=args.log2_n,
-        sim_time=args.sim_time,
-        max_retries=args.retries,
-        chunk_timeout=args.chunk_timeout,
-        checkpoint=args.checkpoint,
-        metrics_out=args.metrics_out,
+        **{f: getattr(args, _dest(f)) for f in _command_fields(command)}
     )
 
 
@@ -163,16 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _TABLE_COMMANDS:
+    for name in sorted({**_ENGINE_TABLES, **_PLAIN_TABLES}):
         _add_spec_options(
             sub.add_parser(name, help=f"regenerate paper {name}"),
+            name,
             TABLE_DEFAULTS[name],
         )
 
     compare = sub.add_parser(
         "compare", help="double vs random on a custom geometry"
     )
-    _add_spec_options(compare, ExperimentSpec())
+    _add_spec_options(compare, "compare", ExperimentSpec())
     compare.add_argument(
         "--scheme", choices=list(scheme_names()), default=None,
         help="challenger scheme vs fully random "
@@ -311,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
              "a few minutes)",
     )
 
-    sub.add_parser("list", help="list available commands")
-    sub.add_parser(
-        "validate",
-        help="run the built-in paper-anchor self-checks (~10 s)",
+    # Registered last, so its default sees every command name.
+    sub.add_parser("list", help="list available commands").set_defaults(
+        commands=sorted(sub.choices)
     )
     return parser
 
@@ -328,6 +331,12 @@ def _print_progress(event: ChunkProgress) -> None:
     )
 
 
+def _save_metrics(metrics: MetricsRegistry, path: str | None) -> None:
+    if path:
+        metrics.save(path)
+        print(f"[metrics] wrote {path}", file=sys.stderr)
+
+
 def _run_compare(args) -> int:
     from repro.analysis import compare_distributions
     from repro.core import run_experiment
@@ -335,14 +344,19 @@ def _run_compare(args) -> int:
 
     spec = _spec_from_args("compare", args).replace(scheme=args.scheme)
     scheme_name = resolve_scheme_name(spec.scheme)
-    random_res = run_experiment(FullyRandomChoices(spec.n, spec.d), spec)
+    metrics = MetricsRegistry()
+    progress = _print_progress if args.progress else None
+    random_res = run_experiment(
+        FullyRandomChoices(spec.n, spec.d),
+        _tables._subrun(spec, "random"),
+        metrics=metrics,
+        progress=progress,
+    )
     double_res = run_experiment(
         spec.build_scheme(seed=spec.seed),
-        spec.replace(
-            seed=None if spec.seed is None else spec.seed + 1,
-            metrics_out=None,
-            checkpoint=None,
-        ),
+        _tables._subrun(spec, "double", seed_offset=1),
+        metrics=metrics,
+        progress=progress,
     )
     report = compare_distributions(
         random_res.distribution, double_res.distribution
@@ -356,6 +370,7 @@ def _run_compare(args) -> int:
     print("verdict: " + (
         "indistinguishable" if report.indistinguishable else "DIFFERENT"
     ))
+    _save_metrics(metrics, args.metrics_out)
     return 0
 
 
@@ -398,9 +413,7 @@ def _run_serve(args) -> int:
     print(f"tail loads: max={report.max_load} p50={report.p50:.1f} "
           f"p99={report.p99:.1f} p999={report.p999:.1f}")
     print(f"slo samples: {len(report.slo_series)}")
-    if args.metrics_out:
-        metrics.save(args.metrics_out)
-        print(f"[metrics] wrote {args.metrics_out}", file=sys.stderr)
+    _save_metrics(metrics, args.metrics_out)
     return 0
 
 
@@ -514,10 +527,7 @@ def _run_certify(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        print("commands: " + " ".join(sorted(_TABLE_COMMANDS) +
-                                      ["certify", "compare", "fluid", "list",
-                                       "peeling", "reconcile", "serve",
-                                       "validate", "zoo"]))
+        print("commands: " + " ".join(args.commands))
         return 0
     if args.command == "serve":
         return _run_serve(args)
@@ -529,22 +539,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_peeling(args)
     if args.command == "reconcile":
         return _run_reconcile(args)
-    if args.command == "validate":
-        from repro.validation import run_validation
-
-        return 0 if run_validation() else 1
     if args.command == "compare":
         return _run_compare(args)
     if args.command == "fluid":
         return _run_fluid(args)
     spec = _spec_from_args(args.command, args)
+    if args.command in _PLAIN_TABLES:
+        print(format_table(_PLAIN_TABLES[args.command][1](spec)))
+        return 0
     metrics = MetricsRegistry()
     progress = _print_progress if args.progress else None
-    table = _TABLE_COMMANDS[args.command](spec, args, metrics, progress)
+    table = _ENGINE_TABLES[args.command][1](
+        spec, metrics=metrics, progress=progress
+    )
     print(format_table(table))
-    if args.metrics_out:
-        metrics.save(args.metrics_out)
-        print(f"[metrics] wrote {args.metrics_out}", file=sys.stderr)
+    _save_metrics(metrics, args.metrics_out)
     return 0
 
 

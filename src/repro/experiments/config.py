@@ -37,8 +37,8 @@ class ExperimentSpec:
     ``log2_n``, ``sim_time``/``burn_in`` for the queueing table),
     sampling (``trials``, ``seed``), execution (``workers``, ``chunks``,
     ``tie_break``, ``block``, ``backend``), and engine policy (``max_retries``,
-    ``retry_backoff``, ``chunk_timeout``, ``checkpoint``,
-    ``metrics_out``).  Derive variants with :meth:`replace`.
+    ``retry_backoff``, ``chunk_timeout``, ``checkpoint``).  Derive variants
+    with :meth:`replace`.
 
     Attributes
     ----------
@@ -90,8 +90,6 @@ class ExperimentSpec:
         :class:`~repro.parallel.engine.EngineConfig`.
     checkpoint:
         JSONL checkpoint path enabling resume of interrupted sweeps.
-    metrics_out:
-        Path for a metrics-snapshot JSON written after the run.
     log2_n:
         Table-size exponent for sweeps keyed by power of two (Table 3).
     sim_time, burn_in:
@@ -116,7 +114,6 @@ class ExperimentSpec:
     retry_backoff: float = 0.25
     chunk_timeout: float | None = None
     checkpoint: str | None = None
-    metrics_out: str | None = None
     log2_n: int = 14
     sim_time: float = 300.0
     burn_in: float | None = None

@@ -97,9 +97,8 @@ def _subrun(
 
     Offsets the seed (the historical per-scheme convention) and suffixes
     the checkpoint path so concurrent sub-runs never collide on one file.
-    Metrics output stays owned by the table-level caller.
     """
-    changes: dict[str, Any] = {"metrics_out": None}
+    changes: dict[str, Any] = {}
     if spec.seed is not None:
         changes["seed"] = spec.seed + seed_offset
     if spec.checkpoint:

@@ -46,22 +46,23 @@ per-edge Python.  Throughput versus the reference decoder is tracked in
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 
 __all__ = [
-    "PeelOutcome",
+    "PeelResult",
     "build_accumulators",
     "peel_arrays_numpy",
     "validate_edges",
 ]
 
 
-class PeelOutcome(NamedTuple):
-    """Raw kernel result: the four contract observables.
+@dataclass(frozen=True)
+class PeelResult:
+    """Outcome of peeling a hypergraph: the four contract observables.
 
     Attributes
     ----------
@@ -72,13 +73,20 @@ class PeelOutcome(NamedTuple):
     core_edges:
         Ascending ids of the edges stuck in the 2-core.
     rounds:
-        Synchronous rounds that peeled at least one edge.
+        Synchronous rounds that peeled at least one edge (the parallel
+        depth of the process; grows like O(log n) below threshold).
     """
 
     success: bool
     peeled_order: np.ndarray
     core_edges: np.ndarray
     rounds: int
+
+    @property
+    def core_fraction(self) -> float:
+        """Fraction of edges stuck in the core."""
+        total = len(self.peeled_order) + len(self.core_edges)
+        return len(self.core_edges) / total if total else 0.0
 
 
 def validate_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -132,7 +140,7 @@ def build_accumulators(
     return degree, edge_xor
 
 
-def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelOutcome:
+def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
     """Peel ``edges`` to the 2-core with the vectorized numpy backend.
 
     Implements the module contract with no per-edge Python: accumulator
@@ -147,20 +155,19 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelOutcome:
     ----------
     edges:
         ``(m, d)`` int64 vertex array (validate with
-        :func:`validate_edges` first; :func:`repro.kernels.run_peeling_kernel`
-        does).
+        :func:`validate_edges` first; :func:`repro.peeling.peel` does).
     n_vertices:
         Vertex-space size.
 
     Returns
     -------
-    PeelOutcome
+    PeelResult
         The four contract observables.
     """
     m, d = edges.shape
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
-        return PeelOutcome(True, empty, empty.copy(), 0)
+        return PeelResult(True, empty, empty.copy(), 0)
     degree, edge_xor = build_accumulators(edges, n_vertices)
     alive = np.ones(m, dtype=bool)
     peeled_batches: list[np.ndarray] = []
@@ -191,4 +198,4 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelOutcome:
         else np.empty(0, dtype=np.int64)
     )
     core = np.flatnonzero(alive)
-    return PeelOutcome(core.size == 0, peeled_order, core, rounds)
+    return PeelResult(core.size == 0, peeled_order, core, rounds)

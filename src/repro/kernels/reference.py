@@ -7,8 +7,7 @@ Two layers live here:
   backend* of the kernel subsystem: deliberately scalar, bit-stable across
   releases (``tests/data/golden_reference.json`` pins its outputs), and
   the distributional ground truth the vectorized backends are tested
-  against.  Re-exported by :mod:`repro.core.balls_bins`, its historical
-  home.
+  against.
 - :func:`sequential_packed_reference` — a pure-Python walk of the *packed*
   candidate arrays of :mod:`repro.kernels.generate`, used by the kernel
   test suite to assert that the fused numpy backend is bit-identical to
@@ -145,7 +144,7 @@ def simulate_supermarket_reference(
     :mod:`repro.kernels.supermarket`) one event at a time through
     :class:`~repro.kernels.blockrng.BlockedDraws` — the executable form of
     the contract, with no performance tricks.  Every backend reachable
-    through :func:`repro.kernels.run_supermarket_kernel` must be
+    through :func:`repro.queueing.simulate_supermarket` must be
     bit-identical to this function for the same seed, *and* leave the
     generator in the same state (callers reuse one generator across
     sequential runs).

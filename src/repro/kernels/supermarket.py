@@ -205,7 +205,7 @@ def simulate_supermarket_numpy(
 ) -> SupermarketStats:
     """Blocked-draw event loop: the numpy backend of the supermarket kernel.
 
-    Arguments are pre-validated by :func:`repro.kernels.run_supermarket_kernel`.
+    Arguments are pre-validated by :func:`repro.queueing.simulate_supermarket`.
     Randomness is consumed per the module contract; between refills the loop
     runs on plain Python scalars and lists (``.tolist()``-ed blocks, packed
     ``length << TIE_BITS`` queue keys, dense busy list, per-queue FIFO lists

@@ -14,10 +14,10 @@ This subpackage provides:
 - :mod:`repro.peeling.hypergraph` — hypergraph construction directly from
   any :class:`~repro.hashing.base.ChoiceScheme` (the same objects the
   balls-and-bins engines use);
-- :mod:`repro.peeling.decoder` — the peeling decoder: ``peel`` (batched
-  flat-array kernel via :func:`repro.kernels.run_peeling_kernel`) and
-  ``peel_reference`` (the slow executable
-  specification), exactly equivalent on every observable;
+- :mod:`repro.peeling.decoder` — the peeling decoder: ``peel`` (the
+  batched flat-array kernel of :mod:`repro.kernels.peeling`) and
+  ``peel_reference`` (the slow executable specification), exactly
+  equivalent on every observable and returning one ``PeelResult``;
 - :mod:`repro.peeling.density_evolution` — the fluid limit of peeling:
   the survival recursion ``β ← (1 − e^{−c·d·β})^{d−1}``, numeric threshold
   solver (reproducing the known literature thresholds — the

@@ -1,4 +1,4 @@
-"""Peeling decoder (2-core computation): reference oracle + kernel wrapper.
+"""Peeling decoder (2-core computation): reference oracle + kernel entry point.
 
 Peeling repeatedly finds a vertex of degree 1, "recovers" its unique
 incident edge, and removes that edge (decrementing the degrees of its other
@@ -6,57 +6,30 @@ vertices) — the decoding procedure of erasure codes and invertible Bloom
 lookup tables.  Peeling succeeds when every edge is removed, i.e. the
 hypergraph's 2-core is empty.
 
-Two implementations live behind one result type:
+Two implementations return one result type,
+:class:`~repro.kernels.peeling.PeelResult`:
 
 - :func:`peel_reference` — the slow, obviously-correct executable
   specification of the synchronous-round contract (per-vertex degree
   counter + XOR of incident edge ids; a degree-1 vertex's XOR *is* its
   remaining edge, so no adjacency lists are needed).
-- :func:`peel` — a thin wrapper over the batched flat-array kernel
-  (:func:`repro.kernels.run_peeling_kernel`), exactly equivalent to the
-  oracle on success, peel order, core-edge set, and round count; the
-  contract itself is documented in :mod:`repro.kernels.peeling`.
+- :func:`peel` — the entry point: it validates the edges and runs the
+  batched flat-array kernel :func:`repro.kernels.peeling.peel_arrays_numpy`,
+  exactly equivalent to the oracle on success, peel order, core-edge
+  set, and round count; the contract itself is documented in
+  :mod:`repro.kernels.peeling`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.kernels import kernel_metrics, resolve_backend
+from repro.kernels.peeling import PeelResult, peel_arrays_numpy, validate_edges
+from repro.metrics import MetricsRegistry
 from repro.peeling.hypergraph import Hypergraph
 
 __all__ = ["PeelResult", "peel", "peel_reference"]
-
-
-@dataclass(frozen=True)
-class PeelResult:
-    """Outcome of peeling a hypergraph.
-
-    Attributes
-    ----------
-    success:
-        True when every edge was peeled (empty 2-core).
-    peeled_order:
-        Edge ids in the order they were recovered (ascending within each
-        synchronous round — deterministic and backend-independent).
-    core_edges:
-        Ids of edges left in the 2-core (empty on success).
-    rounds:
-        Number of synchronous peeling rounds (parallel-depth of the
-        process; grows like O(log n) below threshold).
-    """
-
-    success: bool
-    peeled_order: np.ndarray
-    core_edges: np.ndarray
-    rounds: int
-
-    @property
-    def core_fraction(self) -> float:
-        """Fraction of edges stuck in the core."""
-        total = len(self.peeled_order) + len(self.core_edges)
-        return len(self.core_edges) / total if total else 0.0
 
 
 def peel_reference(graph: Hypergraph) -> PeelResult:
@@ -115,22 +88,36 @@ def peel_reference(graph: Hypergraph) -> PeelResult:
     )
 
 
-def peel(graph: Hypergraph, *, backend=None, metrics=None) -> PeelResult:
-    """Peel ``graph`` to its 2-core through a kernel backend.
+def peel(
+    graph: Hypergraph,
+    *,
+    backend: str | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> PeelResult:
+    """Peel ``graph`` to its 2-core through the numpy kernel.
 
-    Thin wrapper over :func:`repro.kernels.run_peeling_kernel` (explicit
-    ``backend`` > ``REPRO_BACKEND`` env > ``"numpy"``); exactly
-    equivalent to :func:`peel_reference` on every observable.  ``metrics``
-    optionally receives the kernel timer/counters.
+    Exactly equivalent to :func:`peel_reference` on every observable
+    under the contract of :mod:`repro.kernels.peeling`.
+
+    Parameters
+    ----------
+    graph:
+        The hypergraph; its ``(m, d)`` edge array must hold integer
+        vertex ids in ``[0, n_vertices)`` (vertices may repeat within an
+        edge), else :class:`~repro.errors.ConfigurationError`.
+    backend:
+        Kernel-backend name (``"numpy"``); None resolves via
+        ``REPRO_BACKEND``, then ``"numpy"``.
+    metrics:
+        Registry receiving ``kernel.peel_seconds``,
+        ``kernel.edges_peeled`` and ``kernel.calls.numpy`` (the global
+        kernel registry by default).
     """
-    from repro.kernels import run_peeling_kernel
-
-    outcome = run_peeling_kernel(
-        graph.edges, graph.n_vertices, backend=backend, metrics=metrics
-    )
-    return PeelResult(
-        success=outcome.success,
-        peeled_order=outcome.peeled_order,
-        core_edges=outcome.core_edges,
-        rounds=outcome.rounds,
-    )
+    edges = validate_edges(graph.edges, graph.n_vertices)
+    impl = resolve_backend(backend)
+    registry = metrics if metrics is not None else kernel_metrics()
+    with registry.timer("kernel.peel_seconds"):
+        result = peel_arrays_numpy(edges, graph.n_vertices)
+    registry.increment("kernel.edges_peeled", int(result.peeled_order.size))
+    registry.increment(f"kernel.calls.{impl.name}", 1)
+    return result

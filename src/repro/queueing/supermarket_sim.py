@@ -1,4 +1,4 @@
-"""Event-driven supermarket-model simulator (thin kernel wrapper).
+"""Event-driven supermarket-model simulator: the supermarket kernel's entry point.
 
 CTMC formulation
 ----------------
@@ -16,9 +16,9 @@ type with probability proportional to the two rates and an Exp(λn + b)
 inter-event time.
 
 The inner loop lives in the kernel subsystem:
-:func:`simulate_supermarket` forwards to
-:func:`repro.kernels.run_supermarket_kernel`, the blocked numpy loop,
-which is bit-identical to the oracle
+:func:`simulate_supermarket` checks its arguments, resolves the backend
+and runs :func:`repro.kernels.supermarket.simulate_supermarket_numpy`,
+the blocked numpy loop, which is bit-identical to the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference`; the
 draw-stream contract lives in :mod:`repro.kernels.supermarket`.
 """
@@ -28,7 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.base import ChoiceScheme
-from repro.kernels import run_supermarket_kernel
+from repro.kernels import kernel_metrics, resolve_backend
+from repro.kernels.supermarket import (
+    check_queue_packing,
+    finalize_stats,
+    simulate_supermarket_numpy,
+    validate_supermarket_args,
+)
+from repro.rng import default_generator
 from repro.types import QueueingResult
 
 __all__ = ["simulate_supermarket"]
@@ -61,7 +68,9 @@ def simulate_supermarket(
         Jobs arriving before this time are excluded from the sojourn mean
         (the paper used 1000).
     seed:
-        Seed or generator.
+        Seed or generator.  A passed-in generator is left in the same
+        state as after the oracle run, so callers may run several
+        simulations off one generator.
     max_total_jobs:
         Safety valve: abort with :class:`~repro.errors.StabilityError` if
         the population exceeds this (defaults to ``50 · n``), which can only
@@ -78,15 +87,33 @@ def simulate_supermarket(
     backend:
         Kernel-backend name (``"numpy"``); None resolves via
         ``REPRO_BACKEND``, then ``"numpy"``.
+
+    The run records ``kernel.supermarket_seconds``,
+    ``kernel.supermarket_events``, ``kernel.supermarket_completions`` and
+    ``kernel.calls.numpy`` in the global kernel registry.
     """
-    return run_supermarket_kernel(
-        scheme,
-        lam,
-        sim_time,
-        burn_in=burn_in,
-        seed=seed,
-        max_total_jobs=max_total_jobs,
-        track_tails=track_tails,
-        tie_break=tie_break,
-        backend=backend,
+    validate_supermarket_args(lam, sim_time, burn_in, tie_break)
+    impl = resolve_backend(backend)
+    registry = kernel_metrics()
+    rng = default_generator(seed)
+    n = scheme.n_bins
+    if max_total_jobs is None:
+        max_total_jobs = 50 * n
+    check_queue_packing(max_total_jobs)
+    with registry.timer("kernel.supermarket_seconds"):
+        stats = simulate_supermarket_numpy(
+            scheme,
+            lam,
+            sim_time,
+            burn_in,
+            rng,
+            max_total_jobs,
+            track_tails,
+            tie_break == "left",
+        )
+    registry.increment(
+        "kernel.supermarket_events", stats.n_arrivals + stats.n_departures
     )
+    registry.increment("kernel.supermarket_completions", stats.s_count)
+    registry.increment(f"kernel.calls.{impl.name}", 1)
+    return finalize_stats(stats, n=n, sim_time=sim_time, burn_in=burn_in)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import simulate_batch, simulate_single_trial
-from repro.core.balls_bins import place_ball
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
+from repro.kernels.reference import place_ball
+from repro.metrics import MetricsRegistry
 
 
 class TestPlaceBall:
@@ -124,6 +125,27 @@ class TestVectorizedEngine:
     def test_one_choice_degenerate(self):
         batch = simulate_batch(FullyRandomChoices(16, 1), 64, 5, seed=9)
         assert (batch.loads.sum(axis=1) == 64).all()
+
+    def test_metrics_counters(self):
+        registry = MetricsRegistry()
+        simulate_batch(
+            FullyRandomChoices(32, 3), 50, 2, seed=3, backend="numpy",
+            metrics=registry,
+        )
+        assert registry.get_counter("kernel.balls_placed") == 2 * 50
+        assert registry.get_counter("kernel.calls.numpy") == 1
+
+    def test_numba_request_fails_loudly(self):
+        # No silent downgrade to numpy: the request raises before placing
+        # a ball and logs nothing to the caller's registry.
+        registry = MetricsRegistry()
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            simulate_batch(
+                FullyRandomChoices(32, 3), 50, 2, seed=3, backend="numba",
+                metrics=registry,
+            )
+        snap = registry.snapshot()
+        assert snap["counters"] == {} and snap["events"] == []
 
 
 class TestCrossEngineAgreement:

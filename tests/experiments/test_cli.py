@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -101,8 +105,17 @@ class TestExecution:
     def test_list_mentions_new_commands(self, capsys):
         main(["list"])
         out = capsys.readouterr().out
-        assert "zoo" in out and "peeling" in out and "validate" in out
+        assert "zoo" in out and "peeling" in out and "certify" in out
         assert "serve" in out and "reconcile" in out
+
+    def test_list_prints_the_parser_commands(self, capsys):
+        main(["list"])
+        listed = capsys.readouterr().out.split(":", 1)[1].split()
+        assert listed == sorted(_subcommands())
+        for name in listed:
+            assert build_parser().parse_args([name]).command == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["validate"])
 
     def test_compare_with_scheme(self, capsys):
         assert main(["compare", "--n", "256", "--d", "2", "--trials", "5",
@@ -149,3 +162,63 @@ class TestExecution:
     def test_table8_runs(self, capsys):
         assert main(["table8", "--n", "64", "--sim-time", "30"]) == 0
         assert "queues" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table8", "--workers", "2"],
+            ["table8", "--d", "4"],
+            ["table8", "--metrics-out", "m.json"],
+            ["table7", "--checkpoint", "x"],
+            ["table7", "--progress"],
+            ["table4", "--n", "64"],
+            ["table3", "--n", "64"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_ignored_flags_are_usage_errors(self, argv):
+        # A subcommand registers only the flags its function reads.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_compare_metrics_cover_both_runs(self, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        ck = tmp_path / "ck.jsonl"
+        assert main(["compare", "--n", "128", "--trials", "8",
+                     "--checkpoint", str(ck), "--progress",
+                     "--metrics-out", str(metrics)]) == 0
+        # --progress reports every chunk of both sub-runs.
+        data = json.loads(metrics.read_text())
+        chunks = data["counters"]["engine.chunks_total"]
+        assert capsys.readouterr().err.count("[engine] chunk") == chunks
+        assert data["counters"]["experiment.trials"] == 2 * 8
+        # Both sub-runs checkpoint, each to its own file.
+        assert (tmp_path / "ck.random.jsonl").exists()
+        assert (tmp_path / "ck.double.jsonl").exists()
+
+
+def _subcommands():
+    return set(build_parser().parse_args(["list"]).commands)
+
+
+REPO = Path(__file__).resolve().parents[2]
+DOCS = [
+    REPO / "README.md",
+    REPO / "DESIGN.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def test_documented_commands_exist():
+    """Every ``python -m repro <cmd>`` in the docs names a subcommand."""
+    known = _subcommands()
+    stale = [
+        f"{path.relative_to(REPO)}: {cmd}"
+        for path in DOCS
+        if path.exists()
+        for cmd in re.findall(r"python3? -m repro ([a-z][\w-]*)", path.read_text())
+        if cmd not in known
+    ]
+    assert stale == []

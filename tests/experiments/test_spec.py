@@ -103,18 +103,6 @@ class TestRunExperimentSpec:
         # 128 balls in 32 bins: mean load 4.
         assert res.distribution.counts.sum() == 3 * 32
 
-    def test_metrics_out_writes_snapshot(self, tmp_path):
-        path = tmp_path / "m.json"
-        spec = ExperimentSpec(
-            n=64, d=3, trials=6, seed=1, metrics_out=str(path)
-        )
-        res = run_experiment(DoubleHashingChoices(64, 3), spec)
-        data = json.loads(path.read_text())
-        assert data["counters"]["experiment.trials"] == 6
-        assert data["counters"]["rng.draws_estimate"] == 6 * 64 * 3
-        assert len(data["chunks"]) > 0
-        assert res.metrics is not None
-
     def test_checkpoint_resume_via_spec(self, tmp_path):
         spec = ExperimentSpec(
             n=64, d=3, trials=8, seed=2, chunks=4,
@@ -165,16 +153,34 @@ class TestTableShims:
 
 
 class TestCliSpecDefaults:
+    RUN = {"n", "d", "trials", "seed"}
+    ENGINE = {
+        "workers", "chunks", "block", "trials_mode", "shards", "retries",
+        "chunk_timeout", "checkpoint", "metrics_out", "progress",
+    }
+    # Exactly the flags each table function reads.
+    FLAGS = {
+        "table1": RUN | ENGINE,
+        "table2": RUN | ENGINE,
+        "table3": {"log2_n", "d", "trials", "seed"} | ENGINE,
+        "table4": {"d", "trials", "seed"} | ENGINE,
+        "table5": RUN | ENGINE,
+        "table6": RUN | ENGINE,
+        "table7": RUN,
+        "table8": {"n", "sim_time", "seed"},
+    }
+
     def test_subcommand_defaults_come_from_table_defaults(self):
         parser = build_parser()
+        assert set(self.FLAGS) == set(TABLE_DEFAULTS)
         for name, spec in TABLE_DEFAULTS.items():
-            args = parser.parse_args([name])
-            assert args.n == spec.n, name
-            assert args.d == spec.d, name
-            assert args.trials == spec.trials, name
-            assert args.seed == spec.seed, name
-            assert args.workers == spec.workers, name
-            assert args.retries == spec.max_retries, name
+            args = vars(parser.parse_args([name]))
+            assert set(args) - {"command"} == self.FLAGS[name], name
+            for dest, value in args.items():
+                if dest in ("command", "metrics_out", "progress"):
+                    continue
+                field = "max_retries" if dest == "retries" else dest
+                assert value == getattr(spec, field), (name, dest)
 
     def test_engine_flags_parse(self):
         args = build_parser().parse_args(

@@ -18,7 +18,6 @@ from repro.kernels import (
     generate_packed,
     plan_layout,
     resolve_backend,
-    run_placement_kernel,
     sequential_packed_reference,
 )
 from repro.rng import default_generator
@@ -105,25 +104,31 @@ def test_window_exceeding_steps_is_exact():
     assert (got.sum(axis=1) == steps).all()
 
 
-def test_run_placement_kernel_matches_naive_python_loop():
-    """End-to-end over raw arrays: the public entry point must agree with
-    the obvious interpretation of its contract."""
-    trials, n, steps, d = 3, 16, 120, 3
-    rng = np.random.default_rng(5)
-    choices = rng.integers(0, n, size=(trials, steps, d))
-    tie_keys = rng.integers(0, 256, size=(trials, steps, d))
-    loads = np.zeros((trials, n), dtype=np.int64)
-    run_placement_kernel(loads, choices, tie_keys, backend="numpy")
+def test_split_stream_matches_single_call():
+    """Placement is exactly sequential, so one packed ball stream split
+    across two ``place`` calls on the same work table must reproduce the
+    single-call loads bit for bit (``simulate_batch`` relies on this to
+    feed the kernel one superblock at a time)."""
+    n, d, trials, steps = 32, 3, 4, 100
+    layout = plan_layout(n, d, "random", trials, steps)
+    pc = generate_packed(
+        FullyRandomChoices(n, d), trials, steps, default_generator(3), layout
+    )
+    whole = _kernel_loads(pc, layout, n, d, trials)
 
-    expect = np.zeros((trials, n), dtype=np.int64)
-    for t in range(trials):
-        for b in range(steps):
-            best = None
-            for j in range(d):
-                c = int(choices[t, b, j])
-                key = (int(expect[t, c]), int(tie_keys[t, b, j]), c)
-                if best is None or key < best:
-                    best = key
-                    best_c = c
-            expect[t, best_c] += 1
-    assert np.array_equal(loads, expect)
+    half = steps // 2
+    # Each call needs its own trailing dummy column.
+    first = np.concatenate([pc[:, :, :half], pc[:, :, steps:]], axis=2)
+    second = pc[:, :, half:]
+    impl = resolve_backend("numpy")
+    work = np.zeros(trials * layout.bins_p, dtype=np.int32)
+    ws = impl.make_workspace(
+        d=d, trials=trials, window=choose_window(n, d), bins_p=layout.bins_p
+    )
+    impl.place(work, first, layout=layout, workspace=ws)
+    impl.place(work, second, layout=layout, workspace=ws)
+    split = work.reshape(trials, layout.bins_p)[:, :n].astype(np.int64)
+
+    assert np.array_equal(split, whole)
+    assert np.array_equal(whole, sequential_packed_reference(pc, layout))
+    assert (split.sum(axis=1) == steps).all()

@@ -16,19 +16,23 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
-from repro.kernels import kernel_metrics, run_peeling_kernel
+from repro.kernels import kernel_metrics
 from repro.metrics import MetricsRegistry
 from repro.peeling import build_hypergraph, peel, peel_reference
 from repro.peeling.hypergraph import Hypergraph
 
+
+def _graph(edges, n_vertices):
+    return Hypergraph(n_vertices=n_vertices, edges=np.asarray(edges))
+
+
 def _all_outcomes(edges, n_vertices):
     """Decode with the oracle and the kernel."""
-    edges = np.asarray(edges, dtype=np.int64)
-    graph = Hypergraph(n_vertices=n_vertices, edges=edges)
+    graph = _graph(np.asarray(edges, dtype=np.int64), n_vertices)
     ref = peel_reference(graph)
     outcomes = {"reference": (ref.success, ref.peeled_order, ref.core_edges,
                               ref.rounds)}
-    out = run_peeling_kernel(edges, n_vertices, backend="numpy")
+    out = peel(graph, backend="numpy")
     outcomes["numpy"] = (out.success, out.peeled_order,
                          np.sort(out.core_edges), out.rounds)
     return outcomes
@@ -97,17 +101,17 @@ class TestRandomHypergraphs:
 class TestKernelDriver:
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError):
-            run_peeling_kernel(np.zeros((3,), dtype=np.int64), 4)
+            peel(_graph(np.zeros((3,), dtype=np.int64), 4))
         with pytest.raises(ConfigurationError):
-            run_peeling_kernel(np.zeros((2, 3)), 4)  # float dtype
+            peel(_graph(np.zeros((2, 3)), 4))  # float dtype
         with pytest.raises(ConfigurationError):
-            run_peeling_kernel(np.array([[0, 1, 4]]), 4)  # out of range
+            peel(_graph([[0, 1, 4]], 4))  # out of range
         with pytest.raises(ConfigurationError):
-            run_peeling_kernel(np.array([[0, -1, 2]]), 4)
+            peel(_graph([[0, -1, 2]], 4))
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_peeling_kernel(np.array([[0, 1, 2]]), 3, backend="cuda")
+            peel(_graph([[0, 1, 2]], 3), backend="cuda")
 
     def test_numba_request_fails_loudly(self):
         # No silent downgrade to numpy: the request raises before any
@@ -115,16 +119,14 @@ class TestKernelDriver:
         metrics = MetricsRegistry()
         graph = build_hypergraph(DoubleHashingChoices(64, 3), 40, seed=5)
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            run_peeling_kernel(graph.edges, 64, backend="numba",
-                               metrics=metrics)
+            peel(graph, backend="numba", metrics=metrics)
         snap = metrics.snapshot()
         assert snap["counters"] == {} and snap["events"] == []
 
     def test_metrics_recorded(self):
         metrics = MetricsRegistry()
         graph = build_hypergraph(FullyRandomChoices(64, 3), 30, seed=9)
-        out = run_peeling_kernel(graph.edges, 64, backend="numpy",
-                                 metrics=metrics)
+        out = peel(graph, backend="numpy", metrics=metrics)
         snap = metrics.snapshot()
         assert snap["counters"]["kernel.calls.numpy"] == 1
         assert snap["counters"]["kernel.edges_peeled"] == out.peeled_order.size
@@ -134,7 +136,7 @@ class TestKernelDriver:
         before = kernel_metrics().snapshot()["counters"].get(
             "kernel.edges_peeled", 0
         )
-        run_peeling_kernel(np.array([[0, 1, 2]], dtype=np.int64), 3)
+        peel(_graph(np.array([[0, 1, 2]], dtype=np.int64), 3))
         after = kernel_metrics().snapshot()["counters"]["kernel.edges_peeled"]
         assert after == before + 1
 

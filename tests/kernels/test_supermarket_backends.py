@@ -1,7 +1,7 @@
 """Supermarket kernel: golden regression + bit-identity with the oracle.
 
 The contract (``repro.kernels.supermarket``): the numpy kernel behind
-:func:`repro.kernels.run_supermarket_kernel` consumes the
+:func:`repro.queueing.simulate_supermarket` consumes the
 generator in exactly the same order as the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference`, produces
 bit-identical results, raises identical stability errors, and leaves a
@@ -23,11 +23,8 @@ import pytest
 
 from repro.errors import ConfigurationError, StabilityError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
-from repro.kernels import (
-    run_supermarket_kernel,
-    simulate_supermarket_reference,
-)
-from repro.metrics import MetricsRegistry
+from repro.kernels import kernel_metrics, simulate_supermarket_reference
+from repro.queueing import simulate_supermarket
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_supermarket.json"
 
@@ -71,7 +68,7 @@ def _run_case(case: dict, backend: str):
         return simulate_supermarket_reference(
             scheme, case["lam"], 60.0, **kwargs
         )
-    return run_supermarket_kernel(
+    return simulate_supermarket(
         scheme, case["lam"], 60.0, backend=backend, **kwargs
     )
 
@@ -145,7 +142,7 @@ class TestCrossBackendBitIdentity:
             SCHEMES[kind](n, d), lam, 50.0, burn_in=5.0, seed=g_ref,
             track_tails=tails, tie_break=tie,
         )
-        res = run_supermarket_kernel(
+        res = simulate_supermarket(
             SCHEMES[kind](n, d), lam, 50.0, burn_in=5.0, seed=g_bk,
             track_tails=tails, tie_break=tie, backend=backend,
         )
@@ -173,7 +170,7 @@ class TestCrossBackendBitIdentity:
             )
         )
         got = two_runs(
-            lambda s, lam, rng: run_supermarket_kernel(
+            lambda s, lam, rng: simulate_supermarket(
                 s, lam, 40.0, burn_in=5.0, seed=rng, backend=backend
             )
         )
@@ -188,7 +185,7 @@ class TestCrossBackendBitIdentity:
                 FullyRandomChoices(64, 2), 0.9, 200.0, seed=21,
                 max_total_jobs=5,
             ),
-            lambda: run_supermarket_kernel(
+            lambda: simulate_supermarket(
                 FullyRandomChoices(64, 2), 0.9, 200.0, seed=21,
                 max_total_jobs=5, backend=backend,
             ),
@@ -200,22 +197,31 @@ class TestCrossBackendBitIdentity:
         assert "appears unstable" in messages[0]
 
 
+def _kernel_counters():
+    return dict(kernel_metrics().snapshot()["counters"])
+
+
+def _supermarket_runs():
+    timers = kernel_metrics().snapshot()["timers"]
+    return timers.get("kernel.supermarket_seconds", {}).get("count", 0)
+
+
 class TestDriver:
     def test_validation_errors(self):
         scheme = FullyRandomChoices(16, 2)
         with pytest.raises(ConfigurationError, match="lambda"):
-            run_supermarket_kernel(scheme, 1.2, 10.0)
+            simulate_supermarket(scheme, 1.2, 10.0)
         with pytest.raises(ConfigurationError, match="sim_time"):
-            run_supermarket_kernel(scheme, 0.5, -1.0)
+            simulate_supermarket(scheme, 0.5, -1.0)
         with pytest.raises(ConfigurationError, match="burn_in"):
-            run_supermarket_kernel(scheme, 0.5, 10.0, burn_in=20.0)
+            simulate_supermarket(scheme, 0.5, 10.0, burn_in=20.0)
         with pytest.raises(ConfigurationError, match="tie_break"):
-            run_supermarket_kernel(scheme, 0.5, 10.0, tie_break="up")
+            simulate_supermarket(scheme, 0.5, 10.0, tie_break="up")
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            run_supermarket_kernel(scheme, 0.5, 10.0, backend="fortran")
+            simulate_supermarket(scheme, 0.5, 10.0, backend="fortran")
 
     def test_event_counts_are_consistent(self):
-        res = run_supermarket_kernel(
+        res = simulate_supermarket(
             FullyRandomChoices(64, 2), 0.8, 100.0, burn_in=10.0, seed=9,
             backend="numpy",
         )
@@ -228,28 +234,29 @@ class TestDriver:
         assert res.busy_fraction == pytest.approx(0.8, abs=0.1)
 
     def test_metrics_emitted(self):
-        registry = MetricsRegistry()
-        res = run_supermarket_kernel(
+        # simulate_supermarket records into the global kernel registry.
+        before, runs = _kernel_counters(), _supermarket_runs()
+        res = simulate_supermarket(
             FullyRandomChoices(32, 2), 0.7, 50.0, seed=5, backend="numpy",
-            metrics=registry,
         )
-        snap = registry.snapshot()
-        assert snap["counters"]["kernel.supermarket_events"] == res.n_events
-        assert (
-            snap["counters"]["kernel.supermarket_completions"]
-            == res.completed_jobs
-        )
-        assert snap["counters"]["kernel.calls.numpy"] == 1
-        assert snap["timers"]["kernel.supermarket_seconds"]["count"] == 1
+        after = _kernel_counters()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("kernel.supermarket_events") == res.n_events
+        assert delta("kernel.supermarket_completions") == res.completed_jobs
+        assert delta("kernel.calls.numpy") == 1
+        assert _supermarket_runs() == runs + 1
 
     def test_numba_request_fails_loudly(self):
         # No silent downgrade to numpy: the request raises before
-        # simulating and logs no backend-fallback event.
-        registry = MetricsRegistry()
+        # simulating and logs nothing to the kernel registry.
+        before = _kernel_counters()
+        events = len(kernel_metrics().events)
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            run_supermarket_kernel(
+            simulate_supermarket(
                 FullyRandomChoices(32, 2), 0.6, 40.0, seed=6, backend="numba",
-                metrics=registry,
             )
-        snap = registry.snapshot()
-        assert snap["counters"] == {} and snap["events"] == []
+        assert _kernel_counters() == before
+        assert len(kernel_metrics().events) == events

@@ -8,7 +8,6 @@ import pytest
 from repro.core.vectorized import simulate_batch
 from repro.errors import ConfigurationError, SimulationError
 from repro.hashing import DoubleHashingChoices
-from repro.kernels import run_placement_kernel
 from repro.kernels.generate import (
     KEY_SHIFT,
     KernelLayout,
@@ -80,14 +79,6 @@ class TestAddressSpaceBoundary:
             tracemalloc.stop()
         # The (1, 2**31) int32 load table alone would be 8 GiB.
         assert peak < 1 << 20
-
-    def test_run_placement_kernel_message(self):
-        # A zero-copy (1, 2**31) view: the check must fire before any write.
-        loads = np.broadcast_to(np.zeros(1, np.int32), (1, 2**31))
-        choices = np.zeros((1, 1, 2), np.int64)
-        with pytest.raises(ConfigurationError, match="address space") as exc:
-            run_placement_kernel(loads, choices)
-        assert "strided" not in str(exc.value)
 
 
 class TestExactness:

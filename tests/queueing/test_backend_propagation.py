@@ -2,14 +2,17 @@
 
 ``REPRO_BACKEND`` and explicit ``backend=`` arguments must propagate into
 ``simulate_supermarket`` — directly, and through ``ExperimentSpec.backend``
-in the table/certify runners — and unknown names must fail loudly.
+in the table/certify runners — and unknown names must fail loudly, in
+``run_experiment`` too.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import run_experiment
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentSpec
 from repro.hashing import FullyRandomChoices
 from repro.kernels import ENV_VAR
 from repro.queueing import simulate_supermarket
@@ -24,7 +27,9 @@ class TestEnvPropagation:
         assert res.completed_jobs > 0
 
     def test_env_unknown_backend_rejected(self, monkeypatch):
-        for name in ("cuda", "numba"):
+        # "reference" names the keymap oracle, not a placement backend.
+        spec = ExperimentSpec(n=32, d=2, trials=2, seed=3)
+        for name in ("cuda", "numba", "reference"):
             monkeypatch.setenv(ENV_VAR, name)
             with pytest.raises(
                 ConfigurationError, match="unknown kernel backend"
@@ -32,6 +37,12 @@ class TestEnvPropagation:
                 simulate_supermarket(
                     FullyRandomChoices(32, 2), 0.6, 30.0, seed=3
                 )
+            # run_experiment rejects the name up front: a chunk that
+            # raises is retried and its error wrapped in SimulationError.
+            with pytest.raises(
+                ConfigurationError, match="unknown kernel backend"
+            ):
+                run_experiment(FullyRandomChoices(32, 2), spec)
 
 
 class TestSpecPropagation:

@@ -13,8 +13,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices
-from repro.kernels import run_supermarket_kernel
 from repro.kernels.supermarket import check_queue_packing
+from repro.queueing import simulate_supermarket
 
 
 class TestCheckQueuePacking:
@@ -28,7 +28,7 @@ class TestCheckQueuePacking:
 
     def test_kernel_entry_point_rejects_overflow(self):
         with pytest.raises(ConfigurationError):
-            run_supermarket_kernel(
+            simulate_supermarket(
                 DoubleHashingChoices(8, 2),
                 0.5,
                 1.0,
