@@ -3,15 +3,21 @@
 The IBLT (Goodrich–Mitzenmacher) is *the* data structure whose recovery
 procedure is literally the peeling process of :mod:`repro.peeling`: each
 key occupies ``d`` cells; each cell keeps (count, keySum, checkSum,
-valueSum) — checkSum XORs an independent checksum hash of each key, the
+valueSum).  The three sums are int64 sums that wrap modulo 2^64, the
+algebra of Goodrich–Mitzenmacher's paper (XOR is another valid one, but
+``np.add.at`` scatters several times faster than ``np.bitwise_xor.at``).
+checkSum sums an independent 32-bit checksum hash of each key, the
 standard guard that makes "this cell holds exactly one entry" checkable
 to ~2⁻³² instead of trusting a raw count of ±1 (several colliding
-entries can XOR into a plausible-looking phantom key otherwise);
-listing repeatedly finds a verified pure cell, reads its key/value, and
-deletes it — i.e. peels a hyperedge.  Complete listing
-succeeds exactly when the key-cell hypergraph's 2-core is empty, so the
-density-evolution thresholds apply (c₃ ≈ 0.818 keys per cell, …; the
-precise constants live in :mod:`repro.certify.anchors`).
+entries can sum to a plausible-looking phantom key otherwise).  A cell
+is *pure* when ``|count| = 1``, ``k = count·keySum`` lies in
+``[0, 2**key_bits)`` and ``count·checkSum`` equals ``k``'s checksum; its
+entry is ``(k, count·valueSum)`` with sign ``count``.  Listing
+repeatedly finds a verified pure cell, reads its entry, and deletes it —
+i.e. peels a hyperedge.  Complete listing succeeds exactly when the
+key-cell hypergraph's 2-core is empty, so the density-evolution
+thresholds apply (c₃ ≈ 0.818 keys per cell, …; the precise constants
+live in :mod:`repro.certify.anchors`).
 
 Cell selection supports both modes of this repository's central question:
 ``d`` independent hashes or two hashes combined double-hashing style.  The
@@ -26,12 +32,14 @@ The table has two faces:
 - a scalar face (``insert`` / ``delete`` / ``get`` / ``list_entries``) —
   one key at a time, kept as the easy-to-audit reference;
 - a batched face (``insert_many`` / ``delete_many`` /
-  ``list_entries_batched``) — whole key arrays hashed through the fused
-  vectorized cell generator (:meth:`IBLT.cells_batch`, built
-  column-major), updates applied one cell column at a time with
-  ``np.add.at`` / ``np.bitwise_xor.at`` scatters straight from the key,
-  checksum and value arrays, and listing run as synchronous peeling
-  rounds mirroring the kernel contract of :mod:`repro.kernels.peeling`.
+  ``list_entries_batched``) — whole key arrays hashed in one tabulation
+  sweep that yields the cell hashes and the checksum together
+  (:func:`~repro.kernels.hash_schemes.tabulation_hash_u64` over a stack
+  of tables), cells built column-major, updates applied one cell column
+  at a time with ``np.add.at`` (inserts) or ``np.subtract.at``
+  (deletes) scatters straight from the key, checksum and value arrays,
+  and listing run as synchronous peeling rounds mirroring the kernel
+  contract of :mod:`repro.kernels.peeling`.
   A key whose cells repeat (random mode, or double mode on a composite
   ``m`` that is not a power of two) touches each distinct cell once:
   a column skips the keys whose cell there repeats an earlier one.
@@ -40,17 +48,21 @@ The table has two faces:
 
 Field widths are negotiated up front in the
 :func:`~repro.kernels.packing.check_packed_fields` style: ``key_bits``
-(and the 63 value bits of the int64 XOR carriers) bound the keys and
-values accepted, and ``capacity`` sizes the count dtype (int32 when the
-signed count range fits 31 value bits, int64 otherwise) — overflow is a
-loud :class:`~repro.errors.ConfigurationError` at construction or
-insertion, never a silent wrap mid-experiment.  Keys and values must be
-integers on both faces: a floating, complex, bool or object key or value
-raises the same error instead of being truncated onto some integer.
+(at most the 63 value bits of int64) bounds the keys accepted, values
+are non-negative int64, and ``capacity`` sizes the count dtype (int32
+when the signed count range fits 31 value bits, int64 otherwise) — count
+overflow is a loud :class:`~repro.errors.ConfigurationError` at
+construction or insertion, never a silent wrap mid-experiment.  The sum
+fields wrap by design and lose nothing: a pure cell's entry is exact
+modulo 2^64, and keys and values fit in 63 bits.  Keys and values must
+be integers on both faces: a floating, complex, bool or object key or
+value raises the same error instead of being truncated onto some
+integer.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +70,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.hashing.hash_functions import TabulationHash, _digest
 from repro.hashing.keyed import _as_key_array
+from repro.kernels.hash_schemes import flatten_tables, tabulation_hash_u64
 from repro.kernels.packing import (
     INT32_VALUE_BITS,
     INT64_VALUE_BITS,
@@ -67,6 +80,14 @@ from repro.kernels.packing import (
 from repro.rng import default_generator
 
 __all__ = ["BatchListResult", "IBLT", "ListResult"]
+
+#: The four per-cell arrays.
+_FIELDS = ("count", "key_sum", "check_sum", "value_sum")
+
+
+def _wrap_int64(x: int) -> int:
+    """Fold a Python int to the signed 64-bit value an int64 cell holds."""
+    return (x + (1 << 63)) % (1 << 64) - (1 << 63)
 
 
 @dataclass(frozen=True)
@@ -81,7 +102,7 @@ class ListResult:
         Recovered ``(key, value)`` pairs, in peeling order.
     residue_cells:
         Number of nonempty cells left (0 when complete) — cells where
-        the count *or* the key XOR is nonzero, so cancelled-count cells
+        the count *or* the key sum is nonzero, so cancelled-count cells
         (e.g. a +1 and a −1 entry colliding) still register.
     """
 
@@ -106,7 +127,7 @@ class BatchListResult:
         direction information set reconciliation needs (an entry of the
         subtrahend table surfaces with sign −1 after :meth:`IBLT.subtract`).
     residue_cells:
-        Number of nonempty cells left (count or key XOR nonzero).
+        Number of nonempty cells left (count or key sum nonzero).
     rounds:
         Synchronous peeling rounds that recovered at least one entry.
     """
@@ -135,8 +156,9 @@ class _CellConfig:
 def _negotiate_widths(m: int, key_bits: int, capacity: int) -> _CellConfig:
     """Pick the count carrier and validate the key field width.
 
-    Keys and values ride int64 XOR accumulators, so ``key_bits`` may not
-    exceed :data:`~repro.kernels.packing.INT64_VALUE_BITS`.  The count
+    Keys are non-negative int64 values summed into int64 accumulators
+    that wrap modulo 2^64, so ``key_bits`` may not exceed
+    :data:`~repro.kernels.packing.INT64_VALUE_BITS`.  The count
     field needs ``field_width(capacity + 1)`` magnitude bits plus a sign
     bit; it lands in int32 when that fits 31 value bits (the common
     case — half the memory at millions of cells), else int64.
@@ -189,7 +211,8 @@ class IBLT:
     -----
     Deletions of never-inserted keys are allowed (counts go negative),
     supporting the set-difference use of IBLTs; a cell is *pure* when its
-    count is ±1 and its keySum hashes back to that cell.
+    count is ±1, ``count·keySum`` is a key in ``[0, 2**key_bits)`` and
+    ``count·checkSum`` equals that key's checksum (module docstring).
     """
 
     def __init__(
@@ -225,13 +248,17 @@ class IBLT:
         self.value_sum = np.zeros(m, dtype=np.int64)
         self._is_pow2 = (m & (m - 1)) == 0
         self._n_ops = 0
-        if mode == "double":
-            self._h1 = TabulationHash(m, rng)
-            self._h2 = TabulationHash(m, rng)
-        else:
-            self._hashes = [TabulationHash(m, rng) for _ in range(d)]
+        # Double mode: f then g.  Random mode: one hash per cell.
+        self._hashes = tuple(
+            TabulationHash(m, rng) for _ in range(2 if mode == "double" else d)
+        )
         # Drawn after the cell hashes so their streams stay seed-stable.
         self._check = TabulationHash(1 << 32, rng)
+        # Every table a key needs, stacked for one tabulation sweep;
+        # the checksum's is the last row.
+        self._flat = np.stack(
+            [flatten_tables(h.tables) for h in (*self._hashes, self._check)]
+        )
 
     # -- identity -----------------------------------------------------------
 
@@ -241,70 +268,58 @@ class IBLT:
         Two tables with equal fingerprints map every key to the same
         cells — the precondition :meth:`subtract` checks.
         """
-        if self.mode == "double":
-            parts = [self._h1.fingerprint(), self._h2.fingerprint()]
-        else:
-            parts = [h.fingerprint() for h in self._hashes]
-        parts.append(self._check.fingerprint())
+        parts = [h.fingerprint() for h in (*self._hashes, self._check)]
         return _digest("iblt", self.m, self.d, self.mode, *parts)
 
     def _clone_empty(self) -> IBLT:
         """A zeroed table sharing this table's geometry and hashes."""
-        clone = object.__new__(IBLT)
-        clone.m = self.m
-        clone.d = self.d
-        clone.mode = self.mode
-        clone.key_bits = self.key_bits
-        clone.capacity = self.capacity
-        clone.count = np.zeros(self.m, dtype=self.count.dtype)
-        clone.key_sum = np.zeros(self.m, dtype=np.int64)
-        clone.check_sum = np.zeros(self.m, dtype=np.int64)
-        clone.value_sum = np.zeros(self.m, dtype=np.int64)
-        clone._is_pow2 = self._is_pow2
+        clone = copy.copy(self)
+        for name in _FIELDS:
+            setattr(clone, name, np.zeros_like(getattr(self, name)))
         clone._n_ops = 0
-        if self.mode == "double":
-            clone._h1 = self._h1
-            clone._h2 = self._h2
-        else:
-            clone._hashes = self._hashes
-        clone._check = self._check
         return clone
 
     # -- cell selection ---------------------------------------------------
 
-    def cells_batch(self, keys: np.ndarray) -> np.ndarray:
-        """The ``(len(keys), d)`` cell matrix, hashed as whole arrays.
+    def _cell_columns(self, words: np.ndarray) -> np.ndarray:
+        """The ``(d, k)`` cell columns from the cell hashes' raw words.
 
-        Built column-major: a ``(d, len(keys))`` array filled in place
-        and returned transposed, so each cell column is contiguous for
-        the update scatters.  Double mode runs both tabulation hashes
-        over the full key array, forces the stride to a unit (``g | 1``
-        for power-of-two ``m``, ``g → 1`` where zero otherwise), and
-        fills the progression ``(f + i·g) mod m`` as ``g·i``, then
-        ``+= f``, then a mask (power-of-two ``m``) or a modulo.  Rows
-        may contain repeats in random mode, or in double mode when ``m``
-        is neither a power of two nor prime (the stride may share a
-        factor with ``m``); the update path touches such a cell once.
+        ``words`` is the tabulation kernel's output for the cell hashes,
+        one row per hash; each row is reduced to ``[0, m)`` in place.
+        Random mode: the reduced rows are the columns.  Double mode
+        forces the stride to a unit (``g | 1`` for power-of-two ``m``,
+        ``g → 1`` where zero otherwise) and fills the progression
+        ``(f + i·g) mod m`` as ``g·i``, then ``+= f``, then a mask
+        (power-of-two ``m``) or a modulo.
         """
-        keys = _as_key_array(keys)
-        cols = np.empty((self.d, keys.size), dtype=np.int64)
+        rows = [h.reduce(w) for h, w in zip(self._hashes, words)]
         if self.mode == "random":
-            for col, h in zip(cols, self._hashes):
-                col[:] = h(keys)
-            return cols.T
-        f = self._h1(keys)
-        g = self._h2(keys)
+            return words.view(np.int64)
+        f, g = rows
         if self._is_pow2:
             g |= 1
         else:
             np.maximum(g, 1, out=g)
+        cols = np.empty((self.d, f.size), dtype=np.int64)
         np.multiply(np.arange(self.d, dtype=np.int64)[:, None], g, out=cols)
         cols += f
         if self._is_pow2:
             cols &= self.m - 1
         else:
             cols %= self.m
-        return cols.T
+        return cols
+
+    def cells_batch(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(len(keys), d)`` cell matrix, hashed as whole arrays.
+
+        Built column-major (see :meth:`_cell_columns`) and returned
+        transposed.  Rows may contain repeats in random mode, or in
+        double mode when ``m`` is neither a power of two nor prime (the
+        stride may share a factor with ``m``); the update path touches
+        such a cell once.
+        """
+        keys = _as_key_array(keys)
+        return self._cell_columns(tabulation_hash_u64(keys, self._flat[:-1])).T
 
     def cells(self, key: int) -> np.ndarray:
         """The ``d`` cells of ``key`` (scalar face of :meth:`cells_batch`)."""
@@ -342,34 +357,46 @@ class IBLT:
     ) -> None:
         """Scatter a batch of signed entries into the cell arrays.
 
-        One fused ``cells_batch`` per call, then one pass per cell
-        column: ``np.add.at`` on the counts and ``np.bitwise_xor.at`` on
-        the key/checksum/value accumulators, straight from the sign,
-        key, checksum and value arrays.  A key occupying a cell twice
-        touches it once (matching the scalar ``np.unique`` path): column
-        ``j`` skips the keys whose ``j``-th cell repeats one of their
-        earlier cells, and is scattered whole when no key repeats.
+        One tabulation sweep per call yields the cells and the
+        checksums, then one pass per cell column scatters the count,
+        key, checksum and value: ``np.add.at`` for a scalar sign +1,
+        ``np.subtract.at`` for −1, and ``np.add.at`` of ``sign·x`` for
+        a per-entry sign array (a listing round).  A key occupying a
+        cell twice touches it once (matching the scalar ``np.unique``
+        path): column ``j`` skips the keys whose ``j``-th cell repeats
+        one of their earlier cells, and is scattered whole when no key
+        repeats.
         """
         k = keys.size
         if k == 0:
             return
-        cols = self.cells_batch(keys).T
-        signs = np.broadcast_to(np.asarray(signs, dtype=self.count.dtype), (k,))
+        words = tabulation_hash_u64(keys, self._flat)
+        cols = self._cell_columns(words[:-1])
+        checks = self._check.reduce(words[-1])
+        if np.ndim(signs):
+            scatter = np.add
+            counts = signs.astype(self.count.dtype)
+            keys, checks, values = keys * signs, checks * signs, values * signs
+        else:
+            scatter = np.add if signs > 0 else np.subtract
+            # A count-dtype array, not the Python int 1: against int32
+            # counts that would push ``ufunc.at`` off its fast loop.
+            counts = np.broadcast_to(self.count.dtype.type(1), (k,))
         updates = (
-            (np.add, self.count, signs),
-            (np.bitwise_xor, self.key_sum, keys),
-            (np.bitwise_xor, self.check_sum, self._check(keys)),
-            (np.bitwise_xor, self.value_sum, values),
+            (self.count, counts),
+            (self.key_sum, keys),
+            (self.check_sum, checks),
+            (self.value_sum, values),
         )
         for j, cells in enumerate(cols):
             fresh = ~(cols[:j] == cells).any(axis=0)
             pick = slice(None) if fresh.all() else fresh
             cells = cells[pick]
-            for ufunc, target, x in updates:
-                ufunc.at(target, cells, x[pick])
+            for target, x in updates:
+                scatter.at(target, cells, x[pick])
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Insert whole key/value arrays (one fused hash, column scatters)."""
+        """Insert whole key/value arrays (one hash sweep, column scatters)."""
         keys, values = self._validate_batch(keys, values)
         self._apply_many(keys, values, +1)
         self._n_ops += keys.size
@@ -409,14 +436,9 @@ class IBLT:
                 "seeds (fingerprints differ)"
             )
         diff = self._clone_empty()
-        np.subtract(
-            self.count,
-            other.count.astype(self.count.dtype),
-            out=diff.count,
-        )
-        np.bitwise_xor(self.key_sum, other.key_sum, out=diff.key_sum)
-        np.bitwise_xor(self.check_sum, other.check_sum, out=diff.check_sum)
-        np.bitwise_xor(self.value_sum, other.value_sum, out=diff.value_sum)
+        for name in _FIELDS:
+            np.subtract(getattr(self, name), getattr(other, name),
+                        out=getattr(diff, name))
         diff._n_ops = min(self._n_ops + other._n_ops, diff.capacity)
         return diff
 
@@ -425,49 +447,58 @@ class IBLT:
     @property
     def is_empty(self) -> bool:
         """True when every cell is zeroed."""
-        return bool(
-            (self.count == 0).all()
-            and (self.key_sum == 0).all()
-            and (self.check_sum == 0).all()
-            and (self.value_sum == 0).all()
-        )
+        return not any(getattr(self, name).any() for name in _FIELDS)
 
     def get(self, key: int) -> int | None:
-        """Value of ``key`` if determinable from some pure cell, else None.
+        """Value of ``key`` if one of its cells holds it alone, else None.
 
-        Returns None both for absent keys and for keys whose cells are all
+        A cell answers only when it is pure by the listers' rule, with
+        count +1 and key ``key``; its valueSum is then the value.  Every
+        cell of ``key`` is examined: a cell whose count and key sum are
+        both 0 does not prove ``key`` absent, because entries can cancel
+        there (``+k +a −b −c`` with ``k + a = b + c``).  Returns None for
+        absent and net-deleted keys, and for keys whose cells are all
         shared (an inherent IBLT limitation).
         """
         for c in self.cells(key):
-            if self.count[c] == 1 and self.key_sum[c] == key:
+            if self.count[c] == 1 and self._pure_cell_key(int(c)) == key:
                 return int(self.value_sum[c])
-            if self.count[c] == 0 and self.key_sum[c] == 0:
-                return None  # a provably empty cell: key absent
         return None
 
     def _pure_cell_key(self, c: int) -> int | None:
-        """Key recoverable from cell ``c`` if it is verified pure."""
-        if abs(self.count[c]) != 1:
+        """Key recoverable from cell ``c`` if it is verified pure.
+
+        Python-int arithmetic throughout: the numpy scalar product
+        ``-1 · INT64_MIN`` would raise an overflow warning.
+        """
+        count = int(self.count[c])
+        if abs(count) != 1:
             return None
-        key = int(self.key_sum[c])
-        # Verify via the checksum field (guards against XOR coincidences
-        # of colliding entries to ~2^-32, per the standard IBLT design).
-        if key >= 0 and int(self._check(key)) == int(self.check_sum[c]):
+        key = count * int(self.key_sum[c])
+        # Verify via the checksum field (guards against colliding entries
+        # summing to a valid key, to ~2^-32, per the standard IBLT design).
+        # Both sides lie within 2^63 of zero, so comparing them as Python
+        # ints is comparing them modulo 2^64.
+        if 0 <= key < 1 << self.key_bits and (
+            count * int(self.check_sum[c]) == self._check.scalar(key)
+        ):
             return key
         return None
 
     def _residue_cells(self) -> int:
-        """Nonempty cells: count *or* key XOR nonzero (no short-circuit)."""
+        """Nonempty cells: count *or* key sum nonzero (no short-circuit)."""
         return int(np.count_nonzero((self.count != 0) | (self.key_sum != 0)))
 
     def list_entries(self) -> ListResult:
         """Peel the table, recovering all entries (destructive, scalar).
 
-        Entries inserted an odd number of times are recovered with sign
-        +1 counts; net-deleted entries (count −1 cells) are recovered too,
-        reported with their stored values.  The reference lister — one
-        cell at a time; :meth:`list_entries_batched` is the vectorized
-        equivalent.
+        Recovers every entry that some verified pure cell exposes:
+        net-inserted entries (count +1) and net-deleted ones (count −1),
+        each with its value ``count·valueSum``.  A key inserted twice
+        leaves count 2 in its cells and is never recovered; peeling
+        lists entries of net multiplicity ±1 only.  The reference lister
+        — one cell at a time; :meth:`list_entries_batched` is the
+        vectorized equivalent.
         """
         entries: list[tuple[int, int]] = []
         queue = [c for c in range(self.m) if abs(self.count[c]) == 1]
@@ -477,7 +508,7 @@ class IBLT:
             if key is None:
                 continue
             sign = int(self.count[c])
-            value = int(self.value_sum[c])
+            value = _wrap_int64(sign * int(self.value_sum[c]))
             entries.append((key, value))
             self._apply_many(
                 np.array([key], dtype=np.int64),
@@ -507,8 +538,9 @@ class IBLT:
 
         Rounds are capped at ``m + 1`` — each productive round removes
         at least one of at most ``m``-ish recoverable entries, so the
-        cap is unreachable except under adversarial XOR coincidences,
-        where it guarantees termination (reported as incomplete).
+        cap is unreachable except under adversarial checksum
+        coincidences, where it guarantees termination (reported as
+        incomplete).
         """
         keys_out: list[np.ndarray] = []
         values_out: list[np.ndarray] = []
@@ -518,12 +550,13 @@ class IBLT:
             candidates = np.flatnonzero(np.abs(self.count) == 1)
             if candidates.size == 0:
                 break
-            cand_keys = self.key_sum[candidates]
-            valid = cand_keys >= 0
+            signs = self.count[candidates].astype(np.int64)
+            cand_keys = self.key_sum[candidates] * signs
+            valid = (cand_keys >> self.key_bits) == 0
             checks = self._check(np.where(valid, cand_keys, 0))
-            pure = valid & (checks == self.check_sum[candidates])
+            pure = valid & (checks == self.check_sum[candidates] * signs)
             if not pure.any():
-                break  # remaining ±1 cells are XOR coincidences, stuck
+                break  # remaining ±1 cells are phantoms, stuck
             pure_cells = candidates[pure]
             batch_keys = cand_keys[pure]
             # One key may be pure in several cells this round — keep the
@@ -532,8 +565,8 @@ class IBLT:
             first.sort()
             batch_keys = batch_keys[first]
             batch_cells = pure_cells[first]
-            batch_values = self.value_sum[batch_cells]
-            batch_signs = self.count[batch_cells].astype(np.int64)
+            batch_signs = signs[pure][first]
+            batch_values = self.value_sum[batch_cells] * batch_signs
             self._apply_many(batch_keys, batch_values, -batch_signs)
             keys_out.append(batch_keys)
             values_out.append(batch_values)

@@ -251,7 +251,9 @@ class TabulationHash:
     (:func:`repro.kernels.hash_schemes.tabulation_hash_u64`): the eight
     tables flatten into one contiguous 16 KiB gather array consumed by
     blocked ``np.take``; :meth:`scalar` is the pure-Python oracle the
-    kernel is certified bit-identical against.
+    kernel is certified bit-identical against.  :meth:`reduce` maps the
+    kernel's raw words to ``[0, n)`` in place, so a caller that hashes
+    through several tables in one kernel sweep reduces each row itself.
     """
 
     CHARS = 8
@@ -280,11 +282,21 @@ class TabulationHash:
         h = _kernels().tabulation_hash_scalar(int(key), self.tables)
         return h & (self.n - 1) if self._pow2 else h % self.n
 
+    def reduce(self, words: np.ndarray) -> np.ndarray:
+        """Reduce raw uint64 tabulation words to ``[0, n)`` in place.
+
+        Returns ``words`` viewed as int64 (no copy).
+        """
+        if self._pow2:
+            words &= _U64(self.n - 1)
+        else:
+            np.remainder(words, _U64(self.n), out=words)
+        return words.view(np.int64)
+
     def __call__(self, keys: np.ndarray | int) -> np.ndarray | int:
         """Hash one key (Python int in, int out) or a batch (array in/out)."""
         if np.isscalar(keys):
             return self.scalar(keys)
-        acc = _kernels().tabulation_hash_u64(np.asarray(keys), self._flat)
-        if self._pow2:
-            return (acc & _U64(self.n - 1)).astype(np.int64)
-        return (acc % _U64(self.n)).astype(np.int64)
+        return self.reduce(
+            _kernels().tabulation_hash_u64(np.asarray(keys), self._flat)
+        )

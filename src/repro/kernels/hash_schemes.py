@@ -19,7 +19,9 @@ Two primitives ship:
     character becomes a single flat ``np.take`` gather at offset
     ``c * 256`` — eight gathers XOR-folded into the accumulator, block
     chunked so key block, byte scratch, and accumulator stay cache
-    resident.
+    resident.  A ``(k, 2048)`` stack of flat tables hashes the batch
+    through ``k`` independent functions in one sweep: each byte index
+    is extracted once per block and feeds one gather per table.
 
 ``pairwise_affine_u64``
     The degree-1 Carter–Wegman family ``(a·x + b) mod p`` over the
@@ -63,11 +65,14 @@ MERSENNE_P = (1 << 61) - 1
 TAB_CHARS = 8
 TAB_TABLE_SIZE = 256
 
-#: Keys hashed per chunk.  One chunk touches ``3 × 8 bytes × block``
-#: of scratch (keys, byte indices, accumulator) — 768 KiB at 2^15,
-#: L2-resident next to the 16 KiB flat table.
+#: Keys hashed per chunk.  One chunk touches ``(3 + k) × 8 bytes ×
+#: block`` of scratch for ``k`` tables (keys, byte indices, one gathered
+#: word, ``k`` accumulator rows) — 1.5 MiB at 2^15 for ``k = 3``,
+#: L2-resident next to the flat tables (16 KiB each).
 _BLOCK = 1 << 15
 
+_BYTE = _U64(0xFF)
+_SH8 = _U64(8)
 _P61 = _U64(MERSENNE_P)
 _SH61 = _U64(61)
 _SH32 = _U64(32)
@@ -113,21 +118,37 @@ def flatten_tables(tables: np.ndarray) -> np.ndarray:
 
 def _tabulation_numpy(keys: np.ndarray, flat: np.ndarray,
                       out: np.ndarray) -> None:
-    """Numpy kernel: eight flat gathers XOR-folded, block chunked."""
+    """Numpy kernel: one byte sweep feeding every table's gathers.
+
+    ``flat`` is a ``(k, 2048)`` stack and ``out`` its ``(k, len(keys))``
+    result.  Per block, each of the eight byte indices is extracted
+    once and drives one flat gather per table, XOR-folded into that
+    table's row.  The indices lie in ``[0, 2048)`` by construction, so
+    the gathers take a non-raising mode, which lets ``np.take`` write
+    straight into its ``out`` buffer instead of a checked copy.
+    """
     m = keys.size
+    tables = list(flat)
     idx = np.empty(min(m, _BLOCK), dtype=np.int64)
     shifted = np.empty(min(m, _BLOCK), dtype=_U64)
+    scratch = np.empty(min(m, _BLOCK), dtype=_U64)
     for start in range(0, m, _BLOCK):
         stop = min(start + _BLOCK, m)
         w = stop - start
-        np.copyto(shifted[:w], keys[start:stop])
-        acc = out[start:stop]
-        acc.fill(0)
+        byte, rest, word = idx[:w], shifted[:w], scratch[:w]
+        np.copyto(rest, keys[start:stop])
+        accs = list(out[:, start:stop])
         for c in range(TAB_CHARS):
-            idx[:w] = (shifted[:w] & _U64(0xFF)).view(np.int64)
-            idx[:w] += c << 8
-            acc ^= flat.take(idx[:w])
-            shifted[:w] >>= _U64(8)
+            np.bitwise_and(rest, _BYTE, out=byte.view(_U64))
+            rest >>= _SH8
+            if c == 0:
+                for table, acc in zip(tables, accs):
+                    table.take(byte, out=acc, mode="wrap")
+                continue
+            byte += c << 8
+            for table, acc in zip(tables, accs):
+                table.take(byte, out=word, mode="wrap")
+                acc ^= word
 
 
 def tabulation_hash_u64(
@@ -142,18 +163,27 @@ def tabulation_hash_u64(
         1-D integer array (int64 keys are reinterpreted as uint64, so
         the full 64-bit pattern is hashed).
     flat_tables:
-        ``(2048,)`` uint64 gather table from :func:`flatten_tables`.
+        ``(2048,)`` uint64 gather table from :func:`flatten_tables`, or
+        a ``(k, 2048)`` stack of them.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(len(keys),)`` uint64 words for one table; ``(k, len(keys))``
+        for a stack, row ``t`` equal to hashing with table ``t`` alone.
     """
-    flat = np.asarray(flat_tables, dtype=_U64)
-    if flat.shape != (TAB_CHARS * TAB_TABLE_SIZE,):
+    size = TAB_CHARS * TAB_TABLE_SIZE
+    flat = np.ascontiguousarray(flat_tables, dtype=_U64)
+    if flat.ndim not in (1, 2) or flat.shape[-1] != size:
         raise ConfigurationError(
-            f"expected a ({TAB_CHARS * TAB_TABLE_SIZE},) flat table, "
+            f"expected a ({size},) flat table or a (k, {size}) stack, "
             f"got shape {flat.shape}"
         )
     arr = _keys_u64(keys)
-    out = np.empty(arr.size, dtype=_U64)
-    _tabulation_numpy(arr, flat, out)
-    return out
+    stack = flat.reshape(-1, size)
+    out = np.empty((stack.shape[0], arr.size), dtype=_U64)
+    _tabulation_numpy(arr, stack, out)
+    return out if flat.ndim == 2 else out[0]
 
 
 def tabulation_hash_scalar(key: int, tables: np.ndarray) -> int:

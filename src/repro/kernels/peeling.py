@@ -12,17 +12,22 @@ executable specification the kernel is pinned against.
 
 1. State is two flat per-vertex accumulators built from the ``(m, d)``
    edge array: ``degree[v]`` counts incidences (an edge hitting a vertex
-   twice contributes 2) and ``edge_xor[v]`` XORs the shifted ids
-   ``e + 1`` of incident edges (the shift makes edge 0 distinguishable
-   from "empty").  A degree-1 vertex's XOR therefore *is* its unique
-   remaining edge — no adjacency lists exist anywhere.
+   twice contributes 2) and ``edge_sum[v]`` sums the shifted ids
+   ``e + 1`` of incident edges, multiplicity included (the shift makes
+   edge 0 distinguishable from "empty").  A degree-1 vertex's sum
+   therefore *is* its unique remaining edge — no adjacency lists exist
+   anywhere.  No other vertex's accumulator is ever read, so any
+   algebra in which one remaining id reads back as itself gives the
+   same process: the reference oracle keeps XOR; the kernel sums,
+   because ``np.add.at`` scatters several times faster than
+   ``np.bitwise_xor.at``.
 2. Peeling proceeds in **synchronous rounds**.  A round's frontier is
    the set of vertices with degree exactly 1 at round start; each
-   frontier vertex claims the edge ``edge_xor[v] - 1``.  The round peels
+   frontier vertex claims the edge ``edge_sum[v] - 1``.  The round peels
    the *distinct* claimed edges in increasing edge-id order (several
    frontier vertices may claim one edge; it peels once).  Removing an
-   edge decrements the degree and XORs the id out of every incidence,
-   multiplicity included.
+   edge decrements the degree and subtracts the id from every
+   incidence, multiplicity included.
 3. ``rounds`` counts the synchronous generations that peeled at least
    one edge — the parallel depth of the process (O(log n) below the
    density-evolution threshold).  ``peeled_order`` concatenates the
@@ -31,13 +36,13 @@ executable specification the kernel is pinned against.
    ascending id order.
 
 Vertices within an edge may repeat (double hashing over a composite
-modulus, or with-replacement schemes): a repeated incidence XORs the id
-twice (cancelling) and adds 2 to the degree, so such an edge can never
-be recovered *through* that vertex — exactly the multiplicity-aware
-semantics of the reference decoder.
+modulus, or with-replacement schemes): a repeated incidence adds the id
+twice and 2 to the degree, so such an edge can never be recovered
+*through* that vertex — exactly the multiplicity-aware semantics of the
+reference decoder.
 
 The numpy backend materializes the contract with ``np.bincount`` /
-``np.bitwise_xor.at`` accumulator builds and per-round vectorized
+``np.add.at`` accumulator builds and per-round vectorized
 claim/dedupe/scatter steps over a worklist of touched vertices — no
 per-edge Python.  Throughput versus the reference decoder is tracked in
 ``BENCH_peeling.json`` (see ``benchmarks/bench_peeling.py`` and
@@ -125,19 +130,20 @@ def validate_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
 def build_accumulators(
     edges: np.ndarray, n_vertices: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized build of the ``(degree, edge_xor)`` accumulator pair.
+    """Vectorized build of the ``(degree, edge_sum)`` accumulator pair.
 
-    One ``np.bincount`` over the flattened incidences plus one
-    ``np.bitwise_xor.at`` scatter of the shifted edge ids — the flat-array
-    replacement for the historical O(m·d) pure-Python double loop.
+    One ``np.bincount`` over the flattened incidences plus one int64
+    ``np.add.at`` scatter of the shifted edge ids per edge column — the
+    flat-array replacement for the historical O(m·d) pure-Python double
+    loop.
     """
-    m, d = edges.shape
-    flat = edges.ravel()
-    degree = np.bincount(flat, minlength=n_vertices).astype(np.int64)
-    edge_xor = np.zeros(n_vertices, dtype=np.int64)
-    ids = np.repeat(np.arange(1, m + 1, dtype=np.int64), d)
-    np.bitwise_xor.at(edge_xor, flat, ids)
-    return degree, edge_xor
+    m = edges.shape[0]
+    degree = np.bincount(edges.ravel(), minlength=n_vertices).astype(np.int64)
+    edge_sum = np.zeros(n_vertices, dtype=np.int64)
+    ids = np.arange(1, m + 1, dtype=np.int64)
+    for col in edges.T:
+        np.add.at(edge_sum, col, ids)
+    return degree, edge_sum
 
 
 def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
@@ -146,8 +152,8 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
     Implements the module contract with no per-edge Python: accumulator
     build via :func:`build_accumulators`, then per round one fancy-gather
     of the frontier's claimed edges, one ``np.unique`` dedupe (which also
-    yields the contract's ascending peel order), and two scatters
-    (``np.subtract.at`` / ``np.bitwise_xor.at``) over the incidences of
+    yields the contract's ascending peel order), and ``np.subtract.at``
+    scatters of the degree and the shifted ids over the incidences of
     the peeled batch.  The next frontier is read off the touched vertices
     only, so per-round cost is proportional to the work actually done.
 
@@ -164,11 +170,11 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
     PeelResult
         The four contract observables.
     """
-    m, d = edges.shape
+    m = edges.shape[0]
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return PeelResult(True, empty, empty.copy(), 0)
-    degree, edge_xor = build_accumulators(edges, n_vertices)
+    degree, edge_sum = build_accumulators(edges, n_vertices)
     alive = np.ones(m, dtype=bool)
     peeled_batches: list[np.ndarray] = []
     rounds = 0
@@ -176,10 +182,12 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
     # are harmless (duplicate claims collapse in the np.unique below).
     frontier = np.flatnonzero(degree == 1)
     while frontier.size:
-        batch = np.unique(edge_xor[frontier] - 1)
-        if batch.size and (batch[0] < 0 or not alive[batch].all()):
+        batch = np.unique(edge_sum[frontier] - 1)
+        if batch.size and (
+            batch[0] < 0 or batch[-1] >= m or not alive[batch].all()
+        ):
             # Unreachable for well-formed accumulators: a degree-1
-            # vertex's XOR is always one alive edge.  Guarded so state
+            # vertex's sum is always one alive edge.  Guarded so state
             # corruption fails loudly instead of peeling garbage.
             raise SimulationError(
                 "peeling invariant violated: a degree-1 vertex claimed a "
@@ -188,9 +196,12 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
         alive[batch] = False
         peeled_batches.append(batch)
         rounds += 1
-        touched = edges[batch].ravel()
+        rows = edges[batch]
+        touched = rows.ravel()
         np.subtract.at(degree, touched, 1)
-        np.bitwise_xor.at(edge_xor, touched, np.repeat(batch + 1, d))
+        ids = batch + 1
+        for col in rows.T:
+            np.subtract.at(edge_sum, col, ids)
         frontier = touched[degree[touched] == 1]
     peeled_order = (
         np.concatenate(peeled_batches)

@@ -18,6 +18,12 @@ Two implementations return one result type,
   exactly equivalent to the oracle on success, peel order, core-edge
   set, and round count; the contract itself is documented in
   :mod:`repro.kernels.peeling`.
+
+The kernel keeps a wrapping int64 *sum* of the incident ids where the
+oracle keeps their XOR.  Only degree-1 vertices are ever read, and one
+remaining id reads back as itself under either algebra; the oracle
+keeps XOR on purpose, so the kernel-vs-oracle suite checks that the
+kernel's algebra changes no observable.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,19 +126,20 @@ class TestLoadEstimate:
         assert t.load == pytest.approx(0.25, abs=0.02)
 
 
-def _same_cellset_pair(table: IBLT, limit: int = 50000) -> tuple[int, int]:
-    """Two keys whose d cells coincide exactly (double-mode collision)."""
+def _same_cellset_keys(
+    table: IBLT, n: int = 2, limit: int = 50000
+) -> tuple[int, ...]:
+    """``n`` keys whose d cells coincide exactly (double-mode collision)."""
     keys = np.arange(limit, dtype=np.int64)
     rows = np.sort(table.cells_batch(keys), axis=1)
-    _, first, inverse, counts = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True,
-        return_counts=True,
+    _, inverse, counts = np.unique(
+        rows, axis=0, return_inverse=True, return_counts=True
     )
-    dup = np.flatnonzero(counts > 1)
+    dup = np.flatnonzero(counts >= n)
     if dup.size == 0:  # pragma: no cover - seed chosen so this never trips
-        pytest.skip("no duplicate cell-set pair in search range")
-    members = np.flatnonzero(inverse == dup[0])
-    return int(keys[members[0]]), int(keys[members[1]])
+        pytest.skip(f"no {n} keys sharing a cell set in search range")
+    members = np.flatnonzero(inverse.ravel() == dup[0])[:n]
+    return tuple(int(k) for k in keys[members])
 
 
 class TestResidueRegression:
@@ -144,12 +147,12 @@ class TestResidueRegression:
         """Regression: residue must count cells with count 0 but keySum ≠ 0.
 
         Insert one key and delete another with the *same* cell set: every
-        touched cell ends at count 0 with key_sum = k1 XOR k2 ≠ 0.  The
+        touched cell ends at count 0 with key_sum = k1 − k2 ≠ 0.  The
         short-circuiting scalar residue check this replaces reported 0
         here, hiding a stuck (and provably nonempty) table.
         """
         t = IBLT(64, 3, mode="double", seed=12)
-        k1, k2 = _same_cellset_pair(t)
+        k1, k2 = _same_cellset_keys(t)
         t.insert(k1, 10)
         t.delete(k2, 20)
         assert np.count_nonzero(t.count) == 0
@@ -165,7 +168,7 @@ class TestResidueRegression:
     def test_batched_lister_reports_same_residue(self):
         t1 = IBLT(64, 3, mode="double", seed=12)
         t2 = IBLT(64, 3, mode="double", seed=12)
-        k1, k2 = _same_cellset_pair(t1)
+        k1, k2 = _same_cellset_keys(t1)
         for t in (t1, t2):
             t.insert(k1, 10)
             t.delete(k2, 20)
@@ -297,6 +300,14 @@ class TestWidthNegotiation:
 # Independent oracle: cell state from the scalar hashes, one key at a time
 # ---------------------------------------------------------------------------
 
+_FIELDS = ("count", "key_sum", "check_sum", "value_sum")
+INT64_MIN = -(1 << 63)
+
+
+def _int64(x: int) -> int:
+    """Fold a Python int to signed 64-bit, as the int64 cell sums wrap."""
+    return (x - INT64_MIN) % (1 << 64) + INT64_MIN
+
 
 def _oracle_cells(table: IBLT, key: int) -> list[int]:
     """The documented cell progression from the scalar tabulation hashes.
@@ -308,7 +319,7 @@ def _oracle_cells(table: IBLT, key: int) -> list[int]:
     m = table.m
     if table.mode == "random":
         return [h.scalar(key) for h in table._hashes]
-    f, g = table._h1.scalar(key), table._h2.scalar(key)
+    f, g = (h.scalar(key) for h in table._hashes)
     if m & (m - 1) == 0:
         g |= 1
     elif g == 0:
@@ -317,14 +328,17 @@ def _oracle_cells(table: IBLT, key: int) -> list[int]:
 
 
 class _OracleCells:
-    """Pure-Python cell state: four lists of ints, one key at a time."""
+    """Pure-Python cell state: four lists of ints, one key at a time.
+
+    An entry adds ``sign·x`` to each sum field of each distinct cell, in
+    Python ints folded to signed 64-bit (the table's sums wrap modulo
+    2^64); ``subtract`` subtracts field by field.
+    """
 
     def __init__(self, table: IBLT) -> None:
         self.table = table
-        self.count = [0] * table.m
-        self.key_sum = [0] * table.m
-        self.check_sum = [0] * table.m
-        self.value_sum = [0] * table.m
+        for name in _FIELDS:
+            setattr(self, name, [0] * table.m)
 
     def apply(self, keys, values, signs) -> None:
         signs = np.broadcast_to(signs, keys.shape).tolist()
@@ -332,21 +346,20 @@ class _OracleCells:
             check = self.table._check.scalar(key)
             for c in set(_oracle_cells(self.table, key)):
                 self.count[c] += sign
-                self.key_sum[c] ^= key
-                self.check_sum[c] ^= check
-                self.value_sum[c] ^= value
+                self.key_sum[c] = _int64(self.key_sum[c] + sign * key)
+                self.check_sum[c] = _int64(self.check_sum[c] + sign * check)
+                self.value_sum[c] = _int64(self.value_sum[c] + sign * value)
 
     def subtract(self, other: _OracleCells) -> _OracleCells:
         diff = _OracleCells(self.table)
-        diff.count = [a - b for a, b in zip(self.count, other.count)]
-        for name in ("key_sum", "check_sum", "value_sum"):
+        for name in _FIELDS:
             setattr(diff, name, [
-                a ^ b for a, b in zip(getattr(self, name), getattr(other, name))
+                _int64(a - b) for a, b in zip(getattr(self, name), getattr(other, name))
             ])
         return diff
 
     def assert_matches(self, table: IBLT) -> None:
-        for name in ("count", "key_sum", "check_sum", "value_sum"):
+        for name in _FIELDS:
             assert getattr(table, name).tolist() == getattr(self, name), name
 
 
@@ -363,7 +376,8 @@ class TestOracleCellState:
     ``m`` covers a power of two, two primes and two composites that are
     not powers of two; on the composites a double-mode stride can share
     a factor with ``m`` (3072 = 2^10·3 with g = 1536; 4100 = 2^2·5^2·41
-    with g = 2050), so a key's row repeats a cell for ``d ≥ 3``.
+    with g = 2050), so a key's row repeats a cell for ``d ≥ 3``.  Keys
+    and values are drawn below 2^62, so the cell sums overflow int64.
     """
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -416,3 +430,197 @@ class TestOracleCellState:
         assert listing.keys.size > 0
         od.apply(listing.keys, listing.values, -listing.signs)
         od.assert_matches(diff)
+
+
+def _twin_tables(m: int = 256, d: int = 3, mode: str = "double", seed: int = 0):
+    """Two identical empty tables: one for each lister."""
+    return IBLT(m, d, mode=mode, seed=seed), IBLT(m, d, mode=mode, seed=seed)
+
+
+def _both_listings(scalar_table: IBLT, batched_table: IBLT):
+    """Both listers' outcomes, run with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = scalar_table.list_entries()
+        batched = batched_table.list_entries_batched()
+    return scalar, batched
+
+
+class TestSumAlgebra:
+    """The cell rules of the wrapping-sum algebra, pinned case by case."""
+
+    @pytest.mark.parametrize("mode", ["double", "random"])
+    def test_overflowing_sums_list_exact_entries(self, mode):
+        """Keys and values near 2^63 − 1 overflow every shared cell sum."""
+        top = (1 << 63) - 1
+        ins = top - np.arange(0, 60, 2, dtype=np.int64)
+        dels = top - np.arange(1, 41, 2, dtype=np.int64)
+        ins_vals, del_vals = ins - 7, dels - 11
+        ts, tb = _twin_tables(mode=mode, seed=31)
+        oracle = _OracleCells(ts)
+        for t in (ts, tb):
+            t.insert_many(ins, ins_vals)
+            t.delete_many(dels, del_vals)
+        oracle.apply(ins, ins_vals, 1)
+        oracle.apply(dels, del_vals, -1)
+        oracle.assert_matches(ts)
+        # Some cell holds two same-sign entries: its true sum passes 2^63.
+        assert (np.abs(ts.count) >= 2).any()
+        scalar, batched = _both_listings(ts, tb)
+        want = {(int(k), int(v)) for k, v in zip(ins, ins_vals)}
+        want |= {(int(k), int(v)) for k, v in zip(dels, del_vals)}
+        assert scalar.complete and batched.complete
+        assert set(scalar.entries) == want
+        got = set(zip(batched.keys.tolist(), batched.values.tolist(),
+                      batched.signs.tolist()))
+        assert got == {(k, v, 1) for k, v in zip(ins.tolist(), ins_vals.tolist())} | {
+            (k, v, -1) for k, v in zip(dels.tolist(), del_vals.tolist())
+        }
+
+    def test_net_deleted_key_listed_with_sign_minus_one(self):
+        ts, tb = _twin_tables(seed=8)
+        for t in (ts, tb):
+            t.delete(31, 310)
+        cells = np.unique(ts.cells(31))
+        assert (ts.count[cells] == -1).all()
+        assert (ts.key_sum[cells] == -31).all()
+        assert (ts.value_sum[cells] == -310).all()
+        scalar, batched = _both_listings(ts, tb)
+        assert scalar.complete and scalar.entries == [(31, 310)]
+        assert batched.complete
+        assert (batched.keys.tolist(), batched.values.tolist(),
+                batched.signs.tolist()) == ([31], [310], [-1])
+
+    def test_phantom_cell_is_not_listed(self):
+        """Three entries sharing one cell set: +a +b −c leaves count +1
+        and key sum a + b − c, a valid key whose checksum does not match."""
+        ts, tb = _twin_tables(m=64, seed=12)
+        c, a, b = sorted(_same_cellset_keys(ts, n=3))
+        for t in (ts, tb):
+            t.insert(a, 1)
+            t.insert(b, 2)
+            t.delete(c, 3)
+        phantom = a + b - c
+        cells = np.unique(ts.cells(a))
+        assert (ts.count[cells] == 1).all()
+        assert (ts.key_sum[cells] == phantom).all()
+        check = ts._check.scalar
+        assert int(ts.check_sum[cells[0]]) == check(a) + check(b) - check(c)
+        assert check(a) + check(b) - check(c) != check(phantom)
+        assert ts.get(phantom) is None
+        scalar, batched = _both_listings(ts, tb)
+        assert scalar.entries == [] and batched.keys.size == 0
+        assert not scalar.complete and not batched.complete
+        assert scalar.residue_cells == batched.residue_cells == cells.size
+
+    def test_scalar_face_count_minus_one_against_int64_min(self):
+        """``-1 · INT64_MIN`` is the one product that overflows int64."""
+        ts, tb = _twin_tables(m=64, seed=1)
+        for t in (ts, tb):
+            t.count[5] = -1
+            t.key_sum[5] = INT64_MIN
+            t.check_sum[5] = INT64_MIN
+            t.value_sum[5] = INT64_MIN
+        probe = next(k for k in range(1 << 12) if 5 in ts.cells(k).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ts.get(probe) is None
+        scalar, batched = _both_listings(ts, tb)
+        assert scalar.entries == [] and batched.keys.size == 0
+        assert scalar.residue_cells == batched.residue_cells == 1
+
+    def test_listed_value_wraps_like_the_cells(self):
+        """count −1 with value sum INT64_MIN: both listers agree on the
+        wrapped value ``−1 · INT64_MIN ≡ INT64_MIN`` and empty the table."""
+        ts, tb = _twin_tables(seed=3)
+        for t in (ts, tb):
+            t.insert(9, 0)
+            t.delete(9, 1 << 62)
+            t.delete(9, 1 << 62)
+        scalar, batched = _both_listings(ts, tb)
+        assert scalar.complete and batched.complete
+        assert scalar.entries == [(9, INT64_MIN)]
+        assert batched.entries == [(9, INT64_MIN)]
+        assert batched.signs.tolist() == [-1]
+
+
+def _cancelling_keys(table: IBLT, key: int, limit: int = 1 << 12):
+    """Keys ``a, b, c`` that cancel ``key`` in its first cell only.
+
+    Each of ``a, b, c`` has a cell equal to ``key``'s first cell and none
+    equal to its second; ``key & a == b & c == 0`` and
+    ``key | a == b | c``, so ``key + a == b + c`` (and
+    ``key ^ a == b ^ c``).
+    """
+    rows = table.cells_batch(np.arange(limit))
+    first, second = table.cells(key)[:2]
+    hits = (rows == first).any(axis=1) & ~(rows == second).any(axis=1)
+    pool = set(np.flatnonzero(hits).tolist()) - {key}
+    for a in sorted(pool):
+        if a & key:
+            continue
+        target = key | a
+        for b in sorted(pool):
+            c = target ^ b
+            if b & ~target == 0 and c in pool and len({key, a, b, c}) == 4:
+                return a, b, c
+    raise AssertionError("no cancelling triple in the search range")
+
+
+class TestGet:
+    """``get`` answers only from a verified count +1 cell of the key."""
+
+    def test_key_alone_in_later_cells_is_found(self):
+        t = IBLT(64, 3, mode="double", seed=5)
+        t.insert(7, 111)
+        t.insert(2, 222)
+        t.delete(400, 333)
+        t.delete(405, 444)
+        assert t.get(7) == 111
+
+    def test_phantom_key_sum_is_not_a_value(self):
+        """1 + 268 − 269 = 0 (and 1 ^ 268 ^ 269 = 0): a count +1 cell
+        whose key sum names key 0, which was never inserted."""
+        t = IBLT(64, 3, mode="double", seed=5)
+        t.insert(1, 10)
+        t.insert(268, 20)
+        t.delete(269, 5)
+        assert t.get(0) is None
+
+    def test_cancelled_first_cell_does_not_hide_a_present_key(self):
+        t = IBLT(64, 3, mode="double", seed=5)
+        key = 1
+        a, b, c = _cancelling_keys(t, key)
+        t.insert(key, 99)
+        t.insert(a, 1)
+        t.delete(b, 2)
+        t.delete(c, 3)
+        first = t.cells(key)[0]
+        assert t.count[first] == 0 and t.key_sum[first] == 0
+        assert t.get(key) == 99
+
+    def test_absent_keys_never_get_a_value(self):
+        """20 inserts and 10 never-inserted deletes below 512, 200 seeds.
+
+        ``get(q)`` can answer only from a cell of ``q`` with count 1 and
+        key sum ``q``, so the queries are every ``q < 512`` that has such
+        a cell (the only ones a phantom can fool) plus all 30 keys.
+        """
+        bad = []
+        universe = np.arange(512)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            keys = rng.choice(512, 30, replace=False)
+            values = rng.integers(0, 1 << 20, 30)
+            t = IBLT(64, 3, seed=seed)
+            t.insert_many(keys[:20], values[:20])
+            t.delete_many(keys[20:], values[20:])
+            present = dict(zip(keys[:20].tolist(), values[:20].tolist()))
+            rows = t.cells_batch(universe)
+            named = (t.count[rows] == 1) & (t.key_sum[rows] == universe[:, None])
+            queries = np.union1d(universe[named.any(axis=1)], keys)
+            for q in queries.tolist():
+                got = t.get(q)
+                if got is not None and got != present.get(q):
+                    bad.append((seed, q, got))
+        assert bad == []

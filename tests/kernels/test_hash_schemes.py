@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
+from repro.hashing.hash_functions import TabulationHash
 from repro.kernels import (
     flatten_tables,
     pairwise_affine_scalar,
@@ -63,6 +65,49 @@ class TestTabulationKernel:
     def test_flatten_tables_shape_checked(self, tables):
         with pytest.raises(ValueError):
             flatten_tables(tables[:4])
+
+    def test_stack_rows_match_single_tables_and_oracle(self):
+        """One sweep over a (3, 2048) stack equals three single sweeps."""
+        rng = np.random.default_rng(13)
+        stack = rng.integers(0, 1 << 64, size=(3, 8, 256), dtype=np.uint64)
+        flat = np.stack([flatten_tables(t) for t in stack])
+        keys = np.concatenate([
+            BOUNDARY_KEYS,
+            rng.integers(0, 1 << 64, size=(1 << 15) + 77, dtype=np.uint64),
+        ])
+        out = tabulation_hash_u64(keys, flat)
+        assert out.shape == (3, keys.size)
+        probe = [*range(BOUNDARY_KEYS.size), *rng.integers(0, keys.size, 60)]
+        for row, t, f in zip(out, stack, flat):
+            assert np.array_equal(row, tabulation_hash_u64(keys, f))
+            for i in probe:
+                assert int(row[i]) == tabulation_hash_scalar(int(keys[i]), t)
+
+    def test_stack_of_one_and_empty_batches(self, tables):
+        flat = flatten_tables(tables)
+        keys = np.arange(100, dtype=np.uint64)
+        assert np.array_equal(
+            tabulation_hash_u64(keys, flat[None])[0],
+            tabulation_hash_u64(keys, flat),
+        )
+        assert tabulation_hash_u64(keys[:0], np.stack([flat, flat])).shape == (2, 0)
+        assert tabulation_hash_u64(keys[:0], flat).shape == (0,)
+
+    def test_flat_table_shape_checked(self, tables):
+        flat = flatten_tables(tables)
+        keys = np.arange(4, dtype=np.uint64)
+        for bad in (flat[:1024], np.stack([flat[:1024]] * 2), flat[None, None]):
+            with pytest.raises(ConfigurationError):
+                tabulation_hash_u64(keys, bad)
+
+    @pytest.mark.parametrize("n", [1 << 10, 65537, 1 << 32])
+    def test_family_reduces_kernel_words_in_place(self, n):
+        h = TabulationHash(n, np.random.default_rng(4))
+        keys = np.concatenate([BOUNDARY_KEYS, np.arange(1000, dtype=np.uint64)])
+        words = tabulation_hash_u64(keys, flatten_tables(h.tables))
+        reduced = h.reduce(words)
+        assert reduced.dtype == np.int64 and np.shares_memory(reduced, words)
+        assert reduced.tolist() == [h.scalar(int(k)) for k in keys]
 
 
 class TestPairwiseKernel:
