@@ -64,14 +64,14 @@ class ChoiceScheme(abc.ABC):
     def batch_planar(self, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Like :meth:`batch` but transposed: a ``(d, trials)`` array.
 
-        Plane ``k`` holds the ``k``-th choice of every ball.  The kernel
-        layer (:mod:`repro.kernels`) consumes this layout so each of its
-        flat gathers walks one contiguous plane.  The default transposes
-        :meth:`batch`; schemes with a natural per-plane recurrence (double
-        hashing's constant stride) override it to skip the transpose and
-        the modulo.
+        Plane ``k`` holds the ``k``-th choice of every ball.  The default
+        returns the transposed *view* of :meth:`batch` (not contiguous):
+        the kernel layer (:mod:`repro.kernels`) copies the planes into its
+        packed buffer anyway, so a contiguous copy here would be wasted.
+        Schemes with a natural per-plane recurrence (double hashing's
+        constant stride) override it to skip the transpose and the modulo.
         """
-        return np.ascontiguousarray(self.batch(trials, rng).T)
+        return self.batch(trials, rng).T
 
     @property
     def distinct(self) -> bool:

@@ -52,26 +52,24 @@ class FullyRandomChoices(ChoiceScheme):
             choices[bad] = rng.integers(
                 0, self.n_bins, size=(bad.size, self.d), dtype=np.int64
             )
-            bad = bad[self._rows_with_duplicates(choices[bad], local=True)]
+            bad = bad[self._rows_with_duplicates(choices[bad])]
         return choices
 
     @staticmethod
-    def _rows_with_duplicates(
-        choices: np.ndarray, *, local: bool = False
-    ) -> np.ndarray:
+    def _rows_with_duplicates(choices: np.ndarray) -> np.ndarray:
         """Indices of rows containing a repeated bin.
 
-        Sorting each row and comparing neighbours is O(d log d) per row but
-        fully vectorized, which beats per-row ``np.unique`` by a wide margin.
-        When ``local`` is True the returned indices are relative to the
-        passed sub-array (used inside the rejection loop).
+        One vectorized equality test per column pair, OR-ed together.
+        The ``d(d-1)/2`` compares beat sorting each row up to ``d = 6``
+        and lose from ``d = 8`` (see ``docs/performance.md``); the
+        paper's tables use ``d <= 4``.
         """
-        if choices.shape[1] == 1:
-            return np.empty(0, dtype=np.int64)
-        ordered = np.sort(choices, axis=1)
-        dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        idx = np.flatnonzero(dup)
-        return idx if local or idx.size else idx
+        d = choices.shape[1]
+        dup = np.zeros(choices.shape[0], dtype=bool)
+        for i in range(d):
+            for j in range(i + 1, d):
+                dup |= choices[:, i] == choices[:, j]
+        return np.flatnonzero(dup)
 
     def describe(self) -> str:
         """Short human-readable label including mode and geometry."""

@@ -190,8 +190,9 @@ def _plan_wide(
             max(1, _MAX_PLANE_ELEMENTS // (block + 1)),
         ),
     )
-    # The flat index must stay a valid int32 (the scatter/stamp scratch
-    # stays 32-bit); beyond that no table fits memory anyway.
+    # Cap the flat index at 31 bits: every cidx bit past that comes out
+    # of the key's load field, and a larger table would not fit memory
+    # anyway (the kernel's index scratch is intp, so it sets no cap).
     while chunk > 1 and bins_p * chunk > (1 << INT32_VALUE_BITS):
         chunk -= 1
     cidx_bits = field_width(bins_p * chunk)

@@ -69,9 +69,11 @@ class NumpyWorkspace:
 
     Geometry-keyed on ``(d, trials, window, bins_p)``; per-call buffers
     (window state, plane offsets) are cheap and rebuilt each ``place``.
-    ``dtype`` is the packed-candidate dtype (int32 narrow, int64 wide);
-    only the gathered packed values need it — indices and loads stay
-    int32 (wide layouts cap the flat index at 31 bits).
+    ``dtype`` is the packed-candidate dtype (int32 narrow, int64 wide).
+    The gather and scatter indices (``gidx``, ``cidx``, ``scat``) are
+    ``intp``: numpy converts any other index dtype to ``intp`` on every
+    ``take`` and fancy assignment.  Loads, stamps and every other value
+    array stay int32.
     """
 
     def __init__(
@@ -83,13 +85,13 @@ class NumpyWorkspace:
         self.bins_p = bins_p
         plane = (d, trials, window)
         row = (trials, window)
-        self.gidx = np.empty(plane, np.int32)
+        self.gidx = np.empty(plane, np.intp)
         self.pcg = np.empty(plane, dtype)
-        self.cidx = np.empty(plane, np.int32)
+        self.cidx = np.empty(plane, np.intp)
         self.kv = np.empty(plane, np.int32)
         self.key = np.empty(plane, np.int64)
         self.sc = np.empty(plane, np.int32)
-        self.scat = np.empty((window, trials, d), np.int32)
+        self.scat = np.empty((window, trials, d), np.intp)
         self.svals = np.empty((window, trials, d), np.int32)
         self.scmin = np.empty(row, np.int32)
         self.kmin = np.empty(row, np.int64)
@@ -136,6 +138,9 @@ class NumpyBackend:
         steps = steps_p - 1
         window = ws.window
         cidx_mask = layout.cidx_mask
+        # The packed dtype's own mask keeps the narrow layout's AND an
+        # int32 loop (an int64 mask would upcast every candidate).
+        pmask = layout.dtype.type(cidx_mask)
         kmul = np.int64(1) << np.int64(layout.key_shift)
         pcflat = pc.reshape(-1)
         # Flat offsets of each (plane, trial) row inside pcflat; cheap to
@@ -160,7 +165,7 @@ class NumpyBackend:
             # 1. gather the window's packed candidates
             np.add(win[None, :, :], goff, out=ws.gidx)
             pcflat.take(ws.gidx, out=ws.pcg, mode="clip")
-            np.bitwise_and(ws.pcg, cidx_mask, out=ws.cidx, casting="unsafe")
+            np.bitwise_and(ws.pcg, pmask, out=ws.cidx)
             # 2. picks against frozen loads via packed keys
             loads.take(ws.cidx, out=ws.kv, mode="clip")
             np.multiply(ws.kv, kmul, out=ws.key)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SchemeError
 from repro.hashing import (
+    BlockChoices,
+    ChoiceScheme,
     DoubleHashingChoices,
     FullyRandomChoices,
     PartitionedDoubleHashing,
@@ -108,6 +110,35 @@ class TestDistinctness:
         assert PartitionedDoubleHashing(16, 4).distinct
 
 
+def _rejection_oracle(n, d, trials, rng):
+    """Fully random rows without replacement, one Python row at a time:
+    draw every row, then redraw the rows holding a repeated bin, in row
+    order, until none remain."""
+    rows = rng.integers(0, n, size=(trials, d), dtype=np.int64)
+    bad = [t for t in range(trials) if len(set(rows[t].tolist())) < d]
+    while bad:
+        redraw = rng.integers(0, n, size=(len(bad), d), dtype=np.int64)
+        for t, row in zip(bad, redraw):
+            rows[t] = row
+        bad = [t for t in bad if len(set(rows[t].tolist())) < d]
+    return rows
+
+
+class TestFullyRandomDrawStream:
+    @pytest.mark.parametrize(
+        "n,d", [(3, 3), (8, 5), (12, 7), (16, 2), (32, 8), (64, 4)]
+    )
+    def test_batch_matches_rejection_oracle(self, n, d):
+        """The vectorized rejection loop redraws exactly the oracle's rows
+        in the oracle's order, so rows and generator state both match."""
+        got_rng = np.random.default_rng(n * 100 + d)
+        want_rng = np.random.default_rng(n * 100 + d)
+        got = FullyRandomChoices(n, d).batch(500, got_rng)
+        want = _rejection_oracle(n, d, 500, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.integers(0, 1 << 62) == want_rng.integers(0, 1 << 62)
+
+
 class TestDoubleHashingStructure:
     def test_choices_form_arithmetic_progression(self, rng):
         scheme = DoubleHashingChoices(97, 5)
@@ -163,12 +194,25 @@ class TestDoubleHashingStructure:
 
     def test_batch_planar_matches_batch(self):
         """The planar (d, trials) layout is the transposed row layout for
-        the same generator state."""
+        the same generator state: double hashing's own recurrence, and
+        every scheme on the base class's transposing default."""
         for n, d in ((2, 2), (31, 3), (64, 3)):
             scheme = DoubleHashingChoices(n, d)
             rows = scheme.batch(300, np.random.default_rng(7))
             planes = scheme.batch_planar(300, np.random.default_rng(7))
             assert planes.shape == (d, 300)
+            assert np.array_equal(planes, rows.T)
+        for scheme in (
+            FullyRandomChoices(16, 4),
+            FullyRandomChoices(16, 4, replacement=True),
+            PartitionedFullyRandom(64, 4),
+            PartitionedDoubleHashing(64, 4),
+            BlockChoices(64, 4),
+        ):
+            assert type(scheme).batch_planar is ChoiceScheme.batch_planar
+            rows = scheme.batch(300, np.random.default_rng(7))
+            planes = scheme.batch_planar(300, np.random.default_rng(7))
+            assert planes.shape == (4, 300)
             assert np.array_equal(planes, rows.T)
 
 

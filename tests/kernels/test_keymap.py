@@ -11,6 +11,8 @@ pin the tricky orderings; hypothesis streams sweep the rest.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,10 +238,16 @@ class TestNumpySemanticsCanary:
         # on fancy assignment storing the LAST value written to a
         # repeated index (NumPy indexing guide: "the last value... is
         # assigned").  If this ever changes, the kernel's duplicate-key
-        # handling breaks — fail loudly here, not in a workload.
-        arr = np.zeros(4, dtype=np.int64)
-        arr[np.array([2, 2, 2])] = np.array([10, 20, 30])
-        assert arr[2] == 30
+        # handling breaks — fail loudly here, not in a workload.  The
+        # placement kernel's stamp scatter relies on it too, with intp
+        # indices into an int32 table; 20,000 indices outrun numpy's
+        # 8,192-element cast buffer, and int32 indices take the cast.
+        for index, size, target in itertools.product(
+            ("intp", "int32"), (3, 20_000), ("int64", "int32")
+        ):
+            arr = np.zeros(4, dtype=target)
+            arr[np.full(size, 2, dtype=index)] = np.arange(size, dtype=target)
+            assert arr[2] == size - 1, (index, size, target)
 
 
 class TestProbeHash:

@@ -16,6 +16,7 @@ from repro.kernels.generate import (
 )
 from repro.kernels.numpy_backend import NumpyBackend, choose_window
 from repro.kernels.reference import sequential_packed_reference
+from repro.rng import default_generator
 
 
 def _place(work, pc, layout):
@@ -43,8 +44,7 @@ class TestPlanning:
         assert layout is not None and layout.wide
         assert layout.dtype == np.dtype(np.int64)
         assert layout.key_shift == layout.tie_bits + layout.cidx_bits
-        # The flat chunk table must fit both the cidx field and int32
-        # scatter scratch.
+        # The flat chunk table must fit the 31-bit cidx field.
         assert layout.cidx_bits <= 31
         assert (layout.n_bins + 1) * layout.trial_chunk <= 1 << 31
         assert layout.load_bits == 63 - layout.key_shift
@@ -109,11 +109,17 @@ class TestExactness:
         )
 
     def test_giant_n_smoke(self):
-        # Past the int32 address space end to end (wide single-trial).
-        n = (1 << 21) + 11
-        batch = simulate_batch(DoubleHashingChoices(n, 2), n, 1, seed=5)
-        assert batch.loads.sum() == n
-        assert batch.loads.max() <= 10
+        # Past the int32 address space end to end: simulate_batch's own
+        # planner goes wide (2**23 is the first n that does), and its
+        # loads equal the scalar walk of the same packed draws.
+        n, balls, seed = (1 << 23) + 11, 1 << 16, 5
+        scheme = DoubleHashingChoices(n, 2)
+        layout = plan_layout(n, 2, "random", 1, balls)
+        assert layout.wide
+        batch = simulate_batch(scheme, balls, 1, seed=seed, block=balls)
+        pc = generate_packed(scheme, 1, balls, default_generator(seed), layout)
+        expected = sequential_packed_reference(pc, layout)
+        assert np.array_equal(batch.loads, expected)
 
 
 class TestOverflowGuard:
