@@ -9,8 +9,8 @@ Run as a script::
 This is the shipped acceptance run for the giant-n scale-out (see
 ``docs/scale.md``): ``trials`` independent trials of ``m = n`` balls into
 ``n`` bins through :func:`repro.kernels.run_parallel_trials` on the numpy
-kernel.  Load tables are sharded per :func:`repro.kernels.default_shards`
-unless ``--shards`` overrides.
+kernel.  Load tables are sharded per :func:`repro.kernels.default_shards`;
+the report records the shard count.
 
 The report records wall-clock, balls/second, peak RSS (must stay
 O(shard) + one O(n) load table per in-flight trial), and the merged
@@ -49,19 +49,16 @@ def _peak_rss_bytes():
     return rss * 1024 if sys.platform != "darwin" else rss
 
 
-def run(n=2**24, d=3, trials=2, seed=20140623, shards=None):
+def run(n=2**24, d=3, trials=2, seed=20140623):
     """One timed giant-n run; returns the JSON report dict."""
     scheme = DoubleHashingChoices(n, d)
-    used_shards = shards if shards is not None else default_shards(n, d)
 
     # Warm-up on a small geometry so first-call allocations stay outside
     # the timed region.
     run_parallel_trials(DoubleHashingChoices(1024, d), 1024, 1, root=seed)
 
     t0 = time.perf_counter()
-    hist = run_parallel_trials(
-        scheme, n, trials, root=seed, shards=used_shards
-    )
+    hist = run_parallel_trials(scheme, n, trials, root=seed)
     elapsed = time.perf_counter() - t0
 
     totals = (hist * np.arange(hist.shape[1])).sum(axis=1)
@@ -70,7 +67,8 @@ def run(n=2**24, d=3, trials=2, seed=20140623, shards=None):
     return {
         "geometry": {
             "n_bins": n, "d": d, "n_balls": n, "trials": trials,
-            "seed": seed, "shards": used_shards, "scheme": "double-hashing",
+            "seed": seed, "shards": default_shards(n, d),
+            "scheme": "double-hashing",
         },
         "host": {
             "python": platform.python_version(),
@@ -103,19 +101,12 @@ def main(argv=None):
     parser.add_argument("--trials", type=int, default=2)
     parser.add_argument("--seed", type=int, default=20140623)
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="aggregation shards (default: sized from n*d)",
-    )
-    parser.add_argument(
         "--budget-seconds", type=float, default=None, dest="budget_seconds",
         help="fail (exit 1) when the timed run exceeds this wall-clock",
     )
     args = parser.parse_args(argv)
 
-    report = run(
-        n=args.n, d=args.d, trials=args.trials, seed=args.seed,
-        shards=args.shards,
-    )
+    report = run(n=args.n, d=args.d, trials=args.trials, seed=args.seed)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     r = report["results"]
     print(

@@ -17,8 +17,8 @@ Two timed sections, recorded under the ``numpy`` tier:
   ``double``/``random`` schemes as the non-keyed reference.
 
 A third, untimed section reruns the hash-family-zoo equivalence sweep
-(chi-square p on the load law and mean max load vs one fully-random
-baseline, the certifier's seed convention) and records it under
+(:func:`repro.experiments.tables.scheme_sweep`: chi-square p on the load
+law and mean max load vs one fully-random baseline) and records it under
 ``equivalence_map``; ``--map-out`` additionally renders it as the
 markdown table ``docs/hash-families.md`` embeds.  Theory columns come
 from ``repro.hashing.SCHEME_INFO`` — never transcribed here.
@@ -39,24 +39,19 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import compare_distributions          # noqa: E402
 from repro.core import run_experiment                     # noqa: E402
 from repro.experiments.config import ExperimentSpec       # noqa: E402
-from repro.hashing import (                               # noqa: E402
-    FullyRandomChoices,
-    make_hash_family,
-    make_scheme,
+from repro.experiments.tables import scheme_sweep         # noqa: E402
+from repro.hashing import make_hash_family, make_scheme   # noqa: E402
+from repro.hashing.registry import (                      # noqa: E402
+    SCHEME_INFO,
+    ZOO_FAMILIES,
 )
-from repro.hashing.registry import SCHEME_INFO            # noqa: E402
 
 HASH_FAMILIES = ("multiply-shift", "tabulation", "pairwise", "universal")
 PLACEMENT_SCHEMES = (
     "double", "random", "multiply-shift", "tabulation",
     "tabulation-double", "pairwise", "pairwise-double", "universal",
-)
-MAP_SCHEMES = (
-    "multiply-shift", "tabulation", "tabulation-double",
-    "universal", "pairwise", "pairwise-double",
 )
 
 
@@ -117,25 +112,17 @@ def _bench_placement(n, d, trials, seed, rounds):
 
 def equivalence_map(n, d, trials, seed):
     """Per-scheme chi-square p and mean max load vs one random baseline."""
-    spec = ExperimentSpec(n=n, d=d, trials=trials, seed=seed)
-    res_base = run_experiment(FullyRandomChoices(n, d), spec)
-    base_max = float(res_base.distribution.max_load_per_trial.mean())
-    rows = {}
-    for k, name in enumerate(MAP_SCHEMES):
-        seed_k = seed + 1 + k
-        res = run_experiment(
-            make_scheme(name, n, d, seed=seed_k), spec.replace(seed=seed_k)
-        )
-        rows[name] = {
-            "chi2_p": round(float(compare_distributions(
-                res_base.distribution, res.distribution
-            ).p_value), 4),
-            "mean_max_load": round(
-                float(res.distribution.max_load_per_trial.mean()), 3
-            ),
+    sweep = scheme_sweep(
+        ExperimentSpec(n=n, d=d, trials=trials, seed=seed), ZOO_FAMILIES
+    )
+    return {
+        name: {
+            "chi2_p": round(float(p), 4),
+            "mean_max_load": round(mean_max, 3),
             "random_mean_max_load": round(base_max, 3),
         }
-    return rows
+        for name, p, mean_max, base_max in sweep.rows
+    }
 
 
 def render_map_markdown(rows, n, d, trials, seed) -> str:

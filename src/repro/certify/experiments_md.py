@@ -13,8 +13,8 @@ Two jobs live here:
   parses markdown; no experiments run, so it is fast enough for every
   push.
 
-``benchmarks/generate_experiments_md.py`` is a thin wrapper over the
-renderer.
+``python -m repro certify --emit-experiments-md`` runs the renderer and
+``--check-drift`` the drift check.
 """
 
 from __future__ import annotations
@@ -25,20 +25,9 @@ from repro.certify.anchors import anchor_value, paper_values
 
 __all__ = ["check_experiments_md_drift", "fmt_fraction", "render_experiments_md"]
 
-#: The keyed families swept in the zoo section, in render order (each
-#: distinct constructor once; the keyed "double"/"random" aliases are
-#: covered by "multiply-shift"/the baseline).
-_ZOO_SCHEMES = (
-    "multiply-shift",
-    "tabulation",
-    "tabulation-double",
-    "universal",
-    "pairwise",
-    "pairwise-double",
-)
-
 _SCALE_NOTE = (
-    "Measured columns regenerated by `benchmarks/generate_experiments_md.py`"
+    "Measured columns regenerated by"
+    " `python -m repro certify --emit-experiments-md`"
     " at reduced scale (see the per-table parameters); paper columns"
     " transcribed once in `repro.certify.anchors`.  Sampling error at these"
     " scales is a few units in the fourth decimal place for load fractions."
@@ -316,18 +305,14 @@ def _emit_scheme_sweep(emit, *, metrics=None, progress=None) -> None:
     compares the committed document against that registry, preserving
     the single-transcription invariant for the zoo's theory columns.
     """
-    from repro.analysis import compare_distributions
-    from repro.core import run_experiment
     from repro.experiments import ExperimentSpec
-    from repro.hashing import FullyRandomChoices, make_scheme
-    from repro.hashing.registry import SCHEME_INFO
+    from repro.experiments.tables import scheme_sweep
+    from repro.hashing.registry import SCHEME_INFO, ZOO_FAMILIES
 
-    spec = ExperimentSpec(n=2**12, d=3, trials=50, seed=9)
-    res_base = run_experiment(
-        FullyRandomChoices(spec.n, spec.d), spec,
+    sweep = scheme_sweep(
+        ExperimentSpec(n=2**12, d=3, trials=50, seed=9), ZOO_FAMILIES,
         metrics=metrics, progress=progress,
     )
-    base_max = float(res_base.distribution.max_load_per_trial.mean())
     emit("## Hash-family zoo — scheme equivalence sweep")
     emit("")
     emit("Every keyed family vs the fully-random baseline at n = 2^12,")
@@ -340,17 +325,8 @@ def _emit_scheme_sweep(emit, *, metrics=None, progress=None) -> None:
     emit("")
     emit("| Scheme | guarantee | citation | chi2 p vs random | mean max load | random mean max |")
     emit("|---|---|---|---|---|---|")
-    for k, name in enumerate(_ZOO_SCHEMES):
+    for name, p, mean_max, base_max in sweep.rows:
         info = SCHEME_INFO[name]
-        seed_k = spec.seed + 1 + k
-        res = run_experiment(
-            make_scheme(name, spec.n, spec.d, seed=seed_k),
-            spec.replace(seed=seed_k), metrics=metrics, progress=progress,
-        )
-        p = compare_distributions(
-            res_base.distribution, res.distribution
-        ).p_value
-        mean_max = float(res.distribution.max_load_per_trial.mean())
         emit(
             f"| {name} | {info.guarantee} | {info.citation} |"
             f" {p:.3f} | {mean_max:.2f} | {base_max:.2f} |"
@@ -463,9 +439,9 @@ def _expectations() -> list[tuple[str, str, dict[str, str], dict[str, str]]]:
         ))
     # Hash-family zoo: the theory columns must match the scheme registry
     # (repro.hashing is import-light, so the drift check stays cheap).
-    from repro.hashing.registry import SCHEME_INFO
+    from repro.hashing.registry import SCHEME_INFO, ZOO_FAMILIES
 
-    for name in _ZOO_SCHEMES:
+    for name in ZOO_FAMILIES:
         info = SCHEME_INFO[name]
         exp.append((
             "Hash-family zoo", "",

@@ -1,8 +1,10 @@
 """The tiered certification runner.
 
-Executes every table run of a :class:`~repro.certify.tiers.CertificationTier`
-— both schemes, through the resilient engine — and turns the paper's
-claims into typed :class:`CheckResult` records of four kinds:
+Runs every table of a :class:`~repro.certify.tiers.CertificationTier`
+through the table function the ``table1`` … ``table8`` subcommands print
+(:mod:`repro.experiments.tables`; the schemes cells through its
+``scheme_sweep``) and turns the paper's claims about the runs each table
+keeps into typed :class:`CheckResult` records of four kinds:
 
 ``anchor``
     A measured value against the published cell, within
@@ -29,7 +31,7 @@ by :mod:`repro.certify.verdict`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import sqrt
 from typing import Any, Callable
 
@@ -45,20 +47,11 @@ from repro.analysis import (
 from repro.certify.anchors import PAPER_SOURCE, REGISTRY, anchor
 from repro.certify.tiers import TIERS, CertificationTier, TableRun
 from repro.certify.verdict import SCHEMA_VERSION
-from repro.core import run_experiment, simulate_dleft
-from repro.core.dleft import make_dleft_scheme
-from repro.experiments.config import ExperimentSpec
-from repro.fluid import (
-    equilibrium_mean_sojourn_time,
-    solve_balls_bins,
-    solve_dleft,
-    solve_heavy_load,
-)
-from repro.hashing import DoubleHashingChoices, FullyRandomChoices, make_scheme
+from repro.experiments import tables
+from repro.fluid import equilibrium_mean_sojourn_time
 from repro.kernels import resolve_backend
 from repro.metrics import MetricsRegistry
 from repro.peeling import peeling_threshold, threshold_experiment
-from repro.queueing import simulate_supermarket
 
 __all__ = ["Certification", "CheckResult", "RunRecord", "run_certification"]
 
@@ -85,21 +78,7 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         """JSON-ready mapping for the ``checks`` array."""
-        return {
-            "check_id": self.check_id,
-            "table": self.table,
-            "variant": self.variant,
-            "kind": self.kind,
-            "passed": bool(self.passed),
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "anchor_id": self.anchor_id,
-            "p_value": self.p_value,
-            "p_holm": self.p_holm,
-            "effect_size": self.effect_size,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 @dataclass
@@ -113,12 +92,7 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         """JSON-ready mapping for the ``runs`` array."""
-        return {
-            "table": self.table,
-            "variant": self.variant,
-            "params": self.params,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -185,6 +159,31 @@ def _tol(measured: float, expected: float, n_obs: int, z: float,
     return z * se + quantum
 
 
+def _within(
+    run: TableRun,
+    kind: str,
+    check_id: str,
+    measured: float,
+    expected: float,
+    tolerance: float,
+    detail: str,
+    anchor_id: str | None = None,
+) -> CheckResult:
+    """A measured value that passes within ``tolerance`` of ``expected``."""
+    return CheckResult(
+        check_id=check_id,
+        table=run.table,
+        variant=run.variant,
+        kind=kind,
+        passed=abs(measured - expected) <= tolerance,
+        measured=measured,
+        expected=expected,
+        tolerance=tolerance,
+        anchor_id=anchor_id,
+        detail=detail,
+    )
+
+
 def _anchor_check(
     run: TableRun,
     anchor_id: str,
@@ -192,7 +191,6 @@ def _anchor_check(
     n_obs: int,
     z: float,
     *,
-    kind: str = "anchor",
     scale: float = 1.0,
 ) -> CheckResult:
     """Check one measured fraction/percent against its registry anchor.
@@ -201,23 +199,15 @@ def _anchor_check(
     percent cells of Table 4).
     """
     a = anchor(anchor_id)
-    expected = a.value
     tolerance = scale * _tol(
-        measured / scale, expected / scale, n_obs, z, a.quantum / scale
+        measured / scale, a.value / scale, n_obs, z, a.quantum / scale
     )
-    diff = abs(measured - expected)
-    return CheckResult(
-        check_id=f"{kind}:{run.variant}:{anchor_id}",
-        table=run.table,
-        variant=run.variant,
-        kind=kind,
-        passed=diff <= tolerance,
-        measured=measured,
-        expected=expected,
-        tolerance=tolerance,
-        anchor_id=anchor_id,
-        detail=f"|measured - paper| = {diff:.3g} (tol {tolerance:.3g}, "
-               f"{n_obs} observations)",
+    return _within(
+        run, "anchor", f"anchor:{run.variant}:{anchor_id}", measured,
+        a.value, tolerance,
+        f"|measured - paper| = {abs(measured - a.value):.3g} "
+        f"(tol {tolerance:.3g}, {n_obs} observations)",
+        anchor_id,
     )
 
 
@@ -268,18 +258,39 @@ def _bootstrap_check(run: TableRun, loads_random, loads_double,
     )
 
 
-def _run_pair(run: TableRun, spec: ExperimentSpec, metrics, progress):
-    """Run both schemes with the historical seed convention (s, s+1)."""
-    seed2 = None if spec.seed is None else spec.seed + 1
-    res_r = run_experiment(
-        FullyRandomChoices(spec.n, spec.d), spec,
-        metrics=metrics, progress=progress,
+def _fluid_check(
+    run: TableRun,
+    tier: CertificationTier,
+    anchor_id: str,
+    measured: float,
+    detail: str,
+    *,
+    cell: str = "",
+    floor: float = 0.0,
+) -> CheckResult:
+    """A closed-form or solver value against its published cell.
+
+    The tolerance is ``fluid_rel_tol`` relative to the cell (at least
+    ``floor``) plus its rounding quantum.  The check id names ``cell``
+    within the run when given, else the anchor.
+    """
+    a = anchor(anchor_id)
+    return _within(
+        run, "fluid",
+        f"fluid:{run.table}/{run.variant}:{cell}" if cell
+        else f"fluid:{run.variant}:{anchor_id}",
+        measured, a.value, tier.fluid_rel_tol * max(a.value, floor) + a.quantum,
+        detail, anchor_id,
     )
-    res_d = run_experiment(
-        DoubleHashingChoices(spec.n, spec.d), spec.replace(seed=seed2),
-        metrics=metrics, progress=progress,
-    )
-    return res_r, res_d
+
+
+def _load_anchors(prefix: str) -> list[tuple[str, int]]:
+    """Registry anchors ``<prefix>/load<i>`` with their load ``i``."""
+    return [
+        (a.anchor_id, int(a.anchor_id.rsplit("load", 1)[1]))
+        for a in REGISTRY.values()
+        if a.anchor_id.startswith(prefix + "/load")
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -289,29 +300,22 @@ def _run_pair(run: TableRun, spec: ExperimentSpec, metrics, progress):
 
 def _certify_load_fraction_table(run, tier, metrics, progress):
     """Tables 1, 3 and 6: per-load fraction anchors + equivalence."""
-    spec = run.spec
-    if run.table == "table3":
-        spec = spec.replace(n=2 ** spec.log2_n)
-    if run.table == "table6":
-        spec = spec.replace(n_balls=spec.n * run.extras.get("balls_per_bin", 16))
-    res_r, res_d = _run_pair(run, spec, metrics, progress)
+    table = _TABLES[run.table](
+        run.spec, **run.extras, metrics=metrics, progress=progress
+    )
+    res_r, res_d = table.results["random"], table.results["double"]
+    spec = res_r.spec
     n_obs = spec.trials * spec.n
-    checks = []
-    for role, res in (("random", res_r), ("double", res_d)):
-        if run.table == "table1":
-            prefix = f"table1/d{spec.d}/{role}"
-        elif run.table == "table3":
-            prefix = f"table3/n{spec.log2_n}/d{spec.d}/{role}"
-        else:
-            prefix = f"table6/d{spec.d}/{role}"
-        for a in REGISTRY.values():
-            if not a.anchor_id.startswith(prefix + "/load"):
-                continue
-            load = int(a.anchor_id.rsplit("load", 1)[1])
-            checks.append(_anchor_check(
-                run, a.anchor_id, res.distribution.fraction_at(load),
-                n_obs, tier.anchor_z,
-            ))
+    size = f"/n{spec.log2_n}" if run.table == "table3" else ""
+    prefix = f"{run.table}{size}/d{spec.d}"
+    checks = [
+        _anchor_check(
+            run, anchor_id, res.distribution.fraction_at(load),
+            n_obs, tier.anchor_z,
+        )
+        for role, res in table.results.items()
+        for anchor_id, load in _load_anchors(f"{prefix}/{role}")
+    ]
     checks.append(_equivalence_check(run, res_r.distribution, res_d.distribution))
     checks.append(_bootstrap_check(
         run,
@@ -319,52 +323,34 @@ def _certify_load_fraction_table(run, tier, metrics, progress):
         res_d.distribution.max_load_per_trial,
         seed=spec.seed or 0,
     ))
-    if run.table == "table6":
-        fluid = solve_heavy_load(spec.d, run.extras.get("balls_per_bin", 16))
-        for a in REGISTRY.values():
-            prefix = f"table6/d{spec.d}/random/load"
-            if a.anchor_id.startswith(prefix):
-                load = int(a.anchor_id.rsplit("load", 1)[1])
-                checks.append(CheckResult(
-                    check_id=f"fluid:{run.table}/{run.variant}:load{load}",
-                    table=run.table,
-                    variant=run.variant,
-                    kind="fluid",
-                    passed=abs(fluid.fraction_at(load) - a.value)
-                    <= tier.fluid_rel_tol * max(a.value, 1e-3) + a.quantum,
-                    measured=fluid.fraction_at(load),
-                    expected=a.value,
-                    tolerance=tier.fluid_rel_tol * max(a.value, 1e-3) + a.quantum,
-                    anchor_id=a.anchor_id,
-                    detail="heavy-load fluid limit vs published simulated cell",
-                ))
+    if table.fluid is not None:  # Table 6's heavy-load fluid column
+        checks.extend(
+            _fluid_check(
+                run, tier, anchor_id, table.fluid.fraction_at(load),
+                "heavy-load fluid limit vs published simulated cell",
+                cell=f"load{load}", floor=1e-3,
+            )
+            for anchor_id, load in _load_anchors(f"table6/d{spec.d}/random")
+        )
     return checks, spec
 
 
 def _certify_table2(run, tier, metrics, progress):
     """Table 2: fluid tails vs paper, simulated tails vs paper, equivalence."""
-    spec = run.spec
-    res_r, res_d = _run_pair(run, spec, metrics, progress)
-    fluid = solve_balls_bins(spec.d, 1.0)
+    table = tables.table2_fluid_vs_simulation(
+        run.spec, metrics=metrics, progress=progress
+    )
+    res_r, res_d = table.results["random"], table.results["double"]
+    spec = res_r.spec
     n_obs = spec.trials * spec.n
-    checks = []
-    for k in (1, 2, 3):
-        a = anchor(f"table2/fluid/tail{k}")
-        measured = fluid.tail_at(k)
-        tolerance = tier.fluid_rel_tol * a.value + a.quantum
-        checks.append(CheckResult(
-            check_id=f"fluid:{run.table}/{run.variant}:tail{k}",
-            table=run.table,
-            variant=run.variant,
-            kind="fluid",
-            passed=abs(measured - a.value) <= tolerance,
-            measured=measured,
-            expected=a.value,
-            tolerance=tolerance,
-            anchor_id=a.anchor_id,
-            detail="ODE solver tail vs published fluid column",
-        ))
-    for role, res in (("random", res_r), ("double", res_d)):
+    checks = [
+        _fluid_check(
+            run, tier, f"table2/fluid/tail{k}", table.fluid.tail_at(k),
+            "ODE solver tail vs published fluid column", cell=f"tail{k}",
+        )
+        for k in (1, 2, 3)
+    ]
+    for role, res in table.results.items():
         for k in (1, 2, 3):
             checks.append(_anchor_check(
                 run, f"table2/{role}/tail{k}", res.distribution.tail_at(k),
@@ -377,15 +363,13 @@ def _certify_table2(run, tier, metrics, progress):
 def _certify_table4(run, tier, metrics, progress):
     """Table 4: max-load percent anchors + per-size equivalence/bootstraps."""
     spec = run.spec
-    sizes = run.extras.get("log2_n_values", (10, 11, 12, 13, 14))
+    table = tables.table4_max_load(
+        spec, **run.extras, metrics=metrics, progress=progress
+    )
     checks = []
-    for k, log2_n in enumerate(sizes):
-        point = spec.replace(
-            n=2 ** log2_n,
-            seed=None if spec.seed is None else spec.seed + 2 * k,
-        )
-        res_r, res_d = _run_pair(run, point, metrics, progress)
-        for role, res in (("random", res_r), ("double", res_d)):
+    for log2_n, pair in table.results.items():
+        res_r, res_d = pair["random"], pair["double"]
+        for role, res in pair.items():
             anchor_id = f"table4/d{spec.d}/{role}/n{log2_n}"
             if anchor_id not in REGISTRY:
                 continue
@@ -404,10 +388,10 @@ def _certify_table4(run, tier, metrics, progress):
             detail=f"max-load contingency over values {cmp.table_values}",
         ))
         checks.append(_bootstrap_check(
-            TableRun(run.table, f"{run.variant}-n{log2_n}", point),
+            TableRun(run.table, f"{run.variant}-n{log2_n}", res_r.spec),
             res_r.distribution.max_load_per_trial,
             res_d.distribution.max_load_per_trial,
-            seed=(point.seed or 0),
+            seed=(res_r.spec.seed or 0),
         ))
     return checks, spec
 
@@ -420,11 +404,11 @@ def _certify_table5(run, tier, metrics, progress):
     at the ``full`` tier's n = 2^18 is the paper's own geometry).
     """
     spec = run.spec
-    res_r, res_d = _run_pair(run, spec, metrics, progress)
+    table = tables.table5_level_stats(spec, metrics=metrics, progress=progress)
     paper_n = 2 ** 18
     n_obs = spec.trials * spec.n
     checks = []
-    for role, res in (("random", res_r), ("double", res_d)):
+    for role, res in table.results.items():
         for load in range(4):
             anchor_id = f"table5/{role}/load{load}/avg"
             if anchor_id not in REGISTRY:
@@ -432,21 +416,16 @@ def _certify_table5(run, tier, metrics, progress):
             a = anchor(anchor_id)
             measured = res.aggregator.level_stats(load).mean / spec.n
             expected = a.value / paper_n
-            tolerance = _tol(measured, expected, n_obs, tier.anchor_z,
-                             a.quantum / paper_n)
-            checks.append(CheckResult(
-                check_id=f"anchor:{run.variant}:{anchor_id}",
-                table=run.table,
-                variant=run.variant,
-                kind="anchor",
-                passed=abs(measured - expected) <= tolerance,
-                measured=measured,
-                expected=expected,
-                tolerance=tolerance,
-                anchor_id=anchor_id,
-                detail=f"avg/n occupancy at load {load} "
-                       f"(paper avg {a.value} at n=2^18)",
+            checks.append(_within(
+                run, "anchor", f"anchor:{run.variant}:{anchor_id}",
+                measured, expected,
+                _tol(measured, expected, n_obs, tier.anchor_z,
+                     a.quantum / paper_n),
+                f"avg/n occupancy at load {load} "
+                f"(paper avg {a.value} at n=2^18)",
+                anchor_id,
             ))
+    res_r, res_d = table.results["random"], table.results["double"]
     checks.append(_equivalence_check(run, res_r.distribution, res_d.distribution))
     return checks, spec
 
@@ -454,118 +433,57 @@ def _certify_table5(run, tier, metrics, progress):
 def _certify_table7(run, tier, metrics, progress):
     """Table 7: d-left fraction anchors + fluid + equivalence."""
     spec = run.spec
-    batch_r = simulate_dleft(
-        make_dleft_scheme(spec.n, spec.d, "random"), spec.n, spec.trials,
-        seed=spec.seed,
-    )
-    batch_d = simulate_dleft(
-        make_dleft_scheme(spec.n, spec.d, "double"), spec.n, spec.trials,
-        seed=None if spec.seed is None else spec.seed + 1,
-    )
-    dist_r, dist_d = batch_r.distribution(), batch_d.distribution()
+    table = tables.table7_dleft(spec)
     log2_n = spec.n.bit_length() - 1 if spec.n & (spec.n - 1) == 0 else None
     n_obs = spec.trials * spec.n
-    checks = []
-    for role, dist in (("random", dist_r), ("double", dist_d)):
-        for load in range(3):
-            anchor_id = f"table7/n{log2_n}/{role}/load{load}"
-            if anchor_id not in REGISTRY:
-                continue
-            checks.append(_anchor_check(
-                run, anchor_id, dist.fraction_at(load), n_obs, tier.anchor_z,
-            ))
-    fluid = solve_dleft(spec.d, 1.0)
-    a = anchor("table7/n18/random/load1")
-    tolerance = tier.fluid_rel_tol * a.value + a.quantum
-    checks.append(CheckResult(
-        check_id=f"fluid:{run.table}/{run.variant}:load1",
-        table=run.table,
-        variant=run.variant,
-        kind="fluid",
-        passed=abs(fluid.fraction_at(1) - a.value) <= tolerance,
-        measured=fluid.fraction_at(1),
-        expected=a.value,
-        tolerance=tolerance,
-        anchor_id=a.anchor_id,
-        detail="d-left fluid limit vs published cell at n=2^18",
+    checks = [
+        _anchor_check(
+            run, anchor_id, dist.fraction_at(load), n_obs, tier.anchor_z,
+        )
+        for role, dist in table.results.items()
+        for anchor_id, load in _load_anchors(f"table7/n{log2_n}/{role}")
+    ]
+    checks.append(_fluid_check(
+        run, tier, "table7/n18/random/load1", table.fluid.fraction_at(1),
+        "d-left fluid limit vs published cell at n=2^18", cell="load1",
     ))
-    checks.append(_equivalence_check(run, dist_r, dist_d))
+    checks.append(_equivalence_check(
+        run, table.results["random"], table.results["double"]
+    ))
     return checks, spec
 
 
 def _certify_table8(run, tier, metrics, progress):
     """Table 8: fluid-equilibrium anchors (all cells) + simulated cells."""
     spec = run.spec
-    lambdas = run.extras.get("lambdas", (0.9, 0.99))
-    d_values = run.extras.get("d_values", (3, 4))
-    checks = []
+    table = tables.table8_queueing(spec, **run.extras)
     # Closed-form equilibrium vs every published cell: cheap and tight.
-    for a in REGISTRY.values():
-        if a.table != "table8":
-            continue
-        lam, d, _role = a.key
-        measured = equilibrium_mean_sojourn_time(lam, d)
-        tolerance = tier.fluid_rel_tol * a.value + a.quantum
-        checks.append(CheckResult(
-            check_id=f"fluid:{run.variant}:{a.anchor_id}",
-            table=run.table,
-            variant=run.variant,
-            kind="fluid",
-            passed=abs(measured - a.value) <= tolerance,
-            measured=measured,
-            expected=a.value,
-            tolerance=tolerance,
-            anchor_id=a.anchor_id,
-            detail="closed-form fluid equilibrium vs published simulated cell",
-        ))
+    checks = [
+        _fluid_check(
+            run, tier, a.anchor_id, equilibrium_mean_sojourn_time(*a.key[:2]),
+            "closed-form fluid equilibrium vs published simulated cell",
+        )
+        for a in REGISTRY.values()
+        if a.table == "table8"
+    ]
     # Simulated cells for the tier's (lambda, d) budget.
-    k = 0
-    for lam in lambdas:
-        for d in d_values:
-            seed_r = None if spec.seed is None else spec.seed + 2 * k
-            seed_d = None if spec.seed is None else spec.seed + 2 * k + 1
-            res_r = simulate_supermarket(
-                FullyRandomChoices(spec.n, d), lam, spec.sim_time,
-                burn_in=spec.effective_burn_in, seed=seed_r,
-                backend=spec.backend,
-            )
-            res_d = simulate_supermarket(
-                DoubleHashingChoices(spec.n, d), lam, spec.sim_time,
-                burn_in=spec.effective_burn_in, seed=seed_d,
-                backend=spec.backend,
-            )
-            for role, res in (("random", res_r), ("double", res_d)):
-                a = anchor(f"table8/lam{lam}/d{d}/{role}")
-                tolerance = tier.queueing_rel_tol * a.value
-                measured = res.mean_sojourn_time
-                checks.append(CheckResult(
-                    check_id=f"anchor:{run.variant}:{a.anchor_id}",
-                    table=run.table,
-                    variant=run.variant,
-                    kind="anchor",
-                    passed=abs(measured - a.value) <= tolerance,
-                    measured=measured,
-                    expected=a.value,
-                    tolerance=tolerance,
-                    anchor_id=a.anchor_id,
-                    detail=f"simulated mean sojourn time, lambda={lam} d={d} "
-                           f"(rel tol {tier.queueing_rel_tol})",
-                ))
-            gap = abs(res_r.mean_sojourn_time - res_d.mean_sojourn_time)
-            ref = equilibrium_mean_sojourn_time(lam, d)
-            checks.append(CheckResult(
-                check_id=f"equivalence:{run.table}/{run.variant}/lam{lam}-d{d}:sojourn",
-                table=run.table,
-                variant=run.variant,
-                kind="equivalence",
-                passed=gap <= tier.queueing_rel_tol * ref,
-                measured=gap,
-                expected=0.0,
-                tolerance=tier.queueing_rel_tol * ref,
-                detail="random-vs-double sojourn gap (single runs, no "
-                       "distributional test)",
+    for lam, d, sojourn_r, sojourn_d, ref in table.rows:
+        for role, measured in (("random", sojourn_r), ("double", sojourn_d)):
+            a = anchor(f"table8/lam{lam}/d{d}/{role}")
+            checks.append(_within(
+                run, "anchor", f"anchor:{run.variant}:{a.anchor_id}",
+                measured, a.value, tier.queueing_rel_tol * a.value,
+                f"simulated mean sojourn time, lambda={lam} d={d} "
+                f"(rel tol {tier.queueing_rel_tol})",
+                a.anchor_id,
             ))
-            k += 1
+        checks.append(_within(
+            run, "equivalence",
+            f"equivalence:{run.table}/{run.variant}/lam{lam}-d{d}:sojourn",
+            abs(sojourn_r - sojourn_d), 0.0, tier.queueing_rel_tol * ref,
+            "random-vs-double sojourn gap (single runs, no "
+            "distributional test)",
+        ))
     return checks, spec
 
 
@@ -595,62 +513,36 @@ def _certify_peeling(run, tier, metrics, progress):
     )
     threshold_tol = run.extras.get("threshold_tol", 0.04)
     core_gap_tol = run.extras.get("core_gap_tol", 0.02)
-    checks = []
-    for d in (3, 4, 5):
-        a = anchor(f"derived/peeling-threshold/d{d}")
-        measured = peeling_threshold(d)
-        tolerance = tier.fluid_rel_tol * a.value + a.quantum
-        checks.append(CheckResult(
-            check_id=f"fluid:{run.variant}:{a.anchor_id}",
-            table=run.table,
-            variant=run.variant,
-            kind="fluid",
-            passed=abs(measured - a.value) <= tolerance,
-            measured=measured,
-            expected=a.value,
-            tolerance=tolerance,
-            anchor_id=a.anchor_id,
-            detail="density-evolution solver vs derived threshold cell",
-        ))
+    checks = [
+        _fluid_check(
+            run, tier, f"derived/peeling-threshold/d{d}", peeling_threshold(d),
+            "density-evolution solver vs derived threshold cell",
+        )
+        for d in (3, 4, 5)
+    ]
     exp = threshold_experiment(
         spec.n, spec.d, list(densities), spec.trials,
         seed=spec.seed, backend=spec.backend,
     )
     a = anchor(f"derived/peeling-threshold/d{spec.d}")
-    measured = exp.empirical_threshold("random")
-    checks.append(CheckResult(
-        check_id=f"anchor:{run.variant}:{a.anchor_id}:empirical",
-        table=run.table,
-        variant=run.variant,
-        kind="anchor",
-        passed=abs(measured - a.value) <= threshold_tol,
-        measured=measured,
-        expected=a.value,
-        tolerance=threshold_tol,
-        anchor_id=a.anchor_id,
-        detail=(
-            f"fully-random 50% success crossing at n={spec.n} "
-            f"(finite-size window {threshold_tol}; double excluded — "
-            "duplicate edges suppress its success probability)"
-        ),
+    checks.append(_within(
+        run, "anchor", f"anchor:{run.variant}:{a.anchor_id}:empirical",
+        exp.empirical_threshold("random"), a.value, threshold_tol,
+        f"fully-random 50% success crossing at n={spec.n} "
+        f"(finite-size window {threshold_tol}; double excluded — "
+        "duplicate edges suppress its success probability)",
+        a.anchor_id,
     ))
-    gap = float(
-        np.abs(exp.core_fraction_random - exp.core_fraction_double).mean()
-    )
-    checks.append(CheckResult(
-        check_id=f"equivalence:{run.table}/{run.variant}:core-fraction",
-        table=run.table,
-        variant=run.variant,
-        kind="equivalence",
-        passed=gap <= core_gap_tol,
-        measured=gap,
-        expected=0.0,
-        tolerance=core_gap_tol,
-        detail=(
-            "mean |core-fraction gap| over the density sweep (the "
-            "scheme-equivalent observable; success probability differs "
-            "by the duplicate-edge caveat, so no distributional test)"
-        ),
+    checks.append(_within(
+        run, "equivalence",
+        f"equivalence:{run.table}/{run.variant}:core-fraction",
+        float(np.abs(
+            exp.core_fraction_random - exp.core_fraction_double
+        ).mean()),
+        0.0, core_gap_tol,
+        "mean |core-fraction gap| over the density sweep (the "
+        "scheme-equivalent observable; success probability differs "
+        "by the duplicate-edge caveat, so no distributional test)",
     ))
     return checks, spec
 
@@ -669,35 +561,36 @@ def _certify_schemes(run, tier, metrics, progress):
     - overlapping bootstrap CIs on per-trial max loads (kind
       ``bootstrap``).
 
-    Seed convention extends the ``(s, s+1)`` pair: the baseline runs at
-    ``s``, the ``k``-th challenger at ``s + 1 + k`` (which also seeds
-    its hash-parameter draws).
+    The runs are :func:`~repro.experiments.tables.scheme_sweep`'s; each
+    challenger's bootstrap is seeded with the seed it ran at.
     """
     spec = run.spec
     schemes = tuple(run.extras.get("schemes", ("tabulation", "pairwise")))
-    res_base = run_experiment(
-        FullyRandomChoices(spec.n, spec.d), spec,
-        metrics=metrics, progress=progress,
+    sweep = tables.scheme_sweep(
+        spec, schemes, metrics=metrics, progress=progress
     )
+    base = sweep.results["baseline"]
     checks = []
-    for k, name in enumerate(schemes):
-        seed_k = None if spec.seed is None else spec.seed + 1 + k
-        challenger = make_scheme(name, spec.n, spec.d, seed=seed_k)
-        res_s = run_experiment(
-            challenger, spec.replace(seed=seed_k),
-            metrics=metrics, progress=progress,
-        )
+    for name in schemes:
+        res = sweep.results[name]
         checks.append(_equivalence_check(
-            run, res_base.distribution, res_s.distribution, label=name,
+            run, base.distribution, res.distribution, label=name,
         ))
         checks.append(_bootstrap_check(
             TableRun(run.table, f"{run.variant}-{name}", spec),
-            res_base.distribution.max_load_per_trial,
-            res_s.distribution.max_load_per_trial,
-            seed=(seed_k or 0),
+            base.distribution.max_load_per_trial,
+            res.distribution.max_load_per_trial,
+            seed=(res.spec.seed or 0),
         ))
     return checks, spec
 
+
+#: The table functions behind Tables 1, 3 and 6.
+_TABLES = {
+    "table1": tables.table1_load_fractions,
+    "table3": tables.table3_larger_n,
+    "table6": tables.table6_heavy_load,
+}
 
 _CERTIFIERS = {
     "table1": _certify_load_fraction_table,
@@ -719,7 +612,6 @@ def run_certification(
     backend: str | None = None,
     workers: int | None = None,
     trials_mode: str | None = None,
-    shards: int | None = None,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
 ) -> Certification:
@@ -731,12 +623,12 @@ def run_certification(
         Tier name (``"smoke"``/``"standard"``/``"full"``) or a custom
         :class:`~repro.certify.tiers.CertificationTier` (tests use tiny
         ones).
-    backend, workers, trials_mode, shards:
+    backend, workers, trials_mode:
         Optional overrides applied to every run's spec
         (``trials_mode="parallel"`` switches every balls-and-bins run to
         per-trial counter streams; see ``docs/scale.md``).
     metrics, progress:
-        Forwarded to :func:`repro.core.run_experiment`.
+        Forwarded to the table functions that run through the engine.
     """
     if isinstance(tier, str):
         tier = TIERS[tier] if tier in TIERS else _unknown_tier(tier)
@@ -753,20 +645,19 @@ def run_certification(
         },
     )
     t_total = time.perf_counter()
+    overrides = {
+        k: v
+        for k, v in dict(
+            backend=backend, workers=workers, trials_mode=trials_mode
+        ).items()
+        if v is not None
+    }
     for run in tier.runs:
-        spec = run.spec
-        overrides: dict[str, Any] = {}
-        if backend is not None:
-            overrides["backend"] = backend
-        if workers is not None:
-            overrides["workers"] = workers
-        if trials_mode is not None:
-            overrides["trials_mode"] = trials_mode
-        if shards is not None:
-            overrides["shards"] = shards
         if overrides:
-            spec = spec.replace(**overrides)
-            run = TableRun(run.table, run.variant, spec, run.extras)
+            run = TableRun(
+                run.table, run.variant, run.spec.replace(**overrides),
+                run.extras,
+            )
         t0 = time.perf_counter()
         checks, used_spec = _CERTIFIERS[run.table](run, tier, metrics, progress)
         cert.checks.extend(checks)

@@ -54,12 +54,16 @@ class ExperimentResult:
     metrics:
         The metrics registry observed during the run (chunk timings,
         retry/timeout events); ``None`` unless instrumentation was on.
+    spec:
+        The spec the trials ran under, per-call overrides applied (its
+        ``seed`` is the run's seed).
     """
 
     distribution: LoadDistribution
     aggregator: StreamingLoadAggregator
     scheme_description: str
     metrics: MetricsRegistry | None = None
+    spec: ExperimentSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,6 @@ class _ParallelChunkTask:
     block: int
     backend: str | None
     root: int
-    shards: int | None
 
 
 def _run_parallel_chunk(
@@ -137,7 +140,6 @@ def _run_parallel_chunk(
         tie_break=task.tie_break,
         block=task.block,
         backend=task.backend,
-        shards=task.shards,
     )
 
 
@@ -230,7 +232,6 @@ def run_experiment(
                     block=spec.block,
                     backend=spec.backend,
                     root=root,
-                    shards=spec.shards,
                 ),
                 spec.trials,
                 seed=spec.seed,
@@ -267,4 +268,5 @@ def run_experiment(
         aggregator=aggregator,
         scheme_description=scheme.describe(),
         metrics=registry if (metrics is not None or progress is not None) else None,
+        spec=spec,
     )

@@ -78,7 +78,7 @@ _PLAIN_TABLES = {
 }
 
 _ENGINE_FIELDS = (
-    "workers", "chunks", "block", "trials_mode", "shards", "max_retries",
+    "workers", "chunks", "block", "trials_mode", "max_retries",
     "chunk_timeout", "checkpoint",
 )
 
@@ -101,10 +101,6 @@ _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
         help="'parallel' gives each trial an independent counter-based "
              "stream, so results do not depend on chunking "
              "(see docs/scale.md)")),
-    "shards": ("--shards", dict(
-        type=int,
-        help="aggregation shards for --trials-mode parallel "
-             "(default: sized from n*d)")),
     "max_retries": ("--retries", dict(
         type=int, help="per-chunk retries before the run fails")),
     "chunk_timeout": ("--chunk-timeout", dict(
@@ -293,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trial-execution mode override for every run",
     )
     certify.add_argument(
-        "--shards", type=int, default=None,
-        help="aggregation shards for --trials-mode parallel",
-    )
-    certify.add_argument(
         "--progress", action="store_true",
         help="print per-chunk completions to stderr",
     )
@@ -339,27 +331,22 @@ def _save_metrics(metrics: MetricsRegistry, path: str | None) -> None:
 
 def _run_compare(args) -> int:
     from repro.analysis import compare_distributions
-    from repro.core import run_experiment
     from repro.hashing import FullyRandomChoices, resolve_scheme_name
 
     spec = _spec_from_args("compare", args).replace(scheme=args.scheme)
     scheme_name = resolve_scheme_name(spec.scheme)
     metrics = MetricsRegistry()
-    progress = _print_progress if args.progress else None
-    random_res = run_experiment(
-        FullyRandomChoices(spec.n, spec.d),
-        _tables._subrun(spec, "random"),
+    pair = _tables.run_pair(
+        spec,
+        schemes=(
+            FullyRandomChoices(spec.n, spec.d),
+            spec.build_scheme(seed=spec.seed),
+        ),
         metrics=metrics,
-        progress=progress,
-    )
-    double_res = run_experiment(
-        spec.build_scheme(seed=spec.seed),
-        _tables._subrun(spec, "double", seed_offset=1),
-        metrics=metrics,
-        progress=progress,
+        progress=_print_progress if args.progress else None,
     )
     report = compare_distributions(
-        random_res.distribution, double_res.distribution
+        pair["random"].distribution, pair["double"].distribution
     )
     print(f"n={spec.n} d={spec.d} trials={spec.trials} "
           f"scheme={scheme_name} (vs fully random)")
@@ -515,8 +502,7 @@ def _run_certify(args) -> int:
     progress = _print_progress if args.progress else None
     cert = run_certification(
         args.tier, workers=args.workers,
-        trials_mode=args.trials_mode, shards=args.shards,
-        progress=progress,
+        trials_mode=args.trials_mode, progress=progress,
     )
     write_certification(cert, args.out)
     print(format_summary(cert))

@@ -81,10 +81,6 @@ class ExperimentSpec:
         (:mod:`repro.kernels.parallel_trials`) so trials can run in any
         interleaving, with results independent of chunking and host
         (*seed-equivalence*).
-    shards:
-        Aggregation-shard count for ``trials_mode="parallel"``; ``None``
-        sizes automatically (see
-        :func:`repro.kernels.default_shards` and ``docs/scale.md``).
     max_retries, retry_backoff, chunk_timeout:
         Fault-tolerance policy, see
         :class:`~repro.parallel.engine.EngineConfig`.
@@ -109,7 +105,6 @@ class ExperimentSpec:
     workers: int = 1
     chunks: int | None = None
     trials_mode: str = "chunked"
-    shards: int | None = None
     max_retries: int = 2
     retry_backoff: float = 0.25
     chunk_timeout: float | None = None
@@ -155,10 +150,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "trials_mode must be 'chunked' or 'parallel', "
                 f"got {self.trials_mode!r}"
-            )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be positive, got {self.shards}"
             )
         # Engine-policy fields share EngineConfig's validation.
         self.engine_config()

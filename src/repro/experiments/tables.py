@@ -3,7 +3,11 @@
 Every function runs both schemes (fully random and double hashing) at a
 configurable scale and returns an :class:`ExperimentTable` whose rows mirror
 the paper's layout, with the published values attached for side-by-side
-reporting.
+reporting.  This module is the one place that knows how a paper run is
+made: :func:`run_pair` holds the matched-seed protocol (fully random at
+seed ``s``, the challenger at ``s + 1``), :func:`scheme_sweep` the
+hash-family sweep, and ``python -m repro certify`` judges the tables
+these functions return.
 
 Each function takes an :class:`~repro.experiments.config.ExperimentSpec`
 (defaults come from ``TABLE_DEFAULTS``, the same source the CLI uses)::
@@ -20,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.core import run_experiment, simulate_dleft
 from repro.core.dleft import make_dleft_scheme
 from repro.experiments.config import PAPER_VALUES, TABLE_DEFAULTS, ExperimentSpec
@@ -31,13 +33,16 @@ from repro.fluid import (
     solve_dleft,
     solve_heavy_load,
 )
-from repro.hashing import DoubleHashingChoices, FullyRandomChoices
+from repro.hashing import DoubleHashingChoices, FullyRandomChoices, make_scheme
+from repro.hashing.base import ChoiceScheme
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress
 from repro.queueing import simulate_supermarket
 
 __all__ = [
     "ExperimentTable",
+    "run_pair",
+    "scheme_sweep",
     "table1_load_fractions",
     "table2_fluid_vs_simulation",
     "table3_larger_n",
@@ -69,6 +74,14 @@ class ExperimentTable:
         The published values relevant to this run (shape varies by table).
     meta:
         Run parameters (n, d, trials, …) for the report header.
+    results:
+        The runs the rows came from, keyed by role (``"random"``,
+        ``"double"``; a sweep's ``"baseline"`` and scheme names).  Tables
+        4 and 8 key one such pair per point (``log2_n``; ``(lambda, d)``).
+        Not printed.
+    fluid:
+        The fluid-limit solution behind the fluid column (Tables 2, 6
+        and 7), else ``None``.  Not printed.
     """
 
     table_id: str
@@ -77,6 +90,8 @@ class ExperimentTable:
     rows: list[tuple]
     paper: Any
     meta: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict, repr=False)
+    fluid: Any = field(default=None, repr=False)
 
 
 def _spec_for(table: str, spec: ExperimentSpec | None) -> ExperimentSpec:
@@ -88,6 +103,14 @@ def _spec_for(table: str, spec: ExperimentSpec | None) -> ExperimentSpec:
             f"{table} needs an ExperimentSpec, got {type(spec).__name__}"
         )
     return spec
+
+
+def _paper(table: str, *key) -> dict:
+    """The published random and double columns of ``table`` at ``key``."""
+    return {
+        role: PAPER_VALUES[table].get((*key, role), {})
+        for role in ("random", "double")
+    }
 
 
 def _subrun(
@@ -107,6 +130,86 @@ def _subrun(
     return spec.replace(**changes)
 
 
+def run_pair(
+    spec: ExperimentSpec,
+    *,
+    k: int = 0,
+    point: str = "",
+    schemes: tuple[ChoiceScheme, ChoiceScheme] | None = None,
+    run: Callable[[ChoiceScheme, ExperimentSpec], Any] | None = None,
+    metrics: MetricsRegistry | None = None,
+    progress: ProgressHook | None = None,
+) -> dict[str, Any]:
+    """The paper's matched-seed pair: fully random, then the challenger.
+
+    Fully random runs at seed ``s + 2k`` and the challenger at
+    ``s + 2k + 1``, where ``k`` indexes the points of a per-point table
+    (Tables 4 and 8) and ``point`` labels their sub-runs.  ``schemes``
+    is ``(random, challenger)``, by default fully random and double
+    hashing on ``spec``'s geometry.  ``run(scheme, sub_spec)`` simulates
+    one side; by default :func:`~repro.core.run_experiment` with
+    ``metrics`` and ``progress``.  Returns ``{"random": ..., "double":
+    ...}``.
+    """
+    if schemes is None:
+        schemes = (
+            FullyRandomChoices(spec.n, spec.d),
+            DoubleHashingChoices(spec.n, spec.d),
+        )
+    if run is None:
+        def run(scheme, sub):
+            return run_experiment(scheme, sub, metrics=metrics, progress=progress)
+    tag = f"-{point}" if point else ""
+    return {
+        role: run(scheme, _subrun(spec, role + tag, 2 * k + i))
+        for i, (role, scheme) in enumerate(zip(("random", "double"), schemes))
+    }
+
+
+def scheme_sweep(
+    spec: ExperimentSpec,
+    schemes: tuple[str, ...],
+    *,
+    metrics: MetricsRegistry | None = None,
+    progress: ProgressHook | None = None,
+) -> ExperimentTable:
+    """Each named scheme against one fully random baseline.
+
+    The baseline runs at seed ``s``; the ``k``-th scheme is built and
+    run at ``s + 1 + k`` (the seed also draws its hash parameters).
+    Each row is the scheme, the chi-square p of its load law against
+    the baseline's, its mean per-trial max load and the baseline's.
+    """
+    from repro.analysis import compare_distributions
+
+    base = run_experiment(
+        FullyRandomChoices(spec.n, spec.d), _subrun(spec, "random"),
+        metrics=metrics, progress=progress,
+    )
+    base_max = float(base.distribution.max_load_per_trial.mean())
+    results = {"baseline": base}
+    rows = []
+    for k, name in enumerate(schemes):
+        sub = _subrun(spec, name, 1 + k)
+        res = results[name] = run_experiment(
+            make_scheme(name, spec.n, spec.d, seed=sub.seed), sub,
+            metrics=metrics, progress=progress,
+        )
+        p = compare_distributions(base.distribution, res.distribution).p_value
+        rows.append(
+            (name, p, float(res.distribution.max_load_per_trial.mean()), base_max)
+        )
+    return ExperimentTable(
+        table_id="Scheme sweep",
+        title=f"{spec.d} choices, n = {spec.n}, each scheme vs fully random",
+        columns=["Scheme", "chi2 p vs random", "mean max load", "random mean max"],
+        rows=rows,
+        paper=None,
+        meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
+        results=results,
+    )
+
+
 def table1_load_fractions(
     spec: ExperimentSpec | None = None,
     *,
@@ -115,28 +218,12 @@ def table1_load_fractions(
 ) -> ExperimentTable:
     """Table 1: load fractions, random vs double, n balls into n bins."""
     spec = _spec_for("table1", spec)
-    random_res = run_experiment(
-        FullyRandomChoices(spec.n, spec.d),
-        _subrun(spec, "random"),
-        metrics=metrics,
-        progress=progress,
-    )
-    double_res = run_experiment(
-        DoubleHashingChoices(spec.n, spec.d),
-        _subrun(spec, "double", seed_offset=1),
-        metrics=metrics,
-        progress=progress,
-    )
-    fr = random_res.distribution.fractions
-    fd = double_res.distribution.fractions
-    width = max(len(fr), len(fd))
+    results = run_pair(spec, metrics=metrics, progress=progress)
+    dr = results["random"].distribution
+    dd = results["double"].distribution
     rows = [
-        (
-            load,
-            float(fr[load]) if load < len(fr) else 0.0,
-            float(fd[load]) if load < len(fd) else 0.0,
-        )
-        for load in range(width)
+        (load, dr.fraction_at(load), dd.fraction_at(load))
+        for load in range(max(len(dr.counts), len(dd.counts)))
     ]
     sub = "a" if spec.d == 3 else "b"
     return ExperimentTable(
@@ -144,11 +231,9 @@ def table1_load_fractions(
         title=f"{spec.d} choices, n = {spec.n} balls and bins",
         columns=["Load", "Fully Random", "Double Hashing"],
         rows=rows,
-        paper={
-            "random": PAPER_VALUES["table1"].get((spec.d, "random"), {}),
-            "double": PAPER_VALUES["table1"].get((spec.d, "double"), {}),
-        },
+        paper=_paper("table1", spec.d),
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
+        results=results,
     )
 
 
@@ -161,29 +246,12 @@ def table2_fluid_vs_simulation(
     """Table 2: fluid-limit tail fractions vs both simulated schemes."""
     spec = _spec_for("table2", spec)
     fluid = solve_balls_bins(spec.d, 1.0)
-    random_res = run_experiment(
-        FullyRandomChoices(spec.n, spec.d),
-        _subrun(spec, "random"),
-        metrics=metrics,
-        progress=progress,
-    )
-    double_res = run_experiment(
-        DoubleHashingChoices(spec.n, spec.d),
-        _subrun(spec, "double", seed_offset=1),
-        metrics=metrics,
-        progress=progress,
-    )
-    max_tail = max(
-        len(random_res.distribution.counts), len(double_res.distribution.counts)
-    )
+    results = run_pair(spec, metrics=metrics, progress=progress)
+    dr = results["random"].distribution
+    dd = results["double"].distribution
     rows = [
-        (
-            load,
-            fluid.tail_at(load),
-            random_res.distribution.tail_at(load),
-            double_res.distribution.tail_at(load),
-        )
-        for load in range(1, max_tail)
+        (load, fluid.tail_at(load), dr.tail_at(load), dd.tail_at(load))
+        for load in range(1, max(len(dr.counts), len(dd.counts)))
     ]
     return ExperimentTable(
         table_id="Table 2",
@@ -193,6 +261,8 @@ def table2_fluid_vs_simulation(
         rows=rows,
         paper=PAPER_VALUES["table2"],
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
+        results=results,
+        fluid=fluid,
     )
 
 
@@ -207,10 +277,7 @@ def table3_larger_n(
     spec = spec.replace(n=2**spec.log2_n)
     table = table1_load_fractions(spec, metrics=metrics, progress=progress)
     table.table_id = f"Table 3 (n = 2^{spec.log2_n}, d = {spec.d})"
-    table.paper = {
-        "random": PAPER_VALUES["table3"].get((spec.log2_n, spec.d, "random"), {}),
-        "double": PAPER_VALUES["table3"].get((spec.log2_n, spec.d, "double"), {}),
-    }
+    table.paper = _paper("table3", spec.log2_n, spec.d)
     return table
 
 
@@ -224,26 +291,17 @@ def table4_max_load(
     """Table 4: percentage of trials whose maximum load is exactly 3."""
     spec = _spec_for("table4", spec)
     rows = []
+    results = {}
     for k, log2_n in enumerate(log2_n_values):
-        n = 2**log2_n
-        point = spec.replace(n=n)
-        random_res = run_experiment(
-            FullyRandomChoices(n, spec.d),
-            _subrun(point, f"random-{log2_n}", seed_offset=2 * k),
-            metrics=metrics,
-            progress=progress,
-        )
-        double_res = run_experiment(
-            DoubleHashingChoices(n, spec.d),
-            _subrun(point, f"double-{log2_n}", seed_offset=2 * k + 1),
-            metrics=metrics,
-            progress=progress,
+        pair = results[log2_n] = run_pair(
+            spec.replace(n=2**log2_n), k=k, point=str(log2_n),
+            metrics=metrics, progress=progress,
         )
         rows.append(
             (
                 f"2^{log2_n}",
-                100.0 * random_res.distribution.fraction_trials_max_load(3),
-                100.0 * double_res.distribution.fraction_trials_max_load(3),
+                100.0 * pair["random"].distribution.fraction_trials_max_load(3),
+                100.0 * pair["double"].distribution.fraction_trials_max_load(3),
             )
         )
     return ExperimentTable(
@@ -251,11 +309,9 @@ def table4_max_load(
         title=f"Percentage of trials with maximum load 3, {spec.d} choices",
         columns=["n", "Fully Random", "Double Hashing"],
         rows=rows,
-        paper={
-            "random": PAPER_VALUES["table4"].get((spec.d, "random"), {}),
-            "double": PAPER_VALUES["table4"].get((spec.d, "double"), {}),
-        },
+        paper=_paper("table4", spec.d),
         meta={"d": spec.d, "trials": spec.trials},
+        results=results,
     )
 
 
@@ -268,17 +324,8 @@ def table5_level_stats(
     """Table 5: per-load min/avg/max/std of bin counts across trials."""
     spec = _spec_for("table5", spec)
     rows: list[tuple] = []
-    paper = PAPER_VALUES["table5"]
-    for label, scheme, offset in (
-        ("random", FullyRandomChoices(spec.n, spec.d), 0),
-        ("double", DoubleHashingChoices(spec.n, spec.d), 1),
-    ):
-        res = run_experiment(
-            scheme,
-            _subrun(spec, label, seed_offset=offset),
-            metrics=metrics,
-            progress=progress,
-        )
+    results = run_pair(spec, metrics=metrics, progress=progress)
+    for label, res in results.items():
         top = len(res.distribution.counts) - 1
         for load in range(top + 1):
             st = res.aggregator.level_stats(load)
@@ -290,8 +337,9 @@ def table5_level_stats(
         title=f"Sample statistics per load, {spec.d} choices, n = {spec.n}",
         columns=["Scheme", "Load", "min", "avg", "max", "std.dev."],
         rows=rows,
-        paper=paper,
+        paper=PAPER_VALUES["table5"],
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
+        results=results,
     )
 
 
@@ -306,64 +354,42 @@ def table6_heavy_load(
     spec = _spec_for("table6", spec)
     m = spec.n * balls_per_bin
     spec = spec.replace(n_balls=m)
-    random_res = run_experiment(
-        FullyRandomChoices(spec.n, spec.d),
-        _subrun(spec, "random"),
-        metrics=metrics,
-        progress=progress,
-    )
-    double_res = run_experiment(
-        DoubleHashingChoices(spec.n, spec.d),
-        _subrun(spec, "double", seed_offset=1),
-        metrics=metrics,
-        progress=progress,
-    )
+    results = run_pair(spec, metrics=metrics, progress=progress)
     fluid = solve_heavy_load(spec.d, balls_per_bin)
-    fr = random_res.distribution.fractions
-    fd = double_res.distribution.fractions
-    width = max(len(fr), len(fd))
+    dr = results["random"].distribution
+    dd = results["double"].distribution
     rows = [
-        (
-            load,
-            float(fr[load]) if load < len(fr) else 0.0,
-            float(fd[load]) if load < len(fd) else 0.0,
-            fluid.fraction_at(load),
-        )
-        for load in range(width)
-        if (load < len(fr) and fr[load] > 0)
-        or (load < len(fd) and fd[load] > 0)
+        (load, dr.fraction_at(load), dd.fraction_at(load), fluid.fraction_at(load))
+        for load in range(max(len(dr.counts), len(dd.counts)))
+        if dr.fraction_at(load) > 0 or dd.fraction_at(load) > 0
     ]
     return ExperimentTable(
         table_id=f"Table 6 ({spec.d} choices)",
         title=f"{spec.d} choices, {m} balls into {spec.n} bins",
         columns=["Load", "Fully Random", "Double Hashing", "Fluid Limit"],
         rows=rows,
-        paper={
-            "random": PAPER_VALUES["table6"].get((spec.d, "random"), {}),
-            "double": PAPER_VALUES["table6"].get((spec.d, "double"), {}),
-        },
+        paper=_paper("table6", spec.d),
         meta={"n": spec.n, "m": m, "d": spec.d, "trials": spec.trials},
+        results=results,
+        fluid=fluid,
     )
 
 
 def table7_dleft(spec: ExperimentSpec | None = None) -> ExperimentTable:
     """Table 7: Vöcking's d-left scheme, random vs double vs fluid."""
     spec = _spec_for("table7", spec)
-    random_batch = simulate_dleft(
-        make_dleft_scheme(spec.n, spec.d, "random"),
-        spec.n,
-        spec.trials,
-        seed=spec.seed,
-    )
-    double_batch = simulate_dleft(
-        make_dleft_scheme(spec.n, spec.d, "double"),
-        spec.n,
-        spec.trials,
-        seed=None if spec.seed is None else spec.seed + 1,
+    results = run_pair(
+        spec,
+        schemes=(
+            make_dleft_scheme(spec.n, spec.d, "random"),
+            make_dleft_scheme(spec.n, spec.d, "double"),
+        ),
+        run=lambda scheme, sub: simulate_dleft(
+            scheme, sub.n, sub.trials, seed=sub.seed
+        ).distribution(),
     )
     fluid = solve_dleft(spec.d, 1.0)
-    dr = random_batch.distribution()
-    dd = double_batch.distribution()
+    dr, dd = results["random"], results["double"]
     width = max(len(dr.counts), len(dd.counts))
     rows = [
         (
@@ -374,17 +400,16 @@ def table7_dleft(spec: ExperimentSpec | None = None) -> ExperimentTable:
         )
         for load in range(width)
     ]
-    log2_n = int(np.log2(spec.n)) if (spec.n & (spec.n - 1)) == 0 else None
+    log2_n = spec.n.bit_length() - 1 if spec.n & (spec.n - 1) == 0 else None
     return ExperimentTable(
         table_id="Table 7",
         title=f"Vöcking's d-left scheme, {spec.d} choices, n = {spec.n}",
         columns=["Load", "Fully Random", "Double Hashing", "Fluid Limit"],
         rows=rows,
-        paper={
-            "random": PAPER_VALUES["table7"].get((log2_n, "random"), {}),
-            "double": PAPER_VALUES["table7"].get((log2_n, "double"), {}),
-        },
+        paper=_paper("table7", log2_n),
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
+        results=results,
+        fluid=fluid,
     )
 
 
@@ -402,31 +427,26 @@ def table8_queueing(
     """
     spec = _spec_for("table8", spec)
     rows = []
-    k = 0
-    for lam in lambdas:
-        for d_now in d_values:
-            res_r = simulate_supermarket(
-                FullyRandomChoices(spec.n, d_now), lam, spec.sim_time,
-                burn_in=spec.effective_burn_in,
-                seed=None if spec.seed is None else spec.seed + 2 * k,
-                backend=spec.backend,
+    results = {}
+    cells = [(lam, d_now) for lam in lambdas for d_now in d_values]
+    for k, (lam, d_now) in enumerate(cells):
+        pair = results[lam, d_now] = run_pair(
+            spec.replace(d=d_now),
+            k=k,
+            run=lambda scheme, sub: simulate_supermarket(
+                scheme, lam, sub.sim_time, burn_in=sub.effective_burn_in,
+                seed=sub.seed, backend=sub.backend,
+            ),
+        )
+        rows.append(
+            (
+                lam,
+                d_now,
+                pair["random"].mean_sojourn_time,
+                pair["double"].mean_sojourn_time,
+                equilibrium_mean_sojourn_time(lam, d_now),
             )
-            res_d = simulate_supermarket(
-                DoubleHashingChoices(spec.n, d_now), lam, spec.sim_time,
-                burn_in=spec.effective_burn_in,
-                seed=None if spec.seed is None else spec.seed + 2 * k + 1,
-                backend=spec.backend,
-            )
-            rows.append(
-                (
-                    lam,
-                    d_now,
-                    res_r.mean_sojourn_time,
-                    res_d.mean_sojourn_time,
-                    equilibrium_mean_sojourn_time(lam, d_now),
-                )
-            )
-            k += 1
+        )
     return ExperimentTable(
         table_id="Table 8",
         title=f"n = {spec.n} queues, average time in system",
@@ -441,4 +461,5 @@ def table8_queueing(
             "sim_time": spec.sim_time,
             "burn_in": spec.effective_burn_in,
         },
+        results=results,
     )

@@ -47,6 +47,7 @@ __all__ = [
     "DEFAULT_SCHEME",
     "SCHEME_INFO",
     "SchemeInfo",
+    "ZOO_FAMILIES",
     "keyed_scheme_names",
     "make_keyed_scheme",
     "make_scheme",
@@ -195,6 +196,19 @@ SCHEME_INFO: dict[str, SchemeInfo] = {
         ),
     )
 }
+
+
+#: The keyed families of the hash-family zoo's equivalence sweep, in
+#: render order: each distinct constructor once (the keyed "double" and
+#: "random" aliases are covered by "multiply-shift" and the baseline).
+ZOO_FAMILIES: tuple[str, ...] = (
+    "multiply-shift",
+    "tabulation",
+    "tabulation-double",
+    "universal",
+    "pairwise",
+    "pairwise-double",
+)
 
 
 def scheme_info(name: str) -> SchemeInfo:

@@ -27,12 +27,13 @@ ball per unfinished trial — no livelock.  The committed result is a pure
 function of the drawn candidate/tie arrays and equals the sequential
 reference bit-for-bit (property- and case-tested in ``tests/kernels``).
 
-Epoch stamps
-------------
-The stamp table is never cleared between passes: stamp values are written
-relative to a ``base`` that *decreases* by ``window`` each pass, so any
-stale entry compares as "no violation".  ``base`` is re-armed with one
-``fill`` every ~2**10 passes.
+Constant stamps
+---------------
+The stamp table is never cleared between passes, and the stamp values
+are the same every pass (the window positions, written once into
+``svals`` when the workspace is built).  Stale entries are harmless:
+the scatter covers every candidate the read gathers, so every stamp a
+pass reads was written earlier in that same pass.
 
 Commit throughput is ``≈ n/d²`` balls per trial-pass (the expected count
 of prefix balls with pairwise-disjoint candidate sets), which makes total
@@ -47,9 +48,6 @@ import numpy as np
 from repro.kernels.generate import KernelLayout
 
 __all__ = ["NumpyBackend", "choose_window"]
-
-_STAMP_FAR = np.int32(1 << 30)
-_STAMP_REARM = np.int32(1 << 20)
 
 
 def choose_window(n_bins: int, d: int) -> int:
@@ -92,7 +90,10 @@ class NumpyWorkspace:
         self.key = np.empty(plane, np.int64)
         self.sc = np.empty(plane, np.int32)
         self.scat = np.empty((window, trials, d), np.intp)
-        self.svals = np.empty((window, trials, d), np.int32)
+        # Stamp values in scatter order: window positions, descending.
+        self.svals = np.repeat(
+            np.arange(window - 1, -1, -1, dtype=np.int32), trials * d
+        )
         self.scmin = np.empty(row, np.int32)
         self.kmin = np.empty(row, np.int64)
         self.chosen = np.empty(row, np.int64)
@@ -101,10 +102,8 @@ class NumpyWorkspace:
         self.keep = np.empty(row, bool)
         self.win = np.empty(row, np.int32)
         self.win2 = np.empty(row, np.int32)
-        self.stamp = np.full(trials * bins_p, _STAMP_FAR, np.int32)
-        self.base = _STAMP_FAR - np.int32(window)
+        self.stamp = np.zeros(trials * bins_p, np.int32)
         self.u_ix = np.arange(window, dtype=np.int32)[None, :]
-        self.u_desc = np.arange(window - 1, -1, -1, dtype=np.int32)[:, None, None]
         self.trow = np.arange(trials, dtype=np.int32) * np.int32(window)
 
 
@@ -159,9 +158,6 @@ class NumpyBackend:
         passes = 0
         while placed < total:
             passes += 1
-            if ws.base < _STAMP_REARM:
-                stamp.fill(_STAMP_FAR)
-                ws.base = _STAMP_FAR - np.int32(window)
             # 1. gather the window's packed candidates
             np.add(win[None, :, :], goff, out=ws.gidx)
             pcflat.take(ws.gidx, out=ws.pcg, mode="clip")
@@ -177,15 +173,12 @@ class NumpyBackend:
             # 3. ordered stamp round: each touched bin ends up holding the
             # minimum window position that references it this pass
             np.copyto(ws.scat, ws.cidx.transpose(2, 1, 0)[::-1])
-            np.add(ws.u_desc, ws.base, out=ws.svals)
-            stamp[ws.scat.reshape(-1)] = ws.svals.reshape(-1)
+            stamp[ws.scat.reshape(-1)] = ws.svals
             stamp.take(ws.cidx, out=ws.sc, mode="clip")
             np.copyto(ws.scmin, ws.sc[0])
             for j in range(1, d):
                 np.minimum(ws.scmin, ws.sc[j], out=ws.scmin)
-            ws.scmin -= ws.base
             np.less(ws.scmin, ws.u_ix, out=ws.viol)
-            ws.base -= np.int32(window)
             # 4. commit the disjoint slots, keep the violators
             real = win != steps
             np.logical_and(ws.viol, real, out=ws.keep)

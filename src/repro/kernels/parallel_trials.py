@@ -33,8 +33,8 @@ are a pure function of ``(root seed, spec)``.
 Memory model (see ``docs/scale.md``): each in-flight trial owns one
 O(``n_bins``) load table — the irreducible chain state — while
 aggregation works on per-trial histograms whose auxiliary passes are
-segmented into ``shards`` slices of the table, keeping scratch
-O(``n_bins / shards``).
+segmented into :func:`default_shards` slices of the table, keeping
+scratch O(``n_bins / shards``).  The shard count never changes results.
 """
 
 from __future__ import annotations
@@ -191,7 +191,6 @@ def run_parallel_trials(
     tie_break: str = "random",
     block: int = 4096,
     backend: str | None = None,
-    shards: int | None = None,
     metrics=None,
 ) -> np.ndarray:
     """Run ``trials`` trials on independent per-trial streams.
@@ -214,9 +213,6 @@ def run_parallel_trials(
         Global index of this chunk's first trial.
     backend:
         Kernel-backend name (``"numpy"``), or None for env resolution.
-    shards:
-        Aggregation-slice count (``None`` = :func:`default_shards`); the
-        histogram passes touch O(n_bins / shards) elements at a time.
     metrics:
         Optional :class:`~repro.metrics.MetricsRegistry`.
     """
@@ -234,12 +230,9 @@ def run_parallel_trials(
         raise ConfigurationError(
             f"tie_break must be 'random' or 'left', got {tie_break!r}"
         )
-    if shards is not None and shards < 1:
-        raise ConfigurationError(f"shards must be positive, got {shards}")
     n = scheme.n_bins
     d = scheme.d
-    if shards is None:
-        shards = default_shards(n, d)
+    shards = default_shards(n, d)
     registry = metrics if metrics is not None else kernel_metrics()
     impl = resolve_backend(backend)
 

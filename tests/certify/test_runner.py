@@ -66,6 +66,23 @@ class TestMicroCertification:
             if check.kind == "anchor":
                 assert check.expected == pytest.approx(a.value, rel=1e-9)
 
+    def test_table1_anchors_measure_the_table_rows(self, micro_cert):
+        """Each Table 1 anchor check reports the cell that
+        ``table1_load_fractions`` prints for the same spec."""
+        from repro.experiments import table1_load_fractions
+
+        spec = next(r.spec for r in MICRO_TIER.runs if r.table == "table1")
+        rows = table1_load_fractions(spec.replace(backend="numpy")).rows
+        column = {"random": 1, "double": 2}
+        anchored = [
+            c for c in micro_cert.checks
+            if c.table == "table1" and c.kind == "anchor"
+        ]
+        assert anchored
+        for check in anchored:
+            _, _, role, load = check.anchor_id.split("/")
+            assert check.measured == rows[int(load[len("load"):])][column[role]]
+
     def test_deterministic_rerun(self, micro_cert):
         """Same tier, same backend: identical verdict apart from timing."""
         from repro.certify.runner import run_certification

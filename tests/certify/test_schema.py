@@ -16,6 +16,7 @@ from repro.certify.verdict import (
 )
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden_certification.json"
+GOLDEN_EVERY = GOLDEN.with_name("golden_certification_every.json")
 
 
 def _minimal_doc() -> dict:
@@ -179,12 +180,15 @@ def _normalize(doc: dict) -> dict:
 
 
 class TestGoldenDocument:
-    """The committed golden verdict pins the schema and the micro-tier output.
+    """The committed golden verdicts pin the schema and the micro-tier and
+    every-certifier-tier output.
 
     After an *intentional* change to the runner or registry, regenerate by
-    running ``MICRO_TIER`` (see conftest) with ``backend="numpy"``,
-    ``workers=1``, normalizing wall-clock fields to 0.0, and writing the
-    ``to_dict()`` JSON (indent=2) to ``tests/data/golden_certification.json``.
+    running ``MICRO_TIER`` (resp. ``EVERY_TIER``; see conftest) with
+    ``backend="numpy"``, ``workers=1``, normalizing wall-clock fields to
+    0.0, and writing the ``to_dict()`` JSON (indent=2) to
+    ``tests/data/golden_certification.json`` (resp.
+    ``golden_certification_every.json``).
     """
 
     def test_golden_is_schema_valid(self):
@@ -193,4 +197,11 @@ class TestGoldenDocument:
     def test_micro_run_matches_golden(self, micro_cert):
         golden = _normalize(json.loads(GOLDEN.read_text()))
         fresh = _normalize(micro_cert.to_dict())
+        assert fresh == golden
+
+    def test_every_certifier_matches_golden(self, every_cert):
+        """All ten certifiers at toy scale (``EVERY_TIER``), pinned the same
+        way; the JSON round trip turns the runs' tuple extras into lists."""
+        golden = _normalize(json.loads(GOLDEN_EVERY.read_text()))
+        fresh = _normalize(json.loads(json.dumps(every_cert.to_dict())))
         assert fresh == golden

@@ -1,4 +1,4 @@
-"""The giant-n knobs: spec fields, CLI flags, certify overrides."""
+"""The giant-n knob: spec field, CLI flags, certify override."""
 
 import numpy as np
 import pytest
@@ -12,39 +12,36 @@ class TestSpecFields:
     def test_defaults(self):
         spec = ExperimentSpec()
         assert spec.trials_mode == "chunked"
-        assert spec.shards is None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="trials_mode"):
             ExperimentSpec(trials_mode="prange")
-        with pytest.raises(ConfigurationError, match="shards"):
-            ExperimentSpec(shards=0)
 
     def test_replace_round_trips(self):
-        spec = ExperimentSpec().replace(trials_mode="parallel", shards=4)
-        assert (spec.trials_mode, spec.shards) == ("parallel", 4)
+        spec = ExperimentSpec().replace(trials_mode="parallel")
+        assert spec.trials_mode == "parallel"
 
 
 class TestCliFlags:
     def test_table_subcommands_accept_knobs(self):
         args = build_parser().parse_args(
-            ["table1", "--trials-mode", "parallel", "--shards", "3"]
+            ["table1", "--trials-mode", "parallel"]
         )
         spec = _spec_from_args("table1", args)
-        assert (spec.trials_mode, spec.shards) == ("parallel", 3)
+        assert spec.trials_mode == "parallel"
 
     def test_defaults_flow_from_spec(self):
         args = build_parser().parse_args(["table1"])
         spec = _spec_from_args("table1", args)
-        assert (spec.trials_mode, spec.shards) == ("chunked", None)
+        assert spec.trials_mode == "chunked"
 
     def test_certify_accepts_knobs(self):
         args = build_parser().parse_args(
-            ["certify", "--trials-mode", "parallel", "--shards", "2"]
+            ["certify", "--trials-mode", "parallel"]
         )
-        assert (args.trials_mode, args.shards) == ("parallel", 2)
+        assert args.trials_mode == "parallel"
         defaults = build_parser().parse_args(["certify"])
-        assert (defaults.trials_mode, defaults.shards) == (None, None)
+        assert defaults.trials_mode is None
 
 
 class TestCertifyOverride:
@@ -53,9 +50,7 @@ class TestCertifyOverride:
         from repro.certify.tiers import TIERS
 
         tier = TIERS["smoke"]
-        cert = run_certification(
-            tier, trials_mode="parallel", shards=2
-        )
+        cert = run_certification(tier, trials_mode="parallel")
         assert cert.passed, [c for c in cert.checks if not c.passed]
 
 

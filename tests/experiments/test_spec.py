@@ -155,7 +155,7 @@ class TestTableShims:
 class TestCliSpecDefaults:
     RUN = {"n", "d", "trials", "seed"}
     ENGINE = {
-        "workers", "chunks", "block", "trials_mode", "shards", "retries",
+        "workers", "chunks", "block", "trials_mode", "retries",
         "chunk_timeout", "checkpoint", "metrics_out", "progress",
     }
     # Exactly the flags each table function reads.

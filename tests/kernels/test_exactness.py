@@ -20,7 +20,6 @@ from repro.kernels import (
     resolve_backend,
     sequential_packed_reference,
 )
-from repro.kernels.numpy_backend import _STAMP_REARM
 from repro.rng import default_generator
 
 # (n_bins, d, trials, steps, tie_break) — covers d=1 (no choice), window
@@ -133,36 +132,3 @@ def test_split_stream_matches_single_call():
     assert np.array_equal(split, whole)
     assert np.array_equal(whole, sequential_packed_reference(pc, layout))
     assert (split.sum(axis=1) == steps).all()
-
-
-@pytest.mark.parametrize(
-    "n,d,trials,steps,tie_break,scheme_cls",
-    [
-        (64, 4, 5, 200, "random", FullyRandomChoices),
-        (256, 3, 2, 512, "left", FullyRandomChoices),
-        (512, 3, 4, 1536, "random", DoubleHashingChoices),
-    ],
-    ids=["random-tie", "left-tie", "fused-double"],
-)
-def test_stamp_rearm_is_exact(n, d, trials, steps, tie_break, scheme_cls):
-    """The stamp table's re-arm (one ``fill`` once ``base`` has fallen
-    below ``_STAMP_REARM``) needs millions of passes to come round on its
-    own; a workspace preset just above the threshold reaches it on pass
-    4, and placement must stay exact across it."""
-    layout = plan_layout(n, d, tie_break, trials, steps)
-    pc = generate_packed(
-        scheme_cls(n, d), trials, steps, default_generator(21), layout
-    )
-    window = choose_window(n, d)
-    impl = resolve_backend("numpy")
-    ws = impl.make_workspace(
-        d=d, trials=trials, window=window, bins_p=layout.bins_p
-    )
-    ws.base = _STAMP_REARM + np.int32(2 * window)
-    work = np.zeros(trials * layout.bins_p, dtype=np.int32)
-    passes = impl.place(work, pc, layout=layout, workspace=ws)
-    assert passes > 4
-    # Re-armed: base restarted just under _STAMP_FAR.
-    assert ws.base > _STAMP_REARM + np.int32(2 * window)
-    got = work.reshape(trials, layout.bins_p)[:, :n].astype(np.int64)
-    assert np.array_equal(got, sequential_packed_reference(pc, layout))

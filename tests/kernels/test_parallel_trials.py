@@ -2,7 +2,7 @@
 
 The contract under test: `run_parallel_trials` results are a pure
 function of `(root, global trial index, spec)` — independent of
-chunking, shard count, and host — and the fused fast path
+chunking and host — and the fused fast path
 matches a straight-line scalar oracle of the documented draw contract.
 """
 
@@ -85,13 +85,6 @@ class TestSeedEquivalence:
 
         assert np.array_equal(pad(whole), np.vstack([pad(first), pad(second)]))
 
-    def test_shard_invariance(self):
-        scheme = DoubleHashingChoices(N, D)
-        assert np.array_equal(
-            run_parallel_trials(scheme, M, 3, root=11, shards=1),
-            run_parallel_trials(scheme, M, 3, root=11, shards=5),
-        )
-
     def test_generic_path_chunking_invariance(self):
         scheme = DoubleHashingChoices(97, D)  # non-pow2: generic path
         assert not fused_parallel_supported(scheme, "random")
@@ -162,8 +155,6 @@ class TestValidation:
             run_parallel_trials(scheme, -1, 1, root=1)
         with pytest.raises(ConfigurationError):
             run_parallel_trials(scheme, M, 1, root=1, trial_offset=-1)
-        with pytest.raises(ConfigurationError):
-            run_parallel_trials(scheme, M, 1, root=1, shards=0)
         with pytest.raises(ConfigurationError):
             run_parallel_trials(scheme, M, 1, root=1, tie_break="lowest")
 
