@@ -6,21 +6,22 @@ Run as a script (not under pytest-benchmark — the comparison needs
 
     PYTHONPATH=src python benchmarks/bench_supermarket.py [--out BENCH_supermarket.json]
 
-Contestants, measured on the Table 7/8 reference geometry (``n = 500``
-queues, ``d = 3`` double hashing, ``λ = 0.99``, ``sim_time = 100`` with
-``burn_in = 20`` — event *throughput* is what is measured, and it does not
-depend on the simulated horizon):
+Contestants, measured on one run of the Table 8 reference geometry
+(``n = 500`` queues, ``d = 3`` double hashing, ``λ = 0.99``,
+``sim_time = 100`` with ``burn_in = 20`` — event *throughput* is what is
+measured, and it does not depend on the simulated horizon):
 
-- ``legacy`` — the per-event pure-Python loop this PR replaced
+- ``legacy`` — the first per-event pure-Python loop
   (``IndexedSet`` busy set, per-queue ``list.pop(0)`` FIFOs, per-departure
   scalar RNG call), inlined below verbatim — only event counters were
   added — so the comparison stays runnable after the old code is gone;
-- ``numpy``  — the blocked-draw kernel loop, through
+- ``numpy``  — the windowed kernel on a batch of one run, through
   :func:`repro.queueing.simulate_supermarket`.
 
-The legacy loop consumes the RNG in a different order than the kernel
-contract, so the two contestants are *statistically* equivalent, not
-bit-equal.
+Events are arrivals plus departures; the kernel's no-op service ticks
+are not counted.  The legacy loop draws a different stream than the
+kernel's schedule, so the two contestants are *statistically*
+equivalent, not bit-equal.
 
 Methodology: contestants run round-robin inside one process for
 ``--rounds`` rounds, and per-contestant medians are compared.
@@ -49,7 +50,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hashing import DoubleHashingChoices             # noqa: E402
 from repro.kernels import KNOWN_BACKENDS                   # noqa: E402
-from repro.queueing import simulate_supermarket            # noqa: E402
+from repro.queueing import SupermarketRun, simulate_supermarket  # noqa: E402
 from repro.queueing.events import IndexedSet               # noqa: E402
 from repro.queueing.measures import SojournAccumulator     # noqa: E402
 from repro.rng import default_generator                    # noqa: E402
@@ -134,10 +135,10 @@ def _legacy_simulate_supermarket(scheme, lam, sim_time, *, burn_in, seed):
 
 def _contestants(n, d, lam, sim_time, burn_in, seed):
     def kernel_run():
-        res = simulate_supermarket(
+        res = simulate_supermarket([SupermarketRun(
             DoubleHashingChoices(n, d), lam, sim_time, burn_in=burn_in,
-            seed=seed, backend="numpy",
-        )
+            seed=seed,
+        )], backend="numpy")[0]
         return res.mean_sojourn_time, res.completed_jobs, res.n_events
 
     return {

@@ -17,7 +17,7 @@ import argparse
 
 from repro import DoubleHashingChoices, FullyRandomChoices
 from repro.fluid import equilibrium_mean_sojourn_time, solve_supermarket
-from repro.queueing import simulate_supermarket
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 
 def main() -> None:
@@ -34,14 +34,18 @@ def main() -> None:
     print(f"{args.queues} queues, lambda = {args.lam}, d = {args.d}, "
           f"horizon {args.time}s (burn-in {args.burn_in}s)\n")
 
-    for label, scheme in (
+    schemes = (
         ("fully random ", FullyRandomChoices(args.queues, args.d)),
         ("double hashing", DoubleHashingChoices(args.queues, args.d)),
-    ):
-        result = simulate_supermarket(
-            scheme, args.lam, args.time,
-            burn_in=args.burn_in, seed=args.seed,
+    )
+    # Both runs in one kernel call.
+    results = simulate_supermarket([
+        SupermarketRun(
+            scheme, args.lam, args.time, burn_in=args.burn_in, seed=args.seed
         )
+        for _, scheme in schemes
+    ])
+    for (label, _), result in zip(schemes, results):
         print(f"{label}: mean sojourn {result.mean_sojourn_time:.4f}  "
               f"({result.completed_jobs} jobs, "
               f"mean queue length {result.mean_queue_length:.3f})")

@@ -69,12 +69,7 @@ _PLAIN_TABLES = {
         _RUN_FIELDS,
         lambda spec: _tables.table7_dleft(spec.replace(d=max(spec.d, 2))),
     ),
-    "table8": (
-        ("n", "sim_time", "seed"),
-        lambda spec: _tables.table8_queueing(
-            spec.replace(n=min(spec.n, 2**12), burn_in=spec.sim_time / 5)
-        ),
-    ),
+    "table8": (("n", "sim_time", "seed"), _tables.table8_queueing),
 }
 
 _ENGINE_FIELDS = (

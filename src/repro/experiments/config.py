@@ -200,7 +200,7 @@ TABLE_DEFAULTS: dict[str, ExperimentSpec] = {
     "table5": ExperimentSpec(n=2**18, d=4, trials=30, seed=5),
     "table6": ExperimentSpec(n=2**14, d=3, trials=50, seed=6),
     "table7": ExperimentSpec(n=2**14, d=4, trials=100, seed=7),
-    "table8": ExperimentSpec(n=2**10, d=3, seed=8, sim_time=1000.0, burn_in=100.0),
+    "table8": ExperimentSpec(n=2**10, d=3, seed=8, sim_time=1000.0),
 }
 
 

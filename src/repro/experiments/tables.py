@@ -37,7 +37,7 @@ from repro.hashing import DoubleHashingChoices, FullyRandomChoices, make_scheme
 from repro.hashing.base import ChoiceScheme
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress
-from repro.queueing import simulate_supermarket
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 __all__ = [
     "ExperimentTable",
@@ -144,9 +144,9 @@ def run_pair(
 
     Fully random runs at seed ``s + 2k`` and the challenger at
     ``s + 2k + 1``, where ``k`` indexes the points of a per-point table
-    (Tables 4 and 8) and ``point`` labels their sub-runs.  ``schemes``
-    is ``(random, challenger)``, by default fully random and double
-    hashing on ``spec``'s geometry.  ``run(scheme, sub_spec)`` simulates
+    (Table 4; Table 8 batches its pairs with these seeds) and ``point``
+    labels their sub-runs.  ``schemes`` is ``(random, challenger)``, by
+    default fully random and double hashing on ``spec``'s geometry.  ``run(scheme, sub_spec)`` simulates
     one side; by default :func:`~repro.core.run_experiment` with
     ``metrics`` and ``progress``.  Returns ``{"random": ..., "double":
     ...}``.
@@ -423,30 +423,34 @@ def table8_queueing(
 
     Scaled down from the paper's n = 2^14 / 10000 s / 100 runs; the
     equilibrium fluid-limit column provides the scale-free reference the
-    simulated values converge to.
+    simulated values converge to.  Every cell's pair runs in one kernel
+    call, with :func:`run_pair`'s seeds: fully random at ``s + 2k``,
+    double hashing at ``s + 2k + 1`` for the ``k``-th ``(lambda, d)``.
     """
     spec = _spec_for("table8", spec)
-    rows = []
-    results = {}
     cells = [(lam, d_now) for lam in lambdas for d_now in d_values]
-    for k, (lam, d_now) in enumerate(cells):
-        pair = results[lam, d_now] = run_pair(
-            spec.replace(d=d_now),
-            k=k,
-            run=lambda scheme, sub: simulate_supermarket(
-                scheme, lam, sub.sim_time, burn_in=sub.effective_burn_in,
-                seed=sub.seed, backend=sub.backend,
-            ),
+    schemes = (FullyRandomChoices, DoubleHashingChoices)
+    runs = [
+        SupermarketRun(
+            scheme(spec.n, d_now), lam, spec.sim_time,
+            burn_in=spec.effective_burn_in,
+            seed=None if spec.seed is None else spec.seed + 2 * k + i,
         )
-        rows.append(
-            (
-                lam,
-                d_now,
-                pair["random"].mean_sojourn_time,
-                pair["double"].mean_sojourn_time,
-                equilibrium_mean_sojourn_time(lam, d_now),
-            )
+        for k, (lam, d_now) in enumerate(cells)
+        for i, scheme in enumerate(schemes)
+    ]
+    out = iter(simulate_supermarket(runs, backend=spec.backend))
+    results = {cell: {"random": next(out), "double": next(out)} for cell in cells}
+    rows = [
+        (
+            lam,
+            d_now,
+            pair["random"].mean_sojourn_time,
+            pair["double"].mean_sojourn_time,
+            equilibrium_mean_sojourn_time(lam, d_now),
         )
+        for (lam, d_now), pair in results.items()
+    ]
     return ExperimentTable(
         table_id="Table 8",
         title=f"n = {spec.n} queues, average time in system",

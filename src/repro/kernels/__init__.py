@@ -19,11 +19,12 @@ The shared data contract (packed candidates, tie keys, dummy padding) is
 documented in :mod:`repro.kernels.generate`; ``simulate_batch`` is the
 entry point, driving the kernel with fused choice generation.
 
-The queueing path: the supermarket-model CTMC of Tables 7–8 runs through
-:func:`repro.queueing.simulate_supermarket`, whose blocked numpy loop
-(:mod:`repro.kernels.supermarket`) is bit-identical to the oracle
+The queueing path: the supermarket model of Table 8 runs through
+:func:`repro.queueing.simulate_supermarket`, which decides a batch of
+runs' pre-drawn schedules with windowed commits
+(:mod:`repro.kernels.supermarket`), bit-identical run by run to the oracle
 :func:`repro.kernels.reference.simulate_supermarket_reference` under the
-draw-stream contract documented there.
+schedule contract documented there.
 
 The peeling path: 2-core computation on the key-cell hypergraph (the
 peeling-threshold experiments) runs through

@@ -12,11 +12,11 @@ Two layers live here:
   candidate arrays of :mod:`repro.kernels.generate`, used by the kernel
   test suite to assert that the fused numpy backend is bit-identical to
   sequential placement on the same draws.
-- :func:`simulate_supermarket_reference` — the supermarket CTMC written
-  as the plainest possible event loop over the draw-stream contract of
+- :func:`simulate_supermarket_reference` — the supermarket model as a
+  scalar decision loop over the pre-drawn schedule of
   :mod:`repro.kernels.supermarket`.  ``tests/data/golden_supermarket.json``
-  pins its outputs, and every supermarket backend is asserted bit-identical
-  to it for the same seed.
+  pins its outputs, and the windowed kernel is asserted bit-identical to
+  it for every run of a batch.
 """
 
 from __future__ import annotations
@@ -25,23 +25,14 @@ from typing import Literal
 
 import numpy as np
 
-from repro.errors import ConfigurationError, StabilityError
+from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels.blockrng import (
-    CHOICE_BLOCK,
-    EVENT_BLOCK,
-    TIE_BITS,
-    BlockedDraws,
-    refill_choice_block,
-    refill_event_block,
-)
+from repro.kernels.blockrng import TIE_BITS
 from repro.kernels.generate import KernelLayout
 from repro.kernels.supermarket import (
-    SupermarketStats,
-    check_queue_packing,
-    finalize_stats,
-    stability_message,
-    validate_supermarket_args,
+    SupermarketAccumulator,
+    SupermarketRun,
+    draw_events,
 )
 from repro.rng import default_generator
 from repro.types import LoadDistribution, QueueingResult
@@ -126,152 +117,55 @@ def simulate_single_trial(
     )
 
 
-def simulate_supermarket_reference(
-    scheme: ChoiceScheme,
-    lam: float,
-    sim_time: float,
-    *,
-    burn_in: float = 0.0,
-    seed: int | np.random.Generator | None = None,
-    max_total_jobs: int | None = None,
-    track_tails: bool = False,
-    tie_break: TieBreak = "random",
-) -> QueueingResult:
-    """Supermarket CTMC as the plainest event loop — the executable spec.
+def simulate_supermarket_reference(run: SupermarketRun) -> QueueingResult:
+    """The supermarket model as a scalar decision loop — the executable spec.
 
-    Implements the draw-stream contract of :mod:`repro.kernels.blockrng`
-    (and the state-evolution contract of
-    :mod:`repro.kernels.supermarket`) one event at a time through
-    :class:`~repro.kernels.blockrng.BlockedDraws` — the executable form of
-    the contract, with no performance tricks.  Every backend reachable
-    through :func:`repro.queueing.simulate_supermarket` must be
-    bit-identical to this function for the same seed, *and* leave the
-    generator in the same state (callers reuse one generator across
-    sequential runs).
+    Draws ``run``'s schedule through
+    :func:`~repro.kernels.supermarket.draw_events` and decides its events
+    one at a time: an arrival joins the candidate with the smallest
+    ``(length, tie key, queue)`` (the first shortest in choice order under
+    ``tie_break="left"``), a tick serves its queue if the queue is busy.
+    Each decided block goes to the
+    :class:`~repro.kernels.supermarket.SupermarketAccumulator` the kernel
+    also uses.  :func:`repro.queueing.simulate_supermarket` must return
+    bit-identical results for every run of a batch and leave each
+    generator in the same state.
     """
-    validate_supermarket_args(lam, sim_time, burn_in, tie_break)
-    rng = default_generator(seed)
-    n = scheme.n_bins
-    if max_total_jobs is None:
-        max_total_jobs = 50 * n
-    check_queue_packing(max_total_jobs)
-    left_ties = tie_break == "left"
-    arrival_rate = lam * n
-
-    queue_len = np.zeros(n, dtype=np.int64)
-    fifos: list[list[float]] = [[] for _ in range(n)]
-    busy: list[int] = []  # dense busy slots; departures sample an index
-
+    rng = default_generator(run.seed)
+    length = [0] * run.scheme.n_bins
+    left = run.tie_break == "left"
+    acc = SupermarketAccumulator(run)
     now = 0.0
-    jobs = 0
-    s_count = 0
-    s_sum = 0.0
-    area = 0.0
-    busy_area = 0.0
-    n_arrivals = 0
-    n_departures = 0
-
-    if track_tails:
-        counts = np.zeros(64, dtype=np.int64)
-        counts[0] = n
-        tail_area = np.zeros(64, dtype=np.float64)
-        last_t = np.zeros(64, dtype=np.float64)
-
-    def _flush_level(lev: int, t: float) -> None:
-        start = max(float(last_t[lev]), burn_in)
-        if t > start:
-            tail_area[lev] += counts[lev] * (t - start)
-        last_t[lev] = t
-
-    # Cursors start exhausted and refill lazily — the block contract of
-    # repro.kernels.blockrng, consumed through its reference cursor.
-    events = BlockedDraws(EVENT_BLOCK, lambda: refill_event_block(rng))
-    arrivals = BlockedDraws(CHOICE_BLOCK, lambda: refill_choice_block(scheme, rng))
-
     while True:
-        b = len(busy)
-        rate = arrival_rate + b
-        expo, event_u = events.take()
-        t_new = now + expo / rate
-        if t_new >= sim_time:
-            break  # terminating event is never committed
-        x = event_u * rate
-        start = max(now, burn_in)
-        if t_new > start:
-            dt = t_new - start
-            area += jobs * dt
-            busy_area += b * dt
-        now = t_new
-        if x < arrival_rate:  # arrival
-            choices, tie_keys = arrivals.take()
-            lengths = queue_len[choices]
-            if left_ties:
-                target = int(choices[np.argmin(lengths)])
+        block = draw_events(run, rng, now)
+        rows, ties = block.choices.tolist(), block.ties.tolist()
+        ticks = iter(block.ticks.tolist())
+        target, before = [], []
+        a = 0
+        for is_arrival in block.arrival.tolist():
+            if is_arrival:
+                row, tie = rows[a], ties[a]
+                a += 1
+                if left:
+                    q = min(row, key=length.__getitem__)
+                else:
+                    q = min(
+                        ((length[q] << TIE_BITS) | t, q) for q, t in zip(row, tie)
+                    )[1]
+                before.append(length[q])
+                length[q] += 1
             else:
-                keys = (lengths << TIE_BITS) | tie_keys
-                target = int(choices[np.argmin(keys)])
-            fifos[target].append(now)
-            if queue_len[target] == 0:
-                busy.append(target)
-            queue_len[target] += 1
-            jobs += 1
-            n_arrivals += 1
-            if track_tails:
-                new_len = int(queue_len[target])
-                if new_len + 1 >= len(counts):
-                    counts = np.concatenate([counts, np.zeros_like(counts)])
-                    tail_area = np.concatenate(
-                        [tail_area, np.zeros_like(tail_area)]
-                    )
-                    last_t = np.concatenate([last_t, np.zeros_like(last_t)])
-                _flush_level(new_len - 1, now)
-                _flush_level(new_len, now)
-                counts[new_len - 1] -= 1
-                counts[new_len] += 1
-            if jobs > max_total_jobs:
-                raise StabilityError(stability_message(max_total_jobs, now))
-        else:  # departure: x - arrival_rate is uniform on [0, b)
-            slot = int(x - arrival_rate)
-            if slot >= b:
-                slot = b - 1
-            q = busy[slot]
-            t_arr = fifos[q].pop(0)
-            if t_arr >= burn_in:
-                s_count += 1
-                s_sum += now - t_arr
-            queue_len[q] -= 1
-            if queue_len[q] == 0:  # swap-remove busy slot
-                busy[slot] = busy[-1]
-                busy.pop()
-            jobs -= 1
-            n_departures += 1
-            if track_tails:
-                old_len = int(queue_len[q]) + 1
-                _flush_level(old_len - 1, now)
-                _flush_level(old_len, now)
-                counts[old_len] -= 1
-                counts[old_len - 1] += 1
-
-    start = max(now, burn_in)
-    if sim_time > start:
-        dt = sim_time - start
-        area += jobs * dt
-        busy_area += len(busy) * dt
-    tails_out = None
-    if track_tails:
-        for lev in range(len(counts)):
-            _flush_level(lev, sim_time)
-        tails_out = tail_area
-    stats = SupermarketStats(
-        s_count=s_count,
-        s_sum=float(s_sum),
-        area=float(area),
-        busy_area=float(busy_area),
-        n_arrivals=n_arrivals,
-        n_departures=n_departures,
-        tail_area=tails_out,
-    )
-    return finalize_stats(stats, n=n, sim_time=sim_time, burn_in=burn_in)
+                q = next(ticks)
+                before.append(length[q])
+                if length[q]:
+                    length[q] -= 1
+            target.append(q)
+        acc.add(
+            block, np.array(target, np.int64), np.array(before, np.int64)
+        )
+        if block.last:
+            return acc.result()
+        now = float(block.times[-1])
 
 
 def sequential_packed_reference(

@@ -1,47 +1,65 @@
-"""Supermarket-model CTMC kernel: shared draw-stream contract + numpy backend.
+"""Supermarket-model kernel: a pre-drawn schedule, windowed commits, and
+the accumulator the kernel shares with the oracle.
 
-CTMC formulation
+Uniformized chain
+-----------------
+With exp(1) service at every queue the queue lengths form a
+continuous-time Markov chain.  Uniformized at the constant rate
+``(1 + λ)n``, each event is an **arrival** with probability ``λ/(1+λ)``
+(it draws ``d`` queues from the choice scheme and joins the shortest,
+ties by random key, then by queue, or leftmost) and otherwise a
+**service tick** at a uniform queue, which completes that queue's head
+job or does nothing if the queue is empty.  Every busy queue still
+completes jobs at rate 1, so the law is the supermarket model's, and no
+draw reads the state.
+
+Schedule (the draw contract)
+----------------------------
+Each run owns its generator and draws its events in blocks of
+:func:`block_size` (``8n``, within ``[4096, 65536]``) through
+:func:`draw_events`: ``rng.exponential`` for the gaps (divided by the
+rate, summed in event order), ``rng.random`` for the kinds,
+``scheme.batch`` and ``rng.integers`` for the arrivals' candidate rows
+and ``TIE_BITS``-wide tie keys (drawn under ``tie_break="left"`` too),
+then ``rng.integers`` for the ticks' queues.  The first event at or past
+``sim_time`` ends the run and is never committed.  The kernel and the
+oracle (:func:`repro.kernels.reference.simulate_supermarket_reference`)
+both draw through this function and account through
+:class:`SupermarketAccumulator`, so they agree bit for bit and leave each
+generator in the same state; a run's draws never depend on the other
+runs of its batch.
+
+Windowed commits
 ----------------
-With exp(1) service at every queue the system state is a continuous-time
-Markov chain: an **arrival** at rate ``λn`` draws ``d`` queues from the
-choice scheme and joins the shortest (ties by random key or leftmost); a
-**departure** at rate ``b`` (the busy-queue count) completes the head job
-of a uniformly random busy queue.  No event heap is needed — the simulator
-repeatedly draws an ``Exp(λn + b)`` inter-event time and an event-type
-coin.
+Only an arrival's shortest-of-``d`` pick and a tick's busy check read
+state.  :func:`simulate_supermarket_numpy` lays a batch's runs side by
+side on one flat queue array (run ``r`` owns ``[off_r, off_r + n_r)``;
+a ``d``-row pads to the batch's widest ``d`` by repeating its last
+candidate and tie key) and keeps a window on the next ``W`` rows of each
+run's block, where committed rows become padding.  Each pass commits
+every pending event that no earlier pending event of its run touches —
+``simulate_batch``'s stamp rule
+(:mod:`repro.kernels.numpy_backend`): an arrival touches its ``d``
+candidates, a tick its queue.  Committed events touch disjoint queues
+and see every earlier event's effect, so each one decides exactly as
+the sequential loop would.  A run's block is accounted once all of its
+events have committed, and only then is its next block drawn, so the
+kernel holds one bounded block per run.  Runs never share a queue, so
+about ``R·n/d²`` events commit per pass (``R`` runs); see
+``docs/performance.md``.
 
-Draw-stream contract (bit-identity with the oracle)
----------------------------------------------------
-Both implementations — the oracle loop in :mod:`repro.kernels.reference`
-and the blocked numpy loop here — consume the generator through
-the unified block contract of :mod:`repro.kernels.blockrng`: lazily
-refilled *event blocks* (:func:`~repro.kernels.blockrng.refill_event_block`)
-and *choice blocks* (:func:`~repro.kernels.blockrng.refill_choice_block`),
-cursors initially exhausted.  Results are therefore **bit-identical** for
-the same seed and the generator is left in the same state afterwards
-(callers reuse one generator across sequential runs).  Tie keys are drawn
-even under ``tie_break="left"`` (and ignored), so the stream does not
-depend on the tie rule.
-
-Per event, with ``rate = λn + b``: the inter-event time is
-``expo[i] / rate`` (a division — backends must not substitute a
-reciprocal multiply) and the **fused event coin** is ``x = evu[i] * rate``:
-an arrival iff ``x < λn``, otherwise a departure from busy slot
-``j = int(x - λn)`` (clamped to ``b - 1``; conditionally on ``x ≥ λn``,
-``x - λn`` is uniform on ``[0, b)``).  This replaces both the event-type
-coin and a separate busy-queue index draw.
-
-State-evolution contract
-------------------------
-The busy set is a dense array with append-on-busy and swap-remove-on-empty
-(slot ``j`` is filled by the last element); since departures sample busy
-*slots*, every backend must replicate this exact evolution.  An event
-whose time lands at or beyond ``sim_time`` terminates the run **without
-committing** (the clock, counters and integrals keep their pre-event
-values); the population/busy/tail integrals are then flushed over
-``[max(now, burn_in), sim_time]``.  All float accumulations are plain
-sequential scalar adds in event order — the canonical order vectorized
-variants must reproduce exactly.
+Accounting
+----------
+:class:`SupermarketAccumulator` takes each block's per-event target and
+the target's length before the event.  A queue's ``k``-th arrival leaves
+at its ``k``-th departure (FIFO), so a stable sort by queue pairs every
+departure with its arrival; sojourns count when the job arrived at or
+after ``burn_in``.  An event at time ``t`` changes the number of queues
+holding at least ``i`` jobs for the rest of ``[max(t, burn_in),
+sim_time]``, which gives the population, busy and tail areas in one
+weighted ``bincount`` per block.  The stability valve raises
+:class:`~repro.errors.StabilityError` at the first arrival that lifts the
+population past ``max_total_jobs``.
 """
 
 from __future__ import annotations
@@ -52,19 +70,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, StabilityError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels.blockrng import (
-    CHOICE_BLOCK as _CHOICE_BLOCK,
-)
-from repro.kernels.blockrng import (
-    EVENT_BLOCK as _EVENT_BLOCK,
-)
-from repro.kernels.blockrng import (
-    TIE_BITS as _TIE_BITS,
-)
-from repro.kernels.blockrng import (
-    refill_choice_block,
-    refill_event_block,
-)
+from repro.kernels.blockrng import TIE_BITS as _TIE_BITS
 from repro.kernels.packing import (
     INT64_VALUE_BITS,
     check_packed_fields,
@@ -73,310 +79,399 @@ from repro.kernels.packing import (
 from repro.types import QueueingResult
 
 __all__ = [
-    "SupermarketStats",
+    "EventBlock",
+    "SupermarketAccumulator",
+    "SupermarketRun",
+    "block_size",
     "check_queue_packing",
-    "finalize_stats",
+    "draw_events",
     "simulate_supermarket_numpy",
-    "stability_message",
-    "validate_supermarket_args",
 ]
 
-def check_queue_packing(max_total_jobs: int) -> None:
+_TIES = 1 << _TIE_BITS
+
+
+def check_queue_packing(max_total_jobs: int, queues: int = 1) -> None:
     """Guard the ``queue_len << TIE_BITS | tie`` packing against overflow.
 
     A queue can grow to ``max_total_jobs`` before the stability valve
     trips, so its length field needs ``field_width(max_total_jobs + 1)``
-    bits; together with the tie key the packed comparison key must fit
-    int64's 63 value bits, else the argmin would be silently corrupted.
-    Raises :class:`~repro.errors.ConfigurationError` at the boundary
-    (``max_total_jobs >= 2**43`` with the default 20 tie bits).
+    bits; together with the tie key (and, in the kernel, the id of one of
+    ``queues`` queues) the packed comparison key must fit int64's 63
+    value bits, else the argmin would be silently corrupted.  Raises
+    :class:`~repro.errors.ConfigurationError` at the boundary
+    (``max_total_jobs >= 2**43`` with the default 20 tie bits and one
+    queue).
     """
     check_packed_fields(
         {
             "queue_len": field_width(max_total_jobs + 1),
             "tie": _TIE_BITS,
+            "queue": field_width(queues),
         },
         carrier_bits=INT64_VALUE_BITS,
         context=f"supermarket queue key (max_total_jobs={max_total_jobs})",
     )
 
 
+def block_size(n: int) -> int:
+    """Events per schedule block of a run on ``n`` queues."""
+    return min(65536, max(4096, 8 * n))
+
+
 @dataclass(frozen=True)
-class SupermarketStats:
-    """Raw accumulators of one supermarket run, identical across backends.
+class SupermarketRun:
+    """One run of the supermarket model: ``n`` FIFO queues, Poisson(λn)
+    arrivals, exp(1) service.
 
     Attributes
     ----------
-    s_count, s_sum:
-        Count of and summed sojourn times over departures whose job
-        *arrived* at or after burn-in (``mean = s_sum / s_count``).
-    area:
-        Time integral of the total job population over
-        ``[burn_in, sim_time]``.
-    busy_area:
-        Time integral of the busy-queue count over the same window.
-    n_arrivals, n_departures:
-        Event counts over the whole run (burn-in included).
-    tail_area:
-        ``tail_area[i]`` = time integral of the number of queues with
-        length exactly ``i`` over the window; ``None`` unless tails were
-        tracked.
+    scheme:
+        Choice generator; ``scheme.n_bins`` queues, ``scheme.d`` choices
+        per arrival.
+    lam:
+        Arrival rate per queue, in (0, 1) for stability.
+    sim_time:
+        Total simulated time (the paper ran 10000 time units).
+    burn_in:
+        Jobs arriving before this time are excluded from the sojourn mean
+        (the paper used 1000), and the time averages start here.
+    seed:
+        Seed or generator.  A passed-in generator is left in the same
+        state as after the oracle run, so callers may run several
+        simulations off one generator, one call after another.
+    max_total_jobs:
+        Safety valve: abort with :class:`~repro.errors.StabilityError` if
+        the population exceeds this (defaults to ``50 · n``), which can
+        only happen outside the stability region.
+    track_tails:
+        Return the time-averaged fraction of queues with at least ``i``
+        jobs (after burn-in) as ``result.tail_fractions``, comparable to
+        the fluid equilibrium ``π_i``.
+    tie_break:
+        ``"random"`` (the standard model) or ``"left"``: join the first
+        shortest candidate in choice order, Vöcking's rule with a
+        partitioned choice scheme.
+
+    Invalid parameters raise :class:`~repro.errors.ConfigurationError`
+    here, before anything runs.
     """
 
-    s_count: int
-    s_sum: float
-    area: float
-    busy_area: float
-    n_arrivals: int
-    n_departures: int
-    tail_area: np.ndarray | None = None
+    scheme: ChoiceScheme
+    lam: float
+    sim_time: float
+    burn_in: float = 0.0
+    seed: int | np.random.Generator | None = None
+    max_total_jobs: int | None = None
+    track_tails: bool = False
+    tie_break: str = "random"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.lam < 1.0:
+            raise ConfigurationError(f"lambda must be in (0, 1), got {self.lam}")
+        if self.sim_time <= 0:
+            raise ConfigurationError(
+                f"sim_time must be positive, got {self.sim_time}"
+            )
+        if not 0.0 <= self.burn_in < self.sim_time:
+            raise ConfigurationError(
+                f"burn_in must lie in [0, sim_time); got {self.burn_in} vs "
+                f"{self.sim_time}"
+            )
+        if self.tie_break not in ("random", "left"):
+            raise ConfigurationError(
+                f"tie_break must be 'random' or 'left', got {self.tie_break!r}"
+            )
+        # A block's arrivals may overshoot the valve before it is checked.
+        n = self.scheme.n_bins
+        check_queue_packing(self.job_cap + block_size(n), n)
+
+    @property
+    def job_cap(self) -> int:
+        """The stability valve: ``max_total_jobs``, else ``50 · n``."""
+        if self.max_total_jobs is None:
+            return 50 * self.scheme.n_bins
+        return self.max_total_jobs
 
 
-def validate_supermarket_args(
-    lam: float, sim_time: float, burn_in: float, tie_break: str
-) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError` on bad parameters.
+@dataclass(frozen=True)
+class EventBlock:
+    """One block of a run's schedule, cut at the horizon.
 
-    Shared by the kernel driver and the reference oracle so both reject
-    inputs with identical messages.
+    ``times`` are the event times (all below ``sim_time``) and
+    ``arrival`` their kinds; ``choices`` and ``ties`` are the arrivals'
+    ``(a, d)`` candidate rows and tie keys in event order, ``ticks`` the
+    ticks' queues.  ``last`` is set when the horizon falls inside the
+    block.
     """
-    if not 0.0 < lam < 1.0:
-        raise ConfigurationError(f"lambda must be in (0, 1), got {lam}")
-    if sim_time <= 0:
-        raise ConfigurationError(f"sim_time must be positive, got {sim_time}")
-    if not 0.0 <= burn_in < sim_time:
-        raise ConfigurationError(
-            f"burn_in must lie in [0, sim_time); got {burn_in} vs {sim_time}"
-        )
-    if tie_break not in ("random", "left"):
-        raise ConfigurationError(
-            f"tie_break must be 'random' or 'left', got {tie_break!r}"
-        )
+
+    times: np.ndarray
+    arrival: np.ndarray
+    choices: np.ndarray
+    ties: np.ndarray
+    ticks: np.ndarray
+    last: bool
 
 
-def stability_message(max_total_jobs: int, now: float) -> str:
-    """The :class:`~repro.errors.StabilityError` text shared by backends."""
-    return (
-        f"population exceeded {max_total_jobs} jobs at t={now:.1f}; "
-        "system appears unstable"
+def draw_events(
+    run: SupermarketRun, rng: np.random.Generator, now: float
+) -> EventBlock:
+    """The next :func:`block_size` events of ``run`` after time ``now``."""
+    n, d = run.scheme.n_bins, run.scheme.d
+    size = block_size(n)
+    gaps = rng.exponential(1.0, size) / ((1.0 + run.lam) * n)
+    gaps[0] += now
+    times = np.cumsum(gaps)
+    arrival = rng.random(size) < run.lam / (1.0 + run.lam)
+    n_arr = int(np.count_nonzero(arrival))
+    choices = run.scheme.batch(n_arr, rng)
+    ties = rng.integers(0, _TIES, size=(n_arr, d), dtype=np.int64)
+    ticks = rng.integers(0, n, size=size - n_arr, dtype=np.int64)
+    k = int(np.searchsorted(times, run.sim_time))
+    if k == size:
+        return EventBlock(times, arrival, choices, ties, ticks, False)
+    a = int(np.count_nonzero(arrival[:k]))
+    return EventBlock(
+        times[:k], arrival[:k], choices[:a], ties[:a], ticks[: k - a], True
     )
 
 
-def finalize_stats(
-    stats: SupermarketStats, *, n: int, sim_time: float, burn_in: float
-) -> QueueingResult:
-    """Convert raw accumulators into a :class:`~repro.types.QueueingResult`.
+class SupermarketAccumulator:
+    """A run's statistics, fed one fully decided block at a time.
 
-    Shared by every backend so the derived quantities (means, fractions,
-    tail post-processing) are computed by one code path and cannot drift.
+    Shared by the kernel and the oracle, so every float is summed in
+    the same order by both.  ``level_area[i]`` (``i >= 1``) is the time
+    integral over ``[burn_in, sim_time]`` of the number of queues holding
+    at least ``i`` jobs; ``queued_q``/``queued_t`` are the queue and
+    arrival time of every job in the system, sorted by queue and FIFO
+    within a queue.
     """
-    window = sim_time - burn_in
-    tails = None
-    if stats.tail_area is not None:
-        fractions = stats.tail_area / (window * n)
-        # Convert exact-length time fractions to >= i tail fractions.
-        tails = np.cumsum(fractions[::-1])[::-1]
-        tails = np.concatenate(([1.0], tails[1:]))
-        nonzero = np.flatnonzero(tails > 1e-12)
-        tails = tails[: (nonzero[-1] + 2 if nonzero.size else 1)]
-    return QueueingResult(
-        mean_sojourn_time=(
-            stats.s_sum / stats.s_count if stats.s_count else float("nan")
-        ),
-        completed_jobs=stats.s_count,
-        mean_queue_length=stats.area / window / n,
-        sim_time=sim_time,
-        tail_fractions=tails,
-        n_arrivals=stats.n_arrivals,
-        n_departures=stats.n_departures,
-        busy_fraction=stats.busy_area / (window * n),
-    )
+
+    def __init__(self, run: SupermarketRun) -> None:
+        self.run = run
+        self.jobs = 0
+        # Queue ids sort by radix when they fit 16 bits.
+        qtype = np.uint16 if run.scheme.n_bins <= 1 << 16 else np.int64
+        self.queued_q = np.empty(0, qtype)
+        self.queued_t = np.empty(0, np.float64)
+        self.s_count = 0
+        self.s_sum = 0.0
+        self.n_arrivals = 0
+        self.n_departures = 0
+        self.level_area = np.zeros(64)
+
+    def add(
+        self, block: EventBlock, target: np.ndarray, before: np.ndarray
+    ) -> None:
+        """Account ``block``: event ``k`` went to queue ``target[k]``,
+        which held ``before[k]`` jobs just before it."""
+        run = self.run
+        times, arrival = block.times, block.arrival
+        served = (before > 0) & ~arrival
+        step = arrival.astype(np.int64)
+        step -= served
+        jobs = np.cumsum(step)
+        jobs += self.jobs
+        if jobs.size and jobs.max() > run.job_cap:
+            now = times[np.flatnonzero(jobs > run.job_cap)[0]]
+            raise StabilityError(
+                f"population exceeded {run.job_cap} jobs at t={now:.1f}; "
+                "system appears unstable"
+            )
+        self.jobs = int(jobs[-1]) if jobs.size else self.jobs
+        weight = run.sim_time - np.maximum(times, run.burn_in)
+        weight *= step
+        area = np.bincount(before + arrival, weights=weight)
+        if area.size >= self.level_area.size:
+            grown = np.zeros(2 * area.size)
+            grown[: self.level_area.size] = self.level_area
+            self.level_area = grown
+        self.level_area[: area.size] += area
+        # FIFO: a queue's k-th departure takes its k-th queued job.
+        qtype = self.queued_q.dtype
+        q_in = np.concatenate((self.queued_q, target[arrival].astype(qtype)))
+        t_in = np.concatenate((self.queued_t, times[arrival]))
+        order = np.argsort(q_in, kind="stable")
+        q_in, t_in = q_in[order], t_in[order]
+        q_out = target[served].astype(qtype)
+        order = np.argsort(q_out, kind="stable")
+        q_out, t_out = q_out[order], times[served][order]
+        match = (
+            np.searchsorted(q_in, q_out)
+            + np.arange(q_out.size)
+            - np.searchsorted(q_out, q_out)
+        )
+        arrived = t_in[match]
+        counted = arrived >= run.burn_in
+        self.s_count += int(np.count_nonzero(counted))
+        self.s_sum += float((t_out - arrived)[counted].sum())
+        left = np.ones(q_in.size, bool)
+        left[match] = False
+        self.queued_q, self.queued_t = q_in[left], t_in[left]
+        self.n_arrivals += int(np.count_nonzero(arrival))
+        self.n_departures += q_out.size
+
+    def result(self) -> QueueingResult:
+        """The run's :class:`~repro.types.QueueingResult`."""
+        run = self.run
+        scale = (run.sim_time - run.burn_in) * run.scheme.n_bins
+        tails = None
+        if run.track_tails:
+            tails = self.level_area / scale
+            tails[0] = 1.0
+            nonzero = np.flatnonzero(tails > 1e-12)
+            tails = tails[: nonzero[-1] + 2]
+        return QueueingResult(
+            mean_sojourn_time=(
+                self.s_sum / self.s_count if self.s_count else float("nan")
+            ),
+            completed_jobs=self.s_count,
+            mean_queue_length=float(self.level_area[1:].sum()) / scale,
+            sim_time=run.sim_time,
+            tail_fractions=tails,
+            n_arrivals=self.n_arrivals,
+            n_departures=self.n_departures,
+            busy_fraction=float(self.level_area[1]) / scale,
+        )
+
+
+def window_size(runs: list[SupermarketRun]) -> int:
+    """Pending events per run: twice the largest run's ``n/d²`` (about
+    the count of leading events whose queues are pairwise disjoint),
+    within ``[32, 256]``.  Scheduling only; results never depend on it."""
+    widest = max(r.scheme.n_bins // r.scheme.d**2 for r in runs)
+    return min(256, max(32, 2 * widest))
 
 
 def simulate_supermarket_numpy(
-    scheme: ChoiceScheme,
-    lam: float,
-    sim_time: float,
-    burn_in: float,
-    rng: np.random.Generator,
-    max_total_jobs: int,
-    track_tails: bool,
-    left_ties: bool,
-) -> SupermarketStats:
-    """Blocked-draw event loop: the numpy backend of the supermarket kernel.
+    runs: list[SupermarketRun], rngs: list[np.random.Generator]
+) -> tuple[list[QueueingResult], int]:
+    """Run a batch with windowed commits; returns the results in batch
+    order and the number of passes.
 
-    Arguments are pre-validated by :func:`repro.queueing.simulate_supermarket`.
-    Randomness is consumed per the module contract; between refills the loop
-    runs on plain Python scalars and lists (``.tolist()``-ed blocks, packed
-    ``length << TIE_BITS`` queue keys, dense busy list, per-queue FIFO lists
-    with a lazy head cursor), which on a 1-core host beats numpy temporaries
-    for this irreducibly sequential chain — see ``docs/performance.md``.
+    Arguments are checked by :func:`repro.queueing.simulate_supermarket`.
+    Every run is simulated to its horizon; if any trips its stability
+    valve, the first such run in batch order raises its
+    :class:`~repro.errors.StabilityError` at the end.
     """
-    n = scheme.n_bins
-    d = scheme.d
-    ar = lam * n
-    one = 1 << _TIE_BITS  # packed-length increment
-
-    qkey = [0] * n  # queue length << TIE_BITS
-    fifos: list[list[float]] = [[] for _ in range(n)]
-    heads = [0] * n
-    busy: list[int] = []  # dense busy-queue slots; departures index this
-
-    now = 0.0
-    jobs = 0
-    b = 0
-    s_count = 0
-    s_sum = 0.0
-    area = 0.0
-    busy_area = 0.0
-    n_arr = 0
-    n_dep = 0
-
-    if track_tails:
-        counts = [0] * 64
-        counts[0] = n
-        tail_area = [0.0] * 64
-        last_t = [0.0] * 64
-
-    expo: list[float] = []
-    evu: list[float] = []
-    ev_i = _EVENT_BLOCK
-    cb: list[list[int]] = []
-    tb: list[list[int]] = []
-    ch_i = _CHOICE_BLOCK
-
-    while True:
-        if ev_i == _EVENT_BLOCK:
-            expo_a, evu_a = refill_event_block(rng)
-            expo = expo_a.tolist()
-            evu = evu_a.tolist()
-            ev_i = 0
-        rate = ar + b
-        t_new = now + expo[ev_i] / rate
-        if t_new >= sim_time:
-            break
-        x = evu[ev_i] * rate
-        ev_i += 1
-        # Integrate population/busy count over [max(now, burn_in), t_new]
-        # at their pre-event values.
-        start = now if now > burn_in else burn_in
-        if t_new > start:
-            dt = t_new - start
-            area += jobs * dt
-            busy_area += b * dt
-        now = t_new
-        if x < ar:  # arrival
-            if ch_i == _CHOICE_BLOCK:
-                cb_a, tb_a = refill_choice_block(scheme, rng)
-                cb = cb_a.tolist()
-                tb = tb_a.tolist()
-                ch_i = 0
-            row = cb[ch_i]
-            if left_ties:
-                tgt = row[0]
-                bk = qkey[tgt]
-                for j in range(1, d):
-                    q = row[j]
-                    k = qkey[q]
-                    if k < bk:
-                        bk = k
-                        tgt = q
-            else:
-                tie = tb[ch_i]
-                tgt = row[0]
-                bk = qkey[tgt] | tie[0]
-                for j in range(1, d):
-                    q = row[j]
-                    k = qkey[q] | tie[j]
-                    if k < bk:
-                        bk = k
-                        tgt = q
-            ch_i += 1
-            fifos[tgt].append(now)
-            k = qkey[tgt]
-            if k < one:  # was empty -> becomes busy
-                busy.append(tgt)
-                b += 1
-            qkey[tgt] = k + one
-            jobs += 1
-            n_arr += 1
-            if track_tails:
-                new_len = (k >> _TIE_BITS) + 1
-                if new_len + 1 >= len(counts):
-                    grow = len(counts)
-                    counts.extend([0] * grow)
-                    tail_area.extend([0.0] * grow)
-                    last_t.extend([0.0] * grow)
-                for lev in (new_len - 1, new_len):
-                    s = last_t[lev]
-                    if s < burn_in:
-                        s = burn_in
-                    if now > s:
-                        tail_area[lev] += counts[lev] * (now - s)
-                    last_t[lev] = now
-                counts[new_len - 1] -= 1
-                counts[new_len] += 1
-            if jobs > max_total_jobs:
-                raise StabilityError(stability_message(max_total_jobs, now))
-        else:  # departure from busy slot j
-            j = int(x - ar)
-            if j >= b:
-                j = b - 1
-            q = busy[j]
-            f = fifos[q]
-            h = heads[q]
-            t_arr = f[h]
-            h += 1
-            if h > 32:
-                del f[:h]
-                h = 0
-            heads[q] = h
-            if t_arr >= burn_in:
-                s_count += 1
-                s_sum += now - t_arr
-            k = qkey[q] - one
-            qkey[q] = k
-            if k < one:  # emptied -> swap-remove from busy set
-                b -= 1
-                last = busy[b]
-                busy[j] = last
-                busy.pop()
-            jobs -= 1
-            n_dep += 1
-            if track_tails:
-                old_len = (k >> _TIE_BITS) + 1
-                for lev in (old_len - 1, old_len):
-                    s = last_t[lev]
-                    if s < burn_in:
-                        s = burn_in
-                    if now > s:
-                        tail_area[lev] += counts[lev] * (now - s)
-                    last_t[lev] = now
-                counts[old_len] -= 1
-                counts[old_len - 1] += 1
-
-    # Final flush at sim_time (the terminating event was never committed).
-    start = now if now > burn_in else burn_in
-    if sim_time > start:
-        dt = sim_time - start
-        area += jobs * dt
-        busy_area += b * dt
-    tails_out = None
-    if track_tails:
-        for lev in range(len(counts)):
-            s = last_t[lev]
-            if s < burn_in:
-                s = burn_in
-            if sim_time > s:
-                tail_area[lev] += counts[lev] * (sim_time - s)
-            last_t[lev] = sim_time
-        tails_out = np.asarray(tail_area, dtype=np.float64)
-    return SupermarketStats(
-        s_count=s_count,
-        s_sum=s_sum,
-        area=area,
-        busy_area=busy_area,
-        n_arrivals=n_arr,
-        n_departures=n_dep,
-        tail_area=tails_out,
+    n_runs = len(runs)
+    width = max(r.scheme.d for r in runs)
+    window = window_size(runs)
+    off = np.cumsum([0] + [r.scheme.n_bins for r in runs])
+    dummy = int(off[-1])  # the queue every padding slot points at
+    check_queue_packing(
+        max(r.job_cap + block_size(r.scheme.n_bins) for r in runs), dummy + 1
     )
+    # A pending event's key on candidate q is length << shift | tie << qbits
+    # | q, so the minimum names the queue it picks.
+    qbits = field_width(dummy + 1)
+    shift = _TIE_BITS + qbits
+    one = 1 << shift
+    length_mask = -one
+    queue_mask = (1 << qbits) - 1
+    qkey = np.zeros(dummy + 1, np.int64)  # length << shift
+    stamp = np.zeros(dummy + 1, np.int32)
+    # Run r's block lives in event rows [base_r, base_r + end_r), followed
+    # by padding rows; a committed event's row becomes padding too.
+    sizes = [block_size(r.scheme.n_bins) + window for r in runs]
+    base = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+    n_rows = sum(sizes)
+    field = np.full((n_rows, width), dummy, np.int64)  # tie << qbits | queue
+    delta = np.empty(n_rows, np.int64)  # +one arrival, -one tick
+    picked = np.empty(n_rows, np.int64)  # each committed event's minimum key
+    # The window of run r is rows head_r .. head_r + window - 1, laid out
+    # in descending position so the stamp scatter leaves each queue
+    # holding its earliest pending position.
+    desc = np.arange(window - 1, -1, -1, dtype=np.intp)[:, None]
+    svals = np.repeat(desc.astype(np.int32), n_runs * width)
+    blocked = np.ones((window + 1, n_runs), bool)  # row 0: position W
+    keep, first_blocked = blocked[1:], blocked[::-1]
+    # Scratch reused every pass; the column views index its candidates.
+    evg = np.empty((window, n_runs), np.intp)
+    cq = np.empty((window, n_runs, width), np.intp)
+    key = np.empty((window, n_runs, width), np.int64)
+    tie = np.empty((window, n_runs, width), np.int64)
+    sc = np.empty((window, n_runs, width), np.int32)
+    kmin = np.empty((window, n_runs), np.int64)
+    smin = np.empty((window, n_runs), np.int32)
+    real = np.empty((window, n_runs), bool)
+    commit = np.empty((window, n_runs), bool)
+    cq_flat, cq0 = cq.reshape(-1), cq[..., 0]
+    key_cols = [key[..., j] for j in range(width)]
+    sc_cols = [sc[..., j] for j in range(width)]
+    head = base.copy()
+    end = base.copy()
+    done_at = end.copy()  # -1 once a run has finished
+    accs = [SupermarketAccumulator(r) for r in runs]
+    blocks: list[EventBlock | None] = [None] * n_runs
+    errors: dict[int, StabilityError] = {}
+
+    def load(r: int, now: float) -> None:
+        run = runs[r]
+        block = blocks[r] = draw_events(run, rngs[r], now)
+        k = block.times.size
+        b, d = int(base[r]), run.scheme.d
+        cols = np.minimum(np.arange(width), d - 1)  # pad with the last column
+        arr = np.flatnonzero(block.arrival) + b
+        tick = np.flatnonzero(~block.arrival) + b
+        ties = np.arange(d) if run.tie_break == "left" else block.ties
+        field[arr] = ties[..., cols] << qbits | block.choices[:, cols] + off[r]
+        field[tick] = (block.ticks + off[r])[:, None]
+        field[b + k : b + sizes[r]] = dummy
+        delta[b : b + k] = np.where(block.arrival, one, -one)
+        head[r] = b
+        end[r] = done_at[r] = b + k
+
+    for r in range(n_runs):
+        load(r, 0.0)
+    live = n_runs
+    passes = 0
+    while live:
+        passes += 1
+        # Each pending event's pick against the current lengths.
+        np.add(head, desc, out=evg)
+        field.take(evg, axis=0, out=tie, mode="clip")
+        np.bitwise_and(tie, queue_mask, out=cq)
+        qkey.take(cq, out=key, mode="clip")
+        key |= tie
+        np.minimum(key_cols[0], key_cols[-1], out=kmin)
+        for col in key_cols[1:-1]:
+            np.minimum(kmin, col, out=kmin)
+        # An event commits iff no earlier pending event touches its queues.
+        stamp[cq_flat] = svals
+        stamp.take(cq, out=sc, mode="clip")
+        np.minimum(sc_cols[0], sc_cols[-1], out=smin)
+        for col in sc_cols[1:-1]:
+            np.minimum(smin, col, out=smin)
+        np.not_equal(cq0, dummy, out=real)
+        np.less(smin, desc, out=keep)
+        keep &= real
+        np.not_equal(real, keep, out=commit)
+        ce = evg[commit]
+        ck = kmin[commit]
+        picked[ce] = ck
+        field[ce] = dummy
+        ct = ck & queue_mask
+        ck &= length_mask
+        ck += delta.take(ce)
+        np.maximum(ck, 0, out=ck)
+        qkey[ct] = ck
+        # Slide each window to its first blocked event.
+        head += first_blocked.argmax(axis=0)
+        np.minimum(head, end, out=head)
+        for r in np.flatnonzero(head == done_at):
+            block = blocks[r]
+            b, k = int(base[r]), block.times.size
+            done = picked[b : b + k]
+            try:
+                accs[r].add(block, (done & queue_mask) - off[r], done >> shift)
+            except StabilityError as exc:
+                errors[r] = exc
+            if block.last or r in errors:
+                done_at[r] = -1
+                live -= 1
+            else:
+                load(r, float(block.times[-1]))
+    if errors:
+        raise errors[min(errors)]
+    return [acc.result() for acc in accs], passes

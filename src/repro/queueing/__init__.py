@@ -6,16 +6,19 @@ the shortest of ``d`` queues drawn from a pluggable
 balls-and-bins engines use, so "fully random vs. double hashing" is a
 one-argument switch here too.
 
-The simulator uses the continuous-time Markov chain directly (memoryless
-service means the time to the next departure is Exp(#busy) and the departing
-queue is uniform among busy queues), so no event heap is needed; see
-:mod:`repro.queueing.supermarket_sim`.
+The simulator uniformizes the continuous-time Markov chain at the
+constant rate ``(1 + λ)n`` (arrivals, and service ticks at uniform queues
+that do nothing on an empty queue), so every event is drawn before the
+loop and no event heap is needed; :func:`simulate_supermarket` runs a
+batch of :class:`SupermarketRun` descriptions in one kernel call.  See
+:mod:`repro.kernels.supermarket`.
 """
 
 from repro.queueing.measures import SojournAccumulator
-from repro.queueing.supermarket_sim import simulate_supermarket
+from repro.queueing.supermarket_sim import SupermarketRun, simulate_supermarket
 
 __all__ = [
     "SojournAccumulator",
+    "SupermarketRun",
     "simulate_supermarket",
 ]

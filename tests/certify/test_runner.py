@@ -158,3 +158,53 @@ class TestSchemesCertifier:
 
     def test_document_is_schema_valid(self, schemes_cert):
         assert validate_certification(schemes_cert.to_dict()) == []
+
+
+TABLE8_TIER = CertificationTier(
+    name="micro-table8",
+    description="test-only tier: one Table 8 cell at toy scale",
+    runs=(
+        TableRun(
+            "table8", "lam0.9",
+            ExperimentSpec(n=256, sim_time=100.0, burn_in=20.0, seed=108),
+            extras={"lambdas": (0.9,), "d_values": (3,)},
+        ),
+    ),
+    anchor_z=8.0,
+    alpha=1e-3,
+    queueing_rel_tol=0.12,
+)
+
+
+class TestTable8NegativeControl:
+    """Table 8's checks can fail: double hashing collapsed to one queue per
+    arrival (stride g ≡ 0) is M/M/1, mean sojourn 1/(1 − λ) = 10 at
+    λ = 0.9, far from the d = 3 cell's 2.03."""
+
+    @pytest.fixture(scope="class")
+    def collapsed_cert(self):
+        from repro.certify.runner import run_certification
+        from repro.experiments import tables
+        from tests.kernels.test_supermarket_backends import (
+            CollapsedDoubleHashing,
+        )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "DoubleHashingChoices", CollapsedDoubleHashing)
+            return run_certification(TABLE8_TIER, backend="numpy", workers=1)
+
+    def test_sojourn_checks_fail(self, collapsed_cert):
+        by_id = {c.check_id: c for c in collapsed_cert.checks}
+        anchor = by_id["anchor:lam0.9:table8/lam0.9/d3/double"]
+        gap = by_id["equivalence:table8/lam0.9/lam0.9-d3:sojourn"]
+        assert not anchor.passed
+        assert anchor.measured > anchor.expected + 2 * anchor.tolerance
+        assert not gap.passed
+        assert not collapsed_cert.passed
+
+    def test_unpatched_run_passes(self):
+        from repro.certify.runner import run_certification
+
+        cert = run_certification(TABLE8_TIER, backend="numpy", workers=1)
+        failed = [c.check_id for c in cert.checks if not c.passed]
+        assert cert.passed, f"failing checks: {failed}"

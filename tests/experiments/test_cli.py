@@ -163,6 +163,22 @@ class TestExecution:
         assert main(["table8", "--n", "64", "--sim-time", "30"]) == 0
         assert "queues" in capsys.readouterr().out
 
+    def test_table8_prints_the_table_function_at_the_cli_spec(self, capsys):
+        # The CLI runs TABLE_DEFAULTS["table8"] with the flags applied and
+        # nothing else (burn-in included: sim_time / 5 by default).
+        from repro.experiments import format_table, table8_queueing
+        from repro.experiments.config import TABLE_DEFAULTS
+
+        assert main(["table8", "--n", "64", "--sim-time", "30"]) == 0
+        spec = TABLE_DEFAULTS["table8"].replace(n=64, sim_time=30.0)
+        assert capsys.readouterr().out == (
+            format_table(table8_queueing(spec)) + "\n"
+        )
+
+    def test_table8_runs_at_the_requested_n(self, capsys):
+        assert main(["table8", "--n", "8192", "--sim-time", "0.5"]) == 0
+        assert "n = 8192 queues" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -20,7 +20,7 @@ from repro.fluid import (
     solve_heavy_load,
 )
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
-from repro.queueing import simulate_supermarket
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 N = 2**13
 TRIALS = 60
@@ -174,12 +174,12 @@ class TestQueueingClaim:
 
     def test_sojourn_times_close_and_near_equilibrium(self):
         kwargs = dict(lam=0.9, sim_time=300.0, burn_in=60.0)
-        rand = simulate_supermarket(
-            FullyRandomChoices(512, 3), seed=700, **kwargs
-        ).mean_sojourn_time
-        dbl = simulate_supermarket(
-            DoubleHashingChoices(512, 3), seed=701, **kwargs
-        ).mean_sojourn_time
+        rand = simulate_supermarket([SupermarketRun(
+            FullyRandomChoices(512, 3), seed=700, **kwargs,
+        )])[0].mean_sojourn_time
+        dbl = simulate_supermarket([SupermarketRun(
+            DoubleHashingChoices(512, 3), seed=701, **kwargs,
+        )])[0].mean_sojourn_time
         eq = equilibrium_mean_sojourn_time(0.9, 3)
         assert rand == pytest.approx(eq, rel=0.06)
         assert dbl == pytest.approx(eq, rel=0.06)

@@ -1,16 +1,22 @@
-"""Supermarket kernel: golden regression + bit-identity with the oracle.
+"""Supermarket kernel: golden regression, bit-identity with the oracle,
+batch invariance, and a hand-worked schedule.
 
-The contract (``repro.kernels.supermarket``): the numpy kernel behind
-:func:`repro.queueing.simulate_supermarket` consumes the
-generator in exactly the same order as the oracle
-:func:`repro.kernels.reference.simulate_supermarket_reference`, produces
-bit-identical results, raises identical stability errors, and leaves a
-shared generator in the same state (callers run several simulations off
-one generator, so post-run state is part of the contract).
+The contract (``repro.kernels.supermarket``): every run of a
+:func:`repro.queueing.simulate_supermarket` batch draws its own schedule
+through ``draw_events`` and is bit-identical to the oracle
+:func:`repro.kernels.reference.simulate_supermarket_reference` on that
+run — every result field, the stability error text and the generator's
+state afterwards — whatever else is in the batch and in whatever order.
 
 ``tests/data/golden_supermarket.json`` pins the oracle's outputs (float
 values stored as exact hex) so the contract is also stable release to
-release.
+release.  After an intentional change to the schedule, regenerate it by
+running each ``CASES`` entry through the oracle and writing the fields
+``TestGolden`` reads (``json.dumps(..., indent=2, sort_keys=True)``).
+
+Kernel and oracle share the schedule drawer and the accumulator, so
+bit-identity cannot catch a bug in either; ``TestHandWorkedSchedule``
+checks both against figures worked out by hand.
 """
 
 from __future__ import annotations
@@ -21,10 +27,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.kernels.reference as reference
+import repro.kernels.supermarket as supermarket
 from repro.errors import ConfigurationError, StabilityError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import kernel_metrics, simulate_supermarket_reference
-from repro.queueing import simulate_supermarket
+from repro.kernels.blockrng import TIE_BITS
+from repro.kernels.supermarket import (
+    EventBlock,
+    SupermarketAccumulator,
+    draw_events,
+)
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_supermarket.json"
 
@@ -56,21 +70,36 @@ CASES = {
 BACKENDS = ["reference", "numpy"]
 
 
-def _run_case(case: dict, backend: str):
-    scheme = SCHEMES[case["scheme"]](case["n"], case["d"])
-    kwargs = dict(
-        burn_in=10.0,
-        seed=case["seed"],
-        track_tails=case["track_tails"],
+class CollapsedDoubleHashing(DoubleHashingChoices):
+    """Double hashing with stride ``g ≡ 0``: an arrival's ``d`` choices
+    are one queue, the worst case for windowed commits."""
+
+    def batch(self, trials: int, rng: np.random.Generator) -> np.ndarray:
+        f = rng.integers(0, self.n_bins, size=trials, dtype=np.int64)
+        return np.repeat(f[:, None], self.d, axis=1)
+
+
+def _case_run(case: dict) -> SupermarketRun:
+    return SupermarketRun(
+        SCHEMES[case["scheme"]](case["n"], case["d"]), case["lam"], 60.0,
+        burn_in=10.0, seed=case["seed"], track_tails=case["track_tails"],
         tie_break=case["tie_break"],
     )
+
+
+def _simulate(run: SupermarketRun, backend: str):
     if backend == "reference":
-        return simulate_supermarket_reference(
-            scheme, case["lam"], 60.0, **kwargs
-        )
-    return simulate_supermarket(
-        scheme, case["lam"], 60.0, backend=backend, **kwargs
-    )
+        return simulate_supermarket_reference(run)
+    return simulate_supermarket([run], backend=backend)[0]
+
+
+def _run_case(case: dict, backend: str):
+    return _simulate(_case_run(case), backend)
+
+
+def _exact(value):
+    """A field in a form that compares bit for bit (NaN included)."""
+    return float(value).hex() if isinstance(value, float) else value
 
 
 def _assert_results_identical(a, b, *, context: str = ""):
@@ -83,7 +112,9 @@ def _assert_results_identical(a, b, *, context: str = ""):
         "n_departures",
         "busy_fraction",
     ):
-        assert getattr(a, field) == getattr(b, field), f"{field} {context}"
+        assert _exact(getattr(a, field)) == _exact(getattr(b, field)), (
+            f"{field} {context}"
+        )
     if a.tail_fractions is None:
         assert b.tail_fractions is None, context
     else:
@@ -91,6 +122,29 @@ def _assert_results_identical(a, b, *, context: str = ""):
         np.testing.assert_array_equal(
             a.tail_fractions, b.tail_fractions, err_msg=context
         )
+
+
+def _spec(scheme, n, d, lam, sim_time, seed, **kw):
+    """A run description whose generator is built fresh on each call."""
+    return lambda: SupermarketRun(
+        scheme(n, d), lam, sim_time, seed=np.random.default_rng(seed), **kw
+    )
+
+
+def _assert_batch_matches_oracle(specs, order=None):
+    """Run ``specs[i]`` for each ``i`` of ``order`` as one batch, and each
+    alone through the oracle; compare every field and the final state of
+    every generator.  Returns the oracle's results."""
+    order = range(len(specs)) if order is None else order
+    pairs = [(specs[i](), specs[i]()) for i in order]
+    ref = [simulate_supermarket_reference(alone) for alone, _ in pairs]
+    got = simulate_supermarket([batched for _, batched in pairs])
+    for i, (a, b, (alone, batched)) in enumerate(zip(ref, got, pairs)):
+        _assert_results_identical(a, b, context=f"slot {i}")
+        assert (
+            alone.seed.bit_generator.state == batched.seed.bit_generator.state
+        ), f"generator state diverged: slot {i}"
+    return ref
 
 
 @pytest.fixture(scope="module")
@@ -138,14 +192,14 @@ class TestCrossBackendBitIdentity:
         kind, n, d, lam, tails, tie, seed = geom
         g_ref = np.random.default_rng(seed)
         g_bk = np.random.default_rng(seed)
-        ref = simulate_supermarket_reference(
+        ref = simulate_supermarket_reference(SupermarketRun(
             SCHEMES[kind](n, d), lam, 50.0, burn_in=5.0, seed=g_ref,
             track_tails=tails, tie_break=tie,
-        )
-        res = simulate_supermarket(
+        ))
+        (res,) = simulate_supermarket([SupermarketRun(
             SCHEMES[kind](n, d), lam, 50.0, burn_in=5.0, seed=g_bk,
-            track_tails=tails, tie_break=tie, backend=backend,
-        )
+            track_tails=tails, tie_break=tie,
+        )], backend=backend)
         _assert_results_identical(ref, res, context=f"{geom} {backend}")
         # Post-run generator state is part of the contract: sequential
         # runs off one generator must agree across backends too.
@@ -155,46 +209,238 @@ class TestCrossBackendBitIdentity:
 
     @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "reference"])
     def test_sequential_runs_share_one_generator(self, backend):
-        """Two back-to-back runs on one generator (the batch-runner
-        pattern) are bit-identical across backends."""
+        """Two calls one after another on one generator agree with two
+        oracle runs on one generator (a batch may not share one)."""
         def two_runs(fn):
             rng = np.random.default_rng(77)
-            out = []
-            for lam in (0.7, 0.95):
-                out.append(fn(FullyRandomChoices(48, 2), lam, rng))
-            return out
+            return [
+                fn(SupermarketRun(
+                    FullyRandomChoices(48, 2), lam, 40.0, burn_in=5.0, seed=rng
+                ))
+                for lam in (0.7, 0.95)
+            ]
 
-        ref = two_runs(
-            lambda s, lam, rng: simulate_supermarket_reference(
-                s, lam, 40.0, burn_in=5.0, seed=rng
-            )
-        )
+        ref = two_runs(simulate_supermarket_reference)
         got = two_runs(
-            lambda s, lam, rng: simulate_supermarket(
-                s, lam, 40.0, burn_in=5.0, seed=rng, backend=backend
-            )
+            lambda run: simulate_supermarket([run], backend=backend)[0]
         )
         for a, b in zip(ref, got):
             _assert_results_identical(a, b, context=backend)
 
     @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "reference"])
     def test_stability_error_parity(self, backend):
+        def run():
+            return SupermarketRun(
+                FullyRandomChoices(64, 2), 0.9, 200.0, seed=21, max_total_jobs=5
+            )
+
         messages = []
         for fn in (
-            lambda: simulate_supermarket_reference(
-                FullyRandomChoices(64, 2), 0.9, 200.0, seed=21,
-                max_total_jobs=5,
-            ),
-            lambda: simulate_supermarket(
-                FullyRandomChoices(64, 2), 0.9, 200.0, seed=21,
-                max_total_jobs=5, backend=backend,
-            ),
+            lambda: simulate_supermarket_reference(run()),
+            lambda: simulate_supermarket([run()], backend=backend),
         ):
             with pytest.raises(StabilityError) as excinfo:
                 fn()
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "appears unstable" in messages[0]
+
+
+class TestBatches:
+    """Every run of a batch equals the oracle's run, alone or batched."""
+
+    def test_random_batch(self):
+        rng = np.random.default_rng(2014)
+        specs = []
+        for i in range(6):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(max(d, 8), 300))
+            specs.append(_spec(
+                SCHEMES[("random", "double")[i % 2]], n, d,
+                float(rng.uniform(0.3, 0.97)), float(rng.uniform(5.0, 40.0)),
+                100 + i, burn_in=2.0, track_tails=bool(i % 3),
+                tie_break=("random", "left")[i % 4 == 3],
+            ))
+        _assert_batch_matches_oracle(specs)
+
+    def test_structured_batch(self):
+        # Consecutive seeds on one geometry, two queues with d = 2 (every
+        # arrival sees both), and d = 1 beside d = 3 and d = 4.
+        specs = [
+            _spec(DoubleHashingChoices, 128, 3, 0.9, 30.0, s, burn_in=5.0)
+            for s in range(3)
+        ] + [
+            _spec(DoubleHashingChoices, 2, 2, 0.9, 60.0, 7, track_tails=True),
+            _spec(FullyRandomChoices, 40, 1, 0.8, 30.0, 8),
+            _spec(FullyRandomChoices, 64, 4, 0.9, 30.0, 9, tie_break="left"),
+        ]
+        _assert_batch_matches_oracle(specs)
+
+    def test_adversarial_batch(self):
+        # Collapsed choices (every candidate one queue), d close to n,
+        # lambda = 0.3 beside 0.99 (run lengths far apart) and a horizon
+        # shorter than one event.
+        specs = [
+            _spec(CollapsedDoubleHashing, 64, 4, 0.9, 40.0, 31,
+                  track_tails=True),
+            _spec(FullyRandomChoices, 5, 4, 0.99, 80.0, 32),
+            _spec(DoubleHashingChoices, 97, 3, 0.3, 10.0, 33, burn_in=1.0),
+            _spec(DoubleHashingChoices, 97, 3, 0.99, 60.0, 34, burn_in=1.0),
+            _spec(FullyRandomChoices, 64, 3, 0.9, 1e-9, 35, track_tails=True),
+        ]
+        ref = _assert_batch_matches_oracle(specs)
+        empty = ref[-1]
+        assert empty.n_arrivals == empty.n_departures == 0
+        assert np.isnan(empty.mean_sojourn_time)
+
+    def test_result_does_not_depend_on_the_batch(self):
+        specs = [
+            _spec(FullyRandomChoices, 64, 3, 0.9, 20.0, 41),
+            _spec(DoubleHashingChoices, 128, 4, 0.99, 20.0, 42, burn_in=4.0),
+            _spec(DoubleHashingChoices, 32, 2, 0.5, 20.0, 43,
+                  tie_break="left", track_tails=True),
+        ]
+        for order in ([2, 1, 0], [1, 2, 0], [0], [2], [1, 0]):
+            _assert_batch_matches_oracle(specs, order)
+
+    def test_stability_error_in_a_batch(self):
+        """Every run is simulated; the first tripping run in batch order
+        raises the oracle's exact error."""
+        specs = [
+            _spec(FullyRandomChoices, 64, 2, 0.9, 30.0, 51),
+            _spec(CollapsedDoubleHashing, 32, 3, 0.9, 200.0, 52,
+                  max_total_jobs=40),
+            _spec(FullyRandomChoices, 64, 2, 0.9, 200.0, 53, max_total_jobs=5),
+        ]
+        with pytest.raises(StabilityError) as want:
+            simulate_supermarket_reference(specs[1]())
+        with pytest.raises(StabilityError) as got:
+            simulate_supermarket([make() for make in specs], backend="numpy")
+        assert str(got.value) == str(want.value)
+
+    def test_runs_must_not_share_a_generator(self):
+        rng = np.random.default_rng(3)
+        runs = [
+            SupermarketRun(FullyRandomChoices(16, 2), 0.5, 5.0, seed=rng)
+            for _ in range(2)
+        ]
+        with pytest.raises(ConfigurationError, match="generator"):
+            simulate_supermarket(runs)
+
+
+class TestSchedule:
+    def test_block_draw_order(self):
+        # Gaps, kinds, the arrivals' rows and tie keys, then the ticks'
+        # queues: replaying those calls on a twin generator reproduces
+        # the block and leaves both generators in the same state.
+        run = SupermarketRun(DoubleHashingChoices(128, 3), 0.9, 1e9)
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        block = draw_events(run, rng, 2.5)
+        size = supermarket.block_size(128)
+        gaps = twin.exponential(1.0, size) / ((1.0 + 0.9) * 128)
+        gaps[0] += 2.5
+        arrival = twin.random(size) < 0.9 / (1.0 + 0.9)
+        a = int(arrival.sum())
+        assert np.array_equal(block.times, np.cumsum(gaps))
+        assert np.array_equal(block.arrival, arrival)
+        assert np.array_equal(block.choices, run.scheme.batch(a, twin))
+        assert np.array_equal(
+            block.ties,
+            twin.integers(0, 1 << TIE_BITS, size=(a, 3), dtype=np.int64),
+        )
+        assert np.array_equal(
+            block.ticks, twin.integers(0, 128, size=size - a, dtype=np.int64)
+        )
+        assert not block.last
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_tie_keys_drawn_even_for_d1(self):
+        # The stream must not depend on whether ties can occur.
+        run = SupermarketRun(DoubleHashingChoices(128, 1), 0.9, 1e9)
+        block = draw_events(run, np.random.default_rng(3), 0.0)
+        assert block.ties.shape == (block.choices.shape[0], 1)
+
+    def test_block_is_cut_at_the_horizon(self):
+        run = SupermarketRun(FullyRandomChoices(64, 2), 0.5, 3.0)
+        block = draw_events(run, np.random.default_rng(4), 0.0)
+        assert block.last
+        assert block.times[-1] < 3.0
+        assert block.choices.shape[0] == block.arrival.sum()
+        assert block.ticks.size == block.times.size - block.arrival.sum()
+
+
+class TestHandWorkedSchedule:
+    """Two queues, burn-in 2, horizon 10, eight events in two blocks.
+
+    ====  ====  ========  =====  ======================================
+    t     kind  queue     jobs   note
+    ====  ====  ========  =====  ======================================
+    1     arr   q0        1      job a, before burn-in
+    3     arr   q0        2      job b (both choices q0)
+    4     tick  q1        2      q1 empty: nothing happens
+    5     tick  q0        1      a leaves (arrived before burn-in)
+    6     arr   q1        2      job c (q1 shorter)
+    7     tick  q0        1      b leaves: sojourn 4
+    8     arr   q1        2      job d (both choices q1)
+    9     tick  q1        1      c leaves: sojourn 3; d stays to t=10
+    ====  ====  ========  =====  ======================================
+
+    Over [2, 10]: population area 1 + 4 + 1 + 2 + 1 + 2 + 1 = 12; busy
+    area 5 (q0 on [2, 7)) + 4 (q1 on [6, 10)) = 9; area with two or more
+    jobs 2 (q0 on [3, 5)) + 1 (q1 on [8, 9)) = 3.
+    """
+
+    BLOCKS = (
+        EventBlock(
+            times=np.array([1.0, 3.0, 4.0, 5.0]),
+            arrival=np.array([True, True, False, False]),
+            choices=np.array([[0, 1], [0, 0]]),
+            ties=np.array([[5, 9], [1, 2]]),
+            ticks=np.array([1, 0]),
+            last=False,
+        ),
+        EventBlock(
+            times=np.array([6.0, 7.0, 8.0, 9.0]),
+            arrival=np.array([True, False, True, False]),
+            choices=np.array([[0, 1], [1, 1]]),
+            ties=np.array([[0, 0], [3, 4]]),
+            ticks=np.array([0, 1]),
+            last=True,
+        ),
+    )
+    TARGETS = (np.array([0, 0, 1, 0]), np.array([1, 0, 1, 1]))
+    BEFORE = (np.array([0, 1, 0, 2]), np.array([0, 1, 1, 2]))
+
+    def _run(self):
+        return SupermarketRun(
+            FullyRandomChoices(2, 2, replacement=True), 0.5, 10.0,
+            burn_in=2.0, track_tails=True,
+        )
+
+    def _check(self, res):
+        assert res.completed_jobs == 2
+        assert res.mean_sojourn_time == (4.0 + 3.0) / 2
+        assert res.mean_queue_length == 12.0 / (8.0 * 2)
+        assert res.busy_fraction == 9.0 / (8.0 * 2)
+        assert res.tail_fractions.tolist() == [1.0, 9.0 / 16, 3.0 / 16, 0.0]
+        assert (res.n_arrivals, res.n_departures) == (4, 3)
+
+    def test_accumulator(self):
+        acc = SupermarketAccumulator(self._run())
+        for block, target, before in zip(self.BLOCKS, self.TARGETS, self.BEFORE):
+            acc.add(block, target, before)
+        self._check(acc.result())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_decisions(self, monkeypatch, backend):
+        """The oracle and the kernel decide the hand-made schedule as the
+        table says (arrivals join the shorter queue, ties by key)."""
+        def fake_draw(run, rng, now):
+            return self.BLOCKS[now > 0]
+
+        monkeypatch.setattr(supermarket, "draw_events", fake_draw)
+        monkeypatch.setattr(reference, "draw_events", fake_draw)
+        self._check(_simulate(self._run(), backend))
 
 
 def _kernel_counters():
@@ -210,21 +456,24 @@ class TestDriver:
     def test_validation_errors(self):
         scheme = FullyRandomChoices(16, 2)
         with pytest.raises(ConfigurationError, match="lambda"):
-            simulate_supermarket(scheme, 1.2, 10.0)
+            SupermarketRun(scheme, 1.2, 10.0)
         with pytest.raises(ConfigurationError, match="sim_time"):
-            simulate_supermarket(scheme, 0.5, -1.0)
+            SupermarketRun(scheme, 0.5, -1.0)
         with pytest.raises(ConfigurationError, match="burn_in"):
-            simulate_supermarket(scheme, 0.5, 10.0, burn_in=20.0)
+            SupermarketRun(scheme, 0.5, 10.0, burn_in=20.0)
         with pytest.raises(ConfigurationError, match="tie_break"):
-            simulate_supermarket(scheme, 0.5, 10.0, tie_break="up")
+            SupermarketRun(scheme, 0.5, 10.0, tie_break="up")
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            simulate_supermarket(scheme, 0.5, 10.0, backend="fortran")
+            simulate_supermarket(
+                [SupermarketRun(scheme, 0.5, 10.0)], backend="fortran"
+            )
+        with pytest.raises(ConfigurationError, match="SupermarketRun"):
+            simulate_supermarket([])
 
     def test_event_counts_are_consistent(self):
-        res = simulate_supermarket(
+        (res,) = simulate_supermarket([SupermarketRun(
             FullyRandomChoices(64, 2), 0.8, 100.0, burn_in=10.0, seed=9,
-            backend="numpy",
-        )
+        )], backend="numpy")
         assert res.n_events == res.n_arrivals + res.n_departures
         assert res.n_departures >= res.completed_jobs
         assert res.events_per_time == pytest.approx(
@@ -234,18 +483,22 @@ class TestDriver:
         assert res.busy_fraction == pytest.approx(0.8, abs=0.1)
 
     def test_metrics_emitted(self):
-        # simulate_supermarket records into the global kernel registry.
+        # One call records into the global kernel registry once.
         before, runs = _kernel_counters(), _supermarket_runs()
-        res = simulate_supermarket(
-            FullyRandomChoices(32, 2), 0.7, 50.0, seed=5, backend="numpy",
-        )
+        res = simulate_supermarket([
+            SupermarketRun(FullyRandomChoices(32, 2), 0.7, 50.0, seed=5),
+            SupermarketRun(FullyRandomChoices(32, 3), 0.7, 50.0, seed=6),
+        ], backend="numpy")
         after = _kernel_counters()
 
         def delta(name):
             return after.get(name, 0) - before.get(name, 0)
 
-        assert delta("kernel.supermarket_events") == res.n_events
-        assert delta("kernel.supermarket_completions") == res.completed_jobs
+        assert delta("kernel.supermarket_events") == sum(r.n_events for r in res)
+        assert delta("kernel.supermarket_completions") == sum(
+            r.completed_jobs for r in res
+        )
+        assert delta("kernel.supermarket_passes") > 0
         assert delta("kernel.calls.numpy") == 1
         assert _supermarket_runs() == runs + 1
 
@@ -255,8 +508,8 @@ class TestDriver:
         before = _kernel_counters()
         events = len(kernel_metrics().events)
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            simulate_supermarket(
-                FullyRandomChoices(32, 2), 0.6, 40.0, seed=6, backend="numba",
-            )
+            simulate_supermarket([SupermarketRun(
+                FullyRandomChoices(32, 2), 0.6, 40.0, seed=6,
+            )], backend="numba")
         assert _kernel_counters() == before
         assert len(kernel_metrics().events) == events

@@ -15,15 +15,15 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentSpec
 from repro.hashing import FullyRandomChoices
 from repro.kernels import ENV_VAR
-from repro.queueing import simulate_supermarket
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 
 class TestEnvPropagation:
     def test_env_backend_used(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
-        res = simulate_supermarket(
-            FullyRandomChoices(32, 2), 0.6, 30.0, seed=3
-        )
+        res = simulate_supermarket([SupermarketRun(
+            FullyRandomChoices(32, 2), 0.6, 30.0, seed=3,
+        )])[0]
         assert res.completed_jobs > 0
 
     def test_env_unknown_backend_rejected(self, monkeypatch):
@@ -34,9 +34,9 @@ class TestEnvPropagation:
             with pytest.raises(
                 ConfigurationError, match="unknown kernel backend"
             ):
-                simulate_supermarket(
-                    FullyRandomChoices(32, 2), 0.6, 30.0, seed=3
-                )
+                simulate_supermarket([SupermarketRun(
+                    FullyRandomChoices(32, 2), 0.6, 30.0, seed=3,
+                )])[0]
             # run_experiment rejects the name up front: a chunk that
             # raises is retried and its error wrapped in SimulationError.
             with pytest.raises(

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices
 from repro.kernels.supermarket import check_queue_packing
-from repro.queueing import simulate_supermarket
+from repro.queueing import SupermarketRun, simulate_supermarket
 
 
 class TestCheckQueuePacking:
@@ -28,14 +28,14 @@ class TestCheckQueuePacking:
 
     def test_kernel_entry_point_rejects_overflow(self):
         with pytest.raises(ConfigurationError):
-            simulate_supermarket(
+            simulate_supermarket([SupermarketRun(
                 DoubleHashingChoices(8, 2),
                 0.5,
                 1.0,
                 burn_in=0.0,
                 seed=1,
                 max_total_jobs=1 << 43,
-            )
+            )])[0]
 
     def test_paper_scale_defaults_pass(self):
         # The default cap (50 n) is nowhere near the boundary.
