@@ -328,30 +328,45 @@ class TestBatches:
             simulate_supermarket(runs)
 
 
+def _replay_schedule_block(seed: int, now: float):
+    """A block of ``draw_events`` and its draws replayed on a twin
+    generator, call by call: gaps, kinds, the arrivals' rows and tie
+    keys, then the ticks' queues."""
+    run = SupermarketRun(DoubleHashingChoices(128, 3), 0.9, 1e9)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = draw_events(run, rng, now)
+    size = supermarket.block_size(128)
+    gaps = twin.exponential(1.0, size) / ((1.0 + 0.9) * 128)
+    gaps[0] += now
+    arrival = twin.random(size) < 0.9 / (1.0 + 0.9)
+    a = int(arrival.sum())
+    choices = run.scheme.batch(a, twin)
+    ties = twin.integers(0, 1 << TIE_BITS, size=(a, 3), dtype=np.int64)
+    ticks = twin.integers(0, 128, size=size - a, dtype=np.int64)
+    replay = EventBlock(np.cumsum(gaps), arrival, choices, ties, ticks, False)
+    return block, replay, rng, twin
+
+
 class TestSchedule:
-    def test_block_draw_order(self):
-        # Gaps, kinds, the arrivals' rows and tie keys, then the ticks'
-        # queues: replaying those calls on a twin generator reproduces
-        # the block and leaves both generators in the same state.
-        run = SupermarketRun(DoubleHashingChoices(128, 3), 0.9, 1e9)
-        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-        block = draw_events(run, rng, 2.5)
-        size = supermarket.block_size(128)
-        gaps = twin.exponential(1.0, size) / ((1.0 + 0.9) * 128)
-        gaps[0] += 2.5
-        arrival = twin.random(size) < 0.9 / (1.0 + 0.9)
-        a = int(arrival.sum())
-        assert np.array_equal(block.times, np.cumsum(gaps))
-        assert np.array_equal(block.arrival, arrival)
-        assert np.array_equal(block.choices, run.scheme.batch(a, twin))
-        assert np.array_equal(
-            block.ties,
-            twin.integers(0, 1 << TIE_BITS, size=(a, 3), dtype=np.int64),
-        )
-        assert np.array_equal(
-            block.ticks, twin.integers(0, 128, size=size - a, dtype=np.int64)
-        )
+    def test_event_block_draw_order(self):
+        # Gaps first, kinds second, the ticks' queues last: the replay
+        # reproduces the block's events and leaves both generators in
+        # the same state.
+        block, replay, rng, twin = _replay_schedule_block(7, 2.5)
+        assert np.array_equal(block.times, replay.times)
+        assert np.array_equal(block.arrival, replay.arrival)
+        assert np.array_equal(block.ticks, replay.ticks)
         assert not block.last
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_choice_block_draw_order(self):
+        # Between the kinds and the ticks: the arrivals' rows, then one
+        # tie key per candidate.
+        block, replay, rng, twin = _replay_schedule_block(11, 0.0)
+        assert np.array_equal(block.choices, replay.choices)
+        assert np.array_equal(block.ties, replay.ties)
+        assert block.ties.shape == (block.arrival.sum(), 3)
+        assert int(block.ties.max()) < 1 << TIE_BITS
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_tie_keys_drawn_even_for_d1(self):
