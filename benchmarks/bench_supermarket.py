@@ -12,9 +12,10 @@ Contestants, measured on one run of the Table 8 reference geometry
 measured, and it does not depend on the simulated horizon):
 
 - ``legacy`` — the first per-event pure-Python loop
-  (``IndexedSet`` busy set, per-queue ``list.pop(0)`` FIFOs, per-departure
-  scalar RNG call), inlined below verbatim — only event counters were
-  added — so the comparison stays runnable after the old code is gone;
+  (``_IndexedSet`` busy set, per-queue ``list.pop(0)`` FIFOs, per-departure
+  scalar RNG call), inlined below verbatim with the two helper classes it
+  called — only event counters were added — so the comparison stays
+  runnable after the old code is gone;
 - ``numpy``  — the windowed kernel on a batch of one run, through
   :func:`repro.queueing.simulate_supermarket`.
 
@@ -30,7 +31,10 @@ hit every contestant equally; medians discard the stragglers.  See
 ``docs/performance.md``.
 
 The JSON written to ``--out`` records per-round wall-clock, medians,
-events/second, and speedups relative to ``legacy``.
+events/second, and speedups relative to ``legacy``; for the ``numpy``
+contestant also the kernel's pass count on the run (the
+``kernel.supermarket_passes`` counter around its warm-up call) and its
+events per pass, the windowed-commit model as data.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,29 +54,112 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hashing import DoubleHashingChoices             # noqa: E402
-from repro.kernels import KNOWN_BACKENDS                   # noqa: E402
+from repro.kernels import KNOWN_BACKENDS, kernel_metrics   # noqa: E402
 from repro.queueing import SupermarketRun, simulate_supermarket  # noqa: E402
-from repro.queueing.events import IndexedSet               # noqa: E402
-from repro.queueing.measures import SojournAccumulator     # noqa: E402
 from repro.rng import default_generator                    # noqa: E402
 
 _PREFETCH = 4096
 _TIE_BITS = 20
 
 
+class _IndexedSet:
+    """The legacy loop's busy set: O(1) add/remove/uniform-sample over
+    ``[0, capacity)`` (dense array plus position map; removal swaps the
+    last element in)."""
+
+    __slots__ = ("_items", "_pos", "_size")
+
+    def __init__(self, capacity):
+        self._items = np.empty(capacity, dtype=np.int64)
+        self._pos = np.full(capacity, -1, dtype=np.int64)
+        self._size = 0
+
+    def __len__(self):
+        return self._size
+
+    def add(self, x):
+        if self._pos[x] >= 0:
+            return
+        self._items[self._size] = x
+        self._pos[x] = self._size
+        self._size += 1
+
+    def remove(self, x):
+        p = self._pos[x]
+        if p < 0:
+            raise KeyError(x)
+        last = self._items[self._size - 1]
+        self._items[p] = last
+        self._pos[last] = p
+        self._pos[x] = -1
+        self._size -= 1
+
+    def sample(self, rng):
+        if self._size == 0:
+            raise IndexError("sample from empty _IndexedSet")
+        return int(self._items[rng.integers(0, self._size)])
+
+
+@dataclass
+class _SojournAccumulator:
+    """The legacy loop's statistics: a streaming (Welford) mean of the
+    sojourns of jobs arriving after ``burn_in``, and the time integral of
+    the population after it."""
+
+    burn_in: float = 0.0
+    count: int = 0
+    _mean: float = 0.0
+    _m2: float = 0.0
+    _area: float = 0.0
+    _busy_area: float = 0.0
+    _last_time: float = 0.0
+    _last_total: int = 0
+    _last_busy: int = 0
+
+    def observe_sojourn(self, arrival_time, departure_time):
+        if departure_time < arrival_time:
+            raise ValueError(
+                f"departure {departure_time} precedes arrival {arrival_time}"
+            )
+        if arrival_time < self.burn_in:
+            return
+        sojourn = departure_time - arrival_time
+        self.count += 1
+        delta = sojourn - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (sojourn - self._mean)
+
+    def observe_population(self, time, total_jobs, busy_queues=None):
+        if time > self.burn_in:
+            effective_last = max(self._last_time, self.burn_in)
+            self._area += self._last_total * (time - effective_last)
+            if busy_queues is not None:
+                self._busy_area += self._last_busy * (time - effective_last)
+        self._last_time = time
+        self._last_total = total_jobs
+        if busy_queues is not None:
+            self._last_busy = busy_queues
+
+    @property
+    def mean(self):
+        if self.count == 0:
+            raise ValueError("no sojourn times recorded")
+        return self._mean
+
+
 def _legacy_simulate_supermarket(scheme, lam, sim_time, *, burn_in, seed):
     """The pre-kernel per-event loop, verbatim (event counters added).
 
     Blocked draws for choices/ties/uniforms/exponentials, but a scalar
-    ``rng.integers`` call per departure inside ``IndexedSet.sample`` and a
-    per-event ``SojournAccumulator.observe_population`` call.
+    ``rng.integers`` call per departure inside ``_IndexedSet.sample`` and
+    a per-event ``_SojournAccumulator.observe_population`` call.
     """
     rng = default_generator(seed)
     n = scheme.n_bins
     queue_len = np.zeros(n, dtype=np.int64)
     fifos = [[] for _ in range(n)]
-    busy = IndexedSet(n)
-    acc = SojournAccumulator(burn_in=burn_in)
+    busy = _IndexedSet(n)
+    acc = _SojournAccumulator(burn_in=burn_in)
     arrival_rate = lam * n
     now = 0.0
     total_jobs = 0
@@ -150,6 +238,12 @@ def _contestants(n, d, lam, sim_time, burn_in, seed):
     }
 
 
+def _kernel_passes():
+    """The global kernel registry's ``kernel.supermarket_passes``."""
+    counters = kernel_metrics().snapshot()["counters"]
+    return counters.get("kernel.supermarket_passes", 0)
+
+
 def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
         rounds=7):
     """Measure all contestants round-robin; return the JSON report dict."""
@@ -157,11 +251,13 @@ def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
     # Warm-up: touches every code path once (numpy allocator pools,
     # scheme caches) outside the timed region, and sanity checks each
     # contestant so a broken loop can't post a fast time.
-    warm = {}
+    warm, passes = {}, {}
     for name, fn in runs.items():
+        before = _kernel_passes()
         mean, completed, events = fn()
         assert completed > 0 and mean > 1.0, f"{name} produced nonsense"
         warm[name] = (mean, completed, events)
+        passes[name] = _kernel_passes() - before
 
     times = {name: [] for name in runs}
     for _ in range(rounds):
@@ -171,6 +267,14 @@ def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
             times[name].append(time.perf_counter() - t0)
 
     medians = {name: statistics.median(ts) for name, ts in times.items()}
+    commits = {
+        name: {
+            "passes": passes[name],
+            "events_per_pass": round(warm[name][2] / passes[name], 1),
+        }
+        for name in runs
+        if passes[name]
+    }
     report = {
         "geometry": {
             "n_queues": n, "d": d, "lam": lam, "sim_time": sim_time,
@@ -191,6 +295,7 @@ def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
                 "speedup_vs_legacy": round(
                     medians["legacy"] / medians[name], 3
                 ),
+                **commits.get(name, {}),
             }
             for name, ts in times.items()
         },
@@ -220,10 +325,14 @@ def main(argv=None):
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
+        commits = (
+            f"  {r['passes']:,} passes, {r['events_per_pass']} events/pass"
+            if "passes" in r else ""
+        )
         print(
             f"{name:>7}: median {r['median_seconds']*1e3:8.1f} ms  "
             f"{r['events_per_second']:>12,.0f} events/s  "
-            f"{r['speedup_vs_legacy']:5.2f}x vs legacy"
+            f"{r['speedup_vs_legacy']:5.2f}x vs legacy{commits}"
         )
     print(f"wrote {args.out}")
     return 0

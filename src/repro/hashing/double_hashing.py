@@ -9,9 +9,10 @@ Because ``g`` is a unit, the map ``k ↦ k·g mod n`` is injective on
 property the paper relies on when comparing against fully-random choices
 *without replacement*.
 
-The entire batch is one broadcast expression, making this scheme strictly
-cheaper than the fully-random scheme per ball — the practical advantage the
-paper highlights for hardware and software implementations (two hash values
+A batch takes two draws per ball and builds the choices plane by plane
+(``h_k = h_{k−1} + g``, wrapped once), making this scheme strictly cheaper
+than the fully-random scheme per ball — the practical advantage the paper
+highlights for hardware and software implementations (two hash values
 instead of ``d``).
 """
 
@@ -50,8 +51,6 @@ class DoubleHashingChoices(ChoiceScheme):
         super().__init__(n_bins, d)
         if n_bins >= 2 and count_units(n_bins) == 0:  # pragma: no cover
             raise SchemeError(f"no valid strides mod {n_bins}")
-        # Precompute the 0..d-1 multiplier row once; reused every batch.
-        self._ks = np.arange(self.d, dtype=np.int64)
 
     @property
     def distinct(self) -> bool:
@@ -59,30 +58,37 @@ class DoubleHashingChoices(ChoiceScheme):
         return True
 
     def batch(self, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Arithmetic progressions ``(f + k·g) mod n`` with unit strides."""
-        n = self.n_bins
-        if n == 1:
-            return np.zeros((trials, self.d), dtype=np.int64)
-        f = rng.integers(0, n, size=trials, dtype=np.int64)
-        g = sample_units(n, trials, rng)
-        return (f[:, None] + g[:, None] * self._ks) % n
+        """Arithmetic progressions ``(f + k·g) mod n`` with unit strides.
+
+        The transposed *view* of :meth:`batch_planar` (same draws, not
+        contiguous).
+        """
+        return self.batch_planar(trials, rng).T
 
     def batch_planar(self, trials: int, rng: np.random.Generator) -> np.ndarray:
         """Planar ``(d, trials)`` choices via the stride recurrence.
 
-        Plane ``k`` is ``plane[k-1] + g mod n`` computed with one add and
-        a branchless wrap (both summands are in ``[0, n)``), skipping the
-        broadcast multiply, the modulo, and the transpose of the generic
-        path — this is the kernel layer's generation primitive.
+        Draws ``f`` then ``g`` (nothing when ``n == 1``) and builds the
+        planes with :meth:`_progressions` — this is the kernel layer's
+        generation primitive.
         """
         n = self.n_bins
-        d = self.d
         if n == 1:
-            return np.zeros((d, trials), dtype=np.int64)
-        out = np.empty((d, trials), dtype=np.int64)
-        out[0] = rng.integers(0, n, size=trials, dtype=np.int64)
-        g = sample_units(n, trials, rng)
-        for k in range(1, d):
+            return np.zeros((self.d, trials), dtype=np.int64)
+        f = rng.integers(0, n, size=trials, dtype=np.int64)
+        return self._progressions(f, sample_units(n, trials, rng))
+
+    def _progressions(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The ``(d, trials)`` planes ``(f + k·g) mod n``.
+
+        Plane ``k`` is ``plane[k-1] + g mod n`` computed with one add and
+        a branchless wrap (both summands are in ``[0, n)``), skipping a
+        broadcast multiply and a modulo.
+        """
+        n = self.n_bins
+        out = np.empty((self.d, f.size), dtype=np.int64)
+        out[0] = f
+        for k in range(1, self.d):
             plane = out[k]
             np.add(out[k - 1], g, out=plane)
             plane -= n
@@ -111,8 +117,7 @@ class DoubleHashingChoices(ChoiceScheme):
             )
         f = rng.integers(0, n, size=trials, dtype=np.int64)
         g = sample_units(n, trials, rng)
-        choices = (f[:, None] + g[:, None] * self._ks) % n
-        return choices, f, g
+        return self._progressions(f, g).T, f, g
 
     def describe(self) -> str:
         """Short human-readable label including the geometry."""

@@ -35,18 +35,28 @@ Only an arrival's shortest-of-``d`` pick and a tick's busy check read
 state.  :func:`simulate_supermarket_numpy` lays a batch's runs side by
 side on one flat queue array (run ``r`` owns ``[off_r, off_r + n_r)``;
 a ``d``-row pads to the batch's widest ``d`` by repeating its last
-candidate and tie key) and keeps a window on the next ``W`` rows of each
-run's block, where committed rows become padding.  Each pass commits
-every pending event that no earlier pending event of its run touches —
-``simulate_batch``'s stamp rule
-(:mod:`repro.kernels.numpy_backend`): an arrival touches its ``d``
-candidates, a tick its queue.  Committed events touch disjoint queues
-and see every earlier event's effect, so each one decides exactly as
-the sequential loop would.  A run's block is accounted once all of its
-events have committed, and only then is its next block drawn, so the
-kernel holds one bounded block per run.  Runs never share a queue, so
-about ``R·n/d²`` events commit per pass (``R`` runs); see
-``docs/performance.md``.
+candidate and tie key) and keeps, per run, a list of the ``W`` earliest
+events not yet committed.  A pass computes every pending event's pick
+against the current lengths and commits
+
+- a tick once no earlier pending event touches its queue;
+- an arrival once no earlier pending event touches the queue it picks
+  and no earlier pending *tick* touches any of its candidates.
+
+An arrival touches its ``d`` candidates, a tick its queue; two stamp
+scatters give each queue its earliest pending event and its earliest
+pending tick.  The arrival rule is exact: until the arrival's turn,
+the earlier events can only lengthen its other candidates (no tick
+touches them), so their keys only grow and the pick stays the minimum,
+and its picked queue keeps its current length.  The commits of a pass
+write distinct queues (a later event that writes a queue an earlier
+pending event touches waits), so each one decides exactly as the
+sequential loop would, and a later commit never writes a queue an
+earlier waiting event reads.  Each run's waiting events, in order, and
+the next events of its block refill its list.  A run's block is
+accounted once all of its events have committed, and only then is its
+next block drawn, so the kernel holds one bounded block per run.
+``W`` only schedules (:func:`window_size`); see ``docs/performance.md``.
 
 Accounting
 ----------
@@ -338,9 +348,9 @@ class SupermarketAccumulator:
 def window_size(runs: list[SupermarketRun]) -> int:
     """Pending events per run: twice the largest run's ``n/d²`` (about
     the count of leading events whose queues are pairwise disjoint),
-    within ``[32, 256]``.  Scheduling only; results never depend on it."""
+    within ``[64, 256]``.  Scheduling only; results never depend on it."""
     widest = max(r.scheme.n_bins // r.scheme.d**2 for r in runs)
-    return min(256, max(32, 2 * widest))
+    return min(256, max(64, 2 * widest))
 
 
 def simulate_supermarket_numpy(
@@ -358,50 +368,65 @@ def simulate_supermarket_numpy(
     width = max(r.scheme.d for r in runs)
     window = window_size(runs)
     off = np.cumsum([0] + [r.scheme.n_bins for r in runs])
-    dummy = int(off[-1])  # the queue every padding slot points at
+    # Two queues past the runs' own: arrivals write their tick stamp to
+    # ``spare``, and every padding slot's candidates are ``pad``, whose
+    # tick stamp stays below every position, so padding never commits.
+    spare, pad = int(off[-1]), int(off[-1]) + 1
     check_queue_packing(
-        max(r.job_cap + block_size(r.scheme.n_bins) for r in runs), dummy + 1
+        max(r.job_cap + block_size(r.scheme.n_bins) for r in runs), pad + 1
     )
     # A pending event's key on candidate q is length << shift | tie << qbits
     # | q, so the minimum names the queue it picks.
-    qbits = field_width(dummy + 1)
+    qbits = field_width(pad + 1)
     shift = _TIE_BITS + qbits
     one = 1 << shift
     length_mask = -one
     queue_mask = (1 << qbits) - 1
-    qkey = np.zeros(dummy + 1, np.int64)  # length << shift
-    stamp = np.zeros(dummy + 1, np.int32)
-    # Run r's block lives in event rows [base_r, base_r + end_r), followed
-    # by padding rows; a committed event's row becomes padding too.
-    sizes = [block_size(r.scheme.n_bins) + window for r in runs]
+    qkey = np.zeros(pad + 1, np.int64)  # length << shift
+    # Each queue's earliest pending event and earliest pending tick, as
+    # window positions; ``window`` in ``tick_stamp`` means none.
+    stamp = np.zeros(pad + 1, np.int32)
+    tick_stamp = np.full(pad + 1, window, np.int32)
+    tick_stamp[pad] = -1
+    # Run r's block lives in event rows [base_r, end_r), followed by
+    # ``window + 1`` padding rows.
+    sizes = [block_size(r.scheme.n_bins) + window + 1 for r in runs]
     base = np.cumsum([0] + sizes[:-1]).astype(np.intp)
     n_rows = sum(sizes)
-    field = np.full((n_rows, width), dummy, np.int64)  # tie << qbits | queue
+    field = np.full((n_rows, width), pad, np.int64)  # tie << qbits | queue
+    tick_q = np.full(n_rows, spare, np.intp)  # a tick's queue, else spare
     delta = np.empty(n_rows, np.int64)  # +one arrival, -one tick
     picked = np.empty(n_rows, np.int64)  # each committed event's minimum key
-    # The window of run r is rows head_r .. head_r + window - 1, laid out
-    # in descending position so the stamp scatter leaves each queue
+    # Row r of ``rows`` holds run r's pending events in order (its first
+    # ``window`` entries), then the block's next ``window + 1`` events.
+    rows = np.empty((n_runs, 2 * window + 1), np.intp)
+    pending = rows[:, :window]
+    # ``order`` lists the pending events latest first (column c holds
+    # position window - 1 - c), so each stamp scatter leaves a queue
     # holding its earliest pending position.
-    desc = np.arange(window - 1, -1, -1, dtype=np.intp)[:, None]
-    svals = np.repeat(desc.astype(np.int32), n_runs * width)
-    blocked = np.ones((window + 1, n_runs), bool)  # row 0: position W
-    keep, first_blocked = blocked[1:], blocked[::-1]
+    order = np.empty((n_runs, window), np.intp)
+    pos = np.tile(np.arange(window - 1, -1, -1, dtype=np.int32), (n_runs, 1))
+    ramp = np.arange(window + 1, dtype=np.intp)
+    stamp_vals = np.repeat(pos.reshape(-1), width)
+    tick_vals = pos.reshape(-1)
     # Scratch reused every pass; the column views index its candidates.
-    evg = np.empty((window, n_runs), np.intp)
-    cq = np.empty((window, n_runs, width), np.intp)
-    key = np.empty((window, n_runs, width), np.int64)
-    tie = np.empty((window, n_runs, width), np.int64)
-    sc = np.empty((window, n_runs, width), np.int32)
-    kmin = np.empty((window, n_runs), np.int64)
-    smin = np.empty((window, n_runs), np.int32)
-    real = np.empty((window, n_runs), bool)
-    commit = np.empty((window, n_runs), bool)
-    cq_flat, cq0 = cq.reshape(-1), cq[..., 0]
+    cq = np.empty((n_runs, window, width), np.intp)
+    key = np.empty((n_runs, window, width), np.int64)
+    tie = np.empty((n_runs, window, width), np.int64)
+    tsc = np.empty((n_runs, window, width), np.int32)
+    kmin = np.empty((n_runs, window), np.int64)
+    pick = np.empty((n_runs, window), np.intp)
+    tq = np.empty((n_runs, window), np.intp)
+    tmin = np.empty((n_runs, window), np.int32)
+    spick = np.empty((n_runs, window), np.int32)
+    commit = np.empty((n_runs, window), bool)
+    flat = [a.reshape(-1) for a in (order, kmin, pick, tq, commit)]
+    order_f, kmin_f, pick_f, tq_f, commit_f = flat
+    cq_f = cq.reshape(-1)
     key_cols = [key[..., j] for j in range(width)]
-    sc_cols = [sc[..., j] for j in range(width)]
-    head = base.copy()
-    end = base.copy()
-    done_at = end.copy()  # -1 once a run has finished
+    tsc_cols = [tsc[..., j] for j in range(width)]
+    end = base.copy()  # past the block's last event
+    nxt = base.copy()  # the block's first event not yet pending
     accs = [SupermarketAccumulator(r) for r in runs]
     blocks: list[EventBlock | None] = [None] * n_runs
     errors: dict[int, StabilityError] = {}
@@ -416,11 +441,15 @@ def simulate_supermarket_numpy(
         tick = np.flatnonzero(~block.arrival) + b
         ties = np.arange(d) if run.tie_break == "left" else block.ties
         field[arr] = ties[..., cols] << qbits | block.choices[:, cols] + off[r]
-        field[tick] = (block.ticks + off[r])[:, None]
-        field[b + k : b + sizes[r]] = dummy
+        ticks = block.ticks + off[r]
+        field[tick] = ticks[:, None]
+        field[b + k : b + sizes[r]] = pad
+        tick_q[b : b + sizes[r]] = spare
+        tick_q[tick] = ticks
         delta[b : b + k] = np.where(block.arrival, one, -one)
-        head[r] = b
-        end[r] = done_at[r] = b + k
+        pending[r] = b + ramp[:-1]
+        end[r] = b + k
+        nxt[r] = b + min(k, window)
 
     for r in range(n_runs):
         load(r, 0.0)
@@ -428,38 +457,46 @@ def simulate_supermarket_numpy(
     passes = 0
     while live:
         passes += 1
+        np.copyto(order, pending[:, ::-1])
         # Each pending event's pick against the current lengths.
-        np.add(head, desc, out=evg)
-        field.take(evg, axis=0, out=tie, mode="clip")
+        field.take(order, axis=0, out=tie, mode="clip")
         np.bitwise_and(tie, queue_mask, out=cq)
         qkey.take(cq, out=key, mode="clip")
         key |= tie
         np.minimum(key_cols[0], key_cols[-1], out=kmin)
         for col in key_cols[1:-1]:
             np.minimum(kmin, col, out=kmin)
-        # An event commits iff no earlier pending event touches its queues.
-        stamp[cq_flat] = svals
-        stamp.take(cq, out=sc, mode="clip")
-        np.minimum(sc_cols[0], sc_cols[-1], out=smin)
-        for col in sc_cols[1:-1]:
-            np.minimum(smin, col, out=smin)
-        np.not_equal(cq0, dummy, out=real)
-        np.less(smin, desc, out=keep)
-        keep &= real
-        np.not_equal(real, keep, out=commit)
-        ce = evg[commit]
-        ck = kmin[commit]
+        np.bitwise_and(kmin, queue_mask, out=pick)
+        # An event waits while an earlier pending event touches the queue
+        # it picks, or an earlier pending tick touches any of its queues.
+        stamp[cq_f] = stamp_vals
+        tick_q.take(order, out=tq, mode="clip")
+        tick_stamp[tq_f] = tick_vals
+        tick_stamp.take(cq, out=tsc, mode="clip")
+        tick_stamp[tq_f] = window
+        np.minimum(tsc_cols[0], tsc_cols[-1], out=tmin)
+        for col in tsc_cols[1:-1]:
+            np.minimum(tmin, col, out=tmin)
+        stamp.take(pick, out=spick, mode="clip")
+        np.minimum(tmin, spick, out=tmin)
+        np.greater_equal(tmin, pos, out=commit)
+        sel = commit_f.nonzero()[0]
+        ce = order_f.take(sel)
+        ck = kmin_f.take(sel)
         picked[ce] = ck
-        field[ce] = dummy
-        ct = ck & queue_mask
+        ct = pick_f.take(sel)
         ck &= length_mask
         ck += delta.take(ce)
         np.maximum(ck, 0, out=ck)
         qkey[ct] = ck
-        # Slide each window to its first blocked event.
-        head += first_blocked.argmax(axis=0)
-        np.minimum(head, end, out=head)
-        for r in np.flatnonzero(head == done_at):
+        # The waiting events and the block's next ones, sorted (a
+        # committed slot sorts last), are each run's new pending list.
+        order_f[sel] = n_rows
+        np.copyto(pending, order)
+        np.add(nxt[:, None], ramp, out=rows[:, window:])
+        rows.sort(axis=1)
+        np.minimum(rows[:, window], end, out=nxt)
+        for r in (pending[:, 0] >= end).nonzero()[0]:
             block = blocks[r]
             b, k = int(base[r]), block.times.size
             done = picked[b : b + k]
@@ -468,7 +505,9 @@ def simulate_supermarket_numpy(
             except StabilityError as exc:
                 errors[r] = exc
             if block.last or r in errors:
-                done_at[r] = -1
+                # Never due again: its list keeps sorting to its own
+                # padding rows, all below n_rows.
+                end[r] = n_rows
                 live -= 1
             else:
                 load(r, float(block.times[-1]))

@@ -24,6 +24,7 @@ checks empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.errors import ConfigurationError
@@ -60,8 +61,13 @@ def survival_fixed_point(c: float, d: int, *, max_iters: int = 20000) -> float:
     return beta  # pragma: no cover - slow convergence near threshold
 
 
+@functools.cache
 def peeling_threshold(d: int, *, precision: float = 1e-9) -> float:
     """Largest density ``c`` at which peeling succeeds w.h.p.
+
+    The bisection takes about 230,000 fixed-point steps (0.1 s), so each
+    ``(d, precision)`` is solved once per process and then served from a
+    cache; an invalid ``d`` raises on every call.
 
     >>> round(peeling_threshold(3), 3)
     0.818

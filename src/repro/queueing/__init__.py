@@ -14,11 +14,9 @@ batch of :class:`SupermarketRun` descriptions in one kernel call.  See
 :mod:`repro.kernels.supermarket`.
 """
 
-from repro.queueing.measures import SojournAccumulator
 from repro.queueing.supermarket_sim import SupermarketRun, simulate_supermarket
 
 __all__ = [
-    "SojournAccumulator",
     "SupermarketRun",
     "simulate_supermarket",
 ]

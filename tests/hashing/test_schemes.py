@@ -17,6 +17,7 @@ from repro.hashing import (
     PartitionedFullyRandom,
     make_scheme,
 )
+from repro.numtheory import sample_units
 
 ALL_SCHEMES = [
     lambda n, d: FullyRandomChoices(n, d),
@@ -156,6 +157,30 @@ class TestDoubleHashingStructure:
         scheme = DoubleHashingChoices(64, 4)
         _, _, g = scheme.batch_with_hashes(800, rng)
         assert (g % 2 == 1).all()
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (1, 1), (2, 2), (97, 5), (97, 97),  # n = 1 and primes
+            (64, 4), (64, 64), (512, 4),  # powers of two
+            (24, 4), (24, 24), (45, 7),  # composite
+        ],
+    )
+    def test_batch_matches_broadcast_formula(self, n, d):
+        """``batch`` builds the progressions by the stride recurrence; it
+        equals ``(f + k·g) mod n`` on a twin generator's ``f`` and ``g``
+        and leaves the two generators in the same state."""
+        rng, twin = np.random.default_rng(n + d), np.random.default_rng(n + d)
+        got = DoubleHashingChoices(n, d).batch(300, rng)
+        if n == 1:
+            want = np.zeros((300, d), dtype=np.int64)
+        else:
+            f = twin.integers(0, n, size=300, dtype=np.int64)
+            g = sample_units(n, 300, twin)
+            want = (f[:, None] + g[:, None] * np.arange(d)) % n
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_batch_with_hashes_consistent(self, rng):
         scheme = DoubleHashingChoices(31, 4)

@@ -29,7 +29,9 @@ import pytest
 
 import repro.kernels.reference as reference
 import repro.kernels.supermarket as supermarket
+from repro.certify.tiers import TIERS
 from repro.errors import ConfigurationError, StabilityError
+from repro.experiments.tables import table8_queueing
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import kernel_metrics, simulate_supermarket_reference
 from repro.kernels.blockrng import TIE_BITS
@@ -456,6 +458,123 @@ class TestHandWorkedSchedule:
         monkeypatch.setattr(supermarket, "draw_events", fake_draw)
         monkeypatch.setattr(reference, "draw_events", fake_draw)
         self._check(_simulate(self._run(), backend))
+
+
+def _block(times, arrival, choices, ties, ticks, last):
+    """An ``EventBlock`` of a ``d = 2`` run from plain lists."""
+    return EventBlock(
+        np.array(times, float), np.array(arrival, bool),
+        np.array(choices, np.int64).reshape(-1, 2),
+        np.array(ties, np.int64).reshape(-1, 2),
+        np.array(ticks, np.int64), last,
+    )
+
+
+class TestCommitRule:
+    """When an event commits, on hand-made schedules over four queues.
+
+    A tick commits once no earlier pending event touches its queue; an
+    arrival once none touches the queue it picks against the current
+    lengths and no earlier pending tick touches any of its candidates.
+    Each case checks the kernel's pass count, and that every event went
+    to the oracle's queue with the oracle's length before it.
+    """
+
+    def _decide(self, monkeypatch, blocks):
+        def fake_draw(run, rng, now):
+            return blocks[now > 0]
+
+        monkeypatch.setattr(supermarket, "draw_events", fake_draw)
+        monkeypatch.setattr(reference, "draw_events", fake_draw)
+        seen = []
+        add = SupermarketAccumulator.add
+
+        def recording_add(acc, block, target, before):
+            seen.append((target.tolist(), before.tolist()))
+            add(acc, block, target, before)
+
+        monkeypatch.setattr(SupermarketAccumulator, "add", recording_add)
+        run = SupermarketRun(
+            FullyRandomChoices(4, 2, replacement=True), 0.5, 10.0
+        )
+        simulate_supermarket_reference(run)
+        want = list(seen)
+        seen.clear()
+        _, passes = supermarket.simulate_supermarket_numpy(
+            [run], [np.random.default_rng(0)]
+        )
+        return passes, seen, want
+
+    def test_arrival_commits_past_a_shared_candidate_it_does_not_pick(
+        self, monkeypatch
+    ):
+        # t=1 arrival {q0, q1} joins q0 (tie 1 < 2); the t=2 arrival
+        # {q1, q2} picks q2 (tie 3 < 5).  The pending first arrival also
+        # drew q1, but the second does not pick it: both commit at once.
+        block = _block(
+            [1.0, 2.0], [True, True], [[0, 1], [1, 2]], [[1, 2], [5, 3]],
+            [], True,
+        )
+        passes, got, want = self._decide(monkeypatch, (block,))
+        assert got == want == [([0, 2], [0, 0])]
+        assert passes == 1
+
+    def test_arrival_waits_when_its_pick_is_a_pending_candidate(
+        self, monkeypatch
+    ):
+        # t=1 arrival {q0, q1} joins q1 (tie 1 < 5).  Against the lengths
+        # before it, the t=2 arrival {q1, q2} would pick q1 (tie 3 < 5),
+        # which the pending first arrival drew, so it waits a pass and
+        # then joins q2.
+        block = _block(
+            [1.0, 2.0], [True, True], [[0, 1], [1, 2]], [[5, 1], [3, 5]],
+            [], True,
+        )
+        passes, got, want = self._decide(monkeypatch, (block,))
+        assert got == want == [([1, 2], [0, 0])]
+        assert passes == 2
+
+    def test_arrival_waits_for_a_pending_tick_on_any_candidate(
+        self, monkeypatch
+    ):
+        # Block one puts a job on q0 and one on q1 (first pass).  In block
+        # two a tick at q0 precedes an arrival {q0, q1} that picks q1
+        # against the current lengths (tie 1 < 9).  The tick empties q0,
+        # a candidate the arrival does not pick, so the arrival waits a
+        # pass and then joins q0.
+        blocks = (
+            _block(
+                [1.0, 2.0], [True, True], [[0, 0], [1, 1]], [[0, 0], [0, 0]],
+                [], False,
+            ),
+            _block([3.0, 4.0], [False, True], [[0, 1]], [[9, 1]], [0], True),
+        )
+        passes, got, want = self._decide(monkeypatch, blocks)
+        assert got == want == [([0, 1], [0, 0]), ([0, 0], [1, 0])]
+        assert passes == 3
+
+    def test_smoke_table8_pass_count(self):
+        # The smoke tier's Table 8 batch at a 40 s horizon took 1,293
+        # passes when an arrival waited for every earlier pending event
+        # on any of its candidates.  The count is deterministic.
+        run = next(r for r in TIERS["smoke"].runs if r.table == "table8")
+        spec = run.spec.replace(sim_time=40.0, burn_in=8.0)
+        before = _kernel_counters().get("kernel.supermarket_passes", 0)
+        table8_queueing(spec, **run.extras)
+        passes = _kernel_counters()["kernel.supermarket_passes"] - before
+        assert passes <= 1293 // 2
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 300])
+    def test_results_do_not_depend_on_the_window(self, monkeypatch, window):
+        # Windows far below and above n/d², where nearly every pending
+        # event commits each pass or the block runs dry.
+        monkeypatch.setattr(supermarket, "window_size", lambda runs: window)
+        _assert_batch_matches_oracle([
+            _spec(DoubleHashingChoices, 500, 3, 0.99, 5.0, 61, burn_in=1.0),
+            _spec(FullyRandomChoices, 64, 2, 0.9, 10.0, 62,
+                  tie_break="left", track_tails=True),
+            _spec(CollapsedDoubleHashing, 32, 3, 0.9, 10.0, 63),
+        ])
 
 
 def _kernel_counters():

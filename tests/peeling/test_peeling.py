@@ -21,6 +21,7 @@ from repro.peeling import (
     survival_fixed_point,
     threshold_experiment,
 )
+from repro.peeling import density_evolution
 from repro.peeling.hypergraph import Hypergraph
 
 
@@ -186,6 +187,22 @@ class TestDensityEvolution:
             survival_fixed_point(-0.1, 3)
         with pytest.raises(ConfigurationError):
             peeling_threshold(1)
+
+    def test_threshold_is_solved_once(self, monkeypatch):
+        first = peeling_threshold(4)
+        calls = []
+
+        def counting(c, d, **kw):
+            calls.append((c, d))
+            return survival_fixed_point(c, d, **kw)
+
+        monkeypatch.setattr(density_evolution, "survival_fixed_point", counting)
+        assert peeling_threshold(4) == first
+        assert calls == []
+        # Errors are not cached: an invalid d raises on every call.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                peeling_threshold(1)
 
 
 class TestDuplicateEdgePhenomenon:

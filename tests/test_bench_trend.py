@@ -69,6 +69,23 @@ class TestCollect:
         # No lookup_vs_* key recorded: no ratio, not the insert one.
         assert ratios[("schemes", "double", "lookup ops")] == "—"
 
+    def test_pass_counts_add_no_rows(self, tmp_path):
+        # The supermarket bench records the kernel's pass count and events
+        # per pass beside its throughput; only the throughput is a row.
+        (tmp_path / "BENCH_supermarket.json").write_text(json.dumps({
+            "results": {
+                "numpy": {"median_seconds": 0.087,
+                          "events_per_second": 1.1e6,
+                          "speedup_vs_legacy": 8.0,
+                          "passes": 1307, "events_per_pass": 74.2},
+            },
+        }))
+        rows = bench_trend.collect(tmp_path)
+        assert rows == [(
+            "supermarket", "ctmc", "numpy", "events", "1,100,000/s",
+            "8.00x vs legacy",
+        )]
+
 
 class TestSplice:
     def test_appends_section_when_markers_absent(self, tmp_path):
