@@ -17,9 +17,9 @@ apparatus:
   hashing, open addressing with double hashing) — :mod:`repro.extensions`;
 - one harness function per paper table — :mod:`repro.experiments`.
 
-Execution is handled by a resilient engine (:mod:`repro.parallel.engine`)
-with per-chunk retries, checkpointing, and a metrics/tracing layer
-(:mod:`repro.metrics`); runs are described by one frozen
+Execution is handled by a chunked engine (:mod:`repro.parallel.engine`)
+that fails fast and resumes from a checkpoint, with a metrics/tracing
+layer (:mod:`repro.metrics`); runs are described by one frozen
 :class:`~repro.experiments.config.ExperimentSpec` shared between the
 library API and the CLI.
 

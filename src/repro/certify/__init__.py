@@ -13,7 +13,7 @@ scattered tolerance checks:
   :class:`~repro.experiments.config.ExperimentSpec` and to the tier's
   statistical thresholds;
 - :mod:`repro.certify.runner` — executes every table's random/double
-  pair through the resilient engine and applies the
+  pair through the execution engine and applies the
   :mod:`repro.analysis.comparison` statistics (chi-square homogeneity
   with small-cell merging, sampling envelopes, Holm correction across
   the whole family, bootstrap CIs on max-load statistics, fluid-limit

@@ -1,11 +1,11 @@
-"""Experiment orchestration: chunked, resilient, optionally parallel runs.
+"""Experiment orchestration: chunked, checkpointed, optionally parallel runs.
 
 :func:`run_experiment` is the main entry point used by the experiment
 harness and benchmarks.  It splits the requested trials into chunks and
-runs each through the vectorized engine via the resilient
-:class:`~repro.parallel.engine.ExecutionEngine` — per-chunk retries on
-the original seed streams, optional checkpointing and timeouts, metrics
-and progress instrumentation — then folds the chunk summaries into a
+runs each through the vectorized engine via the
+:class:`~repro.parallel.engine.ExecutionEngine` — one spawned seed
+stream per chunk, optional checkpointing for resume after a failure,
+metrics and progress instrumentation — then folds the chunk summaries into a
 :class:`~repro.core.stats.StreamingLoadAggregator`, so memory stays
 O(max_load) no matter how many trials are requested, matching the
 paper's 10^4-trial scale.
@@ -52,8 +52,8 @@ class ExperimentResult:
     scheme_description:
         The scheme's one-line description for reports.
     metrics:
-        The metrics registry observed during the run (chunk timings,
-        retry/timeout events); ``None`` unless instrumentation was on.
+        The metrics registry observed during the run (chunk timings and
+        records); ``None`` unless instrumentation was on.
     spec:
         The spec the trials ran under, per-call overrides applied (its
         ``seed`` is the run's seed).
@@ -179,8 +179,7 @@ def run_experiment(
 
     The kernel backend (``spec.backend``, else ``REPRO_BACKEND``) is
     resolved once before any chunk runs, so an unknown name raises
-    :class:`~repro.errors.ConfigurationError` instead of failing every
-    chunk attempt.
+    :class:`~repro.errors.ConfigurationError` before any work starts.
     """
     from repro.experiments.config import ExperimentSpec
 

@@ -11,7 +11,7 @@ in ``TABLE_DEFAULTS`` and are shared with the CLI.  Default scales are
 sized for minutes, not the paper's 10⁴-trial overnight runs; pass a spec
 with larger ``trials``/``n`` to approach paper scale (the modules are
 memory-safe at any trial count thanks to streaming aggregation, and the
-resilient engine checkpoints long sweeps — see ``docs/engine.md``).
+execution engine checkpoints long sweeps — see ``docs/engine.md``).
 """
 
 from repro.experiments.config import (

@@ -28,10 +28,11 @@ flags its function reads, so an ignored flag is a usage error.
 
 Engine flags (``table1`` … ``table6`` and ``compare``, the commands that
 run through the chunked engine): ``--workers``/``--chunks`` control
-fan-out; ``--retries``/``--chunk-timeout`` the fault-tolerance policy;
-``--checkpoint <path>.jsonl`` enables resumable sweeps; ``--metrics-out
-<path>.json`` writes the run's metrics snapshot; and ``--progress``
-streams per-chunk completions to stderr.  See ``docs/engine.md``.
+fan-out; ``--checkpoint <path>.jsonl`` makes a sweep resumable (a run
+that fails stops at once, and rerunning the same command resumes it);
+``--metrics-out <path>.json`` writes the run's metrics snapshot; and
+``--progress`` streams per-chunk completions to stderr.  See
+``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -72,10 +73,7 @@ _PLAIN_TABLES = {
     "table8": (("n", "sim_time", "seed"), _tables.table8_queueing),
 }
 
-_ENGINE_FIELDS = (
-    "workers", "chunks", "block", "trials_mode", "max_retries",
-    "chunk_timeout", "checkpoint",
-)
+_ENGINE_FIELDS = ("workers", "chunks", "block", "trials_mode", "checkpoint")
 
 #: Flag and argparse options for each spec field the CLI can set.
 _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
@@ -96,11 +94,6 @@ _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
         help="'parallel' gives each trial an independent counter-based "
              "stream, so results do not depend on chunking "
              "(see docs/scale.md)")),
-    "max_retries": ("--retries", dict(
-        type=int, help="per-chunk retries before the run fails")),
-    "chunk_timeout": ("--chunk-timeout", dict(
-        type=float,
-        help="per-chunk wall-clock bound in seconds (pooled mode)")),
     "checkpoint": ("--checkpoint", dict(
         metavar="PATH.jsonl",
         help="chunk-level checkpoint file; re-running resumes from it")),
@@ -131,7 +124,7 @@ def _add_spec_options(
         p.add_argument(
             "--metrics-out", default=None, dest="metrics_out",
             metavar="PATH.json",
-            help="write run metrics (timings, retries) here",
+            help="write run metrics (counters, timings, chunks) here",
         )
         p.add_argument(
             "--progress", action="store_true",

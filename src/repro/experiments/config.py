@@ -3,7 +3,7 @@
 Two things live here:
 
 - :class:`ExperimentSpec` — the single, frozen description of an
-  experiment run (geometry + trials + seed + workers + engine policy).
+  experiment run (geometry + trials + seed + workers + checkpoint).
   ``run_experiment``, every ``table*`` function, and the CLI all consume
   one; ``TABLE_DEFAULTS`` holds the per-table default spec that both the
   programmatic defaults and the CLI subcommand defaults derive from, so
@@ -36,9 +36,8 @@ class ExperimentSpec:
     The spec covers four concerns: geometry (``n``, ``d``, ``n_balls``,
     ``log2_n``, ``sim_time``/``burn_in`` for the queueing table),
     sampling (``trials``, ``seed``), execution (``workers``, ``chunks``,
-    ``tie_break``, ``block``, ``backend``), and engine policy (``max_retries``,
-    ``retry_backoff``, ``chunk_timeout``, ``checkpoint``).  Derive variants
-    with :meth:`replace`.
+    ``tie_break``, ``block``, ``backend``), and resumption
+    (``checkpoint``).  Derive variants with :meth:`replace`.
 
     Attributes
     ----------
@@ -81,11 +80,9 @@ class ExperimentSpec:
         (:mod:`repro.kernels.parallel_trials`) so trials can run in any
         interleaving, with results independent of chunking and host
         (*seed-equivalence*).
-    max_retries, retry_backoff, chunk_timeout:
-        Fault-tolerance policy, see
-        :class:`~repro.parallel.engine.EngineConfig`.
     checkpoint:
-        JSONL checkpoint path enabling resume of interrupted sweeps.
+        JSONL checkpoint path: rerunning a failed or interrupted sweep
+        with it resumes from the chunks already done.
     log2_n:
         Table-size exponent for sweeps keyed by power of two (Table 3).
     sim_time, burn_in:
@@ -105,9 +102,6 @@ class ExperimentSpec:
     workers: int = 1
     chunks: int | None = None
     trials_mode: str = "chunked"
-    max_retries: int = 2
-    retry_backoff: float = 0.25
-    chunk_timeout: float | None = None
     checkpoint: str | None = None
     log2_n: int = 14
     sim_time: float = 300.0
@@ -182,9 +176,6 @@ class ExperimentSpec:
         return EngineConfig(
             workers=self.workers,
             chunks=self.chunks,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            chunk_timeout=self.chunk_timeout,
             checkpoint_path=self.checkpoint,
         )
 

@@ -24,7 +24,27 @@ from repro.errors import SchemeError
 from repro.hashing.base import ChoiceScheme
 from repro.numtheory import count_units, sample_units
 
-__all__ = ["DoubleHashingChoices"]
+__all__ = ["DoubleHashingChoices", "progressions"]
+
+
+def progressions(f: np.ndarray, g: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The ``(d, len(f))`` planes ``(f + k·g) mod n``, ``k = 0, …, d−1``.
+
+    Plane ``k`` is ``plane[k-1] + g mod n`` computed with one add and a
+    branchless wrap (``f`` and ``g`` must lie in ``[0, n)``), skipping a
+    broadcast multiply and a modulo.  Every double-hashing scheme builds
+    its progressions here.
+    """
+    out = np.empty((d, f.size), dtype=np.int64)
+    out[0] = f
+    for k in range(1, d):
+        plane = out[k]
+        np.add(out[k - 1], g, out=plane)
+        plane -= n
+        wrap = plane >> 63  # -1 where the subtraction went negative
+        wrap &= n
+        plane += wrap
+    return out
 
 
 class DoubleHashingChoices(ChoiceScheme):
@@ -69,33 +89,14 @@ class DoubleHashingChoices(ChoiceScheme):
         """Planar ``(d, trials)`` choices via the stride recurrence.
 
         Draws ``f`` then ``g`` (nothing when ``n == 1``) and builds the
-        planes with :meth:`_progressions` — this is the kernel layer's
+        planes with :func:`progressions` — this is the kernel layer's
         generation primitive.
         """
         n = self.n_bins
         if n == 1:
             return np.zeros((self.d, trials), dtype=np.int64)
         f = rng.integers(0, n, size=trials, dtype=np.int64)
-        return self._progressions(f, sample_units(n, trials, rng))
-
-    def _progressions(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The ``(d, trials)`` planes ``(f + k·g) mod n``.
-
-        Plane ``k`` is ``plane[k-1] + g mod n`` computed with one add and
-        a branchless wrap (both summands are in ``[0, n)``), skipping a
-        broadcast multiply and a modulo.
-        """
-        n = self.n_bins
-        out = np.empty((self.d, f.size), dtype=np.int64)
-        out[0] = f
-        for k in range(1, self.d):
-            plane = out[k]
-            np.add(out[k - 1], g, out=plane)
-            plane -= n
-            wrap = plane >> 63  # -1 where the subtraction went negative
-            wrap &= n
-            plane += wrap
-        return out
+        return progressions(f, sample_units(n, trials, rng), n, self.d)
 
     def batch_with_hashes(
         self, trials: int, rng: np.random.Generator
@@ -117,7 +118,7 @@ class DoubleHashingChoices(ChoiceScheme):
             )
         f = rng.integers(0, n, size=trials, dtype=np.int64)
         g = sample_units(n, trials, rng)
-        return self._progressions(f, g).T, f, g
+        return progressions(f, g, n, self.d).T, f, g
 
     def describe(self) -> str:
         """Short human-readable label including the geometry."""

@@ -147,8 +147,9 @@ class KeyedChoices(abc.ABC):
         the placement-kernel generation path consumes so each flat
         gather walks one contiguous plane.  The default transposes
         :meth:`choices`; subclasses with a natural per-plane fill
-        (:class:`IndependentKeyed`) or a per-plane stride recurrence
-        (:class:`DoubleHashedKeyed`) override it, bit-identically.
+        (:class:`IndependentKeyed`) override it, bit-identically, and
+        :class:`DoubleHashedKeyed` builds its planes with a stride
+        recurrence and derives :meth:`choices` from them.
         """
         return np.ascontiguousarray(self.choices(keys).T)
 
@@ -226,7 +227,6 @@ class DoubleHashedKeyed(KeyedChoices):
             )
         self._f = make_hash_family(family, n, rng)
         self._g = make_hash_family(family, stride_range, rng)
-        self._ks = np.arange(self.d, dtype=np.int64)
 
     @property
     def distinct(self) -> bool:
@@ -234,26 +234,18 @@ class DoubleHashedKeyed(KeyedChoices):
         return True
 
     def choices(self, keys) -> np.ndarray:
-        """Row-major ``(len(keys), d)`` arithmetic progressions mod ``n``."""
-        keys = _as_key_array(keys)
-        n = self.n_bins
-        if n == 1:
-            return np.zeros((keys.size, self.d), dtype=np.int64)
-        f = np.asarray(self._f(keys), dtype=np.int64)
-        g = np.asarray(self._g(keys), dtype=np.int64)
-        if self._pow2:
-            stride = (g << 1) | 1
-            return (f[:, None] + stride[:, None] * self._ks) & (n - 1)
-        stride = g + 1
-        return (f[:, None] + stride[:, None] * self._ks) % n
+        """Row-major ``(len(keys), d)`` arithmetic progressions mod ``n``.
+
+        The transposed *view* of :meth:`choices_planar`.
+        """
+        return self.choices_planar(keys).T
 
     def choices_planar(self, keys) -> np.ndarray:
-        """Planar choices via the stride recurrence (no transpose, no mul).
+        """Planar ``(f + j·stride) mod n`` via the stride recurrence.
 
         Plane ``j`` is plane ``j-1`` plus the stride, wrapped — a mask
         for power-of-two ``n``, one conditional subtract for prime ``n``
         (the stride is below ``n``, so a single correction suffices).
-        Bit-identical to ``choices(keys).T``.
         """
         keys = _as_key_array(keys)
         n = self.n_bins

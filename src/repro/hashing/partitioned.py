@@ -11,7 +11,8 @@ Double-hashing variant: a ball draws ``f`` uniform on ``[0, n/d)`` and a
 stride ``g`` that is a unit mod ``n/d``; its candidate in subtable ``k`` is
 ``(f + k·g) mod (n/d)`` offset into that subtable.  This is the natural
 translation of the paper's ``h(j,k) = f(j) + k·g(j)`` to the partitioned
-layout: two hash values drive all ``d`` subtable positions.
+layout: two hash values drive all ``d`` subtable positions, built with
+the same stride recurrence as unpartitioned double hashing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.errors import SchemeError
 from repro.hashing.base import ChoiceScheme
+from repro.hashing.double_hashing import progressions
 from repro.numtheory import sample_units
 
 __all__ = ["PartitionedFullyRandom", "PartitionedDoubleHashing"]
@@ -71,21 +73,25 @@ class PartitionedDoubleHashing(_PartitionedScheme):
     is forced anyway).
     """
 
-    def __init__(self, n_bins: int, d: int) -> None:
-        super().__init__(n_bins, d)
-        self._ks = np.arange(d, dtype=np.int64)
-
     def batch(self, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Stride progressions across subtables with a shared ``(f, g)``."""
+        """The transposed *view* of :meth:`batch_planar` (same draws)."""
+        return self.batch_planar(trials, rng).T
+
+    def batch_planar(self, trials: int, rng: np.random.Generator) -> np.ndarray:
+        """Planar ``(d, trials)`` stride progressions with a shared ``(f, g)``.
+
+        Draws ``f`` then ``g`` (nothing when ``n/d == 1``); plane ``k``
+        is :func:`~repro.hashing.double_hashing.progressions` mod ``n/d``
+        plus subtable ``k``'s offset.
+        """
         size = self.subtable_size
+        offsets = self._offsets[:, None]
         if size == 1:
-            return np.broadcast_to(
-                self._offsets, (trials, self.d)
-            ).copy()
+            return np.broadcast_to(offsets, (self.d, trials)).copy()
         f = rng.integers(0, size, size=trials, dtype=np.int64)
-        g = sample_units(size, trials, rng)
-        local = (f[:, None] + g[:, None] * self._ks) % size
-        return local + self._offsets
+        planes = progressions(f, sample_units(size, trials, rng), size, self.d)
+        planes += offsets
+        return planes
 
     def describe(self) -> str:
         """Short human-readable label including the subtable geometry."""

@@ -1,8 +1,8 @@
 """Lightweight metrics and tracing for experiment runs.
 
-The resilient execution engine (:mod:`repro.parallel.engine`) and the
-experiment runner publish what they do — chunk wall-clocks, retry and
-timeout events, counter totals — into a :class:`MetricsRegistry`.  The
+The execution engine (:mod:`repro.parallel.engine`), the experiment
+runner and the kernels publish what they do — counter totals, timers,
+per-chunk records, time series — into a :class:`MetricsRegistry`.  The
 registry is deliberately tiny: plain dicts and lists, a context-manager
 timer, and a JSON snapshot, so a 10^4-trial sweep can be observed
 mid-flight without pulling in an external telemetry stack.
@@ -13,7 +13,7 @@ writes; see ``docs/engine.md`` for the field-by-field reference)::
     {
       "counters": {name: number, ...},
       "timers":   {name: {"count", "total", "min", "max", "mean"}, ...},
-      "chunks":   [{"index", "trials", "attempts", "seconds", "source"}, ...],
+      "chunks":   [{"index", "trials", "seconds", "source"}, ...],
       "events":   [{"kind", "time", ...extra fields}, ...],
       "series":   {name: [{"time", ...sample fields}, ...], ...}
     }
@@ -121,7 +121,7 @@ class MetricsRegistry:
     # -- events and chunk records ----------------------------------------
 
     def event(self, kind: str, **fields) -> None:
-        """Append a trace event (retry, timeout, degradation, ...)."""
+        """Append a timestamped trace event of the given ``kind``."""
         with self._lock:
             self._events.append({"kind": kind, "time": time.time(), **fields})
 
@@ -130,7 +130,6 @@ class MetricsRegistry:
         *,
         index: int,
         trials: int,
-        attempts: int,
         seconds: float,
         source: str,
     ) -> None:
@@ -143,7 +142,6 @@ class MetricsRegistry:
                 {
                     "index": index,
                     "trials": trials,
-                    "attempts": attempts,
                     "seconds": seconds,
                     "source": source,
                 }

@@ -3,15 +3,14 @@
 Follows the structure the HPC guides recommend for Python: vectorize inside
 a process (numpy lock-step trials), parallelize across processes with
 independent, deterministically spawned random streams.  The API mirrors an
-MPI scatter/gather over trial chunks but uses ``multiprocessing`` so the
-library has no extra dependencies.
+MPI scatter/gather over trial chunks but uses the standard library's
+``concurrent.futures`` so the library has no extra dependencies.
 
 :class:`~repro.parallel.engine.ExecutionEngine` is the one front door:
 ``map_chunks`` scatters trial chunks with spawned seed streams and
-gathers their results, adding per-chunk retries with exponential
-backoff, timeouts, graceful degradation to serial execution, JSONL
-checkpointing with resume, and metrics/progress instrumentation (see
-``docs/engine.md``).
+gathers their results, with JSONL checkpointing and metrics/progress
+instrumentation.  The first failure propagates with its own type, and
+rerunning with the checkpoint resumes the run (see ``docs/engine.md``).
 """
 
 from repro.parallel.engine import ChunkProgress, EngineConfig, ExecutionEngine

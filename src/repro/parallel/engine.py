@@ -1,27 +1,26 @@
-"""Resilient chunked execution engine: retries, checkpoints, metrics.
+"""Chunked execution engine: seeded chunks, checkpoints, metrics.
 
-:class:`ExecutionEngine` is the fault-tolerant chunk runner for the
-paper's 10^4-trial sweeps:
+:class:`ExecutionEngine` runs the paper's 10^4-trial sweeps in chunks:
 
-- **Fault tolerance** — each chunk is retried up to
-  :attr:`EngineConfig.max_retries` times with exponential backoff, and a
-  failed chunk is re-run on its *original* ``SeedSequence`` child, so the
-  aggregate result is bit-identical to an uninterrupted run with the same
-  root seed.  A per-chunk timeout (pooled mode) bounds the damage of a
-  hung worker, and any pool-level breakage degrades gracefully to serial
-  in-process execution of the remaining chunks.
-- **Checkpointing** — completed chunk summaries are appended to a JSONL
-  file as they finish; a re-run with the same geometry, chunking, and
-  seed skips the chunks already on disk.
-- **Observability** — every completion, retry, timeout, and degradation
-  is published to a :class:`~repro.metrics.MetricsRegistry`, and an
-  optional progress callback receives a :class:`ChunkProgress` per chunk.
+- **Determinism** — every chunk receives its own spawned
+  ``SeedSequence`` child, so a chunk's result is a function of the task,
+  its size and its child alone, and results are reproducible from the
+  root seed regardless of scheduling — the multiprocessing analogue of
+  MPI rank-indexed RNG streams.
+- **Fail fast** — nothing is retried, since rerunning a deterministic
+  chunk repeats its failure.  The first exception a chunk raises reaches
+  the caller with its own type; a killed pool worker raises
+  :class:`~concurrent.futures.process.BrokenProcessPool`.
+- **Checkpointing** — completed chunk results are appended to a JSONL
+  file as they finish; rerunning the same command skips the chunks
+  already on disk, so recovering from any failure is a rerun.
+- **Observability** — every completed chunk is recorded in a
+  :class:`~repro.metrics.MetricsRegistry`, and an optional progress
+  callback receives a :class:`ChunkProgress` per chunk.
 
 The work unit is ``func(task, chunk_trials, seed_seq)`` with a picklable
-``func``/``task``; every chunk receives its own spawned ``SeedSequence``
-child, so results are reproducible from the root seed regardless of
-scheduling — the multiprocessing analogue of MPI rank-indexed RNG
-streams.
+``func``/``task``.  Pooled mode runs it on a spawn-context
+:class:`~concurrent.futures.ProcessPoolExecutor`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ import json
 import multiprocessing as mp
 import time
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.metrics import MetricsRegistry
 from repro.rng import spawn_seeds
 
@@ -53,10 +54,6 @@ T = TypeVar("T")
 _CHECKPOINT_KIND = "repro-engine-checkpoint"
 _CHECKPOINT_VERSION = 1
 
-# Exceptions that mean the *pool* (not the chunk function) is unhealthy;
-# they trigger degradation to serial execution rather than a chunk retry.
-_POOL_FAILURES = (OSError, EOFError, mp.ProcessError)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -70,23 +67,12 @@ class EngineConfig:
     chunks:
         Chunk count; ``None`` defaults to the worker count (or 4 when
         serial, so the chunked code path is still exercised).
-    max_retries:
-        Extra attempts per chunk after the first failure.
-    retry_backoff:
-        Sleep before the first retry, in seconds; doubles per retry.
-    chunk_timeout:
-        Wall-clock bound per chunk in pooled mode.  A timeout terminates
-        the pool (a hung worker cannot be cancelled individually) and the
-        remaining chunks run serially.  Not enforced in serial mode.
     checkpoint_path:
-        JSONL file for chunk summaries; enables resume.
+        JSONL file for chunk results; enables resume.
     """
 
     workers: int | None = None
     chunks: int | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.25
-    chunk_timeout: float | None = None
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -94,18 +80,6 @@ class EngineConfig:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
         if self.chunks is not None and self.chunks < 1:
             raise ConfigurationError(f"chunks must be positive, got {self.chunks}")
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ConfigurationError(
-                f"chunk_timeout must be positive, got {self.chunk_timeout}"
-            )
 
 
 @dataclass(frozen=True)
@@ -170,9 +144,7 @@ def _checkpoint_header(trials: int, chunks: int, seed: int | None) -> dict:
     }
 
 
-def _load_checkpoint(
-    path: Path, *, trials: int, chunks: int, seed: int | None
-) -> list[dict] | None:
+def _load_checkpoint(path: Path, expected: dict) -> list[dict] | None:
     """Read completed-chunk records; ``None`` when no file exists yet.
 
     A header mismatch (different geometry, chunking, or seed) raises —
@@ -197,7 +169,6 @@ def _load_checkpoint(
         records.append(payload)
     if header is None:
         return None  # empty file: treat as fresh
-    expected = _checkpoint_header(trials, chunks, seed)
     if header != expected:
         raise ConfigurationError(
             f"checkpoint {path} was written by a different run "
@@ -207,55 +178,32 @@ def _load_checkpoint(
     return records
 
 
-class _CheckpointWriter:
-    """Append-only JSONL writer; writes the header on a fresh file."""
+def _terminate(pool: ProcessPoolExecutor) -> None:
+    """Cancel a failed run's queued chunks and stop its running ones.
 
-    def __init__(
-        self,
-        path: Path,
-        *,
-        trials: int,
-        chunks: int,
-        seed: int | None,
-        fresh: bool,
-    ) -> None:
-        self._path = path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if fresh:
-            path.write_text(
-                json.dumps(_checkpoint_header(trials, chunks, seed)) + "\n"
-            )
-
-    def append(self, record: dict) -> None:
-        with self._path.open("a") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
-
-
-def _invoke(args: tuple) -> Any:
-    """Unpack one job tuple: ``(func, task, trials, seed_seq[, offset])``.
-
-    The optional fifth element is the chunk's global trial offset
-    (``map_chunks(..., offsets=True)``), used by trial-indexed work such
-    as the parallel-trials mode.
+    This is what ``terminate_workers()`` does from Python 3.14 on; before
+    it, the executor has no public way to stop a call that has started,
+    and interpreter exit would wait for every running chunk.
     """
-    func, task, chunk_trials, seed_seq, *rest = args
-    return func(task, chunk_trials, seed_seq, *rest)
+    processes = list(pool._processes.values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
 
 
 # -- the engine -----------------------------------------------------------
 
 
 class ExecutionEngine:
-    """Fault-tolerant, checkpointed, instrumented chunk runner.
+    """Checkpointed, instrumented chunk runner that fails fast.
 
     Parameters
     ----------
     config:
         Execution policy; defaults to :class:`EngineConfig` defaults.
     metrics:
-        Registry receiving counters, timers, chunk records, and events;
-        a private one is created when omitted (reachable via ``.metrics``).
+        Registry receiving counters, timers, and chunk records; a
+        private one is created when omitted (reachable via ``.metrics``).
     progress:
         Optional callable receiving a :class:`ChunkProgress` after every
         chunk completion (including checkpoint restores).
@@ -283,13 +231,18 @@ class ExecutionEngine:
     ) -> list[T]:
         """Run ``func`` over partitioned trials; one result per chunk.
 
-        Results are returned in chunk order regardless of scheduling,
-        retries, or checkpoint restores, so aggregation downstream is
-        deterministic given the root ``seed``.  With ``offsets=True``
-        each call also receives the chunk's global trial offset as a
-        fourth argument — ``func(task, chunk_trials, seed_seq, offset)``
-        — so trial-indexed work (parallel-trials mode) addresses the
-        same per-trial streams under any chunking.
+        Results are returned in chunk order regardless of scheduling or
+        checkpoint restores, so aggregation downstream is deterministic
+        given the root ``seed``.  With ``offsets=True`` each call also
+        receives the chunk's global trial offset as a fourth argument —
+        ``func(task, chunk_trials, seed_seq, offset)`` — so trial-indexed
+        work (parallel-trials mode) addresses the same per-trial streams
+        under any chunking.
+
+        Serial mode calls each pending chunk once in-process; pooled mode
+        submits them all and checkpoints each result as it completes.
+        Either way the first exception propagates unchanged, after the
+        chunks completed before it are on disk.
         """
         from repro.parallel.pool import default_workers, partition_trials
 
@@ -302,275 +255,88 @@ class ExecutionEngine:
         )
         sizes = [s for s in partition_trials(trials, chunk_count) if s > 0]
         seeds = spawn_seeds(seed, len(sizes))
-        if offsets:
-            starts = [0] * len(sizes)
-            for i in range(1, len(sizes)):
-                starts[i] = starts[i - 1] + sizes[i - 1]
-            jobs = [
-                (func, task, size, s, off)
-                for size, s, off in zip(sizes, seeds, starts)
-            ]
-        else:
-            jobs = [(func, task, size, s) for size, s in zip(sizes, seeds)]
+        starts = accumulate(sizes, initial=0)
+        jobs = [
+            (task, size, child, start) if offsets else (task, size, child)
+            for size, child, start in zip(sizes, seeds, starts)
+        ]
         total = len(jobs)
         self.metrics.increment("engine.chunks_total", total)
-        # Pre-register the fault counters so every snapshot has a stable
-        # schema, retries or not.
-        for counter in (
-            "engine.retries",
-            "engine.timeouts",
-            "engine.serial_fallbacks",
-            "engine.chunks_resumed",
-        ):
-            self.metrics.increment(counter, 0)
+        # Pre-registered so every snapshot has the counter, resumed or not.
+        self.metrics.increment("engine.chunks_resumed", 0)
 
         results: list[Any] = [None] * total
-        done = [False] * total
-        self._done_count = 0
-        self._writer = None
+        done = 0
+        path = None if cfg.checkpoint_path is None else Path(cfg.checkpoint_path)
 
-        if cfg.checkpoint_path is not None:
-            path = Path(cfg.checkpoint_path)
-            restored = _load_checkpoint(
-                path, trials=trials, chunks=total, seed=seed
+        def complete(index: int, result: Any, seconds: float, source: str) -> None:
+            nonlocal done
+            done += 1
+            results[index] = result
+            size = jobs[index][1]
+            self.metrics.record_chunk(
+                index=index, trials=size, seconds=seconds, source=source
             )
-            for record in restored or []:
-                index = record["index"]
-                if 0 <= index < total and not done[index]:
-                    results[index] = decode_result(record["result"])
-                    done[index] = True
-                    self._complete(
-                        index,
-                        trials=record["trials"],
-                        attempts=0,
-                        seconds=0.0,
-                        source="checkpoint",
+            if source != "checkpoint":
+                self.metrics.observe("engine.chunk_seconds", seconds)
+                if path is not None:
+                    record = {
+                        "index": index,
+                        "trials": size,
+                        "seconds": seconds,
+                        "result": encode_result(result),
+                    }
+                    with path.open("a") as fh:
+                        fh.write(json.dumps(record) + "\n")
+            if self.progress is not None:
+                self.progress(
+                    ChunkProgress(
+                        index=index,
+                        done=done,
                         total=total,
-                        write=False,
+                        trials=size,
+                        seconds=seconds,
+                        source=source,
                     )
-                    self.metrics.increment("engine.chunks_resumed")
-            self._writer = _CheckpointWriter(
-                path,
-                trials=trials,
-                chunks=total,
-                seed=seed,
-                fresh=restored is None,
-            )
+                )
 
-        pending = [i for i in range(total) if not done[i]]
-        if not pending:
-            return results
+        restored: set[int] = set()
+        if path is not None:
+            header = _checkpoint_header(trials, total, seed)
+            records = _load_checkpoint(path, header)
+            if records is None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(header) + "\n")
+            for record in records or []:
+                index = record["index"]
+                if 0 <= index < total and index not in restored:
+                    restored.add(index)
+                    complete(index, decode_result(record["result"]), 0.0, "checkpoint")
+                    self.metrics.increment("engine.chunks_resumed")
+
+        pending = [i for i in range(total) if i not in restored]
         if workers > 1 and len(pending) > 1:
-            self._run_pooled(workers, pending, jobs, results, total)
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(pending)),
+                mp_context=mp.get_context("spawn"),
+            )
+            try:
+                futures = {pool.submit(func, *jobs[i]): i for i in pending}
+                # A pooled chunk's seconds run from the previous completion,
+                # so they add up to the pool's wall clock.
+                start = time.perf_counter()
+                for future in as_completed(futures):
+                    result = future.result()  # re-raises the chunk's error
+                    now = time.perf_counter()
+                    complete(futures[future], result, now - start, "pool")
+                    start = now
+            except BaseException:
+                _terminate(pool)
+                raise
+            pool.shutdown()
         else:
             for index in pending:
-                results[index] = self._run_serial(
-                    index, jobs[index], cfg.max_retries + 1, total
-                )
-        return results
-
-    # -- completion bookkeeping ------------------------------------------
-
-    def _complete(
-        self,
-        index: int,
-        *,
-        trials: int,
-        attempts: int,
-        seconds: float,
-        source: str,
-        total: int,
-        result: Any = None,
-        write: bool = True,
-    ) -> None:
-        self._done_count += 1
-        self.metrics.record_chunk(
-            index=index,
-            trials=trials,
-            attempts=attempts,
-            seconds=seconds,
-            source=source,
-        )
-        if write and self._writer is not None:
-            self._writer.append(
-                {
-                    "index": index,
-                    "trials": trials,
-                    "attempts": attempts,
-                    "seconds": seconds,
-                    "result": encode_result(result),
-                }
-            )
-        if self.progress is not None:
-            self.progress(
-                ChunkProgress(
-                    index=index,
-                    done=self._done_count,
-                    total=total,
-                    trials=trials,
-                    seconds=seconds,
-                    source=source,
-                )
-            )
-
-    # -- serial execution (also the degradation target) ------------------
-
-    def _run_serial(self, index: int, job: tuple, budget: int, total: int) -> Any:
-        """Run one chunk in-process with up to ``budget`` attempts."""
-        if budget < 1:
-            raise SimulationError(
-                f"chunk {index} exhausted its retry budget before serial re-run"
-            )
-        cfg = self.config
-        delay = cfg.retry_backoff
-        start = time.perf_counter()
-        for attempt in range(1, budget + 1):
-            try:
-                with self.metrics.timer("engine.chunk_seconds"):
-                    result = _invoke(job)
-            except Exception as exc:
-                self.metrics.event(
-                    "chunk-error",
-                    chunk=index,
-                    attempt=attempt,
-                    error=repr(exc),
-                    where="serial",
-                )
-                if attempt == budget:
-                    raise SimulationError(
-                        f"chunk {index} failed after {attempt} attempt(s): {exc!r}"
-                    ) from exc
-                self.metrics.increment("engine.retries")
-                if delay > 0:
-                    time.sleep(delay)
-                delay *= 2
-            else:
-                elapsed = time.perf_counter() - start
-                self._complete(
-                    index,
-                    trials=job[2],
-                    attempts=attempt,
-                    seconds=elapsed,
-                    source="serial",
-                    total=total,
-                    result=result,
-                )
-                return result
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    # -- pooled execution -------------------------------------------------
-
-    def _run_pooled(
-        self,
-        workers: int,
-        pending: list[int],
-        jobs: list[tuple],
-        results: list[Any],
-        total: int,
-    ) -> None:
-        cfg = self.config
-        ctx = mp.get_context("spawn")
-        pool = ctx.Pool(processes=min(workers, len(pending)))
-        degraded = False
-        try:
-            asyncs = {i: pool.apply_async(_invoke, (jobs[i],)) for i in pending}
-            for index in pending:
-                if degraded:
-                    results[index] = self._run_serial(
-                        index, jobs[index], cfg.max_retries + 1, total
-                    )
-                    continue
-                attempts = 0
-                delay = cfg.retry_backoff
                 start = time.perf_counter()
-                while True:
-                    attempts += 1
-                    try:
-                        result = asyncs[index].get(timeout=cfg.chunk_timeout)
-                    except mp.TimeoutError:
-                        self.metrics.increment("engine.timeouts")
-                        self.metrics.event(
-                            "chunk-timeout",
-                            chunk=index,
-                            attempt=attempts,
-                            timeout=cfg.chunk_timeout,
-                        )
-                        # A hung pool worker cannot be cancelled on its
-                        # own: tear the pool down and finish serially.
-                        degraded = self._degrade(pool, "timeout")
-                        results[index] = self._run_serial(
-                            index,
-                            jobs[index],
-                            cfg.max_retries + 1 - attempts,
-                            total,
-                        )
-                        break
-                    except _POOL_FAILURES as exc:
-                        self.metrics.event(
-                            "pool-failure", chunk=index, error=repr(exc)
-                        )
-                        degraded = self._degrade(pool, "pool-failure")
-                        results[index] = self._run_serial(
-                            index,
-                            jobs[index],
-                            cfg.max_retries + 2 - attempts,
-                            total,
-                        )
-                        break
-                    except Exception as exc:
-                        # The chunk function raised inside a healthy
-                        # worker: retry on the same seed child.
-                        self.metrics.event(
-                            "chunk-error",
-                            chunk=index,
-                            attempt=attempts,
-                            error=repr(exc),
-                            where="pool",
-                        )
-                        if attempts > cfg.max_retries:
-                            raise SimulationError(
-                                f"chunk {index} failed after {attempts} "
-                                f"attempt(s): {exc!r}"
-                            ) from exc
-                        self.metrics.increment("engine.retries")
-                        if delay > 0:
-                            time.sleep(delay)
-                        delay *= 2
-                        try:
-                            asyncs[index] = pool.apply_async(
-                                _invoke, (jobs[index],)
-                            )
-                        except Exception:
-                            degraded = self._degrade(pool, "resubmit-failure")
-                            results[index] = self._run_serial(
-                                index,
-                                jobs[index],
-                                cfg.max_retries + 1 - attempts,
-                                total,
-                            )
-                            break
-                    else:
-                        elapsed = time.perf_counter() - start
-                        results[index] = result
-                        self.metrics.observe("engine.chunk_seconds", elapsed)
-                        self._complete(
-                            index,
-                            trials=jobs[index][2],
-                            attempts=attempts,
-                            seconds=elapsed,
-                            source="pool",
-                            total=total,
-                            result=result,
-                        )
-                        break
-        finally:
-            pool.terminate()
-            pool.join()
-
-    def _degrade(self, pool, reason: str) -> bool:
-        """Tear down a sick pool; remaining chunks run serially."""
-        self.metrics.increment("engine.serial_fallbacks")
-        self.metrics.event("degraded-to-serial", reason=reason)
-        pool.terminate()
-        pool.join()
-        return True
+                result = func(*jobs[index])
+                complete(index, result, time.perf_counter() - start, "serial")
+        return results

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.certify.tiers import CertificationTier, TableRun
@@ -158,6 +160,46 @@ class TestSchemesCertifier:
 
     def test_document_is_schema_valid(self, schemes_cert):
         assert validate_certification(schemes_cert.to_dict()) == []
+
+
+class TestTable1NegativeControl:
+    """Table 1's checks can fail: double hashing collapsed to one bin per
+    ball (stride g ≡ 0) is the one-choice process.  At the micro tier's
+    Table 1 geometry it misses the double load 0, 1 and 3 anchors, the
+    chi-square equivalence and the max-load bootstrap.  The load 2 anchor
+    still passes: one choice puts e^−1/2 ≈ 0.184 of the bins there,
+    close to d = 3's 0.176."""
+
+    @pytest.fixture(scope="class")
+    def collapsed_cert(self):
+        from repro.certify.runner import run_certification
+        from repro.experiments import tables
+        from tests.kernels.test_supermarket_backends import (
+            CollapsedDoubleHashing,
+        )
+
+        tier = dataclasses.replace(
+            MICRO_TIER, name="micro-table1", runs=MICRO_TIER.runs[:1]
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "DoubleHashingChoices", CollapsedDoubleHashing)
+            return run_certification(tier, backend="numpy", workers=1)
+
+    def test_fails_exactly_the_double_checks(self, collapsed_cert):
+        verdicts = {c.check_id: c.passed for c in collapsed_cert.checks}
+        assert verdicts == {
+            "anchor:d3:table1/d3/random/load0": True,
+            "anchor:d3:table1/d3/random/load1": True,
+            "anchor:d3:table1/d3/random/load2": True,
+            "anchor:d3:table1/d3/random/load3": True,
+            "anchor:d3:table1/d3/double/load0": False,
+            "anchor:d3:table1/d3/double/load1": False,
+            "anchor:d3:table1/d3/double/load2": True,
+            "anchor:d3:table1/d3/double/load3": False,
+            "equivalence:table1/d3:chi2": False,
+            "bootstrap:table1/d3:max-load": False,
+        }
+        assert not collapsed_cert.passed
 
 
 TABLE8_TIER = CertificationTier(

@@ -189,6 +189,8 @@ class TestExecution:
             ["table7", "--progress"],
             ["table4", "--n", "64"],
             ["table3", "--n", "64"],
+            ["table1", "--retries", "1"],
+            ["table1", "--chunk-timeout", "5"],
         ],
         ids=lambda argv: "-".join(argv),
     )

@@ -46,10 +46,10 @@ class TestSpec:
             {"tie_break": "nope"},
             {"block": 0},
             {"workers": -1},
-            {"max_retries": -1},
-            {"chunk_timeout": -2.0},
             {"backend": "fortran"},
             {"backend": "numba"},
+            {"n_balls": 0},
+            {"chunks": 0},
         ],
     )
     def test_validation(self, bad):
@@ -66,13 +66,9 @@ class TestSpec:
         assert ExperimentSpec().block == DEFAULT_BLOCK
 
     def test_engine_config_mirrors_spec(self):
-        spec = ExperimentSpec(
-            workers=3, chunks=7, max_retries=5, chunk_timeout=9.0,
-            checkpoint="/tmp/x.jsonl",
-        )
+        spec = ExperimentSpec(workers=3, chunks=7, checkpoint="/tmp/x.jsonl")
         cfg = spec.engine_config()
-        assert (cfg.workers, cfg.chunks, cfg.max_retries) == (3, 7, 5)
-        assert cfg.chunk_timeout == 9.0
+        assert (cfg.workers, cfg.chunks) == (3, 7)
         assert cfg.checkpoint_path == "/tmp/x.jsonl"
 
     def test_top_level_reexports(self):
@@ -155,8 +151,8 @@ class TestTableShims:
 class TestCliSpecDefaults:
     RUN = {"n", "d", "trials", "seed"}
     ENGINE = {
-        "workers", "chunks", "block", "trials_mode", "retries",
-        "chunk_timeout", "checkpoint", "metrics_out", "progress",
+        "workers", "chunks", "block", "trials_mode", "checkpoint",
+        "metrics_out", "progress",
     }
     # Exactly the flags each table function reads.
     FLAGS = {
@@ -179,20 +175,16 @@ class TestCliSpecDefaults:
             for dest, value in args.items():
                 if dest in ("command", "metrics_out", "progress"):
                     continue
-                field = "max_retries" if dest == "retries" else dest
-                assert value == getattr(spec, field), (name, dest)
+                assert value == getattr(spec, dest), (name, dest)
 
     def test_engine_flags_parse(self):
         args = build_parser().parse_args(
             [
                 "table1", "--n", "128", "--trials", "4",
-                "--retries", "5", "--chunk-timeout", "30",
                 "--checkpoint", "/tmp/c.jsonl", "--metrics-out", "/tmp/m.json",
                 "--progress", "--chunks", "2",
             ]
         )
-        assert args.retries == 5
-        assert args.chunk_timeout == 30.0
         assert args.checkpoint == "/tmp/c.jsonl"
         assert args.metrics_out == "/tmp/m.json"
         assert args.progress is True
@@ -227,7 +219,7 @@ class TestCliSpecDefaults:
         ) == 0
         data = json.loads(path.read_text())
         assert data["counters"]["engine.chunks_total"] > 0
-        assert "engine.retries" in data["counters"]
+        assert data["counters"]["engine.chunks_resumed"] == 0
         assert all("seconds" in c for c in data["chunks"])
 
     def test_checkpoint_resume_end_to_end(self, tmp_path, capsys):

@@ -219,19 +219,23 @@ class TestDoubleHashingStructure:
 
     def test_batch_planar_matches_batch(self):
         """The planar (d, trials) layout is the transposed row layout for
-        the same generator state: double hashing's own recurrence, and
-        every scheme on the base class's transposing default."""
-        for n, d in ((2, 2), (31, 3), (64, 3)):
-            scheme = DoubleHashingChoices(n, d)
+        the same generator state: double hashing's own recurrence (plain
+        and d-left), and every scheme on the base class's transposing
+        default."""
+        for scheme in (
+            DoubleHashingChoices(2, 2),
+            DoubleHashingChoices(31, 3),
+            DoubleHashingChoices(64, 3),
+            PartitionedDoubleHashing(64, 4),
+        ):
             rows = scheme.batch(300, np.random.default_rng(7))
             planes = scheme.batch_planar(300, np.random.default_rng(7))
-            assert planes.shape == (d, 300)
+            assert planes.shape == (scheme.d, 300)
             assert np.array_equal(planes, rows.T)
         for scheme in (
             FullyRandomChoices(16, 4),
             FullyRandomChoices(16, 4, replacement=True),
             PartitionedFullyRandom(64, 4),
-            PartitionedDoubleHashing(64, 4),
             BlockChoices(64, 4),
         ):
             assert type(scheme).batch_planar is ChoiceScheme.batch_planar
@@ -254,6 +258,32 @@ class TestPartitionedStructure:
         scheme = PartitionedDoubleHashing(4, 4)
         out = scheme.batch(10, rng)
         assert np.array_equal(out, np.tile([0, 1, 2, 3], (10, 1)))
+
+    @pytest.mark.parametrize(
+        "n", [4, 28, 64, 60], ids=["size1", "prime", "pow2", "composite"]
+    )
+    def test_double_is_the_broadcast_formula(self, n):
+        """Same draws, values and generator state as ``(f + g·k) mod (n/d)``
+        built with a broadcast multiply, plus subtable ``k``'s offset."""
+        d, trials = 4, 500
+        size = n // d
+        scheme = PartitionedDoubleHashing(n, d)
+        twin = np.random.default_rng(3)
+        if size == 1:
+            local = np.zeros((trials, d), dtype=np.int64)
+        else:
+            f = twin.integers(0, size, size=trials, dtype=np.int64)
+            g = sample_units(size, trials, twin)
+            local = (f[:, None] + g[:, None] * np.arange(d)) % size
+        expected = local + np.arange(d) * size
+        for planar in (False, True):
+            rng = np.random.default_rng(3)
+            if planar:
+                out = scheme.batch_planar(trials, rng).T
+            else:
+                out = scheme.batch(trials, rng)
+            assert np.array_equal(out, expected)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_partitioned_double_progression_within_subtables(self, rng):
         scheme = PartitionedDoubleHashing(40, 4)  # subtables of 10

@@ -60,8 +60,19 @@ class TestVectorizedMatchesScalar:
         assert int(out[0]) == h.scalar(key)
 
 
+def _double_hashed_formula(keyed, keys):
+    """``(f + k·stride) mod n`` from ``keyed``'s own hashes, with a
+    broadcast multiply and a modulo: the definition its recurrence builds."""
+    n = keyed.n_bins
+    f = np.asarray(keyed._f(keys), dtype=np.int64)
+    g = np.asarray(keyed._g(keys), dtype=np.int64)
+    stride = 2 * g + 1 if n & (n - 1) == 0 else g + 1
+    return (f[:, None] + stride[:, None] * np.arange(keyed.d)) % n
+
+
 class TestPlanarIdentity:
-    """``choices_planar`` is exactly ``choices(keys).T`` for every scheme."""
+    """``choices_planar`` is exactly ``choices(keys).T`` for every scheme;
+    keyed double hashing's both layouts equal its broadcast formula."""
 
     @pytest.mark.parametrize("family", ["multiply-shift", "tabulation",
                                         "pairwise", "universal"])
@@ -91,9 +102,23 @@ class TestPlanarIdentity:
         keys = np.random.default_rng(11).integers(
             0, 1 << 63, size=5000, dtype=np.int64
         )
-        assert np.array_equal(
-            keyed.choices_planar(keys), keyed.choices(keys).T
+        expected = _double_hashed_formula(keyed, keys)
+        assert np.array_equal(keyed.choices(keys), expected)
+        assert np.array_equal(keyed.choices_planar(keys), expected.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_double_hashed_keyed_small_n(self, n):
+        """Small tables hit every wrap of the recurrence (a plane sum of
+        exactly ``n`` included); ``n = 1`` takes the no-hash branch."""
+        keyed = DoubleHashedKeyed(
+            n, min(n, 4), family="tabulation", rng=np.random.default_rng(10)
         )
+        keys = np.random.default_rng(11).integers(
+            0, 1 << 63, size=2000, dtype=np.int64
+        )
+        expected = _double_hashed_formula(keyed, keys)
+        assert np.array_equal(keyed.choices(keys), expected)
+        assert np.array_equal(keyed.choices_planar(keys), expected.T)
 
     def test_stream_scheme_planar_same_key_draw(self):
         keyed = IndependentKeyed(
@@ -119,5 +144,5 @@ class TestPlanarIdentity:
             0, 1 << 63, size=500, dtype=np.int64
         )
         assert np.array_equal(
-            keyed.choices_planar(keys), keyed.choices(keys).T
+            keyed.choices_planar(keys), _double_hashed_formula(keyed, keys).T
         )

@@ -74,11 +74,17 @@ BACKENDS = ["reference", "numpy"]
 
 class CollapsedDoubleHashing(DoubleHashingChoices):
     """Double hashing with stride ``g ≡ 0``: an arrival's ``d`` choices
-    are one queue, the worst case for windowed commits."""
+    are one queue, the worst case for windowed commits, and a ball's
+    ``d`` choices are one bin, the one-choice process.  Both layouts are
+    overridden, since the placement kernel's generic path reads
+    ``batch_planar``."""
 
     def batch(self, trials: int, rng: np.random.Generator) -> np.ndarray:
+        return self.batch_planar(trials, rng).T
+
+    def batch_planar(self, trials: int, rng: np.random.Generator) -> np.ndarray:
         f = rng.integers(0, self.n_bins, size=trials, dtype=np.int64)
-        return np.repeat(f[:, None], self.d, axis=1)
+        return np.repeat(f[None, :], self.d, axis=0)
 
 
 def _case_run(case: dict) -> SupermarketRun:

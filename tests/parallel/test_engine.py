@@ -1,17 +1,16 @@
-"""Tests for the resilient execution engine: retries, checkpoints, metrics."""
+"""Tests for the execution engine: fail fast, checkpoints, resume, metrics."""
 
 from __future__ import annotations
 
 import json
 import os
-import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.core import run_experiment
-from repro.core.runner import _ChunkTask, _run_chunk
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentSpec
 from repro.hashing import DoubleHashingChoices
 from repro.metrics import MetricsRegistry
@@ -30,20 +29,6 @@ def _histogram_chunk(task, chunk_trials, seed_seq):
     return rng.integers(0, 100, size=(chunk_trials, 4))
 
 
-def _flaky_chunk(task, chunk_trials, seed_seq):
-    """Fails the first time each chunk runs (marker files track calls),
-    succeeds on retry with the same seed stream."""
-    marker = os.path.join(task["dir"], "-".join(map(str, seed_seq.spawn_key)))
-    if not os.path.exists(marker):
-        open(marker, "w").close()
-        raise RuntimeError("injected first-call failure")
-    return _echo_chunk(task["inner"], chunk_trials, seed_seq)
-
-
-def _always_fails(task, chunk_trials, seed_seq):
-    raise RuntimeError("permanent failure")
-
-
 def _fails_from_index(task, chunk_trials, seed_seq):
     """Succeeds for chunks whose marker says "done already", fails for the
     rest — used to interrupt a checkpointed sweep partway."""
@@ -53,23 +38,39 @@ def _fails_from_index(task, chunk_trials, seed_seq):
     raise RuntimeError(f"injected failure for {key}")
 
 
-def _sleepy_chunk(task, chunk_trials, seed_seq):
-    """Sleeps well past the timeout on its first execution only."""
-    flag = task["flag"]
-    if not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(10)
+def _config_error_chunk(task, chunk_trials, seed_seq):
+    """Chunk 0 logs each call to a marker file and raises a
+    ``ConfigurationError``; the other chunks succeed."""
+    if seed_seq.spawn_key != (0,):
+        return _echo_chunk("x", chunk_trials, seed_seq)
+    with open(task, "a") as fh:
+        fh.write("call\n")
+    raise ConfigurationError("injected configuration error")
+
+
+def _exits_on_first_run(task, chunk_trials, seed_seq):
+    """Chunk 2 kills its worker process the first time it runs (a marker
+    file in directory ``task`` remembers); otherwise an echo chunk."""
+    marker = os.path.join(task, "exited")
+    if seed_seq.spawn_key == (2,) and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(3)
     return _echo_chunk("x", chunk_trials, seed_seq)
 
 
-def _flaky_experiment_chunk(task, chunk_trials, seed_seq):
-    """run_experiment's real chunk body wrapped with one injected failure."""
-    inner, fail_dir = task
-    marker = os.path.join(fail_dir, "-".join(map(str, seed_seq.spawn_key)))
-    if not os.path.exists(marker):
-        open(marker, "w").close()
-        raise RuntimeError("injected failure")
-    return _run_chunk(inner, chunk_trials, seed_seq)
+class _ExitsOnceScheme(DoubleHashingChoices):
+    """Double hashing whose first batch kills the process it runs in, once
+    per ``marker`` file; afterwards it is plain double hashing."""
+
+    def __init__(self, n_bins, d, marker):
+        super().__init__(n_bins, d)
+        self.marker = marker
+
+    def batch_planar(self, trials, rng):
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(3)
+        return super().batch_planar(trials, rng)
 
 
 class TestEdgeCases:
@@ -85,11 +86,7 @@ class TestEdgeCases:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            EngineConfig(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(chunk_timeout=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(retry_backoff=-0.1)
+            EngineConfig(workers=-1)
         with pytest.raises(ConfigurationError):
             EngineConfig(chunks=0)
 
@@ -107,90 +104,52 @@ class TestEdgeCases:
         assert engine.map_chunks(_echo_chunk, "t", 10, seed=3) == plain
 
 
-class TestRetries:
-    def test_serial_retry_bit_identical(self, tmp_path):
+class TestFailFast:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_error_propagates_unwrapped(self, tmp_path, workers):
+        calls = tmp_path / "calls"
+        engine = ExecutionEngine(EngineConfig(workers=workers, chunks=4))
+        with pytest.raises(ConfigurationError, match="injected configuration"):
+            engine.map_chunks(_config_error_chunk, str(calls), 8, seed=1)
+        assert calls.read_text() == "call\n"  # ran once: nothing retries
+
+    def test_killed_worker_raises_and_rerun_resumes(self, tmp_path):
         clean = ExecutionEngine(EngineConfig(workers=1, chunks=4)).map_chunks(
-            _echo_chunk, "inner", 10, seed=7
+            _echo_chunk, "x", 8, seed=11
         )
-        engine = ExecutionEngine(
-            EngineConfig(workers=1, chunks=4, retry_backoff=0.0)
-        )
-        flaky = engine.map_chunks(
-            _flaky_chunk, {"dir": str(tmp_path), "inner": "inner"}, 10, seed=7
-        )
-        assert flaky == clean
-        assert engine.metrics.get_counter("engine.retries") == 4
-        assert all(c["attempts"] == 2 for c in engine.metrics.chunks)
-
-    def test_pooled_retry_bit_identical(self, tmp_path):
-        clean = ExecutionEngine(EngineConfig(workers=1, chunks=4)).map_chunks(
-            _echo_chunk, "inner", 8, seed=11
-        )
-        engine = ExecutionEngine(
-            EngineConfig(workers=2, chunks=4, retry_backoff=0.0)
-        )
-        flaky = engine.map_chunks(
-            _flaky_chunk, {"dir": str(tmp_path), "inner": "inner"}, 8, seed=11
-        )
-        assert flaky == clean
-        assert engine.metrics.get_counter("engine.retries") == 4
-
-    def test_retry_budget_exhausted_raises(self):
-        engine = ExecutionEngine(
-            EngineConfig(workers=1, chunks=2, max_retries=1, retry_backoff=0.0)
-        )
-        with pytest.raises(SimulationError, match="after 2 attempt"):
-            engine.map_chunks(_always_fails, None, 4, seed=1)
-        assert engine.metrics.get_counter("engine.retries") == 1
-        assert len(engine.metrics.events) >= 2
-
-    def test_experiment_with_injected_failure_bit_identical(self, tmp_path):
-        """Acceptance: a chunk failing mid-run retries on its original seed
-        child and the final distribution is bit-identical to a clean run."""
-        spec = ExperimentSpec(n=256, d=3, trials=20, seed=5, chunks=4)
-        clean = run_experiment(DoubleHashingChoices(256, 3), spec)
-
-        inner = _ChunkTask(
-            scheme=DoubleHashingChoices(256, 3),
-            n_balls=256,
-            tie_break="random",
-            block=spec.block,
-        )
-        engine = ExecutionEngine(
-            EngineConfig(workers=1, chunks=4, retry_backoff=0.0)
-        )
-        histograms = engine.map_chunks(
-            _flaky_experiment_chunk, (inner, str(tmp_path)), 20, seed=5
-        )
-        from repro.core.stats import StreamingLoadAggregator
-
-        agg = StreamingLoadAggregator(n_bins=256, n_balls=256)
-        for hist in histograms:
-            agg.update_histograms(hist)
-        assert engine.metrics.get_counter("engine.retries") == 4
-        assert np.array_equal(
-            agg.distribution().counts, clean.distribution.counts
-        )
-
-
-class TestTimeout:
-    def test_timeout_degrades_to_serial_and_matches(self, tmp_path):
-        clean = ExecutionEngine(EngineConfig(workers=1, chunks=4)).map_chunks(
-            _echo_chunk, "x", 8, seed=13
-        )
-        engine = ExecutionEngine(
-            EngineConfig(
-                workers=2, chunks=4, chunk_timeout=0.5, retry_backoff=0.0
+        path = tmp_path / "ck.jsonl"
+        cfg = EngineConfig(workers=2, chunks=4, checkpoint_path=path)
+        task = str(tmp_path)
+        with pytest.raises(BrokenProcessPool):
+            ExecutionEngine(cfg).map_chunks(
+                _exits_on_first_run, task, 8, seed=11
             )
-        )
-        got = engine.map_chunks(
-            _sleepy_chunk, {"flag": str(tmp_path / "flag")}, 8, seed=13
-        )
-        assert got == clean
-        assert engine.metrics.get_counter("engine.timeouts") == 1
-        assert engine.metrics.get_counter("engine.serial_fallbacks") == 1
-        assert any(
-            e["kind"] == "degraded-to-serial" for e in engine.metrics.events
+        written = len(path.read_text().splitlines()) - 1  # minus the header
+        engine = ExecutionEngine(cfg)
+        assert engine.map_chunks(_exits_on_first_run, task, 8, seed=11) == clean
+        resumed = engine.metrics.get_counter("engine.chunks_resumed")
+        assert resumed == written < 4  # the killed chunk never completed
+        # The rerun checkpointed the rest: a third run restores them all.
+        third = ExecutionEngine(cfg)
+        assert third.map_chunks(_exits_on_first_run, task, 8, seed=11) == clean
+        assert third.metrics.get_counter("engine.chunks_resumed") == 4
+
+    def test_experiment_rerun_resumes_bit_identical(self, tmp_path):
+        """A pooled run_experiment sweep whose worker dies fails; a rerun
+        with its checkpoint (serial, to skip a second pool start-up) gives
+        the clean run's distribution."""
+        spec = ExperimentSpec(n=256, d=3, trials=20, seed=5, chunks=4)
+        done = tmp_path / "done"
+        done.touch()
+        clean = run_experiment(_ExitsOnceScheme(256, 3, str(done)), spec)
+
+        scheme = _ExitsOnceScheme(256, 3, str(tmp_path / "exited"))
+        failing = spec.replace(workers=2, checkpoint=str(tmp_path / "ck.jsonl"))
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(scheme, failing)
+        resumed = run_experiment(scheme, failing, workers=1)
+        assert np.array_equal(
+            resumed.distribution.counts, clean.distribution.counts
         )
 
 
@@ -220,12 +179,9 @@ class TestCheckpoint:
             "-".join(map(str, s.spawn_key)) for s in spawn_seeds(4, 4)
         ]
         broken = ExecutionEngine(
-            EngineConfig(
-                workers=1, chunks=4, max_retries=0, retry_backoff=0.0,
-                checkpoint_path=path,
-            )
+            EngineConfig(workers=1, chunks=4, checkpoint_path=path)
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(RuntimeError, match="injected failure"):
             broken.map_chunks(
                 _fails_from_index, {"ok": keys[:2]}, 12, seed=4
             )
@@ -239,6 +195,21 @@ class TestCheckpoint:
         resumed = engine.map_chunks(_echo_chunk, "x", 12, seed=4)
         assert resumed == clean
         assert engine.metrics.get_counter("engine.chunks_resumed") == 2
+
+    def test_restores_lines_with_an_attempt_count(self, tmp_path):
+        """Checkpoint lines once carried an ``attempts`` field; files
+        written in that format still resume."""
+        path = tmp_path / "ck.jsonl"
+        cfg = EngineConfig(workers=1, chunks=4, checkpoint_path=path)
+        first = ExecutionEngine(cfg).map_chunks(_echo_chunk, "t", 10, seed=2)
+        header, *lines = path.read_text().splitlines()
+        records = [{**json.loads(line), "attempts": 1} for line in lines]
+        path.write_text(
+            "\n".join([header, *map(json.dumps, records)]) + "\n"
+        )
+        engine = ExecutionEngine(cfg)
+        assert engine.map_chunks(_echo_chunk, "t", 10, seed=2) == first
+        assert engine.metrics.get_counter("engine.chunks_resumed") == 4
 
     def test_numpy_results_roundtrip_exactly(self, tmp_path):
         path = tmp_path / "ck.jsonl"

@@ -67,11 +67,10 @@ class TestEventsAndChunks:
 
     def test_chunk_records(self):
         m = MetricsRegistry()
-        m.record_chunk(index=0, trials=5, attempts=1, seconds=0.5, source="pool")
+        m.record_chunk(index=0, trials=5, seconds=0.5, source="pool")
         (chunk,) = m.chunks
         assert chunk == {
-            "index": 0, "trials": 5, "attempts": 1,
-            "seconds": 0.5, "source": "pool",
+            "index": 0, "trials": 5, "seconds": 0.5, "source": "pool",
         }
 
     def test_reads_return_copies(self):
