@@ -6,12 +6,17 @@ Run as a script (not under pytest-benchmark — the comparison needs
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--out BENCH_kernels.json]
 
-Contestants, measured on the acceptance geometry (``n = 2^12`` bins,
-``m = n`` balls, ``trials = 50``, double hashing, ``d = 3``):
+Contestants, double hashing with ``d = 3`` and ``m = n`` balls:
 
-- ``legacy``  — the per-ball-step engine this PR replaced, inlined below
-  verbatim so the comparison stays runnable after the old code is gone;
+- ``legacy``  — the per-ball-step engine the kernel replaced, inlined
+  below verbatim so the comparison stays runnable after the old code is
+  gone;
 - ``numpy``   — the fused out-of-order commit kernel.
+
+Two geometries: the acceptance one (``n = 2^12`` bins, 50 trials,
+``results``) and a dispatch-bound one (``n = 2^16``, 2 trials, so one
+``place`` call holds the whole run and a pass is mostly fixed numpy
+dispatch; ``dispatch``).
 
 Methodology: contestants run round-robin inside one process for ``--rounds``
 rounds, and per-contestant medians are compared.  Interleaving means slow
@@ -19,7 +24,9 @@ host phases (other tenants, frequency scaling) hit every contestant
 equally; medians discard the stragglers.  See ``docs/performance.md``.
 
 The JSON written to ``--out`` records per-round wall-clock, medians,
-balls/second, and speedups relative to ``legacy``.
+balls/second, and speedups relative to ``legacy``; the ``numpy`` entries
+also record the kernel's ``passes`` (``kernel.place_passes`` around the
+warm-up call) and ``balls_per_pass`` over all trials of the run.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import simulate_batch                     # noqa: E402
 from repro.hashing import DoubleHashingChoices            # noqa: E402
-from repro.kernels import KNOWN_BACKENDS                  # noqa: E402
+from repro.kernels import KNOWN_BACKENDS, kernel_metrics  # noqa: E402
 from repro.rng import default_generator                   # noqa: E402
 
 
@@ -85,15 +92,28 @@ def _contestants(n, d, n_balls, trials, seed):
     }
 
 
-def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
+#: The dispatch-bound geometry: a whole run in one ``place`` call.
+DISPATCH = {"n": 2**16, "d": 3, "trials": 2}
+
+
+def _place_passes():
+    """The global kernel registry's ``kernel.place_passes``."""
+    return kernel_metrics().get_counter("kernel.place_passes")
+
+
+def _measure(n, d, trials, seed, rounds):
+    """Geometry and per-contestant results of one interleaved A/B."""
     n_balls = n
     runs = _contestants(n, d, n_balls, trials, seed)
     # Warm-up: touches every code path once (numpy allocator pools,
     # scheme caches) outside the timed region, and checks ball
     # conservation so a broken kernel can't post a fast time.
+    passes = {}
     for name, fn in runs.items():
+        before = _place_passes()
         totals = np.asarray(fn()).sum(axis=1)
         assert (totals == n_balls).all(), f"{name} lost balls"
+        passes[name] = _place_passes() - before
 
     times = {name: [] for name in runs}
     for _ in range(rounds):
@@ -104,11 +124,35 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
 
     balls = n_balls * trials
     medians = {name: statistics.median(ts) for name, ts in times.items()}
-    report = {
-        "geometry": {
-            "n_bins": n, "d": d, "n_balls": n_balls, "trials": trials,
-            "seed": seed, "scheme": "double-hashing",
-        },
+    geometry = {
+        "n_bins": n, "d": d, "n_balls": n_balls, "trials": trials,
+        "seed": seed, "scheme": "double-hashing",
+    }
+    results = {
+        name: {
+            "round_seconds": [round(t, 6) for t in ts],
+            "median_seconds": round(medians[name], 6),
+            "balls_per_second": round(balls / medians[name], 1),
+            "speedup_vs_legacy": round(medians["legacy"] / medians[name], 3),
+            **(
+                {"passes": int(passes[name]),
+                 "balls_per_pass": round(balls / passes[name], 1)}
+                if passes[name] else {}
+            ),
+        }
+        for name, ts in times.items()
+    }
+    return geometry, results
+
+
+def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
+    """Measure both geometries round-robin; return the JSON report dict."""
+    geometry, results = _measure(n, d, trials, seed, rounds)
+    dispatch_geometry, dispatch = _measure(
+        DISPATCH["n"], DISPATCH["d"], DISPATCH["trials"], seed, rounds
+    )
+    return {
+        "geometry": geometry,
         "rounds": rounds,
         "host": {
             "python": platform.python_version(),
@@ -116,19 +160,10 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
             "machine": platform.machine(),
             "backends_available": list(KNOWN_BACKENDS),
         },
-        "results": {
-            name: {
-                "round_seconds": [round(t, 6) for t in ts],
-                "median_seconds": round(medians[name], 6),
-                "balls_per_second": round(balls / medians[name], 1),
-                "speedup_vs_legacy": round(
-                    medians["legacy"] / medians[name], 3
-                ),
-            }
-            for name, ts in times.items()
-        },
+        "results": results,
+        "dispatch_geometry": dispatch_geometry,
+        "dispatch": dispatch,
     }
-    return report
 
 
 def main(argv=None):
@@ -149,12 +184,18 @@ def main(argv=None):
         rounds=args.rounds,
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    for name, r in report["results"].items():
-        print(
-            f"{name:>14}: median {r['median_seconds']*1e3:8.1f} ms  "
-            f"{r['balls_per_second']:>12,.0f} balls/s  "
-            f"{r['speedup_vs_legacy']:5.2f}x vs legacy"
-        )
+    for section in ("results", "dispatch"):
+        for name, r in report[section].items():
+            commits = (
+                f"  {r['passes']:,} passes, {r['balls_per_pass']} balls/pass"
+                if "passes" in r else ""
+            )
+            print(
+                f"{section:>8} {name:>6}: median "
+                f"{r['median_seconds']*1e3:8.1f} ms  "
+                f"{r['balls_per_second']:>12,.0f} balls/s  "
+                f"{r['speedup_vs_legacy']:5.2f}x vs legacy{commits}"
+            )
     print(f"wrote {args.out}")
     return 0
 

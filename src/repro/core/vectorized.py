@@ -6,11 +6,12 @@ The placement of ball *t+1* depends on the loads after ball *t*, so the
 ball loop cannot be vectorized away naively.  Since this release the hot
 path lives in :mod:`repro.kernels`: choices (and integer tie keys) for a
 ``block``-ball superblock are generated in one fused pass — a single
-``uint64`` draw per ball for power-of-two double hashing — packed into
-flat int32 candidates, and handed to the numpy placement kernel, which
-commits balls out of sequential order whenever their candidate sets are
-provably disjoint from all earlier pending balls (exact, bit-identical
-to sequential placement on the same draws; see
+``uint64`` draw per ball for power-of-two double hashing — and packed
+into flat int32 candidates.  Consecutive superblocks are generated into
+one span buffer and handed to the numpy placement kernel in one call,
+which commits a ball out of sequential order once no earlier pending
+ball has its pick among its candidates (exact, bit-identical to
+sequential placement on the same draws; see
 :mod:`repro.kernels.numpy_backend`).
 
 Geometries beyond the int32 packed address space (``n ≳ 2^23``) plan a
@@ -47,6 +48,8 @@ __all__ = ["simulate_batch", "DEFAULT_BLOCK"]
 
 _LOAD_DTYPE = np.int32
 _MAX_BALLS = int(np.iinfo(_LOAD_DTYPE).max)
+# Elements per candidate plane (trials × balls) that one place call holds.
+_SPAN_ELEMENTS = 1 << 17
 
 
 def simulate_batch(
@@ -77,9 +80,11 @@ def simulate_batch(
         ``"random"`` for the paper's standard scheme, ``"left"`` for
         Vöcking-style leftmost tie-breaking.
     block:
-        Ball steps generated (and kernel-placed) per superblock.  The
-        default is sweep-derived (see ``docs/performance.md``); it is a
-        throughput/scratch-memory knob, not a semantic one.
+        Ball steps per generation superblock.  Each superblock is drawn
+        in one go, so ``block`` sets the draw order (not the law) of
+        schemes without a fused path.  One kernel call places the
+        largest whole number of superblocks that keeps a trial chunk's
+        candidate plane within 2^17 slots (at least one superblock).
     check_invariants:
         If True, verify after the run that every trial placed exactly
         ``n_balls`` balls (cheap O(trials · n_bins) check; used in tests).
@@ -128,23 +133,35 @@ def simulate_batch(
         # Degenerate table: every ball lands in the only bin, no RNG needed.
         loads[:, 0] = n_balls
     elif n_balls:
-        window = choose_window(n, d)
         bins_p = layout.bins_p
+        passes = 0
         for t0 in range(0, trials, layout.trial_chunk):
             t1 = min(trials, t0 + layout.trial_chunk)
             chunk = t1 - t0
             work = np.zeros(chunk * bins_p, dtype=_LOAD_DTYPE)
+            # Superblocks per place call: as many whole ones as fit
+            # _SPAN_ELEMENTS per plane, each drawn into its column slice.
+            span = min(
+                n_balls, max(1, _SPAN_ELEMENTS // (chunk * block)) * block
+            )
+            buf = np.empty(d * chunk * (span + 1), dtype=layout.dtype)
             ws = impl.make_workspace(
-                d=d, trials=chunk, window=window, bins_p=bins_p,
-                dtype=layout.dtype,
+                d=d, trials=chunk, window=choose_window(n, d, chunk),
+                bins_p=bins_p, dtype=layout.dtype,
             )
             remaining = n_balls
             while remaining > 0:
-                steps = min(block, remaining)
+                steps = min(span, remaining)
+                pc = buf[: d * chunk * (steps + 1)].reshape(d, chunk, steps + 1)
                 with registry.timer("kernel.generate_seconds"):
-                    pc = generate_packed(scheme, chunk, steps, rng, layout)
+                    for s0 in range(0, steps, block):
+                        sb = min(block, steps - s0)
+                        generate_packed(
+                            scheme, chunk, sb, rng, layout,
+                            out=pc[:, :, s0 : s0 + sb + 1],
+                        )
                 with registry.timer("kernel.place_seconds"):
-                    impl.place(work, pc, layout=layout, workspace=ws)
+                    passes += impl.place(work, pc, layout=layout, workspace=ws)
                 remaining -= steps
             if layout.wide and int(work.max(initial=0)) >> layout.load_bits:
                 # Sound overflow detector: loads only grow, so a final
@@ -157,6 +174,7 @@ def simulate_batch(
                 )
             loads[t0:t1] = work.reshape(chunk, bins_p)[:, :n]
         registry.increment("kernel.balls_placed", n_balls * trials)
+        registry.increment("kernel.place_passes", passes)
         registry.increment(f"kernel.calls.{impl.name}", 1)
 
     if check_invariants:

@@ -55,9 +55,10 @@ class ExperimentSpec:
     tie_break:
         ``"random"`` (standard) or ``"left"`` (Vöcking).
     block:
-        Ball-steps per generation/kernel superblock inside the vectorized
-        engine.  The default is the sweep-derived
-        :data:`repro.kernels.DEFAULT_BLOCK` (see ``docs/performance.md``).
+        Ball-steps per generation superblock inside the vectorized
+        engine; one kernel call places a span of whole superblocks.  The
+        default is the sweep-derived :data:`repro.kernels.DEFAULT_BLOCK`
+        (see ``docs/performance.md``).
     backend:
         Kernel backend (``"numpy"``); ``None`` defers to the
         ``REPRO_BACKEND`` environment variable, then ``"numpy"``.

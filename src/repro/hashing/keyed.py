@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
+from repro.hashing.double_hashing import progressions
 from repro.hashing.hash_functions import (
     MultiplyShiftHash,
     PairwiseAffineHash,
@@ -244,26 +245,25 @@ class DoubleHashedKeyed(KeyedChoices):
         """Planar ``(f + j·stride) mod n`` via the stride recurrence.
 
         Plane ``j`` is plane ``j-1`` plus the stride, wrapped — a mask
-        for power-of-two ``n``, one conditional subtract for prime ``n``
-        (the stride is below ``n``, so a single correction suffices).
+        for power-of-two ``n``, the branchless wrap of
+        :func:`~repro.hashing.double_hashing.progressions` for prime
+        ``n`` (``f`` lies in ``[0, n)`` and the stride in ``[1, n)``).
         """
         keys = _as_key_array(keys)
         n = self.n_bins
-        out = np.empty((self.d, keys.size), dtype=np.int64)
         if n == 1:
-            out.fill(0)
-            return out
+            return np.zeros((self.d, keys.size), dtype=np.int64)
         f = np.asarray(self._f(keys), dtype=np.int64)
         g = np.asarray(self._g(keys), dtype=np.int64)
-        stride = ((g << 1) | 1) if self._pow2 else g + 1
+        if not self._pow2:
+            return progressions(f, g + 1, n, self.d)
+        stride = (g << 1) | 1
+        out = np.empty((self.d, keys.size), dtype=np.int64)
         out[0] = f
         for j in range(1, self.d):
             plane = out[j]
             np.add(out[j - 1], stride, out=plane)
-            if self._pow2:
-                plane &= n - 1
-            else:
-                plane[plane >= n] -= n
+            plane &= n - 1
         return out
 
     def fingerprint(self) -> str:

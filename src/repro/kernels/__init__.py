@@ -114,9 +114,10 @@ __all__ = [
     "tabulation_hash_u64",
 ]
 
-#: Ball-steps generated (and fed to the kernel) per superblock.  Sweep at
-#: n = 2^12..2^14, d = 3 showed throughput flat past ~2048 steps while
-#: scratch grows linearly, so 4096 sits at the knee; see
+#: Ball-steps drawn per generation superblock; ``simulate_batch`` places
+#: a span of whole superblocks per kernel call.  Sweep at n = 2^12..2^14,
+#: d = 3 (one superblock per call) showed throughput flat past ~2048
+#: steps while scratch grows linearly, so 4096 sits at the knee; see
 #: ``docs/performance.md``.
 DEFAULT_BLOCK = 4096
 

@@ -226,17 +226,22 @@ def generate_packed(
     steps: int,
     rng: np.random.Generator,
     layout: KernelLayout,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Packed candidates for ``steps`` balls of ``trials`` trials.
 
     Returns a ``(d, trials, steps + 1)`` array of :attr:`KernelLayout.dtype`;
     column ``steps`` is the dummy ball.  Plane ``j`` holds candidate ``j``
     of every ball — the planar layout keeps each kernel gather contiguous
-    per plane.
+    per plane.  ``out``, when given, is that array (it may be a column
+    slice of a wider one, whose next superblock then overwrites the
+    dummy column); the draws do not depend on it.
     """
     d = layout.d
     n = layout.n_bins
-    pc = np.empty((d, trials, steps + 1), dtype=layout.dtype)
+    pc = out
+    if pc is None:
+        pc = np.empty((d, trials, steps + 1), dtype=layout.dtype)
     toff = np.arange(trials, dtype=np.int64) * np.int64(layout.bins_p)
     if not layout.wide:
         toff = toff.astype(np.int32)

@@ -4,10 +4,9 @@ Why a window
 ------------
 Sequential balanced allocation cannot be vectorized along the ball axis
 naively — ball ``t+1`` must see ball ``t``'s placement.  What *is* legal
-is committing any ball whose candidate set is disjoint from the candidate
-sets of **all earlier pending balls**: its placement cannot be affected by
-their (unknown) outcomes, and it cannot affect theirs.  The kernel keeps a
-window of up to ``window`` pending balls per trial and, each pass:
+is committing a ball once no earlier pending ball has the bin it picks
+among its candidates.  The kernel keeps a window of up to ``window``
+pending balls per trial and, each pass:
 
 1. gathers the packed candidates of every window slot (flat ``np.take``
    with precomputed plane offsets, everything into preallocated scratch);
@@ -17,12 +16,24 @@ window of up to ``window`` pending balls per trial and, each pass:
 3. detects conflicts with an *ordered stamp* scatter: candidate indices
    are written in globally descending window order, so each touched bin
    ends up stamped with the **minimum window position** that references
-   it; a slot violates iff some candidate's stamp precedes it;
-4. commits every non-violating real slot (they are pairwise disjoint, so
-   a plain fancy ``+= 1`` is exact), compacts the violators to the front
-   of the window, and refills from the ball stream.
+   it; a slot waits iff the stamp of the bin it picks precedes it;
+4. commits every other real slot (their picks are distinct bins, so a
+   plain fancy ``+= 1`` is exact), compacts the waiting slots to the
+   front of the window, and refills from the ball stream.
 
-The first window slot never violates, so every pass commits at least one
+Why the rule is exact
+---------------------
+Until a ball's turn, the earlier pending balls only raise loads, so the
+keys of the candidates it does not pick only grow; none of them can
+land in the bin it picks, so that key is unchanged, and the pick
+against the frozen loads is the sequential pick.  The commits of one
+pass land in distinct bins (a later ball picking an earlier committing
+ball's bin sees that ball's stamp), and none lands in a candidate of an
+earlier waiting ball (whose stamp would precede it).  This holds for
+random and left ties and for ``d = 1``.  Dummy slots stamp only their
+trial's dummy bin, which no real ball picks.
+
+The first window slot never waits, so every pass commits at least one
 ball per unfinished trial — no livelock.  The committed result is a pure
 function of the drawn candidate/tie arrays and equals the sequential
 reference bit-for-bit (property- and case-tested in ``tests/kernels``).
@@ -32,13 +43,19 @@ Constant stamps
 The stamp table is never cleared between passes, and the stamp values
 are the same every pass (the window positions, written once into
 ``svals`` when the workspace is built).  Stale entries are harmless:
-the scatter covers every candidate the read gathers, so every stamp a
-pass reads was written earlier in that same pass.
+the scatter covers every candidate, a pick is one of its ball's
+candidates, so every stamp a pass reads was written earlier in that
+same pass.
 
-Commit throughput is ``≈ n/d²`` balls per trial-pass (the expected count
-of prefix balls with pairwise-disjoint candidate sets), which makes total
-kernel cost nearly window-invariant past ``window ≈ 64``;
-:func:`choose_window` picks a value on that plateau.
+Window and throughput
+---------------------
+A pass commits about ``C·(1 − e^{−W/C})`` balls per trial.  The plateau
+``C`` is about ``n/(2d)``; it was about ``n/(2d²)`` when a ball waited on
+every earlier pending ball that shared any of its candidates.  Each pass
+also pays a fixed numpy dispatch cost of about 50 µs, so
+:func:`choose_window` sizes the window to the call: about 20,000
+candidates (``trials · W · d``) per pass, at least 16 slots, and at most
+the plateau, past which a wider window adds work and no commits.
 """
 
 from __future__ import annotations
@@ -50,16 +67,20 @@ from repro.kernels.generate import KernelLayout
 __all__ = ["NumpyBackend", "choose_window"]
 
 
-def choose_window(n_bins: int, d: int) -> int:
-    """Pending-window size: on the commits-per-pass plateau (see above).
+# Candidates per pass (trials · W · d) that choose_window aims at: enough
+# to amortize a pass's fixed dispatch cost.  10k–40k measured flat within
+# the host's noise (docs/performance.md, "Window, spans and passes").
+_PASS_CANDIDATES = 20_000
 
-    Giant tables get a wider window: commits-per-pass stays far from the
-    conflict regime, and the larger batches amortize the per-pass fixed
-    numpy dispatch cost.  Window size affects scheduling only, never
-    results (the commit schedule is order-independent).
+
+def choose_window(n_bins: int, d: int, trials: int) -> int:
+    """Pending-window size for a ``place`` call over ``trials`` trials.
+
+    About 20,000 candidates per pass, at least 16 slots and at most
+    ``n_bins // (2 d)``, the commits-per-pass plateau (see above).  The
+    window schedules only; it never changes a result.
     """
-    cap = 1024 if n_bins >= (1 << 18) else 192
-    return min(cap, max(16, n_bins // (d * d * 6)))
+    return max(16, min(_PASS_CANDIDATES // (trials * d), n_bins // (2 * d)))
 
 
 class NumpyWorkspace:
@@ -88,13 +109,12 @@ class NumpyWorkspace:
         self.cidx = np.empty(plane, np.intp)
         self.kv = np.empty(plane, np.int32)
         self.key = np.empty(plane, np.int64)
-        self.sc = np.empty(plane, np.int32)
         self.scat = np.empty((window, trials, d), np.intp)
         # Stamp values in scatter order: window positions, descending.
         self.svals = np.repeat(
             np.arange(window - 1, -1, -1, dtype=np.int32), trials * d
         )
-        self.scmin = np.empty(row, np.int32)
+        self.spick = np.empty(row, np.int32)
         self.kmin = np.empty(row, np.int64)
         self.chosen = np.empty(row, np.int64)
         self.viol = np.empty(row, bool)
@@ -171,15 +191,13 @@ class NumpyBackend:
                 np.minimum(ws.kmin, ws.key[j], out=ws.kmin)
             np.bitwise_and(ws.kmin, cidx_mask, out=ws.chosen)
             # 3. ordered stamp round: each touched bin ends up holding the
-            # minimum window position that references it this pass
+            # minimum window position that references it this pass; a slot
+            # waits iff an earlier slot references the bin it picks
             np.copyto(ws.scat, ws.cidx.transpose(2, 1, 0)[::-1])
             stamp[ws.scat.reshape(-1)] = ws.svals
-            stamp.take(ws.cidx, out=ws.sc, mode="clip")
-            np.copyto(ws.scmin, ws.sc[0])
-            for j in range(1, d):
-                np.minimum(ws.scmin, ws.sc[j], out=ws.scmin)
-            np.less(ws.scmin, ws.u_ix, out=ws.viol)
-            # 4. commit the disjoint slots, keep the violators
+            stamp.take(ws.chosen, out=ws.spick, mode="clip")
+            np.less(ws.spick, ws.u_ix, out=ws.viol)
+            # 4. commit the undisturbed slots, keep the waiting ones
             real = win != steps
             np.logical_and(ws.viol, real, out=ws.keep)
             np.logical_xor(real, ws.keep, out=ws.commit)

@@ -242,7 +242,8 @@ def run_parallel_trials(
         ws = impl.make_workspace(
             d=d,
             trials=1,
-            window=choose_window(n, d),
+            # A call holds one superblock: wider slots would be dummies.
+            window=min(choose_window(n, d, 1), block),
             bins_p=layout.bins_p,
             dtype=layout.dtype,
         )

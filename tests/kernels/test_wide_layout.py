@@ -24,7 +24,7 @@ def _place(work, pc, layout):
     ws = impl.make_workspace(
         d=layout.d,
         trials=layout.trial_chunk,
-        window=choose_window(layout.n_bins, layout.d),
+        window=choose_window(layout.n_bins, layout.d, layout.trial_chunk),
         bins_p=layout.n_bins + 1,
         dtype=layout.dtype,
     )

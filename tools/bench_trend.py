@@ -5,7 +5,8 @@ Every benchmark family writes a JSON artifact at the repo root
 (``BENCH_kernels.json``, ``BENCH_supermarket.json``,
 ``BENCH_peeling.json``, ``BENCH_service.json``) with the same shape: a
 ``results`` dict of contestant -> per-round metrics (plus, for the
-service bench, a ``backends`` section of keymap backends).  This
+service bench, a ``backends`` section of keymap backends, and for the
+kernels bench a ``dispatch`` section at its dispatch-bound geometry).  This
 tool renders one throughput table over all of them — the single place to
 see every hot path's recorded numbers side by side — and maintains it
 between marker comments in ``docs/performance.md``::
@@ -37,7 +38,8 @@ END_MARK = "<!-- bench-trend:end -->"
 
 #: (family, json filename, sections to read: name -> results key)
 FAMILIES = (
-    ("kernels", "BENCH_kernels.json", {"placement": "results"}),
+    ("kernels", "BENCH_kernels.json", {"placement": "results",
+                                       "dispatch": "dispatch"}),
     ("supermarket", "BENCH_supermarket.json", {"ctmc": "results"}),
     ("peeling", "BENCH_peeling.json", {"decode": "results"}),
     ("service", "BENCH_service.json", {"schemes": "results",
