@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""Giant-n smoke benchmark: parallel-trials placement at 10^7-bin scale.
+"""Giant-n smoke benchmark: chunked placement at 10^7-bin scale.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_giant.py \
         [--n 16777216] [--trials 2] [--budget-seconds 600]
 
-This is the shipped acceptance run for the giant-n scale-out (see
-``docs/scale.md``): ``trials`` independent trials of ``m = n`` balls into
-``n`` bins through :func:`repro.kernels.run_parallel_trials` on the numpy
-kernel.  Load tables are sharded per :func:`repro.kernels.default_shards`;
-the report records the shard count.
+This is the shipped acceptance run for giant n (see ``docs/scale.md``):
+``trials`` independent trials of ``m = n`` balls into ``n`` bins through
+:func:`repro.core.run_experiment` with one worker — the path every table
+runs on.  At ``n = 2^24`` each trial is its own chunk
+(:func:`repro.parallel.chunk_sizes`), so one 64 MiB load table is in
+flight at a time.
 
-The report records wall-clock, balls/second, peak RSS (must stay
-O(shard) + one O(n) load table per in-flight trial), and the merged
-histogram; ``--budget-seconds`` turns the wall-clock bound into a hard
-failure so CI catches regressions loudly.
+The report records wall-clock, balls/second, peak RSS, the kernel's
+placement passes and the merged histogram; ``--budget-seconds`` turns the
+wall-clock bound into a hard failure so CI catches regressions loudly.
 """
 
 from __future__ import annotations
@@ -33,13 +33,15 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core import run_experiment                      # noqa: E402
+from repro.experiments.config import ExperimentSpec         # noqa: E402
 from repro.hashing import DoubleHashingChoices             # noqa: E402
 from repro.kernels import (                                # noqa: E402
     KNOWN_BACKENDS,
-    default_shards,
+    kernel_metrics,
     resolve_backend,
-    run_parallel_trials,
 )
+from repro.parallel import chunk_sizes                     # noqa: E402
 
 
 def _peak_rss_bytes():
@@ -51,23 +53,26 @@ def _peak_rss_bytes():
 
 def run(n=2**24, d=3, trials=2, seed=20140623):
     """One timed giant-n run; returns the JSON report dict."""
-    scheme = DoubleHashingChoices(n, d)
+    spec = ExperimentSpec(n=n, d=d, trials=trials, seed=seed, workers=1)
 
     # Warm-up on a small geometry so first-call allocations stay outside
     # the timed region.
-    run_parallel_trials(DoubleHashingChoices(1024, d), 1024, 1, root=seed)
+    run_experiment(DoubleHashingChoices(1024, d), spec.replace(n=1024, trials=1))
 
+    passes = kernel_metrics().get_counter("kernel.place_passes")
     t0 = time.perf_counter()
-    hist = run_parallel_trials(scheme, n, trials, root=seed)
+    result = run_experiment(DoubleHashingChoices(n, d), spec)
     elapsed = time.perf_counter() - t0
+    passes = int(kernel_metrics().get_counter("kernel.place_passes") - passes)
 
-    totals = (hist * np.arange(hist.shape[1])).sum(axis=1)
-    assert (totals == n).all(), "ball conservation violated"
-    merged = hist.sum(axis=0)
+    merged = result.distribution.counts
+    levels = np.arange(merged.size)
+    assert merged.sum() == n * trials, "bin count violated"
+    assert (merged * levels).sum() == n * trials, "ball conservation violated"
     return {
         "geometry": {
             "n_bins": n, "d": d, "n_balls": n, "trials": trials,
-            "seed": seed, "shards": default_shards(n, d),
+            "seed": seed, "chunks": len(chunk_sizes(trials, n)),
             "scheme": "double-hashing",
         },
         "host": {
@@ -81,7 +86,8 @@ def run(n=2**24, d=3, trials=2, seed=20140623):
             "wall_seconds": round(elapsed, 3),
             "balls_per_second": round(n * trials / elapsed, 1),
             "peak_rss_bytes": _peak_rss_bytes(),
-            "max_load": int(np.flatnonzero(merged)[-1]),
+            "kernel.place_passes": passes,
+            "max_load": int(result.distribution.max_load_per_trial.max()),
             "merged_histogram": merged.tolist(),
         },
     }
@@ -112,12 +118,12 @@ def main(argv=None):
     print(
         f"n={args.n:,} trials={args.trials} "
         f"backend={report['host']['backend_used']} "
-        f"shards={report['geometry']['shards']}"
+        f"chunks={report['geometry']['chunks']}"
     )
     print(
         f"wall {r['wall_seconds']:.1f}s  {r['balls_per_second']:,.0f} balls/s  "
         f"peak RSS {r['peak_rss_bytes'] / 2**20:,.0f} MiB  "
-        f"max load {r['max_load']}"
+        f"passes {r['kernel.place_passes']}  max load {r['max_load']}"
     )
     print(f"wrote {args.out}")
     if args.budget_seconds is not None and r["wall_seconds"] > args.budget_seconds:

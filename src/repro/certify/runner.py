@@ -611,7 +611,6 @@ def run_certification(
     *,
     backend: str | None = None,
     workers: int | None = None,
-    trials_mode: str | None = None,
     metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
 ) -> Certification:
@@ -623,10 +622,9 @@ def run_certification(
         Tier name (``"smoke"``/``"standard"``/``"full"``) or a custom
         :class:`~repro.certify.tiers.CertificationTier` (tests use tiny
         ones).
-    backend, workers, trials_mode:
-        Optional overrides applied to every run's spec
-        (``trials_mode="parallel"`` switches every balls-and-bins run to
-        per-trial counter streams; see ``docs/scale.md``).
+    backend, workers:
+        Optional overrides applied to every run's spec (``workers`` only
+        schedules chunks, so the verdict does not depend on it).
     metrics, progress:
         Forwarded to the table functions that run through the engine.
     """
@@ -647,9 +645,7 @@ def run_certification(
     t_total = time.perf_counter()
     overrides = {
         k: v
-        for k, v in dict(
-            backend=backend, workers=workers, trials_mode=trials_mode
-        ).items()
+        for k, v in dict(backend=backend, workers=workers).items()
         if v is not None
     }
     for run in tier.runs:

@@ -1,14 +1,16 @@
 """Experiment orchestration: chunked, checkpointed, optionally parallel runs.
 
 :func:`run_experiment` is the main entry point used by the experiment
-harness and benchmarks.  It splits the requested trials into chunks and
+harness and benchmarks.  It splits the requested trials into the chunks
+:func:`~repro.parallel.pool.chunk_sizes` fixes from the run alone and
 runs each through the vectorized engine via the
 :class:`~repro.parallel.engine.ExecutionEngine` — one spawned seed
 stream per chunk, optional checkpointing for resume after a failure,
 metrics and progress instrumentation — then folds the chunk summaries into a
 :class:`~repro.core.stats.StreamingLoadAggregator`, so memory stays
 O(max_load) no matter how many trials are requested, matching the
-paper's 10^4-trial scale.
+paper's 10^4-trial scale.  The worker count only schedules the chunks,
+so a run's numbers depend on its spec alone.
 
 Every call passes an :class:`~repro.experiments.config.ExperimentSpec`::
 
@@ -27,9 +29,10 @@ from repro.core.stats import StreamingLoadAggregator, trial_histograms
 from repro.core.vectorized import simulate_batch
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels import resolve_backend, run_parallel_trials
+from repro.kernels import resolve_backend
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress, ExecutionEngine
+from repro.parallel.pool import chunk_sizes
 from repro.types import LoadDistribution
 
 if TYPE_CHECKING:
@@ -73,7 +76,8 @@ class _ChunkTask:
     ``backend`` rides along so pool workers inherit the kernel backend of
     the parent run (the ``REPRO_BACKEND`` environment variable is also
     inherited by spawned processes, but an explicit spec choice must win
-    over the worker's environment).
+    over the worker's environment).  Its pickle also names the run in a
+    checkpoint's header, so a checkpoint of any other task is refused.
     """
 
     scheme: ChoiceScheme
@@ -100,49 +104,6 @@ def _run_chunk(
     return trial_histograms(batch.loads)
 
 
-@dataclass(frozen=True)
-class _ParallelChunkTask:
-    """Chunk description for ``trials_mode="parallel"``.
-
-    Carries the shared ``root`` entropy instead of relying on the
-    engine's spawned per-chunk seeds: every trial's counter-based stream
-    is keyed by ``(root, global trial index)``, so results are identical
-    under any chunking (seed-equivalence; see
-    :mod:`repro.kernels.parallel_trials`).
-    """
-
-    scheme: ChoiceScheme
-    n_balls: int
-    tie_break: str
-    block: int
-    backend: str | None
-    root: int
-
-
-def _run_parallel_chunk(
-    task: _ParallelChunkTask,
-    chunk_trials: int,
-    seed_seq: np.random.SeedSequence,
-    trial_offset: int,
-) -> np.ndarray:
-    """Worker body for parallel-trials mode.
-
-    ``seed_seq`` is unused by design — trial streams derive from
-    ``task.root`` and the global trial index so the histogram matrix does
-    not depend on how trials were partitioned into chunks.
-    """
-    return run_parallel_trials(
-        task.scheme,
-        task.n_balls,
-        chunk_trials,
-        root=task.root,
-        trial_offset=trial_offset,
-        tie_break=task.tie_break,
-        block=task.block,
-        backend=task.backend,
-    )
-
-
 def run_experiment(
     scheme: ChoiceScheme,
     spec: "ExperimentSpec",
@@ -153,7 +114,6 @@ def run_experiment(
     block: int | None = None,
     backend: str | None = None,
     workers: int | None = None,
-    chunks: int | None = None,
     metrics: MetricsRegistry | None = None,
     progress: Callable[[ChunkProgress], None] | None = None,
 ) -> ExperimentResult:
@@ -167,7 +127,7 @@ def run_experiment(
     spec:
         The :class:`~repro.experiments.config.ExperimentSpec` describing
         the run.
-    trials, seed, tie_break, block, backend, workers, chunks:
+    trials, seed, tie_break, block, backend, workers:
         Per-call overrides of the corresponding spec fields (``None``
         means "use the spec").
     metrics:
@@ -196,7 +156,6 @@ def run_experiment(
             block=block,
             backend=backend,
             workers=workers,
-            chunks=chunks,
         ).items()
         if v is not None
     }
@@ -213,42 +172,18 @@ def run_experiment(
 
     n_balls_run = spec.balls
     with registry.timer("experiment.total_seconds"):
-        if spec.trials_mode == "parallel":
-            # Resolve the shared root entropy once, in the driver, so
-            # every chunk keys the same per-trial streams even when the
-            # spec asked for fresh entropy.
-            root = (
-                spec.seed
-                if spec.seed is not None
-                else int(np.random.SeedSequence().entropy)
-            )
-            histograms = engine.map_chunks(
-                _run_parallel_chunk,
-                _ParallelChunkTask(
-                    scheme=scheme,
-                    n_balls=n_balls_run,
-                    tie_break=spec.tie_break,
-                    block=spec.block,
-                    backend=spec.backend,
-                    root=root,
-                ),
-                spec.trials,
-                seed=spec.seed,
-                offsets=True,
-            )
-        else:
-            histograms = engine.map_chunks(
-                _run_chunk,
-                _ChunkTask(
-                    scheme=scheme,
-                    n_balls=n_balls_run,
-                    tie_break=spec.tie_break,
-                    block=spec.block,
-                    backend=spec.backend,
-                ),
-                spec.trials,
-                seed=spec.seed,
-            )
+        histograms = engine.map_chunks(
+            _run_chunk,
+            _ChunkTask(
+                scheme=scheme,
+                n_balls=n_balls_run,
+                tie_break=spec.tie_break,
+                block=spec.block,
+                backend=spec.backend,
+            ),
+            chunk_sizes(spec.trials, scheme.n_bins),
+            seed=spec.seed,
+        )
         with registry.timer("experiment.aggregate_seconds"):
             aggregator = StreamingLoadAggregator(
                 n_bins=scheme.n_bins, n_balls=n_balls_run

@@ -27,12 +27,13 @@ programmatic path cannot drift.  Each subcommand registers only the
 flags its function reads, so an ignored flag is a usage error.
 
 Engine flags (``table1`` … ``table6`` and ``compare``, the commands that
-run through the chunked engine): ``--workers``/``--chunks`` control
-fan-out; ``--checkpoint <path>.jsonl`` makes a sweep resumable (a run
-that fails stops at once, and rerunning the same command resumes it);
-``--metrics-out <path>.json`` writes the run's metrics snapshot; and
-``--progress`` streams per-chunk completions to stderr.  See
-``docs/engine.md``.
+run through the chunked engine): ``--workers`` sets how many processes
+run a sweep's chunks, and never changes what it prints (the chunks
+follow from the run alone); ``--checkpoint <path>.jsonl`` makes a sweep
+resumable (a run that fails stops at once, and rerunning the same
+command, at any ``--workers``, resumes it); ``--metrics-out
+<path>.json`` writes the run's metrics snapshot; and ``--progress``
+streams per-chunk completions to stderr.  See ``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _PLAIN_TABLES = {
     "table8": (("n", "sim_time", "seed"), _tables.table8_queueing),
 }
 
-_ENGINE_FIELDS = ("workers", "chunks", "block", "trials_mode", "checkpoint")
+_ENGINE_FIELDS = ("workers", "block", "checkpoint")
 
 #: Flag and argparse options for each spec field the CLI can set.
 _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
@@ -83,17 +84,11 @@ _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
     "trials": ("--trials", dict(type=int)),
     "seed": ("--seed", dict(type=int)),
     "sim_time": ("--sim-time", dict(type=float, help="simulated time")),
-    "workers": ("--workers", dict(type=int)),
-    "chunks": ("--chunks", dict(
-        type=int, help="trial-chunk count (default: engine picks)")),
+    "workers": ("--workers", dict(
+        type=int, help="processes running the chunks (never changes results)")),
     "block": ("--block", dict(
         type=int,
         help="ball-steps per kernel superblock (default: sweep-derived)")),
-    "trials_mode": ("--trials-mode", dict(
-        choices=["chunked", "parallel"],
-        help="'parallel' gives each trial an independent counter-based "
-             "stream, so results do not depend on chunking "
-             "(see docs/scale.md)")),
     "checkpoint": ("--checkpoint", dict(
         metavar="PATH.jsonl",
         help="chunk-level checkpoint file; re-running resumes from it")),
@@ -271,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the machine-readable verdict",
     )
     certify.add_argument("--workers", type=int, default=None)
-    certify.add_argument(
-        "--trials-mode", choices=["chunked", "parallel"], default=None,
-        dest="trials_mode",
-        help="trial-execution mode override for every run",
-    )
     certify.add_argument(
         "--progress", action="store_true",
         help="print per-chunk completions to stderr",
@@ -488,10 +478,7 @@ def _run_certify(args) -> int:
         print(f"wrote {args.experiments_md}")
         return 0
     progress = _print_progress if args.progress else None
-    cert = run_certification(
-        args.tier, workers=args.workers,
-        trials_mode=args.trials_mode, progress=progress,
-    )
+    cert = run_certification(args.tier, workers=args.workers, progress=progress)
     write_certification(cert, args.out)
     print(format_summary(cert))
     print(f"wrote {args.out}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.certify.anchors import paper_values as _paper_values
 from repro.errors import ConfigurationError
@@ -35,9 +36,11 @@ class ExperimentSpec:
 
     The spec covers four concerns: geometry (``n``, ``d``, ``n_balls``,
     ``log2_n``, ``sim_time``/``burn_in`` for the queueing table),
-    sampling (``trials``, ``seed``), execution (``workers``, ``chunks``,
+    sampling (``trials``, ``seed``), execution (``workers``,
     ``tie_break``, ``block``, ``backend``), and resumption
-    (``checkpoint``).  Derive variants with :meth:`replace`.
+    (``checkpoint``).  Derive variants with :meth:`replace`.  The numbers
+    a run produces depend on every field except ``workers`` and
+    ``checkpoint``.
 
     Attributes
     ----------
@@ -50,7 +53,9 @@ class ExperimentSpec:
     trials:
         Independent trials (paper scale: 10000).
     seed:
-        Root seed; chunk streams are spawned deterministically from it.
+        Root seed; each chunk's stream is spawned deterministically from
+        it (the chunks are :func:`repro.parallel.chunk_sizes` of the
+        trials and bins).
         ``None`` draws fresh OS entropy (not reproducible).
     tie_break:
         ``"random"`` (standard) or ``"left"`` (Vöcking).
@@ -71,19 +76,12 @@ class ExperimentSpec:
         ``serve``); the ``table*`` functions fix their own schemes per
         the paper.  Build the instance with :meth:`build_scheme`.
     workers:
-        Process count; 1 runs in-process (still chunked).
-    chunks:
-        Chunk-count override (``None``: engine default).
-    trials_mode:
-        ``"chunked"`` (default) runs trials lock-step per chunk on one
-        shared generator; ``"parallel"`` gives every trial an
-        independent counter-based stream
-        (:mod:`repro.kernels.parallel_trials`) so trials can run in any
-        interleaving, with results independent of chunking and host
-        (*seed-equivalence*).
+        Process count; 1 runs in-process (still chunked).  It only
+        schedules the chunks, so it never changes a result.
     checkpoint:
         JSONL checkpoint path: rerunning a failed or interrupted sweep
-        with it resumes from the chunks already done.
+        with it, at any worker count, resumes from the chunks already
+        done.
     log2_n:
         Table-size exponent for sweeps keyed by power of two (Table 3).
     sim_time, burn_in:
@@ -101,12 +99,13 @@ class ExperimentSpec:
     backend: str | None = None
     scheme: str | None = None
     workers: int = 1
-    chunks: int | None = None
-    trials_mode: str = "chunked"
     checkpoint: str | None = None
     log2_n: int = 14
     sim_time: float = 300.0
     burn_in: float | None = None
+
+    # Not a field: e2ebench/workloads.py (the table1 run context) reads it.
+    trials_mode: ClassVar[str] = "chunked"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -141,11 +140,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"workers must be non-negative, got {self.workers}"
             )
-        if self.trials_mode not in ("chunked", "parallel"):
-            raise ConfigurationError(
-                "trials_mode must be 'chunked' or 'parallel', "
-                f"got {self.trials_mode!r}"
-            )
         # Engine-policy fields share EngineConfig's validation.
         self.engine_config()
 
@@ -174,11 +168,7 @@ class ExperimentSpec:
 
     def engine_config(self) -> EngineConfig:
         """The execution-engine policy encoded by this spec."""
-        return EngineConfig(
-            workers=self.workers,
-            chunks=self.chunks,
-            checkpoint_path=self.checkpoint,
-        )
+        return EngineConfig(workers=self.workers, checkpoint_path=self.checkpoint)
 
 
 # Per-table default specs.  These are the single source of truth for both

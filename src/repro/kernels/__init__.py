@@ -69,11 +69,6 @@ from repro.kernels.keymap import (
     resolve_keymap_backend,
 )
 from repro.kernels.numpy_backend import NumpyBackend, choose_window
-from repro.kernels.parallel_trials import (
-    default_shards,
-    fused_parallel_supported,
-    run_parallel_trials,
-)
 from repro.kernels.reference import (
     place_ball,
     sequential_packed_reference,
@@ -93,9 +88,7 @@ __all__ = [
     "ReferenceKeyMap",
     "check_queue_packing",
     "choose_window",
-    "default_shards",
     "flatten_tables",
-    "fused_parallel_supported",
     "generate_packed",
     "kernel_metrics",
     "make_keymap",
@@ -106,7 +99,6 @@ __all__ = [
     "resolve_backend",
     "resolve_backend_name",
     "resolve_keymap_backend",
-    "run_parallel_trials",
     "sequential_packed_reference",
     "simulate_single_trial",
     "simulate_supermarket_reference",

@@ -9,17 +9,20 @@ MPI scatter/gather over trial chunks but uses the standard library's
 :class:`~repro.parallel.engine.ExecutionEngine` is the one front door:
 ``map_chunks`` scatters trial chunks with spawned seed streams and
 gathers their results, with JSONL checkpointing and metrics/progress
-instrumentation.  The first failure propagates with its own type, and
-rerunning with the checkpoint resumes the run (see ``docs/engine.md``).
+instrumentation.  :func:`chunk_sizes` fixes a run's chunks from its
+trials and bins alone, so the worker count never changes a result.  The
+first failure propagates with its own type, and rerunning with the
+checkpoint resumes the run (see ``docs/engine.md``).
 """
 
 from repro.parallel.engine import ChunkProgress, EngineConfig, ExecutionEngine
-from repro.parallel.pool import default_workers, partition_trials
+from repro.parallel.pool import chunk_sizes, default_workers, partition_trials
 
 __all__ = [
     "ChunkProgress",
     "EngineConfig",
     "ExecutionEngine",
+    "chunk_sizes",
     "default_workers",
     "partition_trials",
 ]

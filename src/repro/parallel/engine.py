@@ -2,18 +2,22 @@
 
 :class:`ExecutionEngine` runs the paper's 10^4-trial sweeps in chunks:
 
-- **Determinism** — every chunk receives its own spawned
-  ``SeedSequence`` child, so a chunk's result is a function of the task,
-  its size and its child alone, and results are reproducible from the
-  root seed regardless of scheduling — the multiprocessing analogue of
-  MPI rank-indexed RNG streams.
+- **Determinism** — the caller hands over the chunk sizes, and chunk
+  ``i`` receives the ``i``-th spawned ``SeedSequence`` child, so a
+  chunk's result is a function of the task, its size and its child
+  alone.  The worker count only schedules: results are the same at any
+  ``workers`` — the multiprocessing analogue of MPI rank-indexed RNG
+  streams.
 - **Fail fast** — nothing is retried, since rerunning a deterministic
   chunk repeats its failure.  The first exception a chunk raises reaches
   the caller with its own type; a killed pool worker raises
   :class:`~concurrent.futures.process.BrokenProcessPool`.
 - **Checkpointing** — completed chunk results are appended to a JSONL
-  file as they finish; rerunning the same command skips the chunks
-  already on disk, so recovering from any failure is a rerun.
+  file as they finish; rerunning the same command, at any worker count,
+  skips the chunks already on disk, so recovering from any failure is a
+  rerun.  The file's header identifies the run (chunk sizes, seed, and a
+  digest of the pickled worker function and task), and a checkpoint
+  from any other run is refused.
 - **Observability** — every completed chunk is recorded in a
   :class:`~repro.metrics.MetricsRegistry`, and an optional progress
   callback receives a :class:`ChunkProgress` per chunk.
@@ -25,13 +29,14 @@ The work unit is ``func(task, chunk_trials, seed_seq)`` with a picklable
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing as mp
+import pickle
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -52,7 +57,7 @@ __all__ = [
 T = TypeVar("T")
 
 _CHECKPOINT_KIND = "repro-engine-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,23 +68,18 @@ class EngineConfig:
     ----------
     workers:
         Process count; ``None`` uses :func:`~repro.parallel.pool.default_workers`,
-        ``0``/``1`` runs serially in-process.
-    chunks:
-        Chunk count; ``None`` defaults to the worker count (or 4 when
-        serial, so the chunked code path is still exercised).
+        ``0``/``1`` runs serially in-process.  A run uses at most one
+        process per chunk.
     checkpoint_path:
         JSONL file for chunk results; enables resume.
     """
 
     workers: int | None = None
-    chunks: int | None = None
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
-        if self.chunks is not None and self.chunks < 1:
-            raise ConfigurationError(f"chunks must be positive, got {self.chunks}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,29 @@ def decode_result(obj: Any) -> Any:
 # -- checkpoint file handling --------------------------------------------
 
 
-def _checkpoint_header(trials: int, chunks: int, seed: int | None) -> dict:
+def _checkpoint_header(
+    func: Callable, task: Any, sizes: list[int], seed: int | None
+) -> dict:
+    """The header naming one run: its chunking, seed, and work unit.
+
+    ``run`` digests the pickled ``(func, task)`` — for an experiment, the
+    scheme, ball count, tie rule and block — so a checkpoint written by
+    any other run is refused rather than restored.
+    """
+    run = hashlib.sha256(pickle.dumps((func, task), protocol=5)).hexdigest()
     return {
         "kind": _CHECKPOINT_KIND,
         "version": _CHECKPOINT_VERSION,
-        "trials": trials,
-        "chunks": chunks,
+        "sizes": sizes,
         "seed": seed,
+        "run": run,
     }
 
 
 def _load_checkpoint(path: Path, expected: dict) -> list[dict] | None:
     """Read completed-chunk records; ``None`` when no file exists yet.
 
-    A header mismatch (different geometry, chunking, or seed) raises —
+    A header mismatch (different work unit, chunking, or seed) raises —
     silently discarding completed work or mixing incompatible results
     would both be worse.  A torn final line (crash mid-append) is
     tolerated and skipped.
@@ -224,41 +233,31 @@ class ExecutionEngine:
         self,
         func: Callable[..., T],
         task: Any,
-        trials: int,
+        sizes: Sequence[int],
         *,
         seed: int | None = None,
-        offsets: bool = False,
     ) -> list[T]:
-        """Run ``func`` over partitioned trials; one result per chunk.
+        """Run ``func`` once per chunk of ``sizes``; one result per chunk.
 
-        Results are returned in chunk order regardless of scheduling or
+        Chunk ``i`` is ``func(task, sizes[i], seed_seq)``, where
+        ``seed_seq`` is the ``i``-th child spawned from ``seed``.  Results
+        are returned in chunk order regardless of scheduling or
         checkpoint restores, so aggregation downstream is deterministic
-        given the root ``seed``.  With ``offsets=True`` each call also
-        receives the chunk's global trial offset as a fourth argument —
-        ``func(task, chunk_trials, seed_seq, offset)`` — so trial-indexed
-        work (parallel-trials mode) addresses the same per-trial streams
-        under any chunking.
+        given ``sizes`` and the root ``seed``.
 
         Serial mode calls each pending chunk once in-process; pooled mode
         submits them all and checkpoints each result as it completes.
         Either way the first exception propagates unchanged, after the
         chunks completed before it are on disk.
         """
-        from repro.parallel.pool import default_workers, partition_trials
+        from repro.parallel.pool import default_workers
 
         cfg = self.config
         workers = cfg.workers if cfg.workers is not None else default_workers()
-        chunk_count = (
-            cfg.chunks
-            if cfg.chunks is not None
-            else (workers if workers > 1 else min(4, max(trials, 1)))
-        )
-        sizes = [s for s in partition_trials(trials, chunk_count) if s > 0]
-        seeds = spawn_seeds(seed, len(sizes))
-        starts = accumulate(sizes, initial=0)
+        sizes = list(sizes)
         jobs = [
-            (task, size, child, start) if offsets else (task, size, child)
-            for size, child, start in zip(sizes, seeds, starts)
+            (task, size, child)
+            for size, child in zip(sizes, spawn_seeds(seed, len(sizes)))
         ]
         total = len(jobs)
         self.metrics.increment("engine.chunks_total", total)
@@ -273,7 +272,7 @@ class ExecutionEngine:
             nonlocal done
             done += 1
             results[index] = result
-            size = jobs[index][1]
+            size = sizes[index]
             self.metrics.record_chunk(
                 index=index, trials=size, seconds=seconds, source=source
             )
@@ -302,7 +301,7 @@ class ExecutionEngine:
 
         restored: set[int] = set()
         if path is not None:
-            header = _checkpoint_header(trials, total, seed)
+            header = _checkpoint_header(func, task, sizes, seed)
             records = _load_checkpoint(path, header)
             if records is None:
                 path.parent.mkdir(parents=True, exist_ok=True)

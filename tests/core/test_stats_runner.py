@@ -103,10 +103,15 @@ class TestRunExperiment:
         assert res.distribution.counts.sum() == 10 * 64
         assert "double" in res.scheme_description
 
-    def test_chunked_equals_unchunked_in_law(self):
+    def test_chunked_equals_unchunked_in_law(self, monkeypatch):
+        from repro.parallel import chunk_sizes, pool
+
         spec = ExperimentSpec(n=256, d=3, trials=40, seed=2)
-        a = run_experiment(FullyRandomChoices(256, 3), spec.replace(chunks=1))
-        b = run_experiment(FullyRandomChoices(256, 3), spec.replace(chunks=8))
+        a = run_experiment(FullyRandomChoices(256, 3), spec)
+        # A budget of 5 trials per chunk splits the run into 8 chunks.
+        monkeypatch.setattr(pool, "CHUNK_CELLS", 5 * 256)
+        assert len(chunk_sizes(40, 256)) == 8
+        b = run_experiment(FullyRandomChoices(256, 3), spec)
         assert abs(
             a.distribution.fraction_at(1) - b.distribution.fraction_at(1)
         ) < 0.02
@@ -120,13 +125,30 @@ class TestRunExperiment:
     def test_multiprocess_matches_serial(self):
         """workers=2 must produce exactly the serial result (same spawned
         seed streams, order-independent aggregation)."""
-        spec = ExperimentSpec(n=64, d=3, trials=8, seed=3, chunks=4)
+        spec = ExperimentSpec(n=64, d=3, trials=8, seed=3)
         serial = run_experiment(DoubleHashingChoices(64, 3), spec)
         parallel = run_experiment(
             DoubleHashingChoices(64, 3), spec.replace(workers=2)
         )
         assert np.array_equal(
             serial.distribution.counts, parallel.distribution.counts
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_do_not_change_results(self, workers):
+        """The chunks follow from the run alone, so every worker count
+        gives the serial run's numbers (12 trials: four chunks of 3)."""
+        spec = ExperimentSpec(n=128, d=3, trials=12, seed=7)
+        serial = run_experiment(DoubleHashingChoices(128, 3), spec)
+        pooled = run_experiment(
+            DoubleHashingChoices(128, 3), spec.replace(workers=workers)
+        )
+        assert np.array_equal(
+            pooled.distribution.counts, serial.distribution.counts
+        )
+        assert np.array_equal(
+            pooled.distribution.max_load_per_trial,
+            serial.distribution.max_load_per_trial,
         )
 
     def test_legacy_signature_rejected(self):

@@ -191,6 +191,12 @@ class TestExecution:
             ["table3", "--n", "64"],
             ["table1", "--retries", "1"],
             ["table1", "--chunk-timeout", "5"],
+            ["table1", "--chunks", "4"],
+            ["table1", "--trials-mode", "parallel"],
+            ["compare", "--chunks", "4"],
+            ["compare", "--trials-mode", "parallel"],
+            ["certify", "--chunks", "4"],
+            ["certify", "--trials-mode", "parallel"],
         ],
         ids=lambda argv: "-".join(argv),
     )

@@ -49,12 +49,21 @@ class TestSpec:
             {"backend": "fortran"},
             {"backend": "numba"},
             {"n_balls": 0},
-            {"chunks": 0},
+            {"scheme": "nope"},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**bad)
+
+    def test_removed_knobs_are_not_fields(self):
+        # One chunking rule and one trial mode: neither is a spec field.
+        for knob in ({"chunks": 4}, {"trials_mode": "parallel"}):
+            with pytest.raises(TypeError):
+                ExperimentSpec(**knob)
+            with pytest.raises(TypeError):
+                ExperimentSpec().replace(**knob)
+        assert ExperimentSpec().trials_mode == "chunked"
 
     def test_backend_field(self):
         assert ExperimentSpec().backend is None
@@ -66,9 +75,9 @@ class TestSpec:
         assert ExperimentSpec().block == DEFAULT_BLOCK
 
     def test_engine_config_mirrors_spec(self):
-        spec = ExperimentSpec(workers=3, chunks=7, checkpoint="/tmp/x.jsonl")
+        spec = ExperimentSpec(workers=3, checkpoint="/tmp/x.jsonl")
         cfg = spec.engine_config()
-        assert (cfg.workers, cfg.chunks) == (3, 7)
+        assert cfg.workers == 3
         assert cfg.checkpoint_path == "/tmp/x.jsonl"
 
     def test_top_level_reexports(self):
@@ -101,7 +110,7 @@ class TestRunExperimentSpec:
 
     def test_checkpoint_resume_via_spec(self, tmp_path):
         spec = ExperimentSpec(
-            n=64, d=3, trials=8, seed=2, chunks=4,
+            n=64, d=3, trials=8, seed=2,
             checkpoint=str(tmp_path / "ck.jsonl"),
         )
         first = run_experiment(DoubleHashingChoices(64, 3), spec)
@@ -151,8 +160,7 @@ class TestTableShims:
 class TestCliSpecDefaults:
     RUN = {"n", "d", "trials", "seed"}
     ENGINE = {
-        "workers", "chunks", "block", "trials_mode", "checkpoint",
-        "metrics_out", "progress",
+        "workers", "block", "checkpoint", "metrics_out", "progress",
     }
     # Exactly the flags each table function reads.
     FLAGS = {
@@ -182,13 +190,13 @@ class TestCliSpecDefaults:
             [
                 "table1", "--n", "128", "--trials", "4",
                 "--checkpoint", "/tmp/c.jsonl", "--metrics-out", "/tmp/m.json",
-                "--progress", "--chunks", "2",
+                "--progress", "--workers", "2",
             ]
         )
         assert args.checkpoint == "/tmp/c.jsonl"
         assert args.metrics_out == "/tmp/m.json"
         assert args.progress is True
-        assert args.chunks == 2
+        assert args.workers == 2
 
     def test_backend_and_block_flags_parse_and_thread(self):
         # The table subcommands take no --backend flag (numpy is the only
