@@ -20,14 +20,15 @@ scattered tolerance checks:
   agreement);
 - :mod:`repro.certify.verdict` — the ``certification.json`` document:
   schema, validation, and serialization;
-- :mod:`repro.certify.experiments_md` — regenerates EXPERIMENTS.md from
-  the registry and checks the committed file for drift.
+- :mod:`repro.certify.experiments_md` — prints EXPERIMENTS.md from a
+  certification run and checks the committed file's paper cells
+  against the registry.
 
 Entry point: ``python -m repro certify --tier smoke`` (see
 ``docs/certification.md`` for the methodology and
 ``docs/reproducing.md`` for the workflow).
 
-Heavy submodules (runner, emitter) are imported lazily so that low
+Heavy submodules (runner, renderer) are imported lazily so that low
 layers — notably :mod:`repro.experiments.config`, which rebuilds
 ``PAPER_VALUES`` from :func:`repro.certify.anchors.paper_values` — can
 import this package without a cycle.

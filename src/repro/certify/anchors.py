@@ -3,10 +3,9 @@
 This module is the single place in the codebase where numbers from the
 paper (Mitzenmacher, *Balanced Allocations and Double Hashing*,
 arXiv:1209.5360v4) are transcribed.  Everything else — ``PAPER_VALUES``
-in :mod:`repro.experiments.config`, the table benchmarks, the
-EXPERIMENTS.md emitter, and the certification runner — looks values
-up here, so a transcription typo can only ever exist (and be fixed) in
-one file.
+in :mod:`repro.experiments.config`, the EXPERIMENTS.md renderer and
+its drift check, and the certification runner — looks values up here,
+so a transcription typo can only ever exist (and be fixed) in one file.
 
 Two views are exposed:
 
@@ -32,6 +31,7 @@ __all__ = [
     "ANCHORS",
     "PAPER_SOURCE",
     "REGISTRY",
+    "TABLE5_PAPER_N",
     "PaperAnchor",
     "anchor",
     "anchor_value",
@@ -40,6 +40,10 @@ __all__ = [
 
 #: Canonical citation for every ``table*`` anchor.
 PAPER_SOURCE = "arXiv:1209.5360v4 (Mitzenmacher, SPAA 2014)"
+
+#: The n of Table 5, whose cells count bins per trial: an ``avg`` cell
+#: over this n is the scale-free fraction a run at another n measures.
+TABLE5_PAPER_N = 2**18
 
 
 @dataclass(frozen=True)

@@ -1,100 +1,30 @@
-"""EXPERIMENTS.md: the deterministic emitter and the cheap drift check.
+"""EXPERIMENTS.md: the report of one certification, and its drift check.
 
-Two jobs live here:
+- :func:`render_experiments_md` prints the document from a
+  :class:`~repro.certify.runner.Certification`.  Each section is one of
+  its runs, in run order.  Each measured cell is read from what that
+  run's certifier judged (``Certification.judged``), with the mark of
+  the check on that cell beside it, and every other check of the run
+  gets one line under its table.  Nothing is run or recomputed here.
+  The text holds no timestamp, wall clock or worker count, so a tier
+  renders byte-identically at any ``--workers``.
+- :func:`check_experiments_md_drift` checks that every paper cell a
+  committed document prints agrees with the anchor registry.  It only
+  parses markdown, so it is fast enough for every push.
 
-- :func:`render_experiments_md` regenerates the whole document — it runs
-  every table experiment at the documented reduced scale with pinned
-  seeds, so two runs on one backend produce byte-identical output
-  (there is deliberately no timestamp or timing line).  Paper columns
-  come from the anchor registry, never from literals in this file.
-- :func:`check_experiments_md_drift` verifies that the *committed*
-  document's paper columns agree with the registry — a transcription
-  edit that forgets to regenerate the document fails CI.  It only
-  parses markdown; no experiments run, so it is fast enough for every
-  push.
-
-``python -m repro certify --emit-experiments-md`` runs the renderer and
-``--check-drift`` the drift check.
+``python -m repro certify --tier standard --emit-experiments-md`` writes
+the committed document; ``--check-drift`` runs the drift check.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.certify.anchors import anchor_value, paper_values
+from repro.certify.anchors import REGISTRY, TABLE5_PAPER_N, paper_values
 
 __all__ = ["check_experiments_md_drift", "fmt_fraction", "render_experiments_md"]
 
-_SCALE_NOTE = (
-    "Measured columns regenerated by"
-    " `python -m repro certify --emit-experiments-md`"
-    " at reduced scale (see the per-table parameters); paper columns"
-    " transcribed once in `repro.certify.anchors`.  Sampling error at these"
-    " scales is a few units in the fourth decimal place for load fractions."
-    "  Statistical certification of these columns: `python -m repro certify`"
-    " (see docs/certification.md)."
-)
-
-# Static analysis sections maintained by hand; paper-derived constants are
-# interpolated from the registry so they are never transcribed twice.
-_APPENDIX = """## Theory sections (bench_theory.py)
-
-| Paper result | Executable check | Outcome |
-|---|---|---|
-| Theorem 2 (majorization coupling) | `coupled_majorization_run` verifies the sorted-load majorization invariant after **every ball** of a coupled 2-random vs d-double run | holds on every tested (n, d, seed), incl. hypothesis-randomized geometries |
-| Theorem 4 (witness tree) | observed max loads vs `witness_tree_bound` = `log_d log_2 n + 4d` | all simulated max loads <= bound - 8 (bound is loose, as the paper notes) |
-| Lemma 6 (ancestry size) | exact ancestry lists from recorded histories, sizes vs `8*ln n` at T = 0.15 | max sizes 3-8 for n = 2^9..2^13, flat in n |
-| Lemma 7 (disjointness) | `disjointness_rate` of a fresh ball's d ancestry lists | rises with n, > 0.9 at n = 2^12 (rate 1 - O(d^2 log^2 n / n)) |
-| Lemma 6 (branching domination) | Galton-Watson population vs `e^(T*d(d-1))`, Karp-Zhang tail | mean within 20%, tail decays geometrically in gamma |
-| Appendix B (layered induction) | simulated z_i vs the beta_i envelope (beta_6 = n/2e, beta_(i+1) = 4*beta_i^d/n^(d-1)) | all level counts below the envelope |
-
-## Scale substitutions
-
-See DESIGN.md par.4.  In brief: trials reduced from 10^4 to 40-400 (sampling
-envelopes reported alongside); queueing n reduced from 2^14 to 2^10 and the
-horizon from 10^4 s to 2*10^3 s (the closed-form fluid equilibrium provides
-the scale-free reference, itself matching the paper's column to <= 2.5e-3);
-heavy-load bins reduced 4x at fixed balls-per-bin = 16.  Every experiment
-function accepts paper-scale parameters unchanged — aggregation is
-streaming, so memory does not grow with trials.
-
-## Peeling (follow-up paper [30]; bench_peeling.py)
-
-Density sweep on d = 3 random hypergraphs, n = 4096 vertices, 10 trials
-per cell (`examples/peeling_codes.py`):
-
-| density | P(complete) random | P(complete) double | core frac random | core frac double | DE core |
-|---|---|---|---|---|---|
-| 0.70 | 1.00 | 0.40 | 0.0000 | 0.0006 | 0.0000 |
-| 0.76 | 1.00 | 0.40 | 0.0000 | 0.0007 | 0.0000 |
-| 0.80 | 0.90 | 0.20 | 0.0376 | 0.0403 | 0.0000 |
-| 0.84 | 0.00 | 0.00 | 0.5077 | 0.5270 | 0.5185 |
-| 0.88 | 0.00 | 0.00 | 0.6203 | 0.6235 | 0.6240 |
-| 0.95 | 0.00 | 0.00 | 0.7320 | 0.7283 | 0.7319 |
-
-Reading: *core fractions* (the fluid-limit observable) agree between
-schemes and match density evolution; *complete recovery* under double
-hashing fails at a constant rate below threshold.  Every such failure was
-verified to be a duplicate-hyperedge 2-core — the paper's footnote-1
-example (`Pr[k balls share a d-set] = O(n^(-2k))` vs `O(n^(-dk))`)
-surfacing as an engineering constraint for IBLTs/erasure codes.
-
-## Additional quantitative checks
-
-- **Lemma 5 drift** (`analysis.drift`): empirical increment rate of X_i
-  within a window matches `x_(i-1)^d - x_i^d` within ~2 binomial standard
-  errors at n = 2^13, for both schemes, at levels 1 and 2; the gap shrinks
-  with n.
-- **Wormald deviation** (`fluid.wormald`): max-over-path deviation from the
-  ODE trajectory decays like n^(-gamma) with gamma ~= 0.5 (CLT scale); at
-  n = 2048 the worst deviation over 6 checkpoints and levels 1-3 is < 1%.
-- **Peeling thresholds** (`peeling.density_evolution`): {p3} / {p4} /
-  {p5} for d = 3/4/5, matching the literature to 5 decimals.
-- **Scheme zoo** (`experiments.extra`): KP blocks (the other 2-value
-  scheme) show a measurable distribution shift (+0.8 pp empty bins at
-  d = 4) while double hashing shows none — the contrast that makes the
-  paper's result non-trivial.
-"""
+PASS, FAIL = "✓", "✗"
 
 
 def fmt_fraction(x: float) -> str:
@@ -106,232 +36,312 @@ def fmt_fraction(x: float) -> str:
     return f"{x:.5f}"
 
 
-def _appendix() -> str:
-    return _APPENDIX.format(
-        p3=anchor_value("derived/peeling-threshold/d3"),
-        p4=anchor_value("derived/peeling-threshold/d4"),
-        p5=anchor_value("derived/peeling-threshold/d5"),
-    )
+def _pow2(n: int) -> str:
+    """``2^k`` for a power of two, else ``n``."""
+    return f"2^{n.bit_length() - 1}" if n > 0 and n & (n - 1) == 0 else str(n)
+
+
+def _row(*cells) -> str:
+    return "| " + " | ".join(str(c) for c in cells) + " |"
+
+
+def _paper(anchor_id: str, fmt=fmt_fraction) -> str:
+    """The registry's value for ``anchor_id``, or ``-`` when it has none."""
+    a = REGISTRY.get(anchor_id)
+    return "-" if a is None else fmt(a.value)
+
+
+class _Run:
+    """One run of a certification: its parameters, what its certifier
+    judged, and its checks, each printed once.
+
+    A run's checks carry its table and variant; the per-point checks of
+    Table 4 and of the zoo suffix the variant with ``-<point>``.
+    """
+
+    def __init__(self, cert, record):
+        self.table, self.variant = record.table, record.variant
+        self.params = record.params
+        self.judged = cert.judged[(record.table, record.variant)]
+        self.checks = [
+            c for c in cert.checks
+            if c.table == record.table
+            and (c.variant == record.variant
+                 or c.variant.startswith(record.variant + "-"))
+        ]
+        self._by_key = {c.check_id: c for c in self.checks}
+        self._by_key.update(
+            (c.anchor_id, c) for c in self.checks if c.kind == "anchor"
+        )
+        self._shown: set[str] = set()
+
+    def check(self, key: str):
+        """The check with this check id, or the anchor check of this
+        anchor id."""
+        return self._by_key.get(key)
+
+    def cell(self, text: str, key: str) -> str:
+        """``text``, with the mark of the check ``key`` finds if any."""
+        check = self.check(key)
+        if check is None:
+            return text
+        self._shown.add(check.check_id)
+        return f"{text} {PASS if check.passed else FAIL}"
+
+    def pair(self, anchor_id: str, text: str, fmt=fmt_fraction):
+        """The paper cell of ``anchor_id``, then the measured ``text``."""
+        return _paper(anchor_id, fmt), self.cell(text, anchor_id)
+
+    def lines(self) -> list[str]:
+        """One line for each check that no cell showed."""
+        return [_check_line(c) for c in self.checks
+                if c.check_id not in self._shown]
+
+
+def _check_line(c) -> str:
+    values = []
+    if c.p_value is not None:
+        values.append(f"p = {c.p_value:.3g}, Holm p = {c.p_holm:.3g}")
+    elif c.measured is not None and c.tolerance is not None:
+        values.append(
+            f"{c.measured:.6g} vs {c.expected:.6g} ± {c.tolerance:.6g}"
+        )
+    values.append(c.detail)
+    return f"- `{c.check_id}` {PASS if c.passed else FAIL}: " + "; ".join(values)
 
 
 # --------------------------------------------------------------------------
-# Rendering
+# Sections: each returns its ### heading's facts, its columns and its rows
 # --------------------------------------------------------------------------
 
+_PAIR = ("paper random", "measured random", "paper double", "measured double")
 
-def render_experiments_md(*, metrics=None, progress=None) -> str:
-    """Regenerate the full EXPERIMENTS.md document (runs experiments).
 
-    Seeds are pinned per table, so output is deterministic for a given
-    kernel backend (the backends are bit-identical, so in practice for
-    any backend).  Takes a few minutes at the documented scales.
-    """
-    # Imported lazily: the drift check must stay importable without
-    # touching the experiment stack.
-    from repro.experiments import (
-        ExperimentSpec,
-        table1_load_fractions,
-        table2_fluid_vs_simulation,
-        table3_larger_n,
-        table4_max_load,
-        table5_level_stats,
-        table6_heavy_load,
-        table7_dleft,
-        table8_queueing,
-    )
+def _loads(run: _Run):
+    """Tables 1, 3, 6 and 7: the fraction of bins at each load, beside
+    the fluid limit where the table has one."""
+    p, t = run.params, run.table
+    log2_n = p["n"].bit_length() - 1
+    prefix = {
+        "table1": f"table1/d{p['d']}", "table3": f"table3/n{log2_n}/d{p['d']}",
+        "table6": f"table6/d{p['d']}", "table7": f"table7/n{log2_n}",
+    }[t]
+    size = (f"{_pow2(p['n_balls'])} balls into {_pow2(p['n'])} bins"
+            if t == "table6" else f"n = {_pow2(p['n'])}")
+    rows = [
+        (load,
+         *run.pair(f"{prefix}/random/load{load}", fmt_fraction(rand)),
+         *run.pair(f"{prefix}/double/load{load}", fmt_fraction(dbl)),
+         *(run.cell(fmt_fraction(f), f"fluid:{t}/{run.variant}:load{load}")
+           for f in fluid))
+        for load, rand, dbl, *fluid in run.judged.rows
+    ]
+    columns = ("Load", *_PAIR, *(("fluid limit",) if run.judged.fluid else ()))
+    return [f"d = {p['d']}", size, f"{p['trials']} trials"], columns, rows
 
-    paper = paper_values()
-    lines: list[str] = []
-    emit = lines.append
-    kw = {"metrics": metrics, "progress": progress}
 
-    emit("# EXPERIMENTS — paper vs. measured")
-    emit("")
-    emit(_SCALE_NOTE)
-    emit("")
+def _table2(run: _Run):
+    p = run.params
+    rows = [
+        (f">= {load}", _paper(f"table2/fluid/tail{load}"),
+         run.cell(fmt_fraction(fluid), f"fluid:table2/{run.variant}:tail{load}"),
+         *run.pair(f"table2/random/tail{load}", fmt_fraction(rand)),
+         *run.pair(f"table2/double/tail{load}", fmt_fraction(dbl)))
+        for load, fluid, rand, dbl in run.judged.rows
+    ]
+    return ([f"d = {p['d']}", f"n = {_pow2(p['n'])}", f"{p['trials']} trials"],
+            ("Tail load", "paper fluid", "measured fluid", *_PAIR), rows)
 
-    emit("## Table 1 — load fractions, n = 2^14 balls and bins")
-    emit("")
-    for d in (3, 4):
-        t = table1_load_fractions(
-            ExperimentSpec(n=2**14, d=d, trials=400, seed=1), **kw
+
+def _table4(run: _Run):
+    p = run.params
+    rows = [  # ``results`` is keyed by log2(n), in row order
+        (label,
+         *run.pair(f"table4/d{p['d']}/random/n{k}", f"{rand:.2f}", str),
+         *run.pair(f"table4/d{p['d']}/double/n{k}", f"{dbl:.2f}", str))
+        for (label, rand, dbl), k in zip(run.judged.rows, run.judged.results)
+    ]
+    return [f"d = {p['d']}", f"{p['trials']} trials per n"], ("n", *_PAIR), rows
+
+
+def _table5(run: _Run):
+    p = run.params
+    rows = []
+    for scheme, load, mn, avg, mx, std in run.judged.rows:
+        anchor_id = f"table5/{scheme}/load{load}/avg"
+        check = run.check(anchor_id)
+        rows.append((
+            scheme, load, mn, f"{avg:.2f}", mx, f"{std:.2f}",
+            run.cell("-" if check is None else f"{check.measured:.5f}",
+                     anchor_id),
+            _paper(anchor_id, lambda v: f"{v / TABLE5_PAPER_N:.5f}"),
+        ))
+    return ([f"d = {p['d']}", f"n = {_pow2(p['n'])}", f"{p['trials']} trials"],
+            ("Scheme", "Load", "min", "avg", "max", "std", "avg/n",
+             "paper avg/n"), rows)
+
+
+def _table8(run: _Run):
+    meta = run.judged.meta
+    rows = [
+        (lam, d,
+         *run.pair(f"table8/lam{lam}/d{d}/random", f"{rand:.5f}", str),
+         *run.pair(f"table8/lam{lam}/d{d}/double", f"{dbl:.5f}", str),
+         f"{fluid:.5f}")
+        for lam, d, rand, dbl, fluid in run.judged.rows
+    ]
+    return ([f"n = {_pow2(meta['n'])} queues",
+             f"one run per cell of {meta['sim_time']:g} s with"
+             f" {meta['burn_in']:g} s of burn-in"],
+            ("lambda", "d", *_PAIR, "fluid eq."), rows)
+
+
+def _peeling(run: _Run):
+    from repro.peeling import core_edge_fraction
+
+    e = run.judged
+    rows = [
+        (f"{c:.2f}", f"{sr:.2f}", f"{sd:.2f}", f"{cr:.4f}", f"{cd:.4f}",
+         f"{core_edge_fraction(float(c), e.d):.4f}")
+        for c, sr, sd, cr, cd in zip(
+            e.densities, e.success_random, e.success_double,
+            e.core_fraction_random, e.core_fraction_double,
         )
-        paper_r = paper["table1"][(d, "random")]
-        paper_d = paper["table1"][(d, "double")]
-        emit(f"### {d} choices (trials=400 here vs 10000 in the paper)")
-        emit("")
-        emit("| Load | paper random | measured random | paper double | measured double |")
-        emit("|---|---|---|---|---|")
-        for load, rand, dbl in t.rows:
-            pr = fmt_fraction(paper_r[load]) if load in paper_r else "-"
-            pd = fmt_fraction(paper_d[load]) if load in paper_d else "-"
-            emit(f"| {load} | {pr} | {fmt_fraction(rand)} | {pd} | {fmt_fraction(dbl)} |")
-        emit("")
-
-    emit("## Table 2 — fluid limit vs simulation, 3 choices, n = 2^14")
-    emit("")
-    t = table2_fluid_vs_simulation(
-        ExperimentSpec(n=2**14, d=3, trials=400, seed=2), **kw
-    )
-    p2 = paper["table2"]
-    emit("| Tail load | paper fluid | measured fluid | paper random | measured random | paper double | measured double |")
-    emit("|---|---|---|---|---|---|---|")
-    for load, fluid, rand, dbl in t.rows:
-        if load in p2["fluid"]:
-            emit(
-                f"| >= {load} | {fmt_fraction(p2['fluid'][load])} | {fmt_fraction(fluid)} |"
-                f" {fmt_fraction(p2['random'][load])} | {fmt_fraction(rand)} |"
-                f" {fmt_fraction(p2['double'][load])} | {fmt_fraction(dbl)} |"
-            )
-    emit("")
-
-    emit("## Table 3 — larger n (here 2^16; paper also reports 2^18)")
-    emit("")
-    for d in (3, 4):
-        t = table3_larger_n(
-            ExperimentSpec(d=d, log2_n=16, trials=60, seed=3), **kw
-        )
-        paper_r = paper["table3"][(16, d, "random")]
-        paper_d = paper["table3"][(16, d, "double")]
-        emit(f"### {d} choices, n = 2^16 (trials=60 here vs 10000)")
-        emit("")
-        emit("| Load | paper random | measured random | paper double | measured double |")
-        emit("|---|---|---|---|---|")
-        for load, rand, dbl in t.rows:
-            pr = fmt_fraction(paper_r[load]) if load in paper_r else "-"
-            pd = fmt_fraction(paper_d[load]) if load in paper_d else "-"
-            emit(f"| {load} | {pr} | {fmt_fraction(rand)} | {pd} | {fmt_fraction(dbl)} |")
-        emit("")
-
-    emit("## Table 4 — % of trials with maximum load 3")
-    emit("")
-    for d, sizes in ((3, (10, 11, 12, 13, 14)), (4, (10, 12, 14))):
-        t = table4_max_load(
-            ExperimentSpec(d=d, trials=400, seed=4), log2_n_values=sizes,
-            **kw,
-        )
-        p4r = paper["table4"][(d, "random")]
-        p4d = paper["table4"][(d, "double")]
-        emit(f"### {d} choices (trials=400 here vs 10000)")
-        emit("")
-        emit("| n | paper random | measured random | paper double | measured double |")
-        emit("|---|---|---|---|---|")
-        for (label, rand, dbl), log2_n in zip(t.rows, sizes):
-            emit(
-                f"| {label} | {p4r.get(log2_n, '-')} | {rand:.2f} |"
-                f" {p4d.get(log2_n, '-')} | {dbl:.2f} |"
-            )
-        emit("")
-
-    emit("## Table 5 — per-load count statistics, 4 choices")
-    emit("")
-    emit("Paper used n = 2^18; here n = 2^16 with trials=60, so compare the")
-    emit("*relative* spread (std/mean) and the mean/n fractions.")
-    emit("")
-    t = table5_level_stats(ExperimentSpec(n=2**16, d=4, trials=60, seed=5), **kw)
-    emit("| Scheme | Load | min | avg | max | std | avg/n | paper avg/n |")
-    emit("|---|---|---|---|---|---|---|---|")
-    p5 = paper["table5"]
-    for scheme, load, mn, avg, mx, std in t.rows:
-        ref = p5[scheme].get(load)
-        paper_frac = f"{ref['avg'] / 2**18:.5f}" if ref else "-"
-        emit(
-            f"| {scheme} | {load} | {mn} | {avg:.2f} | {mx} | {std:.2f} |"
-            f" {avg / 2**16:.5f} | {paper_frac} |"
-        )
-    emit("")
-
-    emit("## Table 6 — heavily loaded: 16 balls per bin")
-    emit("")
-    for d in (3, 4):
-        t = table6_heavy_load(
-            ExperimentSpec(n=2**12, d=d, trials=40, seed=6),
-            balls_per_bin=16, **kw,
-        )
-        paper_r = paper["table6"][(d, "random")]
-        emit(f"### {d} choices, 2^16 balls into 2^12 bins (paper: 2^18 into 2^14)")
-        emit("")
-        emit("| Load | paper random | measured random | measured double | fluid limit |")
-        emit("|---|---|---|---|---|")
-        for load, rand, dbl, fluid in t.rows:
-            pr = fmt_fraction(paper_r[load]) if load in paper_r else "-"
-            emit(f"| {load} | {pr} | {fmt_fraction(rand)} | {fmt_fraction(dbl)} | {fmt_fraction(fluid)} |")
-        emit("")
-
-    emit("## Table 7 — Vöcking's d-left scheme, 4 choices, n = 2^14")
-    emit("")
-    t = table7_dleft(ExperimentSpec(n=2**14, d=4, trials=400, seed=7))
-    paper_r = paper["table7"][(14, "random")]
-    paper_d = paper["table7"][(14, "double")]
-    emit("| Load | paper random | measured random | paper double | measured double | fluid |")
-    emit("|---|---|---|---|---|---|")
-    for load, rand, dbl, fluid in t.rows:
-        pr = fmt_fraction(paper_r[load]) if load in paper_r else "-"
-        pd = fmt_fraction(paper_d[load]) if load in paper_d else "-"
-        emit(f"| {load} | {pr} | {fmt_fraction(rand)} | {pd} | {fmt_fraction(dbl)} | {fmt_fraction(fluid)} |")
-    emit("")
-
-    emit("## Table 8 — supermarket model, mean time in system")
-    emit("")
-    emit("Paper: n = 2^14 queues, 100 runs x 10000 s.  Here: n = 2^10,")
-    emit("one run of 2000 s per cell (burn-in 200 s).  The fluid equilibrium")
-    emit("column is exact and scale-free.")
-    emit("")
-    t = table8_queueing(
-        ExperimentSpec(n=2**10, sim_time=2000.0, burn_in=200.0, seed=8),
-        lambdas=(0.9, 0.99), d_values=(3, 4),
-    )
-    p8 = paper["table8"]
-    emit("| lambda | d | paper random | measured random | paper double | measured double | fluid eq. |")
-    emit("|---|---|---|---|---|---|---|")
-    for lam, d, rand, dbl, fluid in t.rows:
-        pr = p8[(lam, d, "random")]
-        pd = p8[(lam, d, "double")]
-        emit(
-            f"| {lam} | {d} | {pr} | {rand:.5f} | {pd} | {dbl:.5f} |"
-            f" {fluid:.5f} |"
-        )
-    emit("")
-    _emit_scheme_sweep(emit, metrics=metrics, progress=progress)
-    emit(_appendix())
-    return "\n".join(lines)
+    ]
+    return ([f"d = {e.d}", f"n = {_pow2(e.n_vertices)} vertices",
+             f"{run.params['trials']} hypergraphs per density and scheme"],
+            ("density", "P(complete) random", "P(complete) double",
+             "core frac random", "core frac double", "DE core"), rows)
 
 
-def _emit_scheme_sweep(emit, *, metrics=None, progress=None) -> None:
-    """The hash-family-zoo section: every keyed family vs fully random.
+def _schemes(run: _Run):
+    """The hash-family zoo.  Guarantee and citation columns render from
+    :data:`repro.hashing.registry.SCHEME_INFO`, which the drift check
+    compares the committed document against."""
+    from repro.hashing.registry import SCHEME_INFO
 
-    Guarantee and citation columns render from
-    :data:`repro.hashing.registry.SCHEME_INFO` — the drift check
-    compares the committed document against that registry, preserving
-    the single-transcription invariant for the zoo's theory columns.
-    """
-    from repro.experiments import ExperimentSpec
-    from repro.experiments.tables import scheme_sweep
-    from repro.hashing.registry import SCHEME_INFO, ZOO_FAMILIES
-
-    sweep = scheme_sweep(
-        ExperimentSpec(n=2**12, d=3, trials=50, seed=9), ZOO_FAMILIES,
-        metrics=metrics, progress=progress,
-    )
-    emit("## Hash-family zoo — scheme equivalence sweep")
-    emit("")
-    emit("Every keyed family vs the fully-random baseline at n = 2^12,")
-    emit("d = 3, trials = 50 (challenger k seeded 9 + 1 + k, the certifier's")
-    emit("convention): chi-square homogeneity p on the load law and mean")
-    emit("per-trial max load.  Guarantee/citation columns render from")
-    emit("`repro.hashing.SCHEME_INFO`; `python -m repro certify` runs the")
-    emit("same sweep under Holm-corrected envelopes at n up to 2^24 (the")
-    emit("`schemes` cells; see docs/hash-families.md).")
-    emit("")
-    emit("| Scheme | guarantee | citation | chi2 p vs random | mean max load | random mean max |")
-    emit("|---|---|---|---|---|---|")
-    for name, p, mean_max, base_max in sweep.rows:
+    p, v = run.params, run.variant
+    rows = []
+    for name, pv, mean_max, base_max in run.judged.rows:
+        chi2 = f"equivalence:schemes/{v}/{name}:chi2"
         info = SCHEME_INFO[name]
-        emit(
-            f"| {name} | {info.guarantee} | {info.citation} |"
-            f" {p:.3f} | {mean_max:.2f} | {base_max:.2f} |"
+        rows.append((
+            name, info.guarantee, info.citation, run.cell(f"{pv:.3f}", chi2),
+            f"{run.check(chi2).p_holm:.3f}",
+            run.cell(f"{mean_max:.2f}", f"bootstrap:schemes/{v}-{name}:max-load"),
+            f"{base_max:.2f}",
+        ))
+    return ([f"d = {p['d']}", f"n = {_pow2(p['n'])}", f"{p['trials']} trials"],
+            ("Scheme", "guarantee", "citation", "chi2 p vs random", "Holm p",
+             "mean max load", "random mean max"), rows)
+
+
+#: Each certifier's section heading and renderer.
+_SECTIONS = {
+    "table1": ("Table 1 — load fractions, n balls into n bins", _loads),
+    "table2": ("Table 2 — fluid limit vs simulation, tail fractions", _table2),
+    "table3": ("Table 3 — load fractions at larger n", _loads),
+    "table4": ("Table 4 — % of trials with maximum load 3", _table4),
+    "table5": ("Table 5 — per-load count statistics", _table5),
+    "table6": ("Table 6 — heavily loaded bins", _loads),
+    "table7": ("Table 7 — Vöcking's d-left scheme", _loads),
+    "table8": ("Table 8 — supermarket model, mean time in system", _table8),
+    "peeling": ("Peeling — the 2-core threshold of the follow-up paper [30]",
+                _peeling),
+    "schemes": ("Hash-family zoo — each keyed family vs fully random",
+                _schemes),
+}
+
+#: A sentence above the table, for the sections that need one.
+_NOTES = {
+    "table5": f"The paper's counts are at n = {_pow2(TABLE5_PAPER_N)};"
+              " the anchors compare avg/n.",
+    "peeling": "Core fractions are the fluid-limit observable; double"
+               " hashing's complete-recovery probability sits lower because"
+               " duplicate hyperedges (the paper's footnote 1) leave cores"
+               " of size O(1).",
+}
+
+
+def _runs_table(cert) -> list[str]:
+    """Each run's recorded parameters, without ``workers`` and
+    ``backend`` (which cannot change a number).  Table 4's sizes and
+    Table 8's ``d_values`` replace the spec's own ``n`` and ``d``, and
+    Table 8 runs once per cell."""
+    columns = ("table", "variant", "n", "d", "trials", "seed",
+               "other parameters")
+    lines = [_row(*columns), _row(*("---" for _ in columns))]
+    for r in cert.runs:
+        p = dict(r.params)
+        n, d, trials = _pow2(p.pop("n")), p.pop("d"), p.pop("trials")
+        if "log2_n_values" in p:
+            n = ", ".join(f"2^{k}" for k in p.pop("log2_n_values"))
+        if "d_values" in p:
+            d, trials = ", ".join(map(str, p.pop("d_values"))), "-"
+        seed = p.pop("seed")
+        other = "; ".join(
+            f"{k} = {_value(v)}" for k, v in p.items()
+            if k not in ("n_balls", "backend", "workers")
         )
-    emit("")
+        lines.append(_row(r.table, r.variant, n, d, trials, seed, other or "-"))
+    return lines
+
+
+def _value(v) -> str:
+    if isinstance(v, (list, tuple)):
+        return ", ".join(map(str, v))
+    return f"{v:g}" if isinstance(v, float) else str(v)
+
+
+def render_experiments_md(cert) -> str:
+    """Print EXPERIMENTS.md from one certification's runs and checks."""
+    lines = [
+        "# EXPERIMENTS — paper vs. measured",
+        "",
+        f"The report of one run of the `{cert.tier}` certification tier"
+        f" ({cert.description}), printed by `python -m repro certify"
+        f" --tier {cert.tier} --emit-experiments-md`.  Paper columns come"
+        " from the anchor registry (`repro.certify.anchors`).  Each"
+        " measured cell is the value its certifier judged, and the mark"
+        f" beside it is the verdict of that cell's check ({PASS} pass,"
+        f" {FAIL} fail); the lines under a table are the run's other"
+        " checks.  How each check is built:"
+        " [docs/certification.md](docs/certification.md).",
+        "",
+        "Seeds: the paper tables run fully random at the run's seed s and"
+        " double hashing at s + 1, and Tables 4 and 8 at s + 2k and"
+        " s + 2k + 1 for their k-th point; the zoo runs its baseline at s"
+        " and its k-th family at s + 1 + k; the peeling sweep draws both"
+        " schemes' hypergraphs from one stream seeded s.  Every run's"
+        " parameters are listed under Runs, and the paper's own scale is"
+        " in [DESIGN.md](DESIGN.md) §4.",
+    ]
+    last = None
+    for record in cert.runs:
+        heading, section = _SECTIONS[record.table]
+        if record.table != last:
+            lines += ["", f"## {heading}"]
+            last = record.table
+        run = _Run(cert, record)
+        facts, columns, rows = section(run)
+        facts.append(f"seed {record.params['seed']}")
+        lines += ["", "### " + ", ".join(facts), ""]
+        if record.table in _NOTES:
+            lines += [_NOTES[record.table], ""]
+        lines += [_row(*columns), _row(*("---" for _ in columns))]
+        lines += [_row(*row) for row in rows]
+        if checks := run.lines():
+            lines += ["", *checks]
+    failed = [c.check_id for c in cert.checks if not c.passed]
+    lines += [
+        "", "## Runs", "", *_runs_table(cert), "",
+        f"**Verdict: {'FAIL' if failed else 'PASS'}.**"
+        f" {len(cert.checks) - len(failed)} of {len(cert.checks)} checks"
+        f" pass (tier `{cert.tier}`, backend `{cert.backend}`).",
+    ]
+    if failed:
+        lines += ["", "Failing: " + ", ".join(f"`{i}`" for i in failed) + "."]
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -339,115 +349,71 @@ def _emit_scheme_sweep(emit, *, metrics=None, progress=None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _parse_tables(text: str) -> dict[tuple[str, str], list[dict[str, str]]]:
-    """Parse every markdown table, keyed by its (##, ###) section headers.
-
-    Each table becomes a list of ``{column_name: cell}`` row dicts.
-    """
-    tables: dict[tuple[str, str], list[dict[str, str]]] = {}
-    section = subsection = ""
-    header: list[str] | None = None
+def _rows(text: str):
+    """Each markdown table row as ``(## heading, facts of its ### heading,
+    {column: cell})``; a ### heading's facts are its comma-separated parts."""
+    section, facts, header = "", frozenset(), None
     for line in text.splitlines():
-        if line.startswith("## ") and not line.startswith("### "):
-            section, subsection, header = line[3:].strip(), "", None
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("## "):
+            section, facts = line[3:], frozenset()
         elif line.startswith("### "):
-            subsection, header = line[4:].strip(), None
-        elif line.startswith("|"):
-            cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if header is None:
-                header = cells
-                tables.setdefault((section, subsection), [])
-            elif all(set(c) <= {"-", ":", " "} for c in cells):
-                continue  # separator row
-            else:
-                tables[(section, subsection)].append(
-                    dict(zip(header, cells))
-                )
-        else:
+            facts = frozenset(line[4:].split(", "))
+        if not line.startswith("|"):
             header = None
-    return tables
+        elif header is None:
+            header = cells
+        elif set("".join(cells)) - {"-", ":"}:  # not the separator row
+            yield section, facts, dict(zip(header, cells))
 
 
-def _expectations() -> list[tuple[str, str, dict[str, str], dict[str, str]]]:
-    """Expected paper-column cells, derived from the registry.
-
-    Each entry is ``(section_prefix, subsection_prefix, row_selector,
-    expected_cells)`` where both dicts map column names to cell strings.
-    """
+def _expectations() -> list[tuple[str, frozenset, dict, dict]]:
+    """Every registry cell the document can print, as ``(section prefix,
+    facts its ### heading must state, row selector, {column: text})``."""
     paper = paper_values()
-    exp: list[tuple[str, str, dict[str, str], dict[str, str]]] = []
+    exp: list[tuple[str, frozenset, dict, dict]] = []
 
-    for table, section in (("table1", "Table 1"), ("table3", "Table 3")):
-        for key, cells in paper[table].items():
-            d, role = (key[0], key[1]) if table == "table1" else (key[1], key[2])
-            if table == "table3" and key[0] != 16:
-                continue  # the document reports the 2^16 runs
-            col = f"paper {role}"
-            for load, value in cells.items():
-                exp.append((
-                    section, f"{d} choices",
-                    {"Load": str(load)},
-                    {col: fmt_fraction(value)},
-                ))
-    for role in ("fluid", "random", "double"):
-        for load, value in paper["table2"][role].items():
-            exp.append((
-                "Table 2", "",
-                {"Tail load": f">= {load}"},
-                {f"paper {role}": fmt_fraction(value)},
-            ))
+    def add(section, facts, selector, column, text):
+        exp.append((section, frozenset(facts), selector, {column: text}))
+
+    for (d, role), cells in paper["table1"].items():
+        for load, value in cells.items():
+            add("Table 1", {f"d = {d}"}, {"Load": str(load)},
+                f"paper {role}", fmt_fraction(value))
+    for (log2_n, d, role), cells in paper["table3"].items():
+        for load, value in cells.items():
+            add("Table 3", {f"d = {d}", f"n = 2^{log2_n}"},
+                {"Load": str(load)}, f"paper {role}", fmt_fraction(value))
+    for role, cells in paper["table2"].items():
+        for load, value in cells.items():
+            add("Table 2", (), {"Tail load": f">= {load}"},
+                f"paper {role}", fmt_fraction(value))
     for (d, role), cells in paper["table4"].items():
-        sizes = {3: (10, 11, 12, 13, 14), 4: (10, 12, 14)}[d]
         for log2_n, value in cells.items():
-            if log2_n not in sizes:
-                continue
-            exp.append((
-                "Table 4", f"{d} choices",
-                {"n": f"2^{log2_n}"},
-                {f"paper {role}": str(value)},
-            ))
+            add("Table 4", {f"d = {d}"}, {"n": f"2^{log2_n}"},
+                f"paper {role}", str(value))
     for role, cells in paper["table5"].items():
         for load, stats in cells.items():
-            exp.append((
-                "Table 5", "",
-                {"Scheme": role, "Load": str(load)},
-                {"paper avg/n": f"{stats['avg'] / 2**18:.5f}"},
-            ))
+            add("Table 5", (), {"Scheme": role, "Load": str(load)},
+                "paper avg/n", f"{stats['avg'] / TABLE5_PAPER_N:.5f}")
     for (d, role), cells in paper["table6"].items():
-        if role != "random":
-            continue  # the document prints only the random paper column
         for load, value in cells.items():
-            exp.append((
-                "Table 6", f"{d} choices",
-                {"Load": str(load)},
-                {"paper random": fmt_fraction(value)},
-            ))
+            add("Table 6", {f"d = {d}"}, {"Load": str(load)},
+                f"paper {role}", fmt_fraction(value))
     for (log2_n, role), cells in paper["table7"].items():
-        if log2_n != 14:
-            continue
         for load, value in cells.items():
-            exp.append((
-                "Table 7", "",
-                {"Load": str(load)},
-                {f"paper {role}": fmt_fraction(value)},
-            ))
+            add("Table 7", {f"n = 2^{log2_n}"}, {"Load": str(load)},
+                f"paper {role}", fmt_fraction(value))
     for (lam, d, role), value in paper["table8"].items():
-        exp.append((
-            "Table 8", "",
-            {"lambda": str(lam), "d": str(d)},
-            {f"paper {role}": str(value)},
-        ))
+        add("Table 8", (), {"lambda": str(lam), "d": str(d)},
+            f"paper {role}", str(value))
     # Hash-family zoo: the theory columns must match the scheme registry
     # (repro.hashing is import-light, so the drift check stays cheap).
-    from repro.hashing.registry import SCHEME_INFO, ZOO_FAMILIES
+    from repro.hashing.registry import SCHEME_INFO
 
-    for name in ZOO_FAMILIES:
-        info = SCHEME_INFO[name]
-        exp.append((
-            "Hash-family zoo", "",
-            {"Scheme": name},
-            {"guarantee": info.guarantee, "citation": info.citation},
-        ))
+    for name, info in SCHEME_INFO.items():
+        exp.append(("Hash-family zoo", frozenset(), {"Scheme": name},
+                    {"guarantee": info.guarantee, "citation": info.citation}))
     return exp
 
 
@@ -455,34 +421,31 @@ def check_experiments_md_drift(path: str | Path = "EXPERIMENTS.md") -> list[str]
     """Compare a committed EXPERIMENTS.md against the anchor registry.
 
     Returns a list of human-readable problems (empty when in sync).
-    Only the paper columns are compared — measured columns legitimately
-    change when the document is regenerated — so this check never needs
-    to run an experiment.
+    Every paper cell the document prints must equal the registry's value
+    (a cell the document's runs do not reach is not printed, and is not
+    checked).  Measured columns legitimately change when the document is
+    regenerated, so no experiment runs here.
     """
     path = Path(path)
     if not path.exists():
         return [f"{path} does not exist"]
-    tables = _parse_tables(path.read_text())
+    rows = list(_rows(path.read_text()))
     problems: list[str] = []
-    for section, subsection, selector, expected in _expectations():
-        rows = [
-            row
-            for (sec, sub), body in tables.items()
-            if sec.startswith(section) and sub.startswith(subsection)
-            for row in body
-        ]
-        match = [
-            row for row in rows
-            if all(row.get(col) == val for col, val in selector.items())
-        ]
-        where = f"{section}/{subsection or '-'} {selector}"
-        if not match:
-            problems.append(f"no row found for {where}")
+    found = 0
+    for section, facts, selector, expected in _expectations():
+        row = next((
+            row for sec, fs, row in rows
+            if sec.startswith(section) and facts <= fs
+            and all(row.get(col) == val for col, val in selector.items())
+        ), None)
+        if row is None:
             continue
-        for col, val in expected.items():
-            got = match[0].get(col)
-            if got != val:
-                problems.append(
-                    f"{where}: column {col!r} is {got!r}, registry says {val!r}"
-                )
+        found += 1
+        where = f"{section}/{', '.join(sorted(facts)) or '-'} {selector}"
+        problems += [
+            f"{where}: column {col!r} is {row.get(col)!r}, registry says {val!r}"
+            for col, val in expected.items() if row.get(col) != val
+        ]
+    if not found:
+        problems.append(f"{path} prints no paper cell")
     return problems

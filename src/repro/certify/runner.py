@@ -25,7 +25,9 @@ keeps into typed :class:`CheckResult` records of four kinds:
 
 :func:`run_certification` returns a :class:`Certification` whose
 ``to_dict()`` serializes to the ``certification.json`` schema enforced
-by :mod:`repro.certify.verdict`.
+by :mod:`repro.certify.verdict`.  The certification also keeps what each
+certifier judged, which :mod:`repro.certify.experiments_md` renders
+into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.analysis import (
     cramers_v,
     holm_correction,
 )
-from repro.certify.anchors import PAPER_SOURCE, REGISTRY, anchor
+from repro.certify.anchors import PAPER_SOURCE, REGISTRY, TABLE5_PAPER_N, anchor
 from repro.certify.tiers import TIERS, CertificationTier, TableRun
 from repro.certify.verdict import SCHEMA_VERSION
 from repro.experiments import tables
@@ -106,6 +108,10 @@ class Certification:
     runs: list[RunRecord] = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
+    #: What each certifier judged, by ``(table, variant)``: the
+    #: :class:`~repro.experiments.tables.ExperimentTable`, or the peeling
+    #: cell's :class:`~repro.peeling.ThresholdExperiment`.  Not serialized.
+    judged: dict[tuple[str, str], Any] = field(default_factory=dict, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -294,7 +300,8 @@ def _load_anchors(prefix: str) -> list[tuple[str, int]]:
 
 
 # --------------------------------------------------------------------------
-# Per-table certifiers
+# Per-table certifiers: each returns its checks, the spec it ran and the
+# object it judged (kept in ``Certification.judged``).
 # --------------------------------------------------------------------------
 
 
@@ -332,7 +339,7 @@ def _certify_load_fraction_table(run, tier, metrics, progress):
             )
             for anchor_id, load in _load_anchors(f"table6/d{spec.d}/random")
         )
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_table2(run, tier, metrics, progress):
@@ -357,7 +364,7 @@ def _certify_table2(run, tier, metrics, progress):
                 n_obs, tier.anchor_z,
             ))
     checks.append(_equivalence_check(run, res_r.distribution, res_d.distribution))
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_table4(run, tier, metrics, progress):
@@ -393,7 +400,7 @@ def _certify_table4(run, tier, metrics, progress):
             res_d.distribution.max_load_per_trial,
             seed=(res_r.spec.seed or 0),
         ))
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_table5(run, tier, metrics, progress):
@@ -405,7 +412,7 @@ def _certify_table5(run, tier, metrics, progress):
     """
     spec = run.spec
     table = tables.table5_level_stats(spec, metrics=metrics, progress=progress)
-    paper_n = 2 ** 18
+    paper_n = TABLE5_PAPER_N
     n_obs = spec.trials * spec.n
     checks = []
     for role, res in table.results.items():
@@ -427,7 +434,7 @@ def _certify_table5(run, tier, metrics, progress):
             ))
     res_r, res_d = table.results["random"], table.results["double"]
     checks.append(_equivalence_check(run, res_r.distribution, res_d.distribution))
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_table7(run, tier, metrics, progress):
@@ -450,7 +457,7 @@ def _certify_table7(run, tier, metrics, progress):
     checks.append(_equivalence_check(
         run, table.results["random"], table.results["double"]
     ))
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_table8(run, tier, metrics, progress):
@@ -484,7 +491,7 @@ def _certify_table8(run, tier, metrics, progress):
             "random-vs-double sojourn gap (single runs, no "
             "distributional test)",
         ))
-    return checks, spec
+    return checks, spec, table
 
 
 def _certify_peeling(run, tier, metrics, progress):
@@ -544,7 +551,7 @@ def _certify_peeling(run, tier, metrics, progress):
         "scheme-equivalent observable; success probability differs "
         "by the duplicate-edge caveat, so no distributional test)",
     ))
-    return checks, spec
+    return checks, spec, exp
 
 
 def _certify_schemes(run, tier, metrics, progress):
@@ -582,7 +589,7 @@ def _certify_schemes(run, tier, metrics, progress):
             res.distribution.max_load_per_trial,
             seed=(res.spec.seed or 0),
         ))
-    return checks, spec
+    return checks, spec, sweep
 
 
 #: The table functions behind Tables 1, 3 and 6.
@@ -655,8 +662,11 @@ def run_certification(
                 run.extras,
             )
         t0 = time.perf_counter()
-        checks, used_spec = _CERTIFIERS[run.table](run, tier, metrics, progress)
+        checks, used_spec, judged = _CERTIFIERS[run.table](
+            run, tier, metrics, progress
+        )
         cert.checks.extend(checks)
+        cert.judged[(run.table, run.variant)] = judged
         cert.runs.append(RunRecord(
             table=run.table,
             variant=run.variant,

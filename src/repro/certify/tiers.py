@@ -6,16 +6,18 @@ extras — and (b) the statistical thresholds the checks are judged at.
 Three tiers ship:
 
 ``smoke``
-    Minutes-scale, wired into CI.  Covers Tables 1, 2, 3 and 8 plus the
+    Seconds-scale, wired into CI.  Covers Tables 1, 2, 3 and 8 plus the
     derived peeling-threshold cells and the hash-family-zoo scheme
     sweep (``schemes`` runs; see ``docs/hash-families.md``) at reduced
     trial counts with generous (but documented) envelopes.
 ``standard``
-    The EXPERIMENTS.md reproduction scale — every table, tens of
-    minutes, tighter envelopes.
+    Every table, tighter envelopes, under a minute.  EXPERIMENTS.md is
+    this tier's report (``certify --tier standard
+    --emit-experiments-md``), so every run the document publishes is a
+    run of this tier.
 ``full``
     Paper scale (10^4 trials, n up to 2^18, 10^4-second queueing
-    horizons; scheme sweeps up to n = 2^24).  Overnight; the envelopes
+    horizons; scheme sweeps up to n = 2^24).  Hours; the envelopes
     approach the paper's printed precision.
 
 Threshold semantics (see ``docs/certification.md`` for derivations):
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.experiments.config import ExperimentSpec
+from repro.hashing.registry import ZOO_FAMILIES
 
 __all__ = ["TIERS", "CertificationTier", "TableRun", "tier"]
 
@@ -98,7 +101,7 @@ _SMOKE = CertificationTier(
     description=(
         "CI tier: Tables 1/2/3/8 plus the derived peeling-threshold "
         "and hash-family-zoo cells at reduced trials, seed-pinned; "
-        "~1 minute on one core"
+        "about 1.5 s on one core, 3.5 s from the CLI"
     ),
     runs=(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=25, seed=101)),
@@ -129,7 +132,8 @@ _SMOKE = CertificationTier(
 _STANDARD = CertificationTier(
     name="standard",
     description=(
-        "EXPERIMENTS.md scale: every table, tens of minutes on one core"
+        "every table at the scale EXPERIMENTS.md publishes, seed-pinned; "
+        "about 50 s on one core"
     ),
     runs=(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=400, seed=101)),
@@ -146,6 +150,10 @@ _STANDARD = CertificationTier(
         TableRun(
             "table4", "d3", _spec(d=3, trials=400, seed=104),
             extras={"log2_n_values": (10, 11, 12, 13, 14)},
+        ),
+        TableRun(
+            "table4", "d4", _spec(d=4, trials=400, seed=114),
+            extras={"log2_n_values": (10, 12, 14)},
         ),
         TableRun(
             "table5", "d4", _spec(n=2**16, d=4, trials=60, seed=105),
@@ -170,10 +178,7 @@ _STANDARD = CertificationTier(
         ),
         TableRun(
             "schemes", "n16-d3", _spec(n=2**16, d=3, trials=50, seed=141),
-            extras={"schemes": (
-                "multiply-shift", "tabulation", "tabulation-double",
-                "pairwise", "pairwise-double",
-            )},
+            extras={"schemes": ZOO_FAMILIES},
         ),
     ),
     anchor_z=5.0,
@@ -185,7 +190,8 @@ _FULL = CertificationTier(
     name="full",
     description=(
         "paper scale: 10^4 trials, n up to 2^18, 10^4 s queueing horizon; "
-        "overnight"
+        "hours (never run end to end; its n = 2^24 zoo cell alone takes "
+        "about 2.5 min)"
     ),
     runs=(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=10000, seed=101)),

@@ -5,6 +5,8 @@ Commands
 - ``table1`` … ``table8`` — regenerate one paper table and print it;
 - ``certify`` — run a certification tier (``--tier smoke|standard|full``)
   against the paper-anchor registry and write ``certification.json``;
+  ``--emit-experiments-md`` also renders that run as EXPERIMENTS.md
+  (the committed document is the ``standard`` tier's), and
   ``--check-drift`` instead verifies EXPERIMENTS.md's paper columns
   against the registry without running anything;
 - ``compare`` — run both schemes on a custom geometry and print the
@@ -26,6 +28,10 @@ the ``table*`` functions use (``TABLE_DEFAULTS``), so the CLI and the
 programmatic path cannot drift.  Each subcommand registers only the
 flags its function reads, so an ignored flag is a usage error.
 
+A :class:`~repro.errors.ConfigurationError` (a bad parameter, or a
+checkpoint written by a different run) ends the command with one line on
+stderr and exit status 1.
+
 Engine flags (``table1`` … ``table6`` and ``compare``, the commands that
 run through the chunked engine): ``--workers`` sets how many processes
 run a sweep's chunks, and never changes what it prints (the chunks
@@ -42,6 +48,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments import format_table
 from repro.experiments import tables as _tables
 from repro.experiments.config import TABLE_DEFAULTS, ExperimentSpec
@@ -281,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.add_argument(
         "--emit-experiments-md", action="store_true", dest="emit_experiments_md",
-        help="regenerate the EXPERIMENTS.md document (runs experiments, "
-             "a few minutes)",
+        help="also render the tier's report to --experiments-md "
+             "(EXPERIMENTS.md is the standard tier's)",
     )
 
     # Registered last, so its default sees every command name.
@@ -470,40 +477,24 @@ def _run_certify(args) -> int:
                else f"{len(problems)} paper-column mismatches")
         )
         return 1 if problems else 0
-    if args.emit_experiments_md:
-        progress = _print_progress if args.progress else None
-        text = render_experiments_md(progress=progress)
-        with open(args.experiments_md, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.experiments_md}")
-        return 0
     progress = _print_progress if args.progress else None
     cert = run_certification(args.tier, workers=args.workers, progress=progress)
     write_certification(cert, args.out)
     print(format_summary(cert))
     print(f"wrote {args.out}")
+    if args.emit_experiments_md:
+        with open(args.experiments_md, "w") as fh:
+            fh.write(render_experiments_md(cert) + "\n")
+        print(f"wrote {args.experiments_md}")
     return 0 if cert.passed else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        print("commands: " + " ".join(args.commands))
-        return 0
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "certify":
-        return _run_certify(args)
-    if args.command == "zoo":
-        return _run_zoo(args)
-    if args.command == "peeling":
-        return _run_peeling(args)
-    if args.command == "reconcile":
-        return _run_reconcile(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "fluid":
-        return _run_fluid(args)
+def _run_list(args) -> int:
+    print("commands: " + " ".join(args.commands))
+    return 0
+
+
+def _run_table(args) -> int:
     spec = _spec_from_args(args.command, args)
     if args.command in _PLAIN_TABLES:
         print(format_table(_PLAIN_TABLES[args.command][1](spec)))
@@ -516,6 +507,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(format_table(table))
     _save_metrics(metrics, args.metrics_out)
     return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    commands = {
+        "list": _run_list, "serve": _run_serve, "certify": _run_certify,
+        "zoo": _run_zoo, "peeling": _run_peeling, "reconcile": _run_reconcile,
+        "compare": _run_compare, "fluid": _run_fluid,
+    }
+    try:
+        return commands.get(args.command, _run_table)(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,6 +46,18 @@ class TestTierShape:
                 assert set(swept) <= keyed, (name, run.variant)
                 assert len(swept) == len(set(swept))
 
+    def test_standard_schemes_cell_sweeps_the_zoo(self):
+        from repro.hashing.registry import ZOO_FAMILIES
+
+        swept = [run.extras["schemes"] for run in tier("standard").runs
+                 if run.table == "schemes"]
+        assert swept == [ZOO_FAMILIES]
+
+    def test_standard_runs_table4_at_d3_and_d4(self):
+        ds = [run.spec.d for run in tier("standard").runs
+              if run.table == "table4"]
+        assert ds == [3, 4]
+
     def test_full_tier_sweeps_production_scale(self):
         sizes = [run.spec.n for run in TIERS["full"].runs
                  if run.table == "schemes"]

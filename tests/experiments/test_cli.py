@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.cli import build_parser, main
 
 
@@ -66,11 +65,13 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "double-hashing" in out and "one-choice" in out
 
-    def test_zoo_rejects_geometry_instead_of_rounding(self):
+    def test_zoo_rejects_geometry_instead_of_rounding(self, capsys):
         # The zoo runs the geometry asked for or none: it needs an even d
         # that divides n.
-        with pytest.raises(ConfigurationError):
-            main(["zoo", "--d", "3", "--n", "1001", "--trials", "2"])
+        assert main(["zoo", "--d", "3", "--n", "1001", "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro zoo: error: ")
+        assert err.count("\n") == 1
 
     def test_zoo_has_no_engine_options(self):
         with pytest.raises(SystemExit) as exc:
@@ -92,8 +93,9 @@ class TestExecution:
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert main(argv) == 0
         monkeypatch.setenv("REPRO_BACKEND", "numba")
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            main(argv)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "unknown kernel backend" in capsys.readouterr().err
 
     def test_reconcile_small(self, capsys):
         assert main(["reconcile", "--items", "2e3", "--diff", "20",
@@ -205,6 +207,35 @@ class TestExecution:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_checkpoint_of_another_run_is_one_line(self, tmp_path, capsys):
+        # Rerunning a checkpointed table at another n is refused with one
+        # line on stderr and exit 1, not a traceback.
+        argv = ["table1", "--n", "1024", "--trials", "4",
+                "--checkpoint", str(tmp_path / "ck.jsonl")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv[:2], "2048", *argv[3:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro table1: error: checkpoint ")
+        assert "different run" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_simulation_errors_keep_their_traceback(self, monkeypatch):
+        # A SimulationError signals a bug, so main lets it through.
+        from repro.errors import SimulationError
+        from repro.experiments import cli
+
+        def broken(spec, **kwargs):
+            raise SimulationError("invariant violated")
+
+        monkeypatch.setitem(
+            cli._ENGINE_TABLES, "table1", (cli._RUN_FIELDS, broken)
+        )
+        with pytest.raises(SimulationError, match="invariant violated"):
+            main(["table1", "--n", "256", "--trials", "2"])
 
     def test_compare_metrics_cover_both_runs(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
