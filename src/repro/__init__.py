@@ -60,7 +60,7 @@ from repro.hashing import (
     make_scheme,
 )
 from repro.metrics import MetricsRegistry
-from repro.parallel import EngineConfig, ExecutionEngine
+from repro.parallel import ExecutionEngine
 from repro.types import LevelStats, LoadDistribution, QueueingResult, TrialBatchResult
 
 __version__ = "1.0.0"
@@ -69,7 +69,6 @@ __all__ = [
     "ChoiceScheme",
     "ConfigurationError",
     "DoubleHashingChoices",
-    "EngineConfig",
     "ExecutionEngine",
     "ExperimentSpec",
     "FullyRandomChoices",

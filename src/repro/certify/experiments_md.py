@@ -265,20 +265,19 @@ _NOTES = {
 
 def _runs_table(cert) -> list[str]:
     """Each run's recorded parameters, without ``workers`` and
-    ``backend`` (which cannot change a number).  Table 4's sizes and
-    Table 8's ``d_values`` replace the spec's own ``n`` and ``d``, and
-    Table 8 runs once per cell."""
+    ``backend`` (which cannot change a number).  Table 4 records its
+    sizes as ``log2_n_values``, and Table 8 its ``d_values`` and no
+    trial count (it runs once per cell)."""
     columns = ("table", "variant", "n", "d", "trials", "seed",
                "other parameters")
     lines = [_row(*columns), _row(*("---" for _ in columns))]
     for r in cert.runs:
         p = dict(r.params)
-        n, d, trials = _pow2(p.pop("n")), p.pop("d"), p.pop("trials")
-        if "log2_n_values" in p:
-            n = ", ".join(f"2^{k}" for k in p.pop("log2_n_values"))
-        if "d_values" in p:
-            d, trials = ", ".join(map(str, p.pop("d_values"))), "-"
-        seed = p.pop("seed")
+        n = (", ".join(f"2^{k}" for k in p.pop("log2_n_values"))
+             if "log2_n_values" in p else _pow2(p.pop("n")))
+        d = (", ".join(map(str, p.pop("d_values")))
+             if "d_values" in p else p.pop("d"))
+        trials, seed = p.pop("trials", "-"), p.pop("seed")
         other = "; ".join(
             f"{k} = {_value(v)}" for k, v in p.items()
             if k not in ("n_balls", "backend", "workers")

@@ -313,7 +313,7 @@ def _certify_load_fraction_table(run, tier, metrics, progress):
     res_r, res_d = table.results["random"], table.results["double"]
     spec = res_r.spec
     n_obs = spec.trials * spec.n
-    size = f"/n{spec.log2_n}" if run.table == "table3" else ""
+    size = f"/n{tables.log2_size(spec.n)}" if run.table == "table3" else ""
     prefix = f"{run.table}{size}/d{spec.d}"
     checks = [
         _anchor_check(
@@ -441,7 +441,7 @@ def _certify_table7(run, tier, metrics, progress):
     """Table 7: d-left fraction anchors + fluid + equivalence."""
     spec = run.spec
     table = tables.table7_dleft(spec)
-    log2_n = spec.n.bit_length() - 1 if spec.n & (spec.n - 1) == 0 else None
+    log2_n = tables.log2_size(spec.n)
     n_obs = spec.trials * spec.n
     checks = [
         _anchor_check(
@@ -613,6 +613,26 @@ _CERTIFIERS = {
 }
 
 
+def _run_params(run: TableRun, spec, backend: str) -> dict:
+    """What one run ran: its spec's parameters, then its extras.
+
+    Table 4 runs one ``n`` per entry of ``log2_n_values``, so it records
+    no single ``n``; Table 8 runs each ``(lambda, d)`` cell once for
+    ``sim_time`` after ``burn_in``, so it records those and no ``d`` or
+    trial count.
+    """
+    params = {
+        "n": spec.n, "d": spec.d, "n_balls": spec.balls, "trials": spec.trials,
+        "seed": spec.seed, "backend": backend, "workers": spec.workers,
+    }
+    if run.table == "table4":
+        del params["n"], params["n_balls"]
+    elif run.table == "table8":
+        del params["d"], params["n_balls"], params["trials"]
+        params.update(sim_time=spec.sim_time, burn_in=spec.effective_burn_in)
+    return {**params, **run.extras}
+
+
 def run_certification(
     tier: str | CertificationTier = "smoke",
     *,
@@ -670,18 +690,7 @@ def run_certification(
         cert.runs.append(RunRecord(
             table=run.table,
             variant=run.variant,
-            params={
-                "n": used_spec.n,
-                "d": used_spec.d,
-                "n_balls": used_spec.balls,
-                "trials": used_spec.trials,
-                "seed": used_spec.seed,
-                "backend": resolved_backend,
-                "workers": used_spec.workers,
-                **({"sim_time": used_spec.sim_time}
-                   if run.table == "table8" else {}),
-                **dict(run.extras),
-            },
+            params=_run_params(run, used_spec, resolved_backend),
             wall_clock_seconds=round(time.perf_counter() - t0, 3),
         ))
     # Holm pass: finalize the equivalence verdicts family-wise.

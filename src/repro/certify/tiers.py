@@ -106,10 +106,7 @@ _SMOKE = CertificationTier(
     runs=(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=25, seed=101)),
         TableRun("table2", "d3", _spec(n=2**14, d=3, trials=25, seed=102)),
-        TableRun(
-            "table3", "n16-d3",
-            _spec(n=2**16, d=3, log2_n=16, trials=8, seed=103),
-        ),
+        TableRun("table3", "n16-d3", _spec(n=2**16, d=3, trials=8, seed=103)),
         TableRun(
             "table8", "lam0.9",
             _spec(n=512, sim_time=400.0, burn_in=80.0, seed=108),
@@ -139,14 +136,8 @@ _STANDARD = CertificationTier(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=400, seed=101)),
         TableRun("table1", "d4", _spec(n=2**14, d=4, trials=400, seed=111)),
         TableRun("table2", "d3", _spec(n=2**14, d=3, trials=400, seed=102)),
-        TableRun(
-            "table3", "n16-d3",
-            _spec(n=2**16, d=3, log2_n=16, trials=60, seed=103),
-        ),
-        TableRun(
-            "table3", "n16-d4",
-            _spec(n=2**16, d=4, log2_n=16, trials=60, seed=113),
-        ),
+        TableRun("table3", "n16-d3", _spec(n=2**16, d=3, trials=60, seed=103)),
+        TableRun("table3", "n16-d4", _spec(n=2**16, d=4, trials=60, seed=113)),
         TableRun(
             "table4", "d3", _spec(d=3, trials=400, seed=104),
             extras={"log2_n_values": (10, 11, 12, 13, 14)},
@@ -197,22 +188,10 @@ _FULL = CertificationTier(
         TableRun("table1", "d3", _spec(n=2**14, d=3, trials=10000, seed=101)),
         TableRun("table1", "d4", _spec(n=2**14, d=4, trials=10000, seed=111)),
         TableRun("table2", "d3", _spec(n=2**14, d=3, trials=10000, seed=102)),
-        TableRun(
-            "table3", "n16-d3",
-            _spec(n=2**16, d=3, log2_n=16, trials=10000, seed=103),
-        ),
-        TableRun(
-            "table3", "n16-d4",
-            _spec(n=2**16, d=4, log2_n=16, trials=10000, seed=113),
-        ),
-        TableRun(
-            "table3", "n18-d3",
-            _spec(n=2**18, d=3, log2_n=18, trials=10000, seed=123),
-        ),
-        TableRun(
-            "table3", "n18-d4",
-            _spec(n=2**18, d=4, log2_n=18, trials=10000, seed=133),
-        ),
+        TableRun("table3", "n16-d3", _spec(n=2**16, d=3, trials=10000, seed=103)),
+        TableRun("table3", "n16-d4", _spec(n=2**16, d=4, trials=10000, seed=113)),
+        TableRun("table3", "n18-d3", _spec(n=2**18, d=3, trials=10000, seed=123)),
+        TableRun("table3", "n18-d4", _spec(n=2**18, d=4, trials=10000, seed=133)),
         TableRun(
             "table4", "d3", _spec(d=3, trials=10000, seed=104),
             extras={"log2_n_values": (10, 11, 12, 13, 14, 15)},

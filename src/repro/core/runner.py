@@ -58,8 +58,7 @@ class ExperimentResult:
         The metrics registry observed during the run (chunk timings and
         records); ``None`` unless instrumentation was on.
     spec:
-        The spec the trials ran under, per-call overrides applied (its
-        ``seed`` is the run's seed).
+        The spec the trials ran under.
     """
 
     distribution: LoadDistribution
@@ -82,9 +81,7 @@ class _ChunkTask:
 
     scheme: ChoiceScheme
     n_balls: int
-    tie_break: str
-    block: int
-    backend: str | None = None
+    backend: str | None
 
 
 def _run_chunk(
@@ -93,13 +90,7 @@ def _run_chunk(
     """Worker body: run one chunk, return the per-trial histogram matrix."""
     rng = np.random.default_rng(seed_seq)
     batch = simulate_batch(
-        task.scheme,
-        task.n_balls,
-        chunk_trials,
-        seed=rng,
-        tie_break=task.tie_break,
-        block=task.block,
-        backend=task.backend,
+        task.scheme, task.n_balls, chunk_trials, seed=rng, backend=task.backend
     )
     return trial_histograms(batch.loads)
 
@@ -107,13 +98,7 @@ def _run_chunk(
 def run_experiment(
     scheme: ChoiceScheme,
     spec: "ExperimentSpec",
-    trials: int | None = None,
     *,
-    seed: int | None = None,
-    tie_break: str | None = None,
-    block: int | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     metrics: MetricsRegistry | None = None,
     progress: Callable[[ChunkProgress], None] | None = None,
 ) -> ExperimentResult:
@@ -127,9 +112,6 @@ def run_experiment(
     spec:
         The :class:`~repro.experiments.config.ExperimentSpec` describing
         the run.
-    trials, seed, tie_break, block, backend, workers:
-        Per-call overrides of the corresponding spec fields (``None``
-        means "use the spec").
     metrics:
         Registry to instrument the run with (the engine creates a private
         one when ``None``).
@@ -147,26 +129,12 @@ def run_experiment(
         raise TypeError(
             f"run_experiment needs an ExperimentSpec, got {type(spec).__name__}"
         )
-    overrides = {
-        k: v
-        for k, v in dict(
-            trials=trials,
-            seed=seed,
-            tie_break=tie_break,
-            block=block,
-            backend=backend,
-            workers=workers,
-        ).items()
-        if v is not None
-    }
-    if overrides:
-        spec = spec.replace(**overrides)
     if spec.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {spec.trials}")
     resolve_backend(spec.backend)
 
     engine = ExecutionEngine(
-        spec.engine_config(), metrics=metrics, progress=progress
+        workers=spec.workers, metrics=metrics, progress=progress
     )
     registry = engine.metrics  # the engine creates one when none was given
 
@@ -174,15 +142,10 @@ def run_experiment(
     with registry.timer("experiment.total_seconds"):
         histograms = engine.map_chunks(
             _run_chunk,
-            _ChunkTask(
-                scheme=scheme,
-                n_balls=n_balls_run,
-                tie_break=spec.tie_break,
-                block=spec.block,
-                backend=spec.backend,
-            ),
+            _ChunkTask(scheme, n_balls_run, spec.backend),
             chunk_sizes(spec.trials, scheme.n_bins),
             seed=spec.seed,
+            checkpoint=spec.checkpoint,
         )
         with registry.timer("experiment.aggregate_seconds"):
             aggregator = StreamingLoadAggregator(

@@ -5,10 +5,10 @@ Commands
 - ``table1`` … ``table8`` — regenerate one paper table and print it;
 - ``certify`` — run a certification tier (``--tier smoke|standard|full``)
   against the paper-anchor registry and write ``certification.json``;
-  ``--emit-experiments-md`` also renders that run as EXPERIMENTS.md
-  (the committed document is the ``standard`` tier's), and
-  ``--check-drift`` instead verifies EXPERIMENTS.md's paper columns
-  against the registry without running anything;
+  with ``--tier standard``, ``--emit-experiments-md`` also renders that
+  run as EXPERIMENTS.md (any other tier is refused before anything
+  runs), and ``--check-drift`` instead verifies EXPERIMENTS.md's paper
+  columns against the registry without running anything;
 - ``compare`` — run both schemes on a custom geometry and print the
   statistical indistinguishability report (``--scheme`` swaps the
   challenger drawn from the unified scheme registry);
@@ -66,7 +66,7 @@ _RUN_FIELDS = ("n", "d", "trials", "seed")
 _ENGINE_TABLES = {
     "table1": (_RUN_FIELDS, _tables.table1_load_fractions),
     "table2": (_RUN_FIELDS, _tables.table2_fluid_vs_simulation),
-    "table3": (("log2_n", "d", "trials", "seed"), _tables.table3_larger_n),
+    "table3": (_RUN_FIELDS, _tables.table3_larger_n),
     "table4": (("d", "trials", "seed"), _tables.table4_max_load),
     "table5": (_RUN_FIELDS, _tables.table5_level_stats),
     "table6": (_RUN_FIELDS, _tables.table6_heavy_load),
@@ -81,30 +81,21 @@ _PLAIN_TABLES = {
     "table8": (("n", "sim_time", "seed"), _tables.table8_queueing),
 }
 
-_ENGINE_FIELDS = ("workers", "block", "checkpoint")
+_ENGINE_FIELDS = ("workers", "checkpoint")
 
 #: Flag and argparse options for each spec field the CLI can set.
 _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
     "n": ("--n", dict(type=int, help="bins (and balls)")),
-    "log2_n": ("--log2-n", dict(type=int, help="table size is 2**LOG2_N")),
     "d": ("--d", dict(type=int, help="choices per ball")),
     "trials": ("--trials", dict(type=int)),
     "seed": ("--seed", dict(type=int)),
     "sim_time": ("--sim-time", dict(type=float, help="simulated time")),
     "workers": ("--workers", dict(
         type=int, help="processes running the chunks (never changes results)")),
-    "block": ("--block", dict(
-        type=int,
-        help="ball-steps per kernel superblock (default: sweep-derived)")),
     "checkpoint": ("--checkpoint", dict(
         metavar="PATH.jsonl",
         help="chunk-level checkpoint file; re-running resumes from it")),
 }
-
-
-def _dest(field: str) -> str:
-    """The argparse destination of the flag that sets spec ``field``."""
-    return _SPEC_FLAGS[field][0][2:].replace("-", "_")
 
 
 def _command_fields(command: str) -> tuple[str, ...]:
@@ -121,7 +112,7 @@ def _add_spec_options(
     """Register ``command``'s experiment options, defaulted from ``spec``."""
     for field in _command_fields(command):
         flag, options = _SPEC_FLAGS[field]
-        p.add_argument(flag, default=getattr(spec, field), **options)
+        p.add_argument(flag, dest=field, default=getattr(spec, field), **options)
     if command not in _PLAIN_TABLES:
         p.add_argument(
             "--metrics-out", default=None, dest="metrics_out",
@@ -138,7 +129,7 @@ def _spec_from_args(command: str, args: argparse.Namespace) -> ExperimentSpec:
     """Materialize the run spec for a parsed subcommand."""
     base = TABLE_DEFAULTS.get(command, ExperimentSpec())
     return base.replace(
-        **{f: getattr(args, _dest(f)) for f in _command_fields(command)}
+        **{f: getattr(args, f) for f in _command_fields(command)}
     )
 
 
@@ -288,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.add_argument(
         "--emit-experiments-md", action="store_true", dest="emit_experiments_md",
-        help="also render the tier's report to --experiments-md "
-             "(EXPERIMENTS.md is the standard tier's)",
+        help="also render the report to --experiments-md "
+             "(--tier standard only: EXPERIMENTS.md is its report)",
     )
 
     # Registered last, so its default sees every command name.
@@ -316,16 +307,15 @@ def _save_metrics(metrics: MetricsRegistry, path: str | None) -> None:
 
 def _run_compare(args) -> int:
     from repro.analysis import compare_distributions
-    from repro.hashing import FullyRandomChoices, resolve_scheme_name
+    from repro.hashing import FullyRandomChoices, make_scheme, resolve_scheme_name
 
-    spec = _spec_from_args("compare", args).replace(scheme=args.scheme)
-    scheme_name = resolve_scheme_name(spec.scheme)
+    spec = _spec_from_args("compare", args)
     metrics = MetricsRegistry()
     pair = _tables.run_pair(
         spec,
         schemes=(
             FullyRandomChoices(spec.n, spec.d),
-            spec.build_scheme(seed=spec.seed),
+            make_scheme(args.scheme, spec.n, spec.d, seed=spec.seed),
         ),
         metrics=metrics,
         progress=_print_progress if args.progress else None,
@@ -334,7 +324,7 @@ def _run_compare(args) -> int:
         pair["random"].distribution, pair["double"].distribution
     )
     print(f"n={spec.n} d={spec.d} trials={spec.trials} "
-          f"scheme={scheme_name} (vs fully random)")
+          f"scheme={resolve_scheme_name(args.scheme)} (vs fully random)")
     print(f"TV distance:        {report.tv_distance:.6f}")
     print(f"chi-square p-value: {report.p_value:.4f}")
     print(f"max deviation:      {report.max_deviation:.6f} "
@@ -477,6 +467,11 @@ def _run_certify(args) -> int:
                else f"{len(problems)} paper-column mismatches")
         )
         return 1 if problems else 0
+    if args.emit_experiments_md and args.tier != "standard":
+        raise ConfigurationError(
+            "--emit-experiments-md renders the standard tier only "
+            f"(EXPERIMENTS.md is its report), not --tier {args.tier}"
+        )
     progress = _print_progress if args.progress else None
     cert = run_certification(args.tier, workers=args.workers, progress=progress)
     write_certification(cert, args.out)

@@ -105,6 +105,12 @@ def _spec_for(table: str, spec: ExperimentSpec | None) -> ExperimentSpec:
     return spec
 
 
+def log2_size(n: int) -> int | None:
+    """``k`` when ``n == 2**k``, else ``None``: the key the paper's
+    Tables 3 and 7 give a table size by."""
+    return n.bit_length() - 1 if n & (n - 1) == 0 else None
+
+
 def _paper(table: str, *key) -> dict:
     """The published random and double columns of ``table`` at ``key``."""
     return {
@@ -274,10 +280,11 @@ def table3_larger_n(
 ) -> ExperimentTable:
     """Table 3: load fractions at larger table sizes (2^16, 2^18)."""
     spec = _spec_for("table3", spec)
-    spec = spec.replace(n=2**spec.log2_n)
+    log2_n = log2_size(spec.n)
     table = table1_load_fractions(spec, metrics=metrics, progress=progress)
-    table.table_id = f"Table 3 (n = 2^{spec.log2_n}, d = {spec.d})"
-    table.paper = _paper("table3", spec.log2_n, spec.d)
+    size = spec.n if log2_n is None else f"2^{log2_n}"
+    table.table_id = f"Table 3 (n = {size}, d = {spec.d})"
+    table.paper = _paper("table3", log2_n, spec.d)
     return table
 
 
@@ -400,13 +407,12 @@ def table7_dleft(spec: ExperimentSpec | None = None) -> ExperimentTable:
         )
         for load in range(width)
     ]
-    log2_n = spec.n.bit_length() - 1 if spec.n & (spec.n - 1) == 0 else None
     return ExperimentTable(
         table_id="Table 7",
         title=f"Vöcking's d-left scheme, {spec.d} choices, n = {spec.n}",
         columns=["Load", "Fully Random", "Double Hashing", "Fluid Limit"],
         rows=rows,
-        paper=_paper("table7", log2_n),
+        paper=_paper("table7", log2_size(spec.n)),
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
         fluid=fluid,

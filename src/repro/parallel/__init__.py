@@ -15,12 +15,11 @@ first failure propagates with its own type, and rerunning with the
 checkpoint resumes the run (see ``docs/engine.md``).
 """
 
-from repro.parallel.engine import ChunkProgress, EngineConfig, ExecutionEngine
+from repro.parallel.engine import ChunkProgress, ExecutionEngine
 from repro.parallel.pool import chunk_sizes, default_workers, partition_trials
 
 __all__ = [
     "ChunkProgress",
-    "EngineConfig",
     "ExecutionEngine",
     "chunk_sizes",
     "default_workers",

@@ -12,10 +12,10 @@
   chunk repeats its failure.  The first exception a chunk raises reaches
   the caller with its own type; a killed pool worker raises
   :class:`~concurrent.futures.process.BrokenProcessPool`.
-- **Checkpointing** — completed chunk results are appended to a JSONL
-  file as they finish; rerunning the same command, at any worker count,
-  skips the chunks already on disk, so recovering from any failure is a
-  rerun.  The file's header identifies the run (chunk sizes, seed, and a
+- **Checkpointing** — completed chunk results are appended, as they
+  finish, to the JSONL file a ``map_chunks`` call names; rerunning the
+  same command, at any worker count, skips the chunks already on disk,
+  so recovering from any failure is a rerun.  The file's header identifies the run (chunk sizes, seed, and a
   digest of the pickled worker function and task), and a checkpoint
   from any other run is refused.
 - **Observability** — every completed chunk is recorded in a
@@ -48,7 +48,6 @@ from repro.rng import spawn_seeds
 
 __all__ = [
     "ChunkProgress",
-    "EngineConfig",
     "ExecutionEngine",
     "decode_result",
     "encode_result",
@@ -58,28 +57,6 @@ T = TypeVar("T")
 
 _CHECKPOINT_KIND = "repro-engine-checkpoint"
 _CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Execution policy for :class:`ExecutionEngine`.
-
-    Attributes
-    ----------
-    workers:
-        Process count; ``None`` uses :func:`~repro.parallel.pool.default_workers`,
-        ``0``/``1`` runs serially in-process.  A run uses at most one
-        process per chunk.
-    checkpoint_path:
-        JSONL file for chunk results; enables resume.
-    """
-
-    workers: int | None = None
-    checkpoint_path: str | Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +117,8 @@ def _checkpoint_header(
     """The header naming one run: its chunking, seed, and work unit.
 
     ``run`` digests the pickled ``(func, task)`` — for an experiment, the
-    scheme, ball count, tie rule and block — so a checkpoint written by
-    any other run is refused rather than restored.
+    scheme, ball count and backend — so a checkpoint written by any
+    other run is refused rather than restored.
     """
     run = hashlib.sha256(pickle.dumps((func, task), protocol=5)).hexdigest()
     return {
@@ -208,8 +185,10 @@ class ExecutionEngine:
 
     Parameters
     ----------
-    config:
-        Execution policy; defaults to :class:`EngineConfig` defaults.
+    workers:
+        Process count; ``None`` uses :func:`~repro.parallel.pool.default_workers`,
+        ``0``/``1`` runs serially in-process.  A run uses at most one
+        process per chunk.
     metrics:
         Registry receiving counters, timers, and chunk records; a
         private one is created when omitted (reachable via ``.metrics``).
@@ -220,12 +199,14 @@ class ExecutionEngine:
 
     def __init__(
         self,
-        config: EngineConfig | None = None,
         *,
+        workers: int | None = None,
         metrics: MetricsRegistry | None = None,
         progress: Callable[[ChunkProgress], None] | None = None,
     ) -> None:
-        self.config = config or EngineConfig()
+        if workers is not None and workers < 0:
+            raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.progress = progress
 
@@ -236,6 +217,7 @@ class ExecutionEngine:
         sizes: Sequence[int],
         *,
         seed: int | None = None,
+        checkpoint: str | Path | None = None,
     ) -> list[T]:
         """Run ``func`` once per chunk of ``sizes``; one result per chunk.
 
@@ -245,6 +227,11 @@ class ExecutionEngine:
         checkpoint restores, so aggregation downstream is deterministic
         given ``sizes`` and the root ``seed``.
 
+        ``checkpoint`` names this call's JSONL file: each completed
+        chunk is appended to it, and a rerun with the same file restores
+        them.  Its header names the run (``func``, ``task``, ``sizes``,
+        ``seed``), so a file written by any other run is refused.
+
         Serial mode calls each pending chunk once in-process; pooled mode
         submits them all and checkpoints each result as it completes.
         Either way the first exception propagates unchanged, after the
@@ -252,8 +239,7 @@ class ExecutionEngine:
         """
         from repro.parallel.pool import default_workers
 
-        cfg = self.config
-        workers = cfg.workers if cfg.workers is not None else default_workers()
+        workers = self.workers if self.workers is not None else default_workers()
         sizes = list(sizes)
         jobs = [
             (task, size, child)
@@ -266,7 +252,7 @@ class ExecutionEngine:
 
         results: list[Any] = [None] * total
         done = 0
-        path = None if cfg.checkpoint_path is None else Path(cfg.checkpoint_path)
+        path = None if checkpoint is None else Path(checkpoint)
 
         def complete(index: int, result: Any, seconds: float, source: str) -> None:
             nonlocal done

@@ -34,10 +34,7 @@ EVERY_TIER = CertificationTier(
     runs=(
         TableRun("table1", "d3", ExperimentSpec(n=1024, d=3, trials=4, seed=101)),
         TableRun("table2", "d3", ExperimentSpec(n=1024, d=3, trials=4, seed=102)),
-        TableRun(
-            "table3", "n16-d3",
-            ExperimentSpec(n=2**16, d=3, log2_n=16, trials=2, seed=103),
-        ),
+        TableRun("table3", "n16-d3", ExperimentSpec(n=2**16, d=3, trials=2, seed=103)),
         TableRun(
             "table4", "d3", ExperimentSpec(d=3, trials=8, seed=104),
             extras={"log2_n_values": (8, 10)},

@@ -144,10 +144,11 @@ class TestCli:
         from repro.certify.tiers import TIERS
         from repro.experiments.cli import main
 
-        monkeypatch.setitem(TIERS, "smoke", MICRO_TIER)
+        monkeypatch.setitem(TIERS, "standard", MICRO_TIER)
         out, md = tmp_path / "cert.json", tmp_path / "E.md"
         assert main([
-            "certify", "--tier", "smoke", "--workers", "1", "--out", str(out),
+            "certify", "--tier", "standard", "--workers", "1",
+            "--out", str(out),
             "--emit-experiments-md", "--experiments-md", str(md),
         ]) == 0
         assert json.loads(out.read_text())["tier"] == "micro"
@@ -157,3 +158,23 @@ class TestCli:
                              "(tier `micro`, backend `numpy`).\n")
         assert check_experiments_md_drift(md) == []
         assert f"wrote {md}" in capsys.readouterr().out
+
+    def test_emit_refuses_any_tier_but_standard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The bare command (the default tier is ``smoke``) exits 1 with
+        one line and writes neither the verdict nor the document."""
+        from repro.certify.tiers import TIERS
+        from repro.experiments.cli import main
+
+        monkeypatch.setitem(TIERS, "smoke", MICRO_TIER)
+        monkeypatch.chdir(tmp_path)
+        md = tmp_path / "EXPERIMENTS.md"
+        md.write_text("the committed document\n")
+        assert main(["certify", "--emit-experiments-md"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro certify: error: ")
+        assert captured.err.count("\n") == 1
+        assert md.read_text() == "the committed document\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["EXPERIMENTS.md"]

@@ -98,6 +98,21 @@ class TestMicroCertification:
         assert a == b
 
 
+class TestRunRecords:
+    def test_tables_4_and_8_record_what_ran(self, every_cert):
+        """Table 4 runs one n per size and Table 8 one run per (lambda,
+        d) cell after its burn-in: neither records a spec default in
+        their place."""
+        params = {r.table: r.params for r in every_cert.runs}
+        table4, table8 = params["table4"], params["table8"]
+        assert table4["log2_n_values"] == (8, 10)
+        assert not {"n", "n_balls"} & set(table4)
+        assert table8["burn_in"] == 40.0 and table8["sim_time"] == 200.0
+        assert table8["d_values"] == (3,) and table8["lambdas"] == (0.9,)
+        assert not {"d", "trials", "n_balls"} & set(table8)
+        assert params["table1"]["n_balls"] == params["table1"]["n"] == 1024
+
+
 class TestRunnerErrors:
     def test_unknown_tier_name(self):
         from repro.certify.runner import run_certification

@@ -153,6 +153,8 @@ class TestRunExperiment:
 
     def test_legacy_signature_rejected(self):
         with pytest.raises(TypeError, match="ExperimentSpec"):
+            run_experiment(DoubleHashingChoices(64, 3), 64)
+        with pytest.raises(TypeError):  # no trials argument, no overrides
             run_experiment(DoubleHashingChoices(64, 3), 64, 10, seed=1)
 
     def test_invalid_trials(self):

@@ -146,7 +146,7 @@ class TestExecution:
         "argv",
         [
             ["table2", "--n", "256", "--trials", "5"],
-            ["table3", "--d", "3", "--log2-n", "8", "--trials", "5"],
+            ["table3", "--d", "3", "--n", "256", "--trials", "5"],
             ["table5", "--n", "256", "--d", "4", "--trials", "4"],
             ["table6", "--n", "128", "--trials", "3"],
         ],
@@ -155,6 +155,21 @@ class TestExecution:
     def test_remaining_table_commands_run(self, capsys, argv):
         assert main(argv) == 0
         assert "Table" in capsys.readouterr().out
+
+    def test_table3_takes_n_like_every_table(self, capsys):
+        # The expected text is what ``table3 --log2-n 8 --trials 5``
+        # printed: the same run, now sized by ``--n``.
+        assert main(["table3", "--n", "256", "--trials", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "Table 3 (n = 2^8, d = 3): 3 choices, n = 256 balls and bins\n"
+            "  [n=256, d=3, trials=5]\n"
+            "Load  Fully Random  Double Hashing\n"
+            "----  ------------  --------------\n"
+            "0     0.17031       0.16953       \n"
+            "1     0.66094       0.66094       \n"
+            "2     0.16719       0.16953       \n"
+            "3     0.00156       0             \n"
+        )
 
     def test_table4_runs(self, capsys):
         # table4 sweeps several n internally; keep trials tiny.
@@ -190,11 +205,13 @@ class TestExecution:
             ["table7", "--checkpoint", "x"],
             ["table7", "--progress"],
             ["table4", "--n", "64"],
-            ["table3", "--n", "64"],
             ["table1", "--retries", "1"],
             ["table1", "--chunk-timeout", "5"],
             ["table1", "--chunks", "4"],
             ["table1", "--trials-mode", "parallel"],
+            ["table1", "--block", "512"],
+            ["table3", "--log2-n", "16"],
+            ["compare", "--block", "512"],
             ["compare", "--chunks", "4"],
             ["compare", "--trials-mode", "parallel"],
             ["certify", "--chunks", "4"],

@@ -43,13 +43,10 @@ class TestSpec:
             {"n": 0},
             {"d": 0},
             {"trials": -1},
-            {"tie_break": "nope"},
-            {"block": 0},
             {"workers": -1},
             {"backend": "fortran"},
             {"backend": "numba"},
             {"n_balls": 0},
-            {"scheme": "nope"},
         ],
     )
     def test_validation(self, bad):
@@ -57,8 +54,13 @@ class TestSpec:
             ExperimentSpec(**bad)
 
     def test_removed_knobs_are_not_fields(self):
-        # One chunking rule and one trial mode: neither is a spec field.
-        for knob in ({"chunks": 4}, {"trials_mode": "parallel"}):
+        # One chunking rule and one trial mode; Table 3 reads n; every
+        # run places with random tie-breaking at the kernel's block; and
+        # a command that takes a scheme name passes it to make_scheme.
+        for knob in (
+            {"chunks": 4}, {"trials_mode": "parallel"}, {"log2_n": 16},
+            {"scheme": "double"}, {"tie_break": "left"}, {"block": 512},
+        ):
             with pytest.raises(TypeError):
                 ExperimentSpec(**knob)
             with pytest.raises(TypeError):
@@ -68,17 +70,6 @@ class TestSpec:
     def test_backend_field(self):
         assert ExperimentSpec().backend is None
         assert ExperimentSpec(backend="numpy").backend == "numpy"
-
-    def test_block_default_is_kernel_default(self):
-        from repro.kernels import DEFAULT_BLOCK
-
-        assert ExperimentSpec().block == DEFAULT_BLOCK
-
-    def test_engine_config_mirrors_spec(self):
-        spec = ExperimentSpec(workers=3, checkpoint="/tmp/x.jsonl")
-        cfg = spec.engine_config()
-        assert cfg.workers == 3
-        assert cfg.checkpoint_path == "/tmp/x.jsonl"
 
     def test_top_level_reexports(self):
         assert repro.ExperimentSpec is ExperimentSpec
@@ -98,9 +89,10 @@ class TestRunExperimentSpec:
         assert res.distribution.trials == 6
 
     def test_overrides_on_top_of_spec(self):
+        # The spec is the whole description: no per-call override.
         spec = ExperimentSpec(n=64, d=3, trials=4, seed=1)
-        res = run_experiment(DoubleHashingChoices(64, 3), spec, trials=8)
-        assert res.distribution.trials == 8
+        with pytest.raises(TypeError):
+            run_experiment(DoubleHashingChoices(64, 3), spec, trials=8)
 
     def test_heavy_load_via_n_balls(self):
         spec = ExperimentSpec(n=32, d=3, trials=3, seed=1, n_balls=128)
@@ -159,14 +151,12 @@ class TestTableShims:
 
 class TestCliSpecDefaults:
     RUN = {"n", "d", "trials", "seed"}
-    ENGINE = {
-        "workers", "block", "checkpoint", "metrics_out", "progress",
-    }
+    ENGINE = {"workers", "checkpoint", "metrics_out", "progress"}
     # Exactly the flags each table function reads.
     FLAGS = {
         "table1": RUN | ENGINE,
         "table2": RUN | ENGINE,
-        "table3": {"log2_n", "d", "trials", "seed"} | ENGINE,
+        "table3": RUN | ENGINE,
         "table4": {"d", "trials", "seed"} | ENGINE,
         "table5": RUN | ENGINE,
         "table6": RUN | ENGINE,
@@ -200,13 +190,12 @@ class TestCliSpecDefaults:
 
     def test_backend_and_block_flags_parse_and_thread(self):
         # The table subcommands take no --backend flag (numpy is the only
-        # placement backend); --block threads into the spec.
+        # placement backend), so the spec keeps the table's backend.
         from repro.experiments.cli import _spec_from_args
 
-        args = build_parser().parse_args(["table1", "--block", "512"])
-        assert args.block == 512
-        spec = _spec_from_args("table1", args)
-        assert spec.backend is None and spec.block == 512
+        args = build_parser().parse_args(["table1"])
+        assert "backend" not in vars(args)
+        assert _spec_from_args("table1", args) == TABLE_DEFAULTS["table1"]
 
     def test_backend_flag_rejects_unknown(self, capsys):
         for value in ("fortran", "numba"):

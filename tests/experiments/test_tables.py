@@ -75,12 +75,12 @@ class TestTable2(object):
 
 class TestTable3:
     def test_small_scale_run(self):
-        t = table3_larger_n(ExperimentSpec(d=3, log2_n=12, trials=20, seed=3))
+        t = table3_larger_n(ExperimentSpec(n=2**12, d=3, trials=20, seed=3))
         assert "2^12" in t.table_id
         assert t.paper == {"random": {}, "double": {}}  # no 2^12 in paper
 
     def test_paper_reference_for_published_sizes(self):
-        t = table3_larger_n(ExperimentSpec(d=3, log2_n=16, trials=2, seed=4))
+        t = table3_larger_n(ExperimentSpec(n=2**16, d=3, trials=2, seed=4))
         assert t.paper["random"][0] == 0.17695
 
 

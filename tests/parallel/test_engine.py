@@ -14,7 +14,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentSpec
 from repro.hashing import DoubleHashingChoices
 from repro.metrics import MetricsRegistry
-from repro.parallel import EngineConfig, ExecutionEngine, partition_trials
+from repro.parallel import ExecutionEngine, partition_trials
 
 #: The chunking most tests run: 10 trials in chunks of 3, 3, 2, 2.
 SIZES = partition_trials(10, 4)
@@ -79,11 +79,11 @@ class _ExitsOnceScheme(DoubleHashingChoices):
 
 class TestEdgeCases:
     def test_zero_trials_returns_empty(self):
-        engine = ExecutionEngine(EngineConfig(workers=1))
+        engine = ExecutionEngine(workers=1)
         assert engine.map_chunks(_echo_chunk, None, [], seed=1) == []
 
     def test_more_chunks_than_trials(self):
-        engine = ExecutionEngine(EngineConfig(workers=1))
+        engine = ExecutionEngine(workers=1)
         results = engine.map_chunks(
             _echo_chunk, None, partition_trials(3, 10), seed=1
         )
@@ -92,9 +92,12 @@ class TestEdgeCases:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            EngineConfig(workers=-1)
+            ExecutionEngine(workers=-1)
+        # The chunks and the checkpoint come with each call.
         with pytest.raises(TypeError):
-            EngineConfig(chunks=4)  # the chunks come with the call
+            ExecutionEngine(chunks=4)
+        with pytest.raises(TypeError):
+            ExecutionEngine(checkpoint="ck.jsonl")
 
     def test_matches_plain_pool(self):
         # The engine's result is exactly a plain serial map over the
@@ -105,7 +108,7 @@ class TestEdgeCases:
             _echo_chunk("t", size, ss)
             for size, ss in zip(SIZES, spawn_seeds(3, 4))
         ]
-        engine = ExecutionEngine(EngineConfig(workers=1))
+        engine = ExecutionEngine(workers=1)
         assert engine.map_chunks(_echo_chunk, "t", SIZES, seed=3) == plain
 
 
@@ -113,34 +116,33 @@ class TestFailFast:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_error_propagates_unwrapped(self, tmp_path, workers):
         calls = tmp_path / "calls"
-        engine = ExecutionEngine(EngineConfig(workers=workers))
+        engine = ExecutionEngine(workers=workers)
         with pytest.raises(ConfigurationError, match="injected configuration"):
             engine.map_chunks(_config_error_chunk, str(calls), [2] * 4, seed=1)
         assert calls.read_text() == "call\n"  # ran once: nothing retries
 
     def test_killed_worker_raises_and_rerun_resumes(self, tmp_path):
         sizes = [2] * 4
-        clean = ExecutionEngine(EngineConfig(workers=1)).map_chunks(
+        clean = ExecutionEngine(workers=1).map_chunks(
             _echo_chunk, "x", sizes, seed=11
         )
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=2, checkpoint_path=path)
         task = str(tmp_path)
         with pytest.raises(BrokenProcessPool):
-            ExecutionEngine(cfg).map_chunks(
-                _exits_on_first_run, task, sizes, seed=11
+            ExecutionEngine(workers=2).map_chunks(
+                _exits_on_first_run, task, sizes, seed=11, checkpoint=path
             )
         written = len(path.read_text().splitlines()) - 1  # minus the header
-        engine = ExecutionEngine(cfg)
+        engine = ExecutionEngine(workers=2)
         assert engine.map_chunks(
-            _exits_on_first_run, task, sizes, seed=11
+            _exits_on_first_run, task, sizes, seed=11, checkpoint=path
         ) == clean
         resumed = engine.metrics.get_counter("engine.chunks_resumed")
         assert resumed == written < 4  # the killed chunk never completed
         # The rerun checkpointed the rest: a third run restores them all.
-        third = ExecutionEngine(cfg)
+        third = ExecutionEngine(workers=2)
         assert third.map_chunks(
-            _exits_on_first_run, task, sizes, seed=11
+            _exits_on_first_run, task, sizes, seed=11, checkpoint=path
         ) == clean
         assert third.metrics.get_counter("engine.chunks_resumed") == 4
 
@@ -157,7 +159,7 @@ class TestFailFast:
         failing = spec.replace(workers=2, checkpoint=str(tmp_path / "ck.jsonl"))
         with pytest.raises(BrokenProcessPool):
             run_experiment(scheme, failing)
-        resumed = run_experiment(scheme, failing, workers=1)
+        resumed = run_experiment(scheme, failing.replace(workers=1))
         assert np.array_equal(
             resumed.distribution.counts, clean.distribution.counts
         )
@@ -166,10 +168,11 @@ class TestFailFast:
 class TestCheckpoint:
     def test_full_resume_skips_all_chunks(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
-        first = ExecutionEngine(cfg).map_chunks(_echo_chunk, "t", SIZES, seed=2)
-        engine = ExecutionEngine(cfg)
-        second = engine.map_chunks(_echo_chunk, "t", SIZES, seed=2)
+        first = ExecutionEngine(workers=1).map_chunks(
+            _echo_chunk, "t", SIZES, seed=2, checkpoint=path
+        )
+        engine = ExecutionEngine(workers=1)
+        second = engine.map_chunks(_echo_chunk, "t", SIZES, seed=2, checkpoint=path)
         assert second == first
         assert engine.metrics.get_counter("engine.chunks_resumed") == 4
         assert all(c["source"] == "checkpoint" for c in engine.metrics.chunks)
@@ -179,54 +182,73 @@ class TestCheckpoint:
         and produce the clean-run result."""
         path = tmp_path / "ck.jsonl"
         sizes = [3] * 4
-        clean = ExecutionEngine(EngineConfig(workers=1)).map_chunks(
+        clean = ExecutionEngine(workers=1).map_chunks(
             _echo_chunk, "x", sizes, seed=4
         )
         # Chunks 0 and 1 succeed, the rest fail => run dies with a partial
         # checkpoint on disk.
         task = str(tmp_path)
         (tmp_path / "broken").touch()
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
         with pytest.raises(RuntimeError, match="injected failure"):
-            ExecutionEngine(cfg).map_chunks(
-                _fails_past_two_while_marked, task, sizes, seed=4
+            ExecutionEngine(workers=1).map_chunks(
+                _fails_past_two_while_marked, task, sizes, seed=4,
+                checkpoint=path,
             )
         assert path.exists()
         completed = [json.loads(line) for line in path.read_text().splitlines()]
         assert [rec["index"] for rec in completed[1:]] == [0, 1]
 
         (tmp_path / "broken").unlink()
-        engine = ExecutionEngine(cfg)
+        engine = ExecutionEngine(workers=1)
         resumed = engine.map_chunks(
-            _fails_past_two_while_marked, task, sizes, seed=4
+            _fails_past_two_while_marked, task, sizes, seed=4, checkpoint=path
         )
         assert resumed == clean
         assert engine.metrics.get_counter("engine.chunks_resumed") == 2
+
+    def test_one_engine_keeps_a_checkpoint_per_call(self, tmp_path):
+        """Each call names its own file, so one engine runs several
+        sub-runs and a rerun restores each from its own checkpoint."""
+        runs = [("a", 1, tmp_path / "a.jsonl"), ("b", 2, tmp_path / "b.jsonl")]
+
+        def sweep(engine):
+            return [
+                engine.map_chunks(_echo_chunk, task, SIZES, seed=seed,
+                                  checkpoint=path)
+                for task, seed, path in runs
+            ]
+
+        first = sweep(ExecutionEngine(workers=1))
+        engine = ExecutionEngine(workers=1)
+        assert sweep(engine) == first
+        assert engine.metrics.get_counter("engine.chunks_resumed") == 8
 
     def test_restores_lines_with_an_attempt_count(self, tmp_path):
         """Checkpoint lines once carried an ``attempts`` field; the loader
         ignores a line's extra fields."""
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
-        first = ExecutionEngine(cfg).map_chunks(_echo_chunk, "t", SIZES, seed=2)
+        first = ExecutionEngine(workers=1).map_chunks(
+            _echo_chunk, "t", SIZES, seed=2, checkpoint=path
+        )
         header, *lines = path.read_text().splitlines()
         records = [{**json.loads(line), "attempts": 1} for line in lines]
         path.write_text(
             "\n".join([header, *map(json.dumps, records)]) + "\n"
         )
-        engine = ExecutionEngine(cfg)
-        assert engine.map_chunks(_echo_chunk, "t", SIZES, seed=2) == first
+        engine = ExecutionEngine(workers=1)
+        assert engine.map_chunks(
+            _echo_chunk, "t", SIZES, seed=2, checkpoint=path
+        ) == first
         assert engine.metrics.get_counter("engine.chunks_resumed") == 4
 
     def test_numpy_results_roundtrip_exactly(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
         sizes = [3] * 3
-        first = ExecutionEngine(cfg).map_chunks(
-            _histogram_chunk, None, sizes, seed=6
+        first = ExecutionEngine(workers=1).map_chunks(
+            _histogram_chunk, None, sizes, seed=6, checkpoint=path
         )
-        resumed = ExecutionEngine(cfg).map_chunks(
-            _histogram_chunk, None, sizes, seed=6
+        resumed = ExecutionEngine(workers=1).map_chunks(
+            _histogram_chunk, None, sizes, seed=6, checkpoint=path
         )
         for a, b in zip(first, resumed):
             assert a.dtype == b.dtype
@@ -234,11 +256,10 @@ class TestCheckpoint:
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
-        ExecutionEngine(cfg).map_chunks(_echo_chunk, "t", SIZES, seed=2)
-        other = ExecutionEngine(cfg)
+        engine = ExecutionEngine(workers=1)
+        engine.map_chunks(_echo_chunk, "t", SIZES, seed=2, checkpoint=path)
         with pytest.raises(ConfigurationError, match="different run"):
-            other.map_chunks(_echo_chunk, "t", SIZES, seed=3)
+            engine.map_chunks(_echo_chunk, "t", SIZES, seed=3, checkpoint=path)
 
     @pytest.mark.parametrize(
         "change",
@@ -246,14 +267,12 @@ class TestCheckpoint:
             dict(n=128),
             dict(d=4),
             dict(n_balls=512),
-            dict(tie_break="left"),
-            dict(block=64),
         ],
         ids=lambda change: next(iter(change)),
     )
     def test_checkpoint_of_another_experiment_refused(self, tmp_path, change):
         """The header carries the run's identity, so a rerun at another
-        geometry, tie rule or block cannot restore the first run's chunks."""
+        geometry cannot restore the first run's chunks."""
         spec = ExperimentSpec(
             n=64, d=3, trials=4, seed=1, checkpoint=str(tmp_path / "ck.jsonl")
         )
@@ -268,18 +287,19 @@ class TestCheckpoint:
         old = {"kind": "repro-engine-checkpoint", "version": 1,
                "trials": 10, "chunks": 4, "seed": 2}
         path.write_text(json.dumps(old) + "\n")
-        engine = ExecutionEngine(EngineConfig(workers=1, checkpoint_path=path))
+        engine = ExecutionEngine(workers=1)
         with pytest.raises(ConfigurationError, match="different run"):
-            engine.map_chunks(_echo_chunk, "t", SIZES, seed=2)
+            engine.map_chunks(_echo_chunk, "t", SIZES, seed=2, checkpoint=path)
 
     def test_torn_tail_line_tolerated(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        cfg = EngineConfig(workers=1, checkpoint_path=path)
-        ExecutionEngine(cfg).map_chunks(_echo_chunk, "t", SIZES, seed=2)
+        ExecutionEngine(workers=1).map_chunks(
+            _echo_chunk, "t", SIZES, seed=2, checkpoint=path
+        )
         with path.open("a") as fh:
             fh.write('{"index": 99, "trunc')  # simulated crash mid-append
-        engine = ExecutionEngine(cfg)
-        result = engine.map_chunks(_echo_chunk, "t", SIZES, seed=2)
+        engine = ExecutionEngine(workers=1)
+        result = engine.map_chunks(_echo_chunk, "t", SIZES, seed=2, checkpoint=path)
         assert len(result) == 4
         assert engine.metrics.get_counter("engine.chunks_resumed") == 4
 
@@ -287,7 +307,7 @@ class TestCheckpoint:
 class TestObservability:
     def test_progress_callback_sees_every_chunk(self):
         seen = []
-        engine = ExecutionEngine(EngineConfig(workers=1), progress=seen.append)
+        engine = ExecutionEngine(workers=1, progress=seen.append)
         engine.map_chunks(_echo_chunk, "t", SIZES, seed=1)
         assert [p.done for p in seen] == [1, 2, 3, 4]
         assert all(p.total == 4 for p in seen)
@@ -295,7 +315,7 @@ class TestObservability:
 
     def test_shared_registry(self):
         registry = MetricsRegistry()
-        engine = ExecutionEngine(EngineConfig(workers=1), metrics=registry)
+        engine = ExecutionEngine(workers=1, metrics=registry)
         engine.map_chunks(_echo_chunk, "t", [2, 2], seed=1)
         snap = registry.snapshot()
         assert snap["counters"]["engine.chunks_total"] == 2

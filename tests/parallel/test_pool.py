@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import TABLE_DEFAULTS
-from repro.parallel import (
-    EngineConfig,
-    ExecutionEngine,
-    chunk_sizes,
-    partition_trials,
-)
+from repro.parallel import ExecutionEngine, chunk_sizes, partition_trials
 from repro.parallel.pool import CHUNK_CELLS, default_workers
 
 
@@ -23,7 +18,7 @@ def _echo_chunk(task, chunk_trials, seed_seq):
 
 def _map_chunks(func, task, sizes, *, seed, workers):
     """Scatter/gather chunks of ``sizes`` trials through the engine."""
-    engine = ExecutionEngine(EngineConfig(workers=workers))
+    engine = ExecutionEngine(workers=workers)
     return engine.map_chunks(func, task, sizes, seed=seed)
 
 
@@ -66,7 +61,7 @@ class TestChunkSizes:
         "trials, n_bins",
         [
             (TABLE_DEFAULTS["table1"].trials, TABLE_DEFAULTS["table1"].n),
-            (TABLE_DEFAULTS["table3"].trials, 2**TABLE_DEFAULTS["table3"].log2_n),
+            (TABLE_DEFAULTS["table3"].trials, TABLE_DEFAULTS["table3"].n),
             (TABLE_DEFAULTS["table5"].trials, TABLE_DEFAULTS["table5"].n),
             (400, 2**14),  # EXPERIMENTS.md's Tables 1 and 4
         ],
