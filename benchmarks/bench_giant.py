@@ -20,28 +20,18 @@ wall-clock bound into a hard failure so CI catches regressions loudly.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import resource
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core import run_experiment                      # noqa: E402
-from repro.experiments.config import ExperimentSpec         # noqa: E402
-from repro.hashing import DoubleHashingChoices             # noqa: E402
-from repro.kernels import (                                # noqa: E402
-    KNOWN_BACKENDS,
-    kernel_metrics,
-    resolve_backend,
-)
-from repro.parallel import chunk_sizes                     # noqa: E402
+import harness
+from repro.core import run_experiment
+from repro.experiments.config import ExperimentSpec
+from repro.hashing import DoubleHashingChoices
+from repro.kernels import KNOWN_BACKENDS, kernel_metrics, resolve_backend
+from repro.parallel import chunk_sizes
 
 
 def _peak_rss_bytes():
@@ -51,7 +41,7 @@ def _peak_rss_bytes():
     return rss * 1024 if sys.platform != "darwin" else rss
 
 
-def run(n=2**24, d=3, trials=2, seed=20140623):
+def run(n=2**24, d=3, trials=2, seed=harness.SEED):
     """One timed giant-n run; returns the JSON report dict."""
     spec = ExperimentSpec(n=n, d=d, trials=trials, seed=seed, workers=1)
 
@@ -75,13 +65,10 @@ def run(n=2**24, d=3, trials=2, seed=20140623):
             "seed": seed, "chunks": len(chunk_sizes(trials, n)),
             "scheme": "double-hashing",
         },
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "backends_available": list(KNOWN_BACKENDS),
-            "backend_used": resolve_backend().name,
-        },
+        "host": harness.host(
+            backends_available=list(KNOWN_BACKENDS),
+            backend_used=resolve_backend().name,
+        ),
         "results": {
             "wall_seconds": round(elapsed, 3),
             "balls_per_second": round(n * trials / elapsed, 1),
@@ -94,18 +81,13 @@ def run(n=2**24, d=3, trials=2, seed=20140623):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_giant.json"),
-        help="where to write the JSON report",
-    )
+    parser = harness.parser(__doc__.splitlines()[0], "BENCH_giant.json")
     parser.add_argument(
         "--n", type=int, default=2**24,
         help="bins and balls per trial (default 2^24 ~ 1.7e7)",
     )
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--trials", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=20140623)
     parser.add_argument(
         "--budget-seconds", type=float, default=None, dest="budget_seconds",
         help="fail (exit 1) when the timed run exceeds this wall-clock",
@@ -113,7 +95,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     report = run(n=args.n, d=args.d, trials=args.trials, seed=args.seed)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     r = report["results"]
     print(
         f"n={args.n:,} trials={args.trials} "
@@ -125,7 +106,7 @@ def main(argv=None):
         f"peak RSS {r['peak_rss_bytes'] / 2**20:,.0f} MiB  "
         f"passes {r['kernel.place_passes']}  max load {r['max_load']}"
     )
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     if args.budget_seconds is not None and r["wall_seconds"] > args.budget_seconds:
         print(
             f"ERROR: wall-clock {r['wall_seconds']:.1f}s exceeded the "

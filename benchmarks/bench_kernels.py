@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """A/B benchmark of the numpy placement kernel vs the pre-kernel engine.
 
-Run as a script (not under pytest-benchmark — the comparison needs
-*interleaved* rounds to survive noisy shared hosts)::
+Run as a script; it measures in interleaved rounds (see
+``benchmarks/harness.py``)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--out BENCH_kernels.json]
 
@@ -18,11 +18,6 @@ Two geometries: the acceptance one (``n = 2^12`` bins, 50 trials,
 ``place`` call holds the whole run and a pass is mostly fixed numpy
 dispatch; ``dispatch``).
 
-Methodology: contestants run round-robin inside one process for ``--rounds``
-rounds, and per-contestant medians are compared.  Interleaving means slow
-host phases (other tenants, frequency scaling) hit every contestant
-equally; medians discard the stragglers.  See ``docs/performance.md``.
-
 The JSON written to ``--out`` records per-round wall-clock, medians,
 balls/second, and speedups relative to ``legacy``; the ``numpy`` entries
 also record the kernel's ``passes`` (``kernel.place_passes`` around the
@@ -31,23 +26,15 @@ warm-up call) and ``balls_per_pass`` over all trials of the run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core import simulate_batch                     # noqa: E402
-from repro.hashing import DoubleHashingChoices            # noqa: E402
-from repro.kernels import KNOWN_BACKENDS, kernel_metrics  # noqa: E402
-from repro.rng import default_generator                   # noqa: E402
+import harness
+from repro.core import simulate_batch
+from repro.hashing import DoubleHashingChoices
+from repro.kernels import KNOWN_BACKENDS, kernel_metrics
+from repro.rng import default_generator
 
 
 def _legacy_simulate_batch(scheme, n_balls, trials, *, seed, tie_break="random",
@@ -115,37 +102,23 @@ def _measure(n, d, trials, seed, rounds):
         assert (totals == n_balls).all(), f"{name} lost balls"
         passes[name] = _place_passes() - before
 
-    times = {name: [] for name in runs}
-    for _ in range(rounds):
-        for name, fn in runs.items():   # interleaved round-robin
-            t0 = time.perf_counter()
-            fn()
-            times[name].append(time.perf_counter() - t0)
-
+    times = harness.interleave(
+        {name: harness.timed(fn) for name, fn in runs.items()}, rounds
+    )
     balls = n_balls * trials
-    medians = {name: statistics.median(ts) for name, ts in times.items()}
+    results = harness.summary(times, balls, "balls", baseline="legacy")
+    for name, entry in results.items():
+        if passes[name]:
+            entry["passes"] = int(passes[name])
+            entry["balls_per_pass"] = round(balls / passes[name], 1)
     geometry = {
         "n_bins": n, "d": d, "n_balls": n_balls, "trials": trials,
         "seed": seed, "scheme": "double-hashing",
     }
-    results = {
-        name: {
-            "round_seconds": [round(t, 6) for t in ts],
-            "median_seconds": round(medians[name], 6),
-            "balls_per_second": round(balls / medians[name], 1),
-            "speedup_vs_legacy": round(medians["legacy"] / medians[name], 3),
-            **(
-                {"passes": int(passes[name]),
-                 "balls_per_pass": round(balls / passes[name], 1)}
-                if passes[name] else {}
-            ),
-        }
-        for name, ts in times.items()
-    }
     return geometry, results
 
 
-def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
+def run(n=2**12, d=3, trials=50, seed=harness.SEED, rounds=7):
     """Measure both geometries round-robin; return the JSON report dict."""
     geometry, results = _measure(n, d, trials, seed, rounds)
     dispatch_geometry, dispatch = _measure(
@@ -154,12 +127,7 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
     return {
         "geometry": geometry,
         "rounds": rounds,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "backends_available": list(KNOWN_BACKENDS),
-        },
+        "host": harness.host(backends_available=list(KNOWN_BACKENDS)),
         "results": results,
         "dispatch_geometry": dispatch_geometry,
         "dispatch": dispatch,
@@ -167,23 +135,18 @@ def run(n=2**12, d=3, trials=50, seed=20140623, rounds=7):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_kernels.json"),
-        help="where to write the JSON report",
+    parser = harness.parser(
+        __doc__.splitlines()[0], "BENCH_kernels.json", rounds=7
     )
     parser.add_argument("--n", type=int, default=2**12)
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=20140623)
     args = parser.parse_args(argv)
 
     report = run(
         n=args.n, d=args.d, trials=args.trials, seed=args.seed,
         rounds=args.rounds,
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for section in ("results", "dispatch"):
         for name, r in report[section].items():
             commits = (
@@ -196,7 +159,7 @@ def main(argv=None):
                 f"{r['balls_per_second']:>12,.0f} balls/s  "
                 f"{r['speedup_vs_legacy']:5.2f}x vs legacy{commits}"
             )
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     return 0
 
 

@@ -4,12 +4,12 @@
 Two faces:
 
 **pytest face** — ``bench_peeling_threshold_sweep`` below regenerates the
-follow-up paper's [30] threshold experiment at bench scale under the
-``benchmarks/`` harness (see ``conftest.py``), asserting the transition
+follow-up paper's [30] threshold experiment at bench scale under
+pytest-benchmark (see ``conftest.py``), asserting the transition
 shape and the duplicate-edge failure floor.
 
-**script face** — run directly (not under pytest-benchmark; the kernel
-comparison needs *interleaved* rounds to survive noisy shared hosts)::
+**script face** — run directly; it measures in interleaved rounds (see
+``benchmarks/harness.py``)::
 
     PYTHONPATH=src python benchmarks/bench_peeling.py [--quick] \
         [--out BENCH_peeling.json]
@@ -28,32 +28,20 @@ The report also records a **set-reconciliation** section
 ``--items`` keys each differing in ``--diff``, symmetric-difference IBLT
 sized by the delta, double-hashed vs fully-random cells — build and
 recovery throughput for the workload the decoder exists to serve.
-
-Methodology: contestants run round-robin inside one process for
-``--rounds`` rounds and per-contestant medians are compared, as in
-``bench_kernels.py``; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.extensions.reconcile import run_reconciliation      # noqa: E402
-from repro.hashing import DoubleHashingChoices                 # noqa: E402
-from repro.kernels import KNOWN_BACKENDS                       # noqa: E402
-from repro.peeling import (                                    # noqa: E402
+import harness
+from repro.extensions.reconcile import run_reconciliation
+from repro.hashing import DoubleHashingChoices
+from repro.kernels import KNOWN_BACKENDS
+from repro.peeling import (
     build_hypergraph,
     peel,
     peel_reference,
@@ -118,7 +106,7 @@ def _reconcile_entry(n_items, n_diff, mode, seed):
     }
 
 
-def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
+def run(m=10**6, density=0.70, d=3, seed=harness.SEED, rounds=5,
         n_items=10**6, n_diff=10**3):
     """Interleaved decoder A/B rounds plus the reconciliation workload."""
     n = int(np.ceil(m / density))
@@ -136,38 +124,18 @@ def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
             got.peeled_order, oracle.peeled_order
         ), f"{name} peel order mismatch"
 
-    times = {name: [] for name in runs}
-    for _ in range(rounds):
-        for name, fn in runs.items():   # interleaved round-robin
-            t0 = time.perf_counter()
-            fn()
-            times[name].append(time.perf_counter() - t0)
-
-    medians = {name: statistics.median(ts) for name, ts in times.items()}
-    report = {
+    times = harness.interleave(
+        {name: harness.timed(fn) for name, fn in runs.items()}, rounds
+    )
+    return {
         "geometry": {
             "n_vertices": n, "n_edges": m, "d": d, "density": density,
             "seed": seed, "scheme": "double-hashing",
             "decode_complete": bool(oracle.success),
         },
         "rounds": rounds,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "backends_available": list(KNOWN_BACKENDS),
-        },
-        "results": {
-            name: {
-                "round_seconds": [round(t, 6) for t in ts],
-                "median_seconds": round(medians[name], 6),
-                "edges_per_second": round(m / medians[name], 1),
-                "speedup_vs_reference": round(
-                    medians["reference"] / medians[name], 3
-                ),
-            }
-            for name, ts in times.items()
-        },
+        "host": harness.host(backends_available=list(KNOWN_BACKENDS)),
+        "results": harness.summary(times, m, "edges", baseline="reference"),
         "reconciliation": {
             "n_items": n_items,
             "n_diff": n_diff,
@@ -178,23 +146,17 @@ def run(m=10**6, density=0.70, d=3, seed=20140623, rounds=5,
             },
         },
     }
-    return report
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="A/B benchmark of the peeling kernel vs its oracle"
-    )
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_peeling.json"),
-        help="where to write the JSON report",
+    parser = harness.parser(
+        "A/B benchmark of the peeling kernel vs its oracle",
+        "BENCH_peeling.json", rounds=5,
     )
     parser.add_argument("--m", type=float, default=1e6,
                         help="hyperedges to decode")
     parser.add_argument("--density", type=float, default=0.70)
     parser.add_argument("--d", type=int, default=3)
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=20140623)
     parser.add_argument("--items", type=float, default=1e6,
                         help="reconciliation items per party")
     parser.add_argument("--diff", type=float, default=1e3,
@@ -211,7 +173,6 @@ def main(argv=None):
         m=int(args.m), density=args.density, d=args.d, seed=args.seed,
         rounds=args.rounds, n_items=int(args.items), n_diff=int(args.diff),
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
         print(
             f"{name:>10}: median {r['median_seconds']*1e3:8.1f} ms  "
@@ -227,7 +188,7 @@ def main(argv=None):
             f"{'recon-' + mode:>13}: {r['items_per_second']:>12,.0f} items/s  "
             f"{r['delta_per_second']:>10,.0f} delta-keys/s  {verdict}"
         )
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     return 0
 
 

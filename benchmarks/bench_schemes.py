@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Per-scheme throughput benchmark plus the empirical equivalence map.
 
-Run as a script (not under pytest-benchmark — the comparison needs
-*interleaved* rounds to survive noisy shared hosts)::
+Run as a script; it measures in interleaved rounds (see
+``benchmarks/harness.py``)::
 
     PYTHONPATH=src python benchmarks/bench_schemes.py [--out BENCH_schemes.json]
 
@@ -26,33 +26,32 @@ from ``repro.hashing.SCHEME_INFO`` — never transcribed here.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core import run_experiment                     # noqa: E402
-from repro.experiments.config import ExperimentSpec       # noqa: E402
-from repro.experiments.tables import scheme_sweep         # noqa: E402
-from repro.hashing import make_hash_family, make_scheme   # noqa: E402
-from repro.hashing.registry import (                      # noqa: E402
-    SCHEME_INFO,
-    ZOO_FAMILIES,
-)
+import harness
+from repro.core import run_experiment
+from repro.experiments.config import ExperimentSpec
+from repro.experiments.tables import scheme_sweep
+from repro.hashing import make_hash_family, make_scheme
+from repro.hashing.registry import SCHEME_INFO, ZOO_FAMILIES
 
 HASH_FAMILIES = ("multiply-shift", "tabulation", "pairwise", "universal")
 PLACEMENT_SCHEMES = (
     "double", "random", "multiply-shift", "tabulation",
     "tabulation-double", "pairwise", "pairwise-double", "universal",
 )
+
+
+def _without_rounds(entries):
+    """Summary entries without ``round_seconds`` (this report omits them)."""
+    return {
+        name: {k: v for k, v in entry.items() if k != "round_seconds"}
+        for name, entry in entries.items()
+    }
 
 
 def _bench_hashing(n, n_keys, seed, rounds):
@@ -63,29 +62,21 @@ def _bench_hashing(n, n_keys, seed, rounds):
         name: make_hash_family(name, n, np.random.default_rng(seed + i))
         for i, name in enumerate(HASH_FAMILIES)
     }
-    for h in hashes.values():   # warm-up (JIT compile, allocator pools)
+    for h in hashes.values():   # warm-up (allocator pools)
         h(keys)
-    times = {name: [] for name in HASH_FAMILIES}
-    for _ in range(rounds):
-        for name, h in hashes.items():
-            t0 = time.perf_counter()
-            h(keys)
-            times[name].append(time.perf_counter() - t0)
-    return {
-        name: {
-            "median_seconds": round(statistics.median(ts), 6),
-            "keys_per_second": round(n_keys / statistics.median(ts), 1),
-        }
-        for name, ts in times.items()
-    }
+    times = harness.interleave(
+        {name: harness.timed(lambda h=h: h(keys)) for name, h in hashes.items()},
+        rounds,
+    )
+    return _without_rounds(harness.summary(times, n_keys, "keys"))
 
 
 def _bench_placement(n, d, trials, seed, rounds):
     """Median balls/s per registry scheme through the fused kernel."""
     spec = ExperimentSpec(n=n, d=d, trials=trials, seed=seed)
-    balls = spec.balls * trials
 
     def one(name):
+        """Time ``run_experiment`` alone; building the scheme is untimed."""
         scheme = make_scheme(name, n, d, seed=seed)
         t0 = time.perf_counter()
         run_experiment(scheme, spec)
@@ -93,21 +84,14 @@ def _bench_placement(n, d, trials, seed, rounds):
 
     for name in PLACEMENT_SCHEMES:  # warm-up
         one(name)
-    times = {name: [] for name in PLACEMENT_SCHEMES}
-    for _ in range(rounds):
-        for name in PLACEMENT_SCHEMES:
-            times[name].append(one(name))
-    medians = {name: statistics.median(ts) for name, ts in times.items()}
-    return {
-        name: {
-            "median_seconds": round(medians[name], 6),
-            "balls_per_second": round(balls / medians[name], 1),
-            "throughput_vs_double": round(
-                medians["double"] / medians[name], 3
-            ),
-        }
-        for name in PLACEMENT_SCHEMES
-    }
+    times = harness.interleave(
+        {name: lambda name=name: one(name) for name in PLACEMENT_SCHEMES},
+        rounds,
+    )
+    return _without_rounds(harness.summary(
+        times, spec.balls * trials, "balls", baseline="double",
+        ratio="throughput",
+    ))
 
 
 def equivalence_map(n, d, trials, seed):
@@ -160,11 +144,7 @@ def run(n, d, trials, n_keys, seed, rounds, map_trials):
             "map_trials": map_trials, "seed": seed,
         },
         "rounds": rounds,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
+        "host": harness.host(),
         "backends": list(tiers),
         "tiers": tiers,
         "equivalence_map": emap,
@@ -172,10 +152,8 @@ def run(n, d, trials, n_keys, seed, rounds, map_trials):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_schemes.json"),
-        help="where to write the JSON report",
+    parser = harness.parser(
+        __doc__.splitlines()[0], "BENCH_schemes.json", rounds=5
     )
     parser.add_argument(
         "--map-out", default=None, dest="map_out",
@@ -186,10 +164,8 @@ def main(argv=None):
     parser.add_argument("--trials", type=int, default=8)
     parser.add_argument("--keys", type=float, default=2**21,
                         help="hash-bench keys per round (1e6-style floats ok)")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--map-trials", type=int, default=50,
                         dest="map_trials")
-    parser.add_argument("--seed", type=int, default=20140623)
     parser.add_argument(
         "--quick", action="store_true",
         help="small fast configuration for CI smoke (2^14 bins, 2^18 keys)",
@@ -207,7 +183,6 @@ def main(argv=None):
         n=args.n, d=args.d, trials=args.trials, n_keys=int(args.keys),
         seed=args.seed, rounds=args.rounds, map_trials=args.map_trials,
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     if args.map_out:
         Path(args.map_out).write_text(render_map_markdown(
             report["equivalence_map"], args.n, args.d, args.map_trials,
@@ -226,7 +201,7 @@ def main(argv=None):
         print(f"map {name:>17}: chi2 p {row['chi2_p']:.3f}  "
               f"mean max {row['mean_max_load']:.2f} "
               f"(random {row['random_mean_max_load']:.2f})")
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     return 0
 
 

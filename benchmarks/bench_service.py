@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """A/B benchmark of keyed service throughput: schemes and keymap backends.
 
-Run as a script (not under pytest-benchmark — the comparisons need
-*interleaved* rounds to survive noisy shared hosts)::
+Run as a script; it measures in interleaved rounds (see
+``benchmarks/harness.py``)::
 
     PYTHONPATH=src python benchmarks/bench_service.py [--out BENCH_service.json]
 
@@ -28,9 +28,7 @@ under the ``double`` scheme:
 Each round builds a fresh presized :class:`repro.service.KeyedStore`,
 times one ``insert_many`` over ``--keys`` fresh keys (hashing +
 micro-batched least-loaded placement + assignment-map update), then
-times one ``lookup_many`` over the same keys.  Contestants run
-round-robin inside one process; per-contestant medians are compared, so
-slow host phases hit every contestant equally.  See ``docs/service.md``.
+times one ``lookup_many`` over the same keys.  See ``docs/service.md``.
 
 The JSON written to ``--out`` records per-round wall-clock, medians,
 insert and lookup ops/second, throughput ratios (vs ``double`` for
@@ -40,22 +38,16 @@ schemes, vs ``reference`` for backends), and the final tail loads
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
+import itertools
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.kernels.keymap import KNOWN_KEYMAP_BACKENDS      # noqa: E402
-from repro.metrics import MetricsRegistry                   # noqa: E402
-from repro.service import KeyedStore                        # noqa: E402
+import harness
+from repro.kernels.keymap import KNOWN_KEYMAP_BACKENDS
+from repro.metrics import MetricsRegistry
+from repro.service import KeyedStore
 
 SCHEMES = ("double", "random", "tabulation")
 
@@ -86,84 +78,77 @@ def _one_round(scheme, backend, n, d, n_keys, seed, micro_batch, key_start,
     }
 
 
-def _bench_contestants(contestants, n, d, n_keys, seed, rounds, micro_batch):
-    """Interleaved insert+lookup rounds; returns per-contestant raw data.
+def _section(contestants, baseline, n, d, n_keys, seed, rounds, micro_batch):
+    """Interleaved insert+lookup rounds, summarized against ``baseline``.
 
     ``contestants`` maps name -> (scheme, backend).  Warm-up runs every
     contestant once outside the timed region (tabulation table draws,
-    JIT compiles, allocator pools) with conservation and lookup
-    correctness checked — a broken contestant can never post a fast time.
+    allocator pools) with conservation and lookup correctness checked —
+    a broken contestant can never post a fast time.  Each round then
+    inserts the next ``n_keys`` fresh keys.
     """
-    ins = {name: [] for name in contestants}
-    lkp = {name: [] for name in contestants}
     tails = {}
     for name, (scheme, backend) in contestants.items():
         _, _, tails[name] = _one_round(
             scheme, backend, n, d, n_keys, seed, micro_batch,
             key_start=1, check=True,
         )
-    for r in range(rounds):
-        for name, (scheme, backend) in contestants.items():
-            t_ins, t_lkp, _ = _one_round(
-                scheme, backend, n, d, n_keys, seed, micro_batch,
-                key_start=1 + (r + 1) * n_keys,
-            )
-            ins[name].append(t_ins)
-            lkp[name].append(t_lkp)
-    return ins, lkp, tails
 
+    def contestant(scheme, backend):
+        starts = itertools.count(1 + n_keys, n_keys)
+        return lambda: _one_round(
+            scheme, backend, n, d, n_keys, seed, micro_batch,
+            key_start=next(starts),
+        )[:2]
 
-def _results(ins, lkp, tails, n_keys, baseline):
-    """Median summaries with throughput ratios vs ``baseline``."""
-    med_i = {name: statistics.median(ts) for name, ts in ins.items()}
-    med_l = {name: statistics.median(ts) for name, ts in lkp.items()}
+    times = harness.interleave(
+        {name: contestant(*pair) for name, pair in contestants.items()},
+        rounds,
+    )
+    ins = harness.summary(
+        {name: [t for t, _ in ts] for name, ts in times.items()},
+        n_keys, "insert_ops", baseline, "throughput",
+    )
+    lkp = harness.summary(
+        {name: [t for _, t in ts] for name, ts in times.items()},
+        n_keys, "lookup_ops", baseline, "lookup",
+    )
     return {
         name: {
-            "insert_round_seconds": [round(t, 6) for t in ins[name]],
-            "lookup_round_seconds": [round(t, 6) for t in lkp[name]],
-            "median_seconds": round(med_i[name], 6),
-            "lookup_median_seconds": round(med_l[name], 6),
-            "insert_ops_per_second": round(n_keys / med_i[name], 1),
-            "lookup_ops_per_second": round(n_keys / med_l[name], 1),
-            f"throughput_vs_{baseline}": round(
-                med_i[baseline] / med_i[name], 3
-            ),
-            f"lookup_vs_{baseline}": round(med_l[baseline] / med_l[name], 3),
+            "insert_round_seconds": ins[name]["round_seconds"],
+            "lookup_round_seconds": lkp[name]["round_seconds"],
+            "median_seconds": ins[name]["median_seconds"],
+            "lookup_median_seconds": lkp[name]["median_seconds"],
+            "insert_ops_per_second": ins[name]["insert_ops_per_second"],
+            "lookup_ops_per_second": lkp[name]["lookup_ops_per_second"],
+            f"throughput_vs_{baseline}":
+                ins[name][f"throughput_vs_{baseline}"],
+            f"lookup_vs_{baseline}": lkp[name][f"lookup_vs_{baseline}"],
             "tail_loads": tails[name],
         }
-        for name in ins
+        for name in contestants
     }
 
 
-def run(n=2**16, d=2, n_keys=2**20, seed=20140623, rounds=5,
+def run(n=2**16, d=2, n_keys=2**20, seed=harness.SEED, rounds=5,
         micro_batch=2048):
     """Both benchmark sections; returns the JSON-ready report dict."""
+    geometry = (n, d, n_keys, seed, rounds, micro_batch)
     scheme_runs = {name: (name, None) for name in SCHEMES}
-    s_ins, s_lkp, s_tails = _bench_contestants(
-        scheme_runs, n, d, n_keys, seed, rounds, micro_batch
-    )
     backend_runs = {
         backend: ("double", backend) for backend in KNOWN_KEYMAP_BACKENDS
     }
-    b_ins, b_lkp, b_tails = _bench_contestants(
-        backend_runs, n, d, n_keys, seed, rounds, micro_batch
-    )
     return {
         "geometry": {
             "n_bins": n, "d": d, "n_keys": n_keys, "seed": seed,
             "micro_batch": micro_batch,
         },
         "rounds": rounds,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "keymap_backends_available": list(KNOWN_KEYMAP_BACKENDS),
-        },
-        "results": _results(s_ins, s_lkp, s_tails, n_keys, baseline="double"),
-        "backends": _results(
-            b_ins, b_lkp, b_tails, n_keys, baseline="reference"
+        "host": harness.host(
+            keymap_backends_available=list(KNOWN_KEYMAP_BACKENDS)
         ),
+        "results": _section(scheme_runs, "double", *geometry),
+        "backends": _section(backend_runs, "reference", *geometry),
     }
 
 
@@ -178,19 +163,15 @@ def _print_section(title, results, ratio_key):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_service.json"),
-        help="where to write the JSON report",
+    parser = harness.parser(
+        __doc__.splitlines()[0], "BENCH_service.json", rounds=5
     )
     parser.add_argument("--n", type=int, default=2**16)
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--keys", type=float, default=2**20,
                         help="inserts per round (accepts 1e6-style floats)")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--micro-batch", type=int, default=2048,
                         dest="micro_batch")
-    parser.add_argument("--seed", type=int, default=20140623)
     parser.add_argument(
         "--quick", action="store_true",
         help="small fast configuration for CI smoke (2^14 bins, 2^17 keys)",
@@ -206,12 +187,11 @@ def main(argv=None):
         n=args.n, d=args.d, n_keys=int(args.keys), seed=args.seed,
         rounds=args.rounds, micro_batch=args.micro_batch,
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     _print_section("schemes (numpy keymap)", report["results"],
                    "throughput_vs_double")
     _print_section("keymap backends (double scheme)", report["backends"],
                    "throughput_vs_reference")
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     return 0
 
 

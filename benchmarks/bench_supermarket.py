@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """A/B benchmark of the numpy supermarket kernel vs the legacy loop.
 
-Run as a script (not under pytest-benchmark — the comparison needs
-*interleaved* rounds to survive noisy shared hosts)::
+Run as a script; it measures in interleaved rounds (see
+``benchmarks/harness.py``)::
 
     PYTHONPATH=src python benchmarks/bench_supermarket.py [--out BENCH_supermarket.json]
 
@@ -24,12 +24,6 @@ are not counted.  The legacy loop draws a different stream than the
 kernel's schedule, so the two contestants are *statistically*
 equivalent, not bit-equal.
 
-Methodology: contestants run round-robin inside one process for
-``--rounds`` rounds, and per-contestant medians are compared.
-Interleaving means slow host phases (other tenants, frequency scaling)
-hit every contestant equally; medians discard the stragglers.  See
-``docs/performance.md``.
-
 The JSON written to ``--out`` records per-round wall-clock, medians,
 events/second, and speedups relative to ``legacy``; for the ``numpy``
 contestant also the kernel's pass count on the run (the
@@ -39,24 +33,16 @@ events per pass, the windowed-commit model as data.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
 import sys
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.hashing import DoubleHashingChoices             # noqa: E402
-from repro.kernels import KNOWN_BACKENDS, kernel_metrics   # noqa: E402
-from repro.queueing import SupermarketRun, simulate_supermarket  # noqa: E402
-from repro.rng import default_generator                    # noqa: E402
+import harness
+from repro.hashing import DoubleHashingChoices
+from repro.kernels import KNOWN_BACKENDS, kernel_metrics
+from repro.queueing import SupermarketRun, simulate_supermarket
+from repro.rng import default_generator
 
 _PREFETCH = 4096
 _TIE_BITS = 20
@@ -240,90 +226,60 @@ def _contestants(n, d, lam, sim_time, burn_in, seed):
 
 def _kernel_passes():
     """The global kernel registry's ``kernel.supermarket_passes``."""
-    counters = kernel_metrics().snapshot()["counters"]
-    return counters.get("kernel.supermarket_passes", 0)
+    return kernel_metrics().get_counter("kernel.supermarket_passes")
 
 
-def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=20140623,
+def run(n=500, d=3, lam=0.99, sim_time=100.0, burn_in=20.0, seed=harness.SEED,
         rounds=7):
     """Measure all contestants round-robin; return the JSON report dict."""
     runs = _contestants(n, d, lam, sim_time, burn_in, seed)
     # Warm-up: touches every code path once (numpy allocator pools,
     # scheme caches) outside the timed region, and sanity checks each
     # contestant so a broken loop can't post a fast time.
-    warm, passes = {}, {}
+    events, passes = {}, {}
     for name, fn in runs.items():
         before = _kernel_passes()
-        mean, completed, events = fn()
+        mean, completed, events[name] = fn()
         assert completed > 0 and mean > 1.0, f"{name} produced nonsense"
-        warm[name] = (mean, completed, events)
         passes[name] = _kernel_passes() - before
 
-    times = {name: [] for name in runs}
-    for _ in range(rounds):
-        for name, fn in runs.items():   # interleaved round-robin
-            t0 = time.perf_counter()
-            fn()
-            times[name].append(time.perf_counter() - t0)
-
-    medians = {name: statistics.median(ts) for name, ts in times.items()}
-    commits = {
-        name: {
-            "passes": passes[name],
-            "events_per_pass": round(warm[name][2] / passes[name], 1),
-        }
-        for name in runs
-        if passes[name]
-    }
-    report = {
+    times = harness.interleave(
+        {name: harness.timed(fn) for name, fn in runs.items()}, rounds
+    )
+    # Each contestant's rate counts its own events: the two loops draw
+    # different streams, so their event totals differ.
+    results = harness.summary(times, events, "events", baseline="legacy")
+    for name, entry in results.items():
+        if passes[name]:
+            entry["passes"] = passes[name]
+            entry["events_per_pass"] = round(events[name] / passes[name], 1)
+    return {
         "geometry": {
             "n_queues": n, "d": d, "lam": lam, "sim_time": sim_time,
             "burn_in": burn_in, "seed": seed, "scheme": "double-hashing",
         },
         "rounds": rounds,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "backends_available": list(KNOWN_BACKENDS),
-        },
-        "results": {
-            name: {
-                "round_seconds": [round(t, 6) for t in ts],
-                "median_seconds": round(medians[name], 6),
-                "events_per_second": round(warm[name][2] / medians[name], 1),
-                "speedup_vs_legacy": round(
-                    medians["legacy"] / medians[name], 3
-                ),
-                **commits.get(name, {}),
-            }
-            for name, ts in times.items()
-        },
+        "host": harness.host(backends_available=list(KNOWN_BACKENDS)),
+        "results": results,
     }
-    return report
 
 
 def main(argv=None):
     """CLI entry point; writes the report and prints a summary table."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_supermarket.json"),
-        help="where to write the JSON report",
+    parser = harness.parser(
+        __doc__.splitlines()[0], "BENCH_supermarket.json", rounds=7
     )
     parser.add_argument("--n", type=int, default=500)
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--lam", type=float, default=0.99)
     parser.add_argument("--sim-time", type=float, default=100.0)
     parser.add_argument("--burn-in", type=float, default=20.0)
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=20140623)
     args = parser.parse_args(argv)
 
     report = run(
         n=args.n, d=args.d, lam=args.lam, sim_time=args.sim_time,
         burn_in=args.burn_in, seed=args.seed, rounds=args.rounds,
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["results"].items():
         commits = (
             f"  {r['passes']:,} passes, {r['events_per_pass']} events/pass"
@@ -334,7 +290,7 @@ def main(argv=None):
             f"{r['events_per_second']:>12,.0f} events/s  "
             f"{r['speedup_vs_legacy']:5.2f}x vs legacy{commits}"
         )
-    print(f"wrote {args.out}")
+    harness.write(report, args.out)
     return 0
 
 

@@ -52,7 +52,6 @@ from repro.certify.verdict import SCHEMA_VERSION
 from repro.experiments import tables
 from repro.fluid import equilibrium_mean_sojourn_time
 from repro.kernels import resolve_backend
-from repro.metrics import MetricsRegistry
 from repro.peeling import peeling_threshold, threshold_experiment
 
 __all__ = ["Certification", "CheckResult", "RunRecord", "run_certification"]
@@ -305,11 +304,9 @@ def _load_anchors(prefix: str) -> list[tuple[str, int]]:
 # --------------------------------------------------------------------------
 
 
-def _certify_load_fraction_table(run, tier, metrics, progress):
+def _certify_load_fraction_table(run, tier, progress):
     """Tables 1, 3 and 6: per-load fraction anchors + equivalence."""
-    table = _TABLES[run.table](
-        run.spec, **run.extras, metrics=metrics, progress=progress
-    )
+    table = _TABLES[run.table](run.spec, **run.extras, progress=progress)
     res_r, res_d = table.results["random"], table.results["double"]
     spec = res_r.spec
     n_obs = spec.trials * spec.n
@@ -342,11 +339,9 @@ def _certify_load_fraction_table(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_table2(run, tier, metrics, progress):
+def _certify_table2(run, tier, progress):
     """Table 2: fluid tails vs paper, simulated tails vs paper, equivalence."""
-    table = tables.table2_fluid_vs_simulation(
-        run.spec, metrics=metrics, progress=progress
-    )
+    table = tables.table2_fluid_vs_simulation(run.spec, progress=progress)
     res_r, res_d = table.results["random"], table.results["double"]
     spec = res_r.spec
     n_obs = spec.trials * spec.n
@@ -367,12 +362,10 @@ def _certify_table2(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_table4(run, tier, metrics, progress):
+def _certify_table4(run, tier, progress):
     """Table 4: max-load percent anchors + per-size equivalence/bootstraps."""
     spec = run.spec
-    table = tables.table4_max_load(
-        spec, **run.extras, metrics=metrics, progress=progress
-    )
+    table = tables.table4_max_load(spec, **run.extras, progress=progress)
     checks = []
     for log2_n, pair in table.results.items():
         res_r, res_d = pair["random"], pair["double"]
@@ -403,7 +396,7 @@ def _certify_table4(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_table5(run, tier, metrics, progress):
+def _certify_table5(run, tier, progress):
     """Table 5: mean per-load occupancy fractions + equivalence.
 
     Published min/max/std cells are n-specific order statistics; the
@@ -411,7 +404,7 @@ def _certify_table5(run, tier, metrics, progress):
     at the ``full`` tier's n = 2^18 is the paper's own geometry).
     """
     spec = run.spec
-    table = tables.table5_level_stats(spec, metrics=metrics, progress=progress)
+    table = tables.table5_level_stats(spec, progress=progress)
     paper_n = TABLE5_PAPER_N
     n_obs = spec.trials * spec.n
     checks = []
@@ -437,7 +430,7 @@ def _certify_table5(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_table7(run, tier, metrics, progress):
+def _certify_table7(run, tier, progress):
     """Table 7: d-left fraction anchors + fluid + equivalence."""
     spec = run.spec
     table = tables.table7_dleft(spec)
@@ -460,7 +453,7 @@ def _certify_table7(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_table8(run, tier, metrics, progress):
+def _certify_table8(run, tier, progress):
     """Table 8: fluid-equilibrium anchors (all cells) + simulated cells."""
     spec = run.spec
     table = tables.table8_queueing(spec, **run.extras)
@@ -494,7 +487,7 @@ def _certify_table8(run, tier, metrics, progress):
     return checks, spec, table
 
 
-def _certify_peeling(run, tier, metrics, progress):
+def _certify_peeling(run, tier, progress):
     """Derived peeling-threshold cells: solver precision + density sweep.
 
     Three check families (see ``docs/peeling.md``):
@@ -554,7 +547,7 @@ def _certify_peeling(run, tier, metrics, progress):
     return checks, spec, exp
 
 
-def _certify_schemes(run, tier, metrics, progress):
+def _certify_schemes(run, tier, progress):
     """Hash-family zoo: keyed schemes vs the fully-random baseline.
 
     The empirical equivalence map behind ``docs/hash-families.md``: each
@@ -573,9 +566,7 @@ def _certify_schemes(run, tier, metrics, progress):
     """
     spec = run.spec
     schemes = tuple(run.extras.get("schemes", ("tabulation", "pairwise")))
-    sweep = tables.scheme_sweep(
-        spec, schemes, metrics=metrics, progress=progress
-    )
+    sweep = tables.scheme_sweep(spec, schemes, progress=progress)
     base = sweep.results["baseline"]
     checks = []
     for name in schemes:
@@ -636,9 +627,7 @@ def _run_params(run: TableRun, spec, backend: str) -> dict:
 def run_certification(
     tier: str | CertificationTier = "smoke",
     *,
-    backend: str | None = None,
     workers: int | None = None,
-    metrics: MetricsRegistry | None = None,
     progress: ProgressHook | None = None,
 ) -> Certification:
     """Run one certification tier and return the machine-readable verdict.
@@ -649,19 +638,19 @@ def run_certification(
         Tier name (``"smoke"``/``"standard"``/``"full"``) or a custom
         :class:`~repro.certify.tiers.CertificationTier` (tests use tiny
         ones).
-    backend, workers:
-        Optional overrides applied to every run's spec (``workers`` only
-        schedules chunks, so the verdict does not depend on it).
-    metrics, progress:
+    workers:
+        Optional override of every run's ``workers``; it only schedules
+        chunks, so the verdict does not depend on it.
+    progress:
         Forwarded to the table functions that run through the engine.
     """
     if isinstance(tier, str):
         tier = TIERS[tier] if tier in TIERS else _unknown_tier(tier)
-    resolved_backend = resolve_backend(backend).name
+    backend = resolve_backend().name
     cert = Certification(
         tier=tier.name,
         description=tier.description,
-        backend=resolved_backend,
+        backend=backend,
         thresholds={
             "anchor_z": tier.anchor_z,
             "alpha": tier.alpha,
@@ -670,27 +659,20 @@ def run_certification(
         },
     )
     t_total = time.perf_counter()
-    overrides = {
-        k: v
-        for k, v in dict(backend=backend, workers=workers).items()
-        if v is not None
-    }
     for run in tier.runs:
-        if overrides:
+        if workers is not None:
             run = TableRun(
-                run.table, run.variant, run.spec.replace(**overrides),
+                run.table, run.variant, run.spec.replace(workers=workers),
                 run.extras,
             )
         t0 = time.perf_counter()
-        checks, used_spec, judged = _CERTIFIERS[run.table](
-            run, tier, metrics, progress
-        )
+        checks, used_spec, judged = _CERTIFIERS[run.table](run, tier, progress)
         cert.checks.extend(checks)
         cert.judged[(run.table, run.variant)] = judged
         cert.runs.append(RunRecord(
             table=run.table,
             variant=run.variant,
-            params=_run_params(run, used_spec, resolved_backend),
+            params=_run_params(run, used_spec, backend),
             wall_clock_seconds=round(time.perf_counter() - t0, 3),
         ))
     # Holm pass: finalize the equivalence verdicts family-wise.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from numbers import Integral
 from typing import ClassVar
 
 from repro.certify.anchors import paper_values as _paper_values
@@ -85,6 +86,15 @@ class ExperimentSpec:
     trials_mode: ClassVar[str] = "chunked"
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "n_balls", "trials", "workers"):
+            value = getattr(self, name)
+            if name == "n_balls" and value is None:
+                continue
+            # bool is an Integral too; numpy integers count as integers.
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.n < 1:
             raise ConfigurationError(f"n must be positive, got {self.n}")
         if self.d < 1:

@@ -16,12 +16,6 @@ checkpoint resumes the run (see ``docs/engine.md``).
 """
 
 from repro.parallel.engine import ChunkProgress, ExecutionEngine
-from repro.parallel.pool import chunk_sizes, default_workers, partition_trials
+from repro.parallel.pool import chunk_sizes, partition_trials
 
-__all__ = [
-    "ChunkProgress",
-    "ExecutionEngine",
-    "chunk_sizes",
-    "default_workers",
-    "partition_trials",
-]
+__all__ = ["ChunkProgress", "ExecutionEngine", "chunk_sizes", "partition_trials"]

@@ -186,9 +186,9 @@ class ExecutionEngine:
     Parameters
     ----------
     workers:
-        Process count; ``None`` uses :func:`~repro.parallel.pool.default_workers`,
-        ``0``/``1`` runs serially in-process.  A run uses at most one
-        process per chunk.
+        Process count; ``0``/``1`` (the default, as in
+        :class:`~repro.experiments.config.ExperimentSpec`) runs serially
+        in-process.  A run uses at most one process per chunk.
     metrics:
         Registry receiving counters, timers, and chunk records; a
         private one is created when omitted (reachable via ``.metrics``).
@@ -200,11 +200,11 @@ class ExecutionEngine:
     def __init__(
         self,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         metrics: MetricsRegistry | None = None,
         progress: Callable[[ChunkProgress], None] | None = None,
     ) -> None:
-        if workers is not None and workers < 0:
+        if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -237,9 +237,6 @@ class ExecutionEngine:
         Either way the first exception propagates unchanged, after the
         chunks completed before it are on disk.
         """
-        from repro.parallel.pool import default_workers
-
-        workers = self.workers if self.workers is not None else default_workers()
         sizes = list(sizes)
         jobs = [
             (task, size, child)
@@ -300,9 +297,9 @@ class ExecutionEngine:
                     self.metrics.increment("engine.chunks_resumed")
 
         pending = [i for i in range(total) if i not in restored]
-        if workers > 1 and len(pending) > 1:
+        if self.workers > 1 and len(pending) > 1:
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
+                max_workers=min(self.workers, len(pending)),
                 mp_context=mp.get_context("spawn"),
             )
             try:

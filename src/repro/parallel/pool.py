@@ -1,47 +1,19 @@
-"""Worker-count and trial-partition helpers for the execution engine.
+"""Trial-partition helpers for the execution engine.
 
 The work unit is "run ``k`` trials and return a compact summary";
 :class:`~repro.parallel.engine.ExecutionEngine` fans those chunks out.
 This module holds the pure helpers that size the fan-out:
-:func:`chunk_sizes` fixes a run's chunks from the run alone, and
-:func:`default_workers` picks how many processes execute them.
+:func:`partition_trials` splits trials evenly, and :func:`chunk_sizes`
+fixes a run's chunks from the run alone.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import ConfigurationError
-
-__all__ = ["CHUNK_CELLS", "chunk_sizes", "default_workers", "partition_trials"]
+__all__ = ["CHUNK_CELLS", "chunk_sizes", "partition_trials"]
 
 #: Load cells (trials × bins) one chunk may hold: an int32 load table of
 #: at most 64 MiB per chunk.
 CHUNK_CELLS = 1 << 24
-
-
-def default_workers() -> int:
-    """Default worker count.
-
-    Honors the ``REPRO_WORKERS`` environment variable when set (any
-    positive integer, no cap — explicit configuration wins).  Otherwise
-    uses the process CPU count (``os.process_cpu_count`` on 3.13+, which
-    respects affinity masks; ``os.cpu_count`` before that) capped at 8,
-    where trial fan-out sees diminishing returns.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env is not None and env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_WORKERS must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ConfigurationError(f"REPRO_WORKERS must be >= 1, got {value}")
-        return value
-    count_cpus = getattr(os, "process_cpu_count", os.cpu_count)
-    return min(count_cpus() or 1, 8)
 
 
 def partition_trials(trials: int, chunks: int) -> list[int]:

@@ -68,10 +68,10 @@ EVERY_TIER = CertificationTier(
 @pytest.fixture(scope="session")
 def micro_cert() -> Certification:
     """Run the micro tier once per session on the always-available backend."""
-    return run_certification(MICRO_TIER, backend="numpy", workers=1)
+    return run_certification(MICRO_TIER, workers=1)
 
 
 @pytest.fixture(scope="session")
 def every_cert() -> Certification:
     """Run the every-certifier tier once per session."""
-    return run_certification(EVERY_TIER, backend="numpy", workers=1)
+    return run_certification(EVERY_TIER, workers=1)

@@ -74,7 +74,7 @@ class TestMicroCertification:
         from repro.experiments import table1_load_fractions
 
         spec = next(r.spec for r in MICRO_TIER.runs if r.table == "table1")
-        rows = table1_load_fractions(spec.replace(backend="numpy")).rows
+        rows = table1_load_fractions(spec).rows
         column = {"random": 1, "double": 2}
         anchored = [
             c for c in micro_cert.checks
@@ -89,7 +89,7 @@ class TestMicroCertification:
         """Same tier, same backend: identical verdict apart from timing."""
         from repro.certify.runner import run_certification
 
-        again = run_certification(MICRO_TIER, backend="numpy", workers=1)
+        again = run_certification(MICRO_TIER, workers=1)
         a, b = micro_cert.to_dict(), again.to_dict()
         for doc in (a, b):
             doc["wall_clock_seconds"] = 0.0
@@ -120,13 +120,6 @@ class TestRunnerErrors:
         with pytest.raises(KeyError, match="unknown certification tier"):
             run_certification("ludicrous")
 
-    def test_unknown_backend(self):
-        from repro.certify.runner import run_certification
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            run_certification(MICRO_TIER, backend="fortran")
-
 
 SCHEMES_TIER = CertificationTier(
     name="micro-schemes",
@@ -151,7 +144,7 @@ class TestSchemesCertifier:
     def schemes_cert(self):
         from repro.certify.runner import run_certification
 
-        return run_certification(SCHEMES_TIER, backend="numpy", workers=1)
+        return run_certification(SCHEMES_TIER, workers=1)
 
     def test_passes_at_toy_scale(self, schemes_cert):
         failed = [c.check_id for c in schemes_cert.checks if not c.passed]
@@ -198,7 +191,7 @@ class TestTable1NegativeControl:
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tables, "DoubleHashingChoices", CollapsedDoubleHashing)
-            return run_certification(tier, backend="numpy", workers=1)
+            return run_certification(tier, workers=1)
 
     def test_fails_exactly_the_double_checks(self, collapsed_cert):
         verdicts = {c.check_id: c.passed for c in collapsed_cert.checks}
@@ -248,7 +241,7 @@ class TestTable8NegativeControl:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tables, "DoubleHashingChoices", CollapsedDoubleHashing)
-            return run_certification(TABLE8_TIER, backend="numpy", workers=1)
+            return run_certification(TABLE8_TIER, workers=1)
 
     def test_sojourn_checks_fail(self, collapsed_cert):
         by_id = {c.check_id: c for c in collapsed_cert.checks}
@@ -262,6 +255,6 @@ class TestTable8NegativeControl:
     def test_unpatched_run_passes(self):
         from repro.certify.runner import run_certification
 
-        cert = run_certification(TABLE8_TIER, backend="numpy", workers=1)
+        cert = run_certification(TABLE8_TIER, workers=1)
         failed = [c.check_id for c in cert.checks if not c.passed]
         assert cert.passed, f"failing checks: {failed}"

@@ -185,10 +185,9 @@ class TestGoldenDocument:
 
     After an *intentional* change to the runner or registry, regenerate by
     running ``MICRO_TIER`` (resp. ``EVERY_TIER``; see conftest) with
-    ``backend="numpy"``, ``workers=1``, normalizing wall-clock fields to
-    0.0, and writing the ``to_dict()`` JSON (indent=2) to
-    ``tests/data/golden_certification.json`` (resp.
-    ``golden_certification_every.json``).
+    ``workers=1``, normalizing wall-clock fields to 0.0, and writing the
+    ``to_dict()`` JSON (indent=2) to ``tests/data/golden_certification.json``
+    (resp. ``golden_certification_every.json``).
     """
 
     def test_golden_is_schema_valid(self):

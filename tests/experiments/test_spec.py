@@ -47,11 +47,29 @@ class TestSpec:
             {"backend": "fortran"},
             {"backend": "numba"},
             {"n_balls": 0},
+            # Sizes must be integers: a float, a bool, a string, or None
+            # where None means nothing, is refused up front.
+            {"n": 1024.0},
+            {"trials": 2.0},
+            {"workers": 2.5},
+            {"n_balls": 2048.0},
+            {"d": True},
+            {"n": None},
+            {"trials": None},
+            {"workers": None},
+            {"d": "3"},
         ],
     )
     def test_validation(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=rf"^{next(iter(bad))} must"):
             ExperimentSpec(**bad)
+
+    def test_numpy_integers_are_integers(self):
+        spec = ExperimentSpec(
+            n=np.int64(64), d=np.int32(2), n_balls=np.int64(128),
+            trials=np.int64(2), workers=np.int64(1),
+        )
+        assert spec.balls == 128
 
     def test_removed_knobs_are_not_fields(self):
         # One chunking rule and one trial mode; Table 3 reads n; every

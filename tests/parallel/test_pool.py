@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments.config import TABLE_DEFAULTS
 from repro.parallel import ExecutionEngine, chunk_sizes, partition_trials
-from repro.parallel.pool import CHUNK_CELLS, default_workers
+from repro.parallel.pool import CHUNK_CELLS
 
 
 def _echo_chunk(task, chunk_trials, seed_seq):
@@ -122,32 +122,3 @@ class TestMapTrialChunks:
             _echo_chunk, {"n": 3}, [2, 2], seed=1, workers=1
         )
         assert all(r[0] == {"n": 3} for r in results)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-
-class TestDefaultWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_env_override_beats_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "32")
-        assert default_workers() == 32
-
-    def test_env_unset_caps_at_eight(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert 1 <= default_workers() <= 8
-
-    def test_env_blank_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "  ")
-        assert 1 <= default_workers() <= 8
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-2", "1.5"])
-    def test_env_invalid_rejected(self, monkeypatch, bad):
-        from repro.errors import ConfigurationError
-
-        monkeypatch.setenv("REPRO_WORKERS", bad)
-        with pytest.raises(ConfigurationError):
-            default_workers()
