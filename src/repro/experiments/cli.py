@@ -45,6 +45,7 @@ streams per-chunk completions to stderr.  See ``docs/engine.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -96,6 +97,28 @@ _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
         metavar="PATH.jsonl",
         help="chunk-level checkpoint file; re-running resumes from it")),
 }
+
+
+def _count(text: str) -> int:
+    """Argparse type of a count flag: a whole number ``>= 0``, as
+    ``65536`` or in ``1e6`` form; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            number = float(text)
+        except ValueError:
+            number = math.nan
+        if not number.is_integer():  # also refuses nan and inf
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number such as 65536 or 1e6, got {text!r}"
+            ) from None
+        value = int(number)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative count, got {text!r}"
+        )
+    return value
 
 
 def _command_fields(command: str) -> tuple[str, ...]:
@@ -169,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="keyed placement scheme (default: REPRO_SCHEME, then 'double')",
     )
     serve.add_argument(
-        "--bins", type=float, default=2**16,
-        help="number of bins (accepts 65536 or 6.5e4 forms)",
+        "--bins", type=_count, default=2**16,
+        help="number of bins (accepts 65536 or 6.5536e4 forms)",
     )
     serve.add_argument("--d", type=int, default=2, help="choices per key")
     serve.add_argument(
-        "--keys", type=float, default=2**18,
-        help="insert operations in the stream (accepts 5e6-style floats)",
+        "--keys", type=_count, default=2**18,
+        help="insert operations in the stream (accepts 5e6-style counts)",
     )
     serve.add_argument("--batch", type=int, default=8192,
                        help="nominal inserts per workload step")
@@ -232,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="two-party IBLT set reconciliation (peel the difference)",
     )
     reconcile.add_argument(
-        "--items", type=float, default=1e6,
-        help="items per party (accepts 1e6-style floats)",
+        "--items", type=_count, default=10**6,
+        help="items per party (accepts 1e6-style counts)",
     )
     reconcile.add_argument(
-        "--diff", type=float, default=1e3,
+        "--diff", type=_count, default=10**3,
         help="symmetric-difference size (the delta to recover)",
     )
     reconcile.add_argument("--d", type=int, default=3, help="cells per key")
@@ -341,7 +364,7 @@ def _run_serve(args) -> int:
     from repro.service import run_service_workload
 
     spec = WorkloadSpec(
-        n_keys=int(args.keys),
+        n_keys=args.keys,
         batch=args.batch,
         churn=args.churn,
         lookups=args.lookups,
@@ -352,7 +375,7 @@ def _run_serve(args) -> int:
     metrics = MetricsRegistry()
     report = run_service_workload(
         spec,
-        n_bins=int(args.bins),
+        n_bins=args.bins,
         d=args.d,
         scheme=args.scheme,
         n_shards=args.shards,
@@ -425,12 +448,10 @@ def _run_reconcile(args) -> int:
     from repro.extensions.reconcile import run_reconciliation
 
     modes = ["double", "random"] if args.mode == "both" else [args.mode]
-    n_items = int(args.items)
-    n_diff = int(args.diff)
     failures = 0
     for mode in modes:
         r = run_reconciliation(
-            n_items, n_diff, d=args.d, mode=mode,
+            args.items, args.diff, d=args.d, mode=mode,
             cells=args.cells, seed=args.seed,
         )
         verdict = "recovered" if r.success else (

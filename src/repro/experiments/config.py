@@ -18,8 +18,9 @@ Two things live here:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar
 
 from repro.certify.anchors import paper_values as _paper_values
@@ -51,9 +52,9 @@ class ExperimentSpec:
     trials:
         Independent trials (paper scale: 10000).
     seed:
-        Root seed; each chunk's stream is spawned deterministically from
-        it (the chunks are :func:`repro.parallel.chunk_sizes` of the
-        trials and bins).
+        Non-negative integer root seed; each chunk's stream is spawned
+        deterministically from it (the chunks are
+        :func:`repro.parallel.chunk_sizes` of the trials and bins).
         ``None`` draws fresh OS entropy (not reproducible).
     backend:
         Kernel backend (``"numpy"``); ``None`` defers to the
@@ -67,8 +68,8 @@ class ExperimentSpec:
         with it, at any worker count, resumes from the chunks already
         done.
     sim_time, burn_in:
-        Queueing-simulation horizon (Table 8); ``burn_in`` defaults to
-        ``sim_time / 5`` when ``None``.
+        Queueing-simulation horizon (Table 8), finite numbers;
+        ``burn_in`` defaults to ``sim_time / 5`` when ``None``.
     """
 
     n: int = 2**12
@@ -86,14 +87,26 @@ class ExperimentSpec:
     trials_mode: ClassVar[str] = "chunked"
 
     def __post_init__(self) -> None:
-        for name in ("n", "d", "n_balls", "trials", "workers"):
+        for name in ("n", "d", "n_balls", "trials", "seed", "workers"):
             value = getattr(self, name)
-            if name == "n_balls" and value is None:
+            if name in ("n_balls", "seed") and value is None:
                 continue
             # bool is an Integral too; numpy integers count as integers.
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigurationError(
                     f"{name} must be an integer, got {value!r}"
+                )
+        for name in ("sim_time", "burn_in"):
+            value = getattr(self, name)
+            if name == "burn_in" and value is None:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
                 )
         if self.n < 1:
             raise ConfigurationError(f"n must be positive, got {self.n}")
@@ -106,6 +119,10 @@ class ExperimentSpec:
         if self.trials < 0:
             raise ConfigurationError(
                 f"trials must be non-negative, got {self.trials}"
+            )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed}"
             )
         if self.backend is not None and self.backend not in KNOWN_BACKENDS:
             raise ConfigurationError(

@@ -362,10 +362,10 @@ class IBLT:
         key, checksum and value: ``np.add.at`` for a scalar sign +1,
         ``np.subtract.at`` for −1, and ``np.add.at`` of ``sign·x`` for
         a per-entry sign array (a listing round).  A key occupying a
-        cell twice touches it once (matching the scalar ``np.unique``
-        path): column ``j`` skips the keys whose ``j``-th cell repeats
-        one of their earlier cells, and is scattered whole when no key
-        repeats.
+        cell twice touches it once, as it counts once in the
+        pure-Python oracle of the test suite: column ``j`` skips the
+        keys whose ``j``-th cell repeats one of their earlier cells, and
+        is scattered whole when no key repeats.
         """
         k = keys.size
         if k == 0:

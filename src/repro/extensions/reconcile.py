@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.extensions.iblt import IBLT
+from repro.kernels.peeling import sorted_unique
 from repro.peeling.density_evolution import peeling_threshold
 from repro.rng import default_generator
 
@@ -131,12 +133,19 @@ def make_parties(
     Returns ``(keys_a, keys_b, a_only, b_only)``: a shared base of
     ``n_items − ceil(n_diff/2)`` keys plus disjoint per-party tails
     (``a_only`` gets the larger half for odd deltas).  Keys are distinct
-    uniform draws from the 62-bit range (distinctness enforced by
-    ``np.unique`` with top-up redraws — at millions of keys a collision
-    is already ~10⁻⁶-rare).
+    uniform draws from the 62-bit range: the sorted distinct draws
+    (:func:`~repro.kernels.peeling.sorted_unique`) are topped up with
+    fresh draws until there are enough — at millions of keys a collision
+    is already ~10⁻⁶-rare.
     """
+    for name, value in (("n_items", n_items), ("n_diff", n_diff)):
+        # bool is an Integral too; numpy integers count as integers.
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if n_items < 1:
         raise ConfigurationError(f"n_items must be positive, got {n_items}")
+    if n_diff < 0:
+        raise ConfigurationError(f"n_diff must be non-negative, got {n_diff}")
     a_extra = (n_diff + 1) // 2
     b_extra = n_diff // 2
     if a_extra > n_items:
@@ -145,10 +154,10 @@ def make_parties(
         )
     rng = default_generator(seed)
     want = n_items + b_extra
-    keys = np.unique(rng.integers(0, 1 << 62, size=want, dtype=np.int64))
-    while keys.size < want:  # pragma: no cover - ~2^-40 per batch
+    keys = sorted_unique(rng.integers(0, 1 << 62, size=want, dtype=np.int64))
+    while keys.size < want:
         extra = rng.integers(0, 1 << 62, size=want - keys.size, dtype=np.int64)
-        keys = np.unique(np.concatenate([keys, extra]))
+        keys = sorted_unique(np.concatenate([keys, extra]))
     keys = rng.permutation(keys[:want])
     shared = keys[: n_items - a_extra]
     a_only = np.sort(keys[n_items - a_extra : n_items])

@@ -61,6 +61,7 @@ __all__ = [
     "PeelResult",
     "build_accumulators",
     "peel_arrays_numpy",
+    "sorted_unique",
     "validate_edges",
 ]
 
@@ -92,6 +93,25 @@ class PeelResult:
         """Fraction of edges stuck in the core."""
         total = len(self.peeled_order) + len(self.core_edges)
         return len(self.core_edges) / total if total else 0.0
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, flattened.
+
+    Returns the same array as a bare ``numpy.unique(values)``, from one
+    ``np.sort`` and an adjacent-difference mask.  numpy 2.3 and later
+    answer a bare ``unique`` of integers with a hash table and then
+    sort its output, which on int64 is several times slower than
+    sorting outright, and dozens of times slower on 10^6 62-bit keys
+    (see ``docs/performance.md``).
+    """
+    out = np.sort(values, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def validate_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -151,11 +171,12 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
 
     Implements the module contract with no per-edge Python: accumulator
     build via :func:`build_accumulators`, then per round one fancy-gather
-    of the frontier's claimed edges, one ``np.unique`` dedupe (which also
-    yields the contract's ascending peel order), and ``np.subtract.at``
-    scatters of the degree and the shifted ids over the incidences of
-    the peeled batch.  The next frontier is read off the touched vertices
-    only, so per-round cost is proportional to the work actually done.
+    of the frontier's claimed edges, one :func:`sorted_unique` dedupe
+    (which also yields the contract's ascending peel order), and
+    ``np.subtract.at`` scatters of the degree and the shifted ids over
+    the incidences of the peeled batch.  The next frontier is read off
+    the touched vertices only, so per-round cost is proportional to the
+    work actually done.
 
     Parameters
     ----------
@@ -179,10 +200,10 @@ def peel_arrays_numpy(edges: np.ndarray, n_vertices: int) -> PeelResult:
     peeled_batches: list[np.ndarray] = []
     rounds = 0
     # Worklist: vertices whose degree may have just become 1.  Duplicates
-    # are harmless (duplicate claims collapse in the np.unique below).
+    # are harmless (duplicate claims collapse in the dedupe below).
     frontier = np.flatnonzero(degree == 1)
     while frontier.size:
-        batch = np.unique(edge_sum[frontier] - 1)
+        batch = sorted_unique(edge_sum[frontier] - 1)
         if batch.size and (
             batch[0] < 0 or batch[-1] >= m or not alive[batch].all()
         ):

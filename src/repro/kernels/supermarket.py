@@ -74,6 +74,7 @@ population past ``max_total_jobs``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,9 +180,9 @@ class SupermarketRun:
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"lambda must be in (0, 1), got {self.lam}")
-        if self.sim_time <= 0:
+        if not 0.0 < self.sim_time < math.inf:
             raise ConfigurationError(
-                f"sim_time must be positive, got {self.sim_time}"
+                f"sim_time must be positive and finite, got {self.sim_time}"
             )
         if not 0.0 <= self.burn_in < self.sim_time:
             raise ConfigurationError(

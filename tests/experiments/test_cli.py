@@ -240,6 +240,53 @@ class TestExecution:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_negative_seed_is_one_line(self, capsys):
+        assert main(["table1", "--n", "256", "--trials", "2",
+                     "--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro table1: error: seed must be non-negative, got -3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--bins", "65536.5"],
+            ["serve", "--bins", "-1"],
+            ["serve", "--keys", "1e6x"],
+            ["serve", "--keys=-5e3"],  # argparse reads "-5e3" as a flag
+            ["reconcile", "--items", "inf"],
+            ["reconcile", "--items=-1e6"],
+            ["reconcile", "--diff", "1.5"],
+            ["reconcile", "--diff", "-3"],
+        ],
+        ids=lambda argv: "".join(argv[1:]),
+    )
+    def test_count_flags_refuse_non_counts(self, argv, capsys):
+        # A count that is not a whole number >= 0 is a usage error, never
+        # truncated (--diff 1.5 must not run with a delta of 1).
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = argv[1].split("=")[0]
+        assert f"argument {flag}: expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,want", [("65536", 65536), ("6.5536e4", 65536), ("1e6", 10**6),
+                      ("0", 0)],
+    )
+    def test_count_flags_accept_whole_numbers(self, text, want):
+        parser = build_parser()
+        for argv, dest in (
+            (["serve", "--bins", text], "bins"),
+            (["serve", "--keys", text], "keys"),
+            (["reconcile", "--items", text], "items"),
+            (["reconcile", "--diff", text], "diff"),
+        ):
+            got = getattr(parser.parse_args(argv), dest)
+            assert got == want and type(got) is int
+
     def test_simulation_errors_keep_their_traceback(self, monkeypatch):
         # A SimulationError signals a bug, so main lets it through.
         from repro.errors import SimulationError

@@ -58,6 +58,19 @@ class TestSpec:
             {"trials": None},
             {"workers": None},
             {"d": "3"},
+            # Seeds are None or non-negative integers, refused here rather
+            # than deep inside numpy; True is not seed 1.
+            {"seed": 1.5},
+            {"seed": -3},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": np.int64(-1)},
+            # Horizons are finite, and each is blamed by its own name.
+            {"sim_time": float("nan")},
+            {"sim_time": float("inf")},
+            {"sim_time": "300"},
+            {"burn_in": float("nan")},
+            {"burn_in": float("-inf")},
         ],
     )
     def test_validation(self, bad):
@@ -67,9 +80,11 @@ class TestSpec:
     def test_numpy_integers_are_integers(self):
         spec = ExperimentSpec(
             n=np.int64(64), d=np.int32(2), n_balls=np.int64(128),
-            trials=np.int64(2), workers=np.int64(1),
+            trials=np.int64(2), seed=np.uint32(7), workers=np.int64(1),
         )
         assert spec.balls == 128
+        assert ExperimentSpec(seed=None).seed is None
+        assert ExperimentSpec(seed=0).seed == 0
 
     def test_removed_knobs_are_not_fields(self):
         # One chunking rule and one trial mode; Table 3 reads n; every

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,112 @@ class TestMakeParties:
             make_parties(0, 0)
         with pytest.raises(ConfigurationError):
             make_parties(3, 100)
+
+    @pytest.mark.parametrize(
+        "n_items,n_diff,match",
+        [
+            (1e3, 10, "n_items must be an integer"),
+            (1000, 10.0, "n_diff must be an integer"),
+            ("1000", 10, "n_items must be an integer"),
+            (True, 0, "n_items must be an integer"),
+            (10, -3, "n_diff must be non-negative"),
+        ],
+    )
+    def test_counts_fail_loudly(self, n_items, n_diff, match):
+        # A negative delta must not shrink a party silently, and a float
+        # count must not reach numpy.
+        with pytest.raises(ConfigurationError, match=f"^{match}"):
+            make_parties(n_items, n_diff, seed=1)
+
+    def test_numpy_integer_counts_are_counts(self):
+        got = make_parties(np.int64(1000), np.int32(7), seed=2)
+        want = make_parties(1000, 7, seed=2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    # SHA-256 of the four arrays, recorded when party keys were deduped
+    # with np.unique: the stream may not move with the dedupe.
+    GOLDEN = {
+        (100_000, 1000, 1): (
+            "ff5e5d8f47152741d51887a732a3efb22a580a93f75dd7253f6eb2ac13cd3890",
+            "a81b9d38fa78978f9a28dcbddaeb9599a8c6448a63f8e7857862098668045e73",
+            "8c634e72e58508068c70c750aa123e24a0249d7af31c49cefd4dcd947083065d",
+            "9b57db1d1ba3572ce3b1d1309627cb597c7b5503ff7401075fe90f031b7e9b0c",
+        ),
+        (1000, 7, 2): (
+            "cb1460f09fa9bdb195af010ac9db631e0485505219b4e78d19be568982cffdd4",
+            "3f7e089c916ccc6a1d21de2c8f7c85116b165923f3a3c8f68395d541e299a4cb",
+            "71d31de18aba21e2e4da46411af16f9ccba64aeb7065d0e9d3acba344fb69382",
+            "0b2fbf29bef479c921e17ef143a9d868acc292e8ec9ed847162b705746b3ff93",
+        ),
+        (64, 0, 3): (
+            "1de862eeba03d901186568206ee91fa6f7ddbf4697ac9976cce305a875b7bb52",
+            "1de862eeba03d901186568206ee91fa6f7ddbf4697ac9976cce305a875b7bb52",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(GOLDEN), ids=str)
+    def test_golden_streams(self, geometry):
+        n_items, n_diff, seed = geometry
+        arrays = make_parties(n_items, n_diff, seed=seed)
+        assert all(a.dtype == np.int64 for a in arrays)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert digests == self.GOLDEN[geometry]
+
+    def test_never_calls_numpy_unique(self, monkeypatch):
+        want = make_parties(1000, 7, seed=2)
+        monkeypatch.setattr(np, "unique", _refuse)
+        got = make_parties(1000, 7, seed=2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_top_up_redraws_repeated_keys(self, monkeypatch):
+        # The first draw repeats keys, so the top-up loop must redraw.
+        # Its result is what np.unique plus the same redraws gives.
+        n_items, n_diff = 50, 6
+        rng = _RepeatingDraw(11)
+        want = n_items + n_diff // 2
+        keys = np.unique(rng.integers(0, 1 << 62, size=want, dtype=np.int64))
+        assert keys.size < want
+        while keys.size < want:
+            extra = rng.integers(0, 1 << 62, size=want - keys.size,
+                                 dtype=np.int64)
+            keys = np.unique(np.concatenate([keys, extra]))
+        keys = rng.permutation(keys)
+        shared = keys[: n_items - n_diff // 2]
+
+        monkeypatch.setattr(np, "unique", _refuse)
+        keys_a, keys_b, a_only, b_only = make_parties(
+            n_items, n_diff, seed=_RepeatingDraw(11)
+        )
+        assert len(set(keys_a.tolist())) == len(set(keys_b.tolist())) == n_items
+        assert np.array_equal(keys_a[: shared.size], shared)
+        assert np.array_equal(keys_b[: shared.size], shared)
+        assert np.array_equal(a_only, np.sort(keys[shared.size:n_items]))
+        assert np.array_equal(b_only, np.sort(keys[n_items:]))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("numpy.unique called on a hot path")
+
+
+class _RepeatingDraw(np.random.Generator):
+    """A PCG64 generator whose first ``integers`` draw repeats each key
+    four times over its first half."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self.draws = 0
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.draws += 1
+        if self.draws == 1:
+            half = out.size // 2
+            out[:half] = np.repeat(out[: (half + 3) // 4], 4)[:half]
+        return out
 
 
 class TestDefaultCells:

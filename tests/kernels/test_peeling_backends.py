@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import kernel_metrics
+from repro.kernels.peeling import sorted_unique
 from repro.metrics import MetricsRegistry
 from repro.peeling import build_hypergraph, peel, peel_reference
 from repro.peeling.hypergraph import Hypergraph
@@ -96,6 +97,72 @@ class TestRandomHypergraphs:
         rng = np.random.default_rng(seed)
         edges = rng.integers(0, n, size=(m, 3), dtype=np.int64)
         _assert_all_equal(_all_outcomes(edges, n))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` on int64, without its hash table."""
+
+    @staticmethod
+    def _assert_matches_unique(values):
+        values = np.asarray(values, dtype=np.int64)
+        before = values.copy()
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(values, before)  # the input is not sorted
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [5] * 9,
+            [-3, -1, -3, -2, -1],
+            [_INT64.min, _INT64.max, _INT64.min, 0, _INT64.max],
+            [_INT64.max, _INT64.min],
+            list(range(20)),
+            list(range(20, 0, -1)),
+        ],
+        ids=["empty", "one", "all-equal", "negatives", "int64-extremes",
+             "extremes-pair", "sorted", "reversed"],
+    )
+    def test_edge_cases(self, values):
+        self._assert_matches_unique(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.integers(min_value=int(_INT64.min), max_value=int(_INT64.max)),
+            max_size=64,
+        ),
+        repeats=st.integers(min_value=1, max_value=3),
+        order=st.sampled_from(["as-drawn", "sorted", "reversed"]),
+    )
+    def test_property_equals_numpy_unique(self, values, repeats, order):
+        values = values * repeats
+        if order != "as-drawn":
+            values = sorted(values, reverse=order == "reversed")
+        self._assert_matches_unique(values)
+
+    def test_peel_never_calls_numpy_unique(self, monkeypatch):
+        # Every frontier vertex of a lone edge claims it in round one, so
+        # the round must dedupe three claims of edge 0; the same holds
+        # for the tail of the chain.
+        edges = np.array([[0, 1, 2], [3, 4, 5], [5, 6, 7]], dtype=np.int64)
+        want = peel_reference(_graph(edges, 8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.unique called on a hot path")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        got = peel(_graph(edges, 8), backend="numpy")
+        assert got.success and want.success
+        assert np.array_equal(got.peeled_order, want.peeled_order)
+        assert got.rounds == want.rounds
 
 
 class TestKernelDriver:

@@ -599,6 +599,11 @@ class TestDriver:
             SupermarketRun(scheme, 1.2, 10.0)
         with pytest.raises(ConfigurationError, match="sim_time"):
             SupermarketRun(scheme, 0.5, -1.0)
+        # A horizon that is not finite is blamed on sim_time, not on
+        # the burn-in compared against it.
+        for horizon in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="^sim_time"):
+                SupermarketRun(scheme, 0.5, horizon)
         with pytest.raises(ConfigurationError, match="burn_in"):
             SupermarketRun(scheme, 0.5, 10.0, burn_in=20.0)
         with pytest.raises(ConfigurationError, match="tie_break"):
