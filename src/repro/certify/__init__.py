@@ -28,10 +28,8 @@ Entry point: ``python -m repro certify --tier smoke`` (see
 ``docs/certification.md`` for the methodology and
 ``docs/reproducing.md`` for the workflow).
 
-Heavy submodules (runner, renderer) are imported lazily so that low
-layers — notably :mod:`repro.experiments.config`, which rebuilds
-``PAPER_VALUES`` from :func:`repro.certify.anchors.paper_values` — can
-import this package without a cycle.
+Heavy submodules (runner, renderer) are imported lazily, so importing
+the registry does not import the experiment stack.
 """
 
 from __future__ import annotations

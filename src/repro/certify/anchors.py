@@ -2,10 +2,10 @@
 
 This module is the single place in the codebase where numbers from the
 paper (Mitzenmacher, *Balanced Allocations and Double Hashing*,
-arXiv:1209.5360v4) are transcribed.  Everything else — ``PAPER_VALUES``
-in :mod:`repro.experiments.config`, the EXPERIMENTS.md renderer and
-its drift check, and the certification runner — looks values up here,
-so a transcription typo can only ever exist (and be fixed) in one file.
+arXiv:1209.5360v4) are transcribed.  Everything else — the
+EXPERIMENTS.md renderer and its drift check, and the certification
+runner — looks values up here, so a transcription typo can only ever
+exist (and be fixed) in one file.
 
 Two views are exposed:
 
@@ -13,13 +13,11 @@ Two views are exposed:
   :class:`PaperAnchor` records, one per published cell, each carrying a
   stable ``anchor_id``, provenance (``source``), and the printed
   precision (``decimals``) from which a rounding quantum is derived;
-- :func:`paper_values` — the historical nested-dict shape
-  (``PAPER_VALUES``) rebuilt from the same transcription, for existing
-  consumers.
+- :func:`paper_values` — the nested-dict shape of the transcription,
+  keyed by table, which the EXPERIMENTS.md drift check reads.
 
-The registry is intentionally dependency-free (stdlib only) so that low
-layers such as :mod:`repro.experiments.config` can import it without
-cycles.
+The registry is intentionally dependency-free (stdlib only), so any
+layer can import it without cycles.
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ class PaperAnchor:
 
 # --------------------------------------------------------------------------
 # The transcription.  THIS IS THE ONLY PLACE PAPER NUMBERS ARE TYPED IN.
-# The nested shape mirrors the historical PAPER_VALUES layout so
-# paper_values() can reproduce it bit-for-bit.
+# paper_values() returns this nested shape as it stands.
 # --------------------------------------------------------------------------
 _TRANSCRIPTION: dict[str, dict] = {
     # Table 1: fraction of bins with each load, n = 2^14 balls and bins.
@@ -340,9 +337,9 @@ def anchor_value(anchor_id: str) -> float:
 
 
 def paper_values() -> dict[str, dict]:
-    """The legacy ``PAPER_VALUES`` nested-dict view of the registry.
+    """The nested-dict view of the registry, keyed by table.
 
-    Returns a deep copy so callers mutating their view (e.g. the table
-    functions attaching slices to results) cannot corrupt the registry.
+    Returns a deep copy so callers mutating their view cannot corrupt
+    the registry.
     """
     return copy.deepcopy(_TRANSCRIPTION)

@@ -53,6 +53,7 @@ from repro.experiments import tables
 from repro.fluid import equilibrium_mean_sojourn_time
 from repro.kernels import resolve_backend
 from repro.peeling import peeling_threshold, threshold_experiment
+from repro.types import level_stats
 
 __all__ = ["Certification", "CheckResult", "RunRecord", "run_certification"]
 
@@ -414,7 +415,7 @@ def _certify_table5(run, tier, progress):
             if anchor_id not in REGISTRY:
                 continue
             a = anchor(anchor_id)
-            measured = res.aggregator.level_stats(load).mean / spec.n
+            measured = level_stats(res.histograms, load).mean / spec.n
             expected = a.value / paper_n
             checks.append(_within(
                 run, "anchor", f"anchor:{run.variant}:{anchor_id}",

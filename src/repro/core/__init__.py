@@ -20,8 +20,9 @@ On top of these:
 - :mod:`repro.core.one_plus_beta` — the (1+β)-choice process of
   Peres–Talwar–Wieder (related work the paper cites);
 - :mod:`repro.core.runner` — trial orchestration, chunking, and optional
-  multiprocessing fan-out;
-- :mod:`repro.core.stats` — table-shaped summaries of results.
+  multiprocessing fan-out; a run keeps its ``(trials, max_load + 1)``
+  per-trial histogram matrix, from which :mod:`repro.types` computes the
+  load distribution and Table 5's per-level statistics.
 """
 
 from repro.core.churn import simulate_churn

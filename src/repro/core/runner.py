@@ -6,11 +6,12 @@ harness and benchmarks.  It splits the requested trials into the chunks
 runs each through the vectorized engine via the
 :class:`~repro.parallel.engine.ExecutionEngine` — one spawned seed
 stream per chunk, optional checkpointing for resume after a failure,
-metrics and progress instrumentation — then folds the chunk summaries into a
-:class:`~repro.core.stats.StreamingLoadAggregator`, so memory stays
-O(max_load) no matter how many trials are requested, matching the
-paper's 10^4-trial scale.  The worker count only schedules the chunks,
-so a run's numbers depend on its spec alone.
+metrics and progress instrumentation.  Each chunk returns its per-trial
+load histograms (:func:`~repro.types.trial_histograms`), and the run
+keeps them, stacked in chunk order, as one ``(trials, max_load + 1)``
+matrix: O(trials · max_load) integers, about 0.4 MB at the paper's
+10^4-trial Table 5.  The worker count only schedules the chunks, so a
+run's numbers depend on its spec alone.
 
 Every call passes an :class:`~repro.experiments.config.ExperimentSpec`::
 
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.stats import StreamingLoadAggregator, trial_histograms
 from repro.core.vectorized import simulate_batch
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
@@ -33,7 +33,7 @@ from repro.kernels import resolve_backend
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress, ExecutionEngine
 from repro.parallel.pool import chunk_sizes
-from repro.types import LoadDistribution
+from repro.types import LoadDistribution, load_distribution, trial_histograms
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentSpec
@@ -49,9 +49,10 @@ class ExperimentResult:
     ----------
     distribution:
         Merged load distribution over all trials.
-    aggregator:
-        The streaming aggregator, exposing per-level sample statistics
-        (Table 5 rows) without retaining raw loads.
+    histograms:
+        The ``(trials, max_load + 1)`` int64 per-trial load histograms,
+        in chunk order; :func:`~repro.types.level_stats` reads Table 5's
+        rows from it.
     scheme_description:
         The scheme's one-line description for reports.
     metrics:
@@ -62,7 +63,7 @@ class ExperimentResult:
     """
 
     distribution: LoadDistribution
-    aggregator: StreamingLoadAggregator
+    histograms: np.ndarray
     scheme_description: str
     metrics: MetricsRegistry | None = None
     spec: ExperimentSpec | None = None
@@ -148,11 +149,14 @@ def run_experiment(
             checkpoint=spec.checkpoint,
         )
         with registry.timer("experiment.aggregate_seconds"):
-            aggregator = StreamingLoadAggregator(
-                n_bins=scheme.n_bins, n_balls=n_balls_run
+            width = max(hist.shape[1] for hist in histograms)
+            stacked = np.concatenate([
+                np.pad(hist, ((0, 0), (0, width - hist.shape[1])))
+                for hist in histograms
+            ])
+            distribution = load_distribution(
+                stacked, scheme.n_bins, n_balls_run
             )
-            for hist in histograms:
-                aggregator.update_histograms(hist)
     registry.increment("experiment.trials", spec.trials)
     # Each ball draws d candidate bins (plus tie-break draws); this
     # estimate tracks RNG pressure across sweeps without instrumenting
@@ -161,8 +165,8 @@ def run_experiment(
         "rng.draws_estimate", spec.trials * n_balls_run * scheme.d
     )
     return ExperimentResult(
-        distribution=aggregator.distribution(),
-        aggregator=aggregator,
+        distribution=distribution,
+        histograms=stacked,
         scheme_description=scheme.describe(),
         metrics=registry if (metrics is not None or progress is not None) else None,
         spec=spec,

@@ -2,23 +2,19 @@
 
 Each ``table*`` function runs the corresponding experiment at a configurable
 scale and returns an :class:`~repro.experiments.tables.ExperimentTable`
-holding the measured rows next to the paper's published values, ready for
-text rendering via :func:`~repro.experiments.report.format_table`.
+holding the measured rows, ready for text rendering via
+:func:`~repro.experiments.report.format_table`.
 
 Each ``table*`` function takes an
 :class:`~repro.experiments.config.ExperimentSpec`; per-table defaults live
 in ``TABLE_DEFAULTS`` and are shared with the CLI.  Default scales are
 sized for minutes, not the paper's 10⁴-trial overnight runs; pass a spec
-with larger ``trials``/``n`` to approach paper scale (the modules are
-memory-safe at any trial count thanks to streaming aggregation, and the
-execution engine checkpoints long sweeps — see ``docs/engine.md``).
+with larger ``trials``/``n`` to approach paper scale (a run keeps a few
+integers per trial, and the execution engine checkpoints long sweeps —
+see ``docs/engine.md``).
 """
 
-from repro.experiments.config import (
-    PAPER_VALUES,
-    TABLE_DEFAULTS,
-    ExperimentSpec,
-)
+from repro.experiments.config import TABLE_DEFAULTS, ExperimentSpec
 from repro.experiments.report import format_table
 from repro.experiments.tables import (
     ExperimentTable,
@@ -35,7 +31,6 @@ from repro.experiments.tables import (
 __all__ = [
     "ExperimentSpec",
     "ExperimentTable",
-    "PAPER_VALUES",
     "TABLE_DEFAULTS",
     "format_table",
     "table1_load_fractions",

@@ -99,8 +99,8 @@ _SPEC_FLAGS: dict[str, tuple[str, dict]] = {
 }
 
 
-def _count(text: str) -> int:
-    """Argparse type of a count flag: a whole number ``>= 0``, as
+def _whole_number(text: str) -> int:
+    """Argparse type of a count or seed flag: a whole number ``>= 0``, as
     ``65536`` or in ``1e6`` form; anything else is a usage error."""
     try:
         value = int(text)
@@ -116,7 +116,7 @@ def _count(text: str) -> int:
         value = int(number)
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative count, got {text!r}"
+            f"expected a whole number >= 0, got {text!r}"
         )
     return value
 
@@ -192,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="keyed placement scheme (default: REPRO_SCHEME, then 'double')",
     )
     serve.add_argument(
-        "--bins", type=_count, default=2**16,
+        "--bins", type=_whole_number, default=2**16,
         help="number of bins (accepts 65536 or 6.5536e4 forms)",
     )
     serve.add_argument("--d", type=int, default=2, help="choices per key")
     serve.add_argument(
-        "--keys", type=_count, default=2**18,
+        "--keys", type=_whole_number, default=2**18,
         help="insert operations in the stream (accepts 5e6-style counts)",
     )
     serve.add_argument("--batch", type=int, default=8192,
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=list(KNOWN_KEYMAP_BACKENDS), default=None,
         help="assignment-map backend (default: REPRO_BACKEND, then numpy)",
     )
-    serve.add_argument("--seed", type=int, default=1)
+    serve.add_argument("--seed", type=_whole_number, default=1)
     serve.add_argument("--micro-batch", type=int, default=None,
                        dest="micro_batch",
                        help="keys per placement micro-batch")
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     zoo.add_argument("--d", type=int, default=4,
                      help="choices per ball (even, dividing --n)")
     zoo.add_argument("--trials", type=int, default=50)
-    zoo.add_argument("--seed", type=int, default=1)
+    zoo.add_argument("--seed", type=_whole_number, default=1)
 
     peeling = sub.add_parser(
         "peeling", help="peeling threshold sweep (follow-up paper [30])"
@@ -248,18 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     peeling.add_argument("--n", type=int, default=2048)
     peeling.add_argument("--d", type=int, default=3)
     peeling.add_argument("--trials", type=int, default=8)
-    peeling.add_argument("--seed", type=int, default=1)
+    peeling.add_argument("--seed", type=_whole_number, default=1)
 
     reconcile = sub.add_parser(
         "reconcile",
         help="two-party IBLT set reconciliation (peel the difference)",
     )
     reconcile.add_argument(
-        "--items", type=_count, default=10**6,
+        "--items", type=_whole_number, default=10**6,
         help="items per party (accepts 1e6-style counts)",
     )
     reconcile.add_argument(
-        "--diff", type=_count, default=10**3,
+        "--diff", type=_whole_number, default=10**3,
         help="symmetric-difference size (the delta to recover)",
     )
     reconcile.add_argument("--d", type=int, default=3, help="cells per key")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="IBLT cells (default: sized from --diff via the peeling "
              "threshold)",
     )
-    reconcile.add_argument("--seed", type=int, default=1)
+    reconcile.add_argument("--seed", type=_whole_number, default=1)
 
     certify = sub.add_parser(
         "certify",

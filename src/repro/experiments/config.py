@@ -1,18 +1,12 @@
-"""Experiment configuration: the unified spec and the paper's values.
+"""Experiment configuration: the unified spec and the per-table defaults.
 
-Two things live here:
-
-- :class:`ExperimentSpec` — the single, frozen description of an
-  experiment run (geometry + trials + seed + backend + workers +
-  checkpoint).  ``run_experiment``, every ``table*`` function, and the
-  CLI all consume one; ``TABLE_DEFAULTS`` holds the per-table default
-  spec that both the programmatic defaults and the CLI subcommand
-  defaults derive from, so the two paths cannot drift.
-- ``PAPER_VALUES`` — every published number this reproduction targets,
-  keyed by table, attached to outputs for side-by-side reporting.  Since
-  the certification subsystem landed this is a *view* of the
-  paper-anchor registry (:mod:`repro.certify.anchors`), which owns the
-  one and only transcription of the paper's tables.
+:class:`ExperimentSpec` is the single, frozen description of an
+experiment run (geometry + trials + seed + backend + workers +
+checkpoint).  ``run_experiment``, every ``table*`` function, and the CLI
+all consume one; ``TABLE_DEFAULTS`` holds the per-table default spec that
+both the programmatic defaults and the CLI subcommand defaults derive
+from, so the two paths cannot drift.  The paper's published values live
+in the paper-anchor registry (:mod:`repro.certify.anchors`).
 """
 
 from __future__ import annotations
@@ -23,11 +17,10 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import ClassVar
 
-from repro.certify.anchors import paper_values as _paper_values
 from repro.errors import ConfigurationError
 from repro.kernels import KNOWN_BACKENDS
 
-__all__ = ["ExperimentSpec", "PAPER_VALUES", "TABLE_DEFAULTS"]
+__all__ = ["ExperimentSpec", "TABLE_DEFAULTS"]
 
 
 @dataclass(frozen=True)
@@ -162,10 +155,3 @@ TABLE_DEFAULTS: dict[str, ExperimentSpec] = {
     "table7": ExperimentSpec(n=2**14, d=4, trials=100, seed=7),
     "table8": ExperimentSpec(n=2**10, d=3, seed=8, sim_time=1000.0),
 }
-
-
-# Published numbers, in the historical nested-dict shape.  The actual
-# transcription lives in the paper-anchor registry
-# (repro.certify.anchors) — the single place paper values are typed in;
-# this view is rebuilt from it so existing consumers keep working.
-PAPER_VALUES: dict[str, dict] = _paper_values()

@@ -2,11 +2,10 @@
 
 Every function runs both schemes (fully random and double hashing) at a
 configurable scale and returns an :class:`ExperimentTable` whose rows mirror
-the paper's layout, with the published values attached for side-by-side
-reporting.  This module is the one place that knows how a paper run is
-made: :func:`run_pair` holds the matched-seed protocol (fully random at
-seed ``s``, the challenger at ``s + 1``), :func:`scheme_sweep` the
-hash-family sweep, and ``python -m repro certify`` judges the tables
+the paper's layout.  This module is the one place that knows how a paper
+run is made: :func:`run_pair` holds the matched-seed protocol (fully
+random at seed ``s``, the challenger at ``s + 1``), :func:`scheme_sweep`
+the hash-family sweep, and ``python -m repro certify`` judges the tables
 these functions return.
 
 Each function takes an :class:`~repro.experiments.config.ExperimentSpec`
@@ -26,7 +25,7 @@ from typing import Any, Callable
 
 from repro.core import run_experiment, simulate_dleft
 from repro.core.dleft import make_dleft_scheme
-from repro.experiments.config import PAPER_VALUES, TABLE_DEFAULTS, ExperimentSpec
+from repro.experiments.config import TABLE_DEFAULTS, ExperimentSpec
 from repro.fluid import (
     equilibrium_mean_sojourn_time,
     solve_balls_bins,
@@ -38,6 +37,7 @@ from repro.hashing.base import ChoiceScheme
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress
 from repro.queueing import SupermarketRun, simulate_supermarket
+from repro.types import level_stats
 
 __all__ = [
     "ExperimentTable",
@@ -58,7 +58,7 @@ ProgressHook = Callable[[ChunkProgress], None]
 
 @dataclass
 class ExperimentTable:
-    """A reproduced table: header, measured rows, and paper reference.
+    """A reproduced table: header and measured rows.
 
     Attributes
     ----------
@@ -70,8 +70,6 @@ class ExperimentTable:
         Column names, first column is the row key (e.g. load level).
     rows:
         List of row tuples aligned with ``columns``.
-    paper:
-        The published values relevant to this run (shape varies by table).
     meta:
         Run parameters (n, d, trials, …) for the report header.
     results:
@@ -88,7 +86,6 @@ class ExperimentTable:
     title: str
     columns: list[str]
     rows: list[tuple]
-    paper: Any
     meta: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict, repr=False)
     fluid: Any = field(default=None, repr=False)
@@ -109,14 +106,6 @@ def log2_size(n: int) -> int | None:
     """``k`` when ``n == 2**k``, else ``None``: the key the paper's
     Tables 3 and 7 give a table size by."""
     return n.bit_length() - 1 if n & (n - 1) == 0 else None
-
-
-def _paper(table: str, *key) -> dict:
-    """The published random and double columns of ``table`` at ``key``."""
-    return {
-        role: PAPER_VALUES[table].get((*key, role), {})
-        for role in ("random", "double")
-    }
 
 
 def _subrun(
@@ -210,7 +199,6 @@ def scheme_sweep(
         title=f"{spec.d} choices, n = {spec.n}, each scheme vs fully random",
         columns=["Scheme", "chi2 p vs random", "mean max load", "random mean max"],
         rows=rows,
-        paper=None,
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
     )
@@ -237,7 +225,6 @@ def table1_load_fractions(
         title=f"{spec.d} choices, n = {spec.n} balls and bins",
         columns=["Load", "Fully Random", "Double Hashing"],
         rows=rows,
-        paper=_paper("table1", spec.d),
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
     )
@@ -265,7 +252,6 @@ def table2_fluid_vs_simulation(
         "balls and bins",
         columns=["Tail load >=", "Fluid Limit", "Fully Random", "Double Hashing"],
         rows=rows,
-        paper=PAPER_VALUES["table2"],
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
         fluid=fluid,
@@ -284,7 +270,6 @@ def table3_larger_n(
     table = table1_load_fractions(spec, metrics=metrics, progress=progress)
     size = spec.n if log2_n is None else f"2^{log2_n}"
     table.table_id = f"Table 3 (n = {size}, d = {spec.d})"
-    table.paper = _paper("table3", log2_n, spec.d)
     return table
 
 
@@ -316,7 +301,6 @@ def table4_max_load(
         title=f"Percentage of trials with maximum load 3, {spec.d} choices",
         columns=["n", "Fully Random", "Double Hashing"],
         rows=rows,
-        paper=_paper("table4", spec.d),
         meta={"d": spec.d, "trials": spec.trials},
         results=results,
     )
@@ -333,9 +317,8 @@ def table5_level_stats(
     rows: list[tuple] = []
     results = run_pair(spec, metrics=metrics, progress=progress)
     for label, res in results.items():
-        top = len(res.distribution.counts) - 1
-        for load in range(top + 1):
-            st = res.aggregator.level_stats(load)
+        for load in range(res.histograms.shape[1]):
+            st = level_stats(res.histograms, load)
             rows.append(
                 (label, load, st.minimum, st.mean, st.maximum, st.std)
             )
@@ -344,7 +327,6 @@ def table5_level_stats(
         title=f"Sample statistics per load, {spec.d} choices, n = {spec.n}",
         columns=["Scheme", "Load", "min", "avg", "max", "std.dev."],
         rows=rows,
-        paper=PAPER_VALUES["table5"],
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
     )
@@ -375,7 +357,6 @@ def table6_heavy_load(
         title=f"{spec.d} choices, {m} balls into {spec.n} bins",
         columns=["Load", "Fully Random", "Double Hashing", "Fluid Limit"],
         rows=rows,
-        paper=_paper("table6", spec.d),
         meta={"n": spec.n, "m": m, "d": spec.d, "trials": spec.trials},
         results=results,
         fluid=fluid,
@@ -412,7 +393,6 @@ def table7_dleft(spec: ExperimentSpec | None = None) -> ExperimentTable:
         title=f"Vöcking's d-left scheme, {spec.d} choices, n = {spec.n}",
         columns=["Load", "Fully Random", "Double Hashing", "Fluid Limit"],
         rows=rows,
-        paper=_paper("table7", log2_size(spec.n)),
         meta={"n": spec.n, "d": spec.d, "trials": spec.trials},
         results=results,
         fluid=fluid,
@@ -465,7 +445,6 @@ def table8_queueing(
             "Fluid Equilibrium",
         ],
         rows=rows,
-        paper=PAPER_VALUES["table8"],
         meta={
             "n": spec.n,
             "sim_time": spec.sim_time,

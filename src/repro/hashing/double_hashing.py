@@ -98,28 +98,6 @@ class DoubleHashingChoices(ChoiceScheme):
         f = rng.integers(0, n, size=trials, dtype=np.int64)
         return progressions(f, sample_units(n, trials, rng), n, self.d)
 
-    def batch_with_hashes(
-        self, trials: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`batch` but also return the raw ``(f, g)`` pairs.
-
-        Used by analysis code (e.g. ancestry-list studies) that needs to
-        reason about the underlying hash values, not just the choices.
-        Shares :meth:`batch`'s ``n == 1`` early return (choices are all
-        zeros, ``f = 0`` and ``g = 1``, no randomness consumed).
-        """
-        n = self.n_bins
-        if n == 1:
-            zeros = np.zeros(trials, dtype=np.int64)
-            return (
-                np.zeros((trials, self.d), dtype=np.int64),
-                zeros,
-                np.ones(trials, dtype=np.int64),
-            )
-        f = rng.integers(0, n, size=trials, dtype=np.int64)
-        g = sample_units(n, trials, rng)
-        return progressions(f, g, n, self.d).T, f, g
-
     def describe(self) -> str:
         """Short human-readable label including the geometry."""
         return f"double-hashing(n_bins={self.n_bins}, d={self.d})"

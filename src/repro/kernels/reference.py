@@ -35,7 +35,12 @@ from repro.kernels.supermarket import (
     draw_events,
 )
 from repro.rng import default_generator
-from repro.types import LoadDistribution, QueueingResult
+from repro.types import (
+    LoadDistribution,
+    QueueingResult,
+    load_distribution,
+    trial_histograms,
+)
 
 __all__ = [
     "TieBreak",
@@ -106,14 +111,8 @@ def simulate_single_trial(
         place_ball(loads, choices, rng, tie_break)
     if return_loads:
         return loads
-    max_load = int(loads.max(initial=0))
-    counts = np.bincount(loads, minlength=max_load + 1)
-    return LoadDistribution(
-        n_bins=scheme.n_bins,
-        n_balls=n_balls,
-        trials=1,
-        counts=counts,
-        max_load_per_trial=np.array([max_load]),
+    return load_distribution(
+        trial_histograms(loads[None]), scheme.n_bins, n_balls
     )
 
 

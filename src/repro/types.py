@@ -4,6 +4,10 @@ The simulation engines return :class:`LoadDistribution` objects (aggregated
 across trials) rather than raw per-trial arrays, so that experiment code and
 tests speak one vocabulary: *fraction of bins with load exactly i*, *fraction
 with load at least i*, *maximum load*, and per-level sample statistics.
+
+A run's aggregate is its per-trial histogram matrix
+(:func:`trial_histograms`); :func:`load_distribution` and
+:func:`level_stats` are the one place each statistic is computed from it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ __all__ = [
     "LevelStats",
     "TrialBatchResult",
     "QueueingResult",
+    "level_stats",
+    "load_distribution",
+    "trial_histograms",
 ]
 
 
@@ -119,28 +126,6 @@ class LoadDistribution:
         """Fraction of trials whose maximum load equals ``load`` (Table 4)."""
         return float(np.mean(self.max_load_per_trial == load))
 
-    def merged_with(self, other: "LoadDistribution") -> "LoadDistribution":
-        """Combine two aggregates over the same (n_bins, n_balls) geometry."""
-        if (self.n_bins, self.n_balls) != (other.n_bins, other.n_balls):
-            raise ValueError(
-                "cannot merge distributions with different geometry: "
-                f"({self.n_bins}, {self.n_balls}) vs "
-                f"({other.n_bins}, {other.n_balls})"
-            )
-        width = max(len(self.counts), len(other.counts))
-        counts = np.zeros(width, dtype=np.int64)
-        counts[: len(self.counts)] += self.counts
-        counts[: len(other.counts)] += other.counts
-        return LoadDistribution(
-            n_bins=self.n_bins,
-            n_balls=self.n_balls,
-            trials=self.trials + other.trials,
-            counts=counts,
-            max_load_per_trial=np.concatenate(
-                [self.max_load_per_trial, other.max_load_per_trial]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class TrialBatchResult:
@@ -158,28 +143,64 @@ class TrialBatchResult:
 
     def distribution(self) -> LoadDistribution:
         """Aggregate the raw loads into a :class:`LoadDistribution`."""
-        loads = self.loads
-        max_load = int(loads.max(initial=0))
-        counts = np.bincount(loads.ravel(), minlength=max_load + 1)
-        return LoadDistribution(
-            n_bins=self.n_bins,
-            n_balls=self.n_balls,
-            trials=loads.shape[0],
-            counts=counts.astype(np.int64),
-            max_load_per_trial=loads.max(axis=1),
+        return load_distribution(
+            trial_histograms(self.loads), self.n_bins, self.n_balls
         )
 
-    def level_stats(self, load: int) -> LevelStats:
-        """Sample statistics for the per-trial count of bins at ``load``."""
-        per_trial = (self.loads == load).sum(axis=1)
-        std = float(per_trial.std(ddof=1)) if len(per_trial) > 1 else 0.0
-        return LevelStats(
-            load=load,
-            minimum=int(per_trial.min()),
-            maximum=int(per_trial.max()),
-            mean=float(per_trial.mean()),
-            std=std,
-        )
+
+def trial_histograms(loads: np.ndarray) -> np.ndarray:
+    """Per-trial load histograms: ``(trials, max_load + 1)`` counts.
+
+    Row ``t`` is ``bincount(loads[t])``, padded to a common width.  This is
+    the compact summary a worker process ships back to the parent (a few
+    dozen integers per trial instead of ``n_bins``) and the checkpoint
+    stores.
+    """
+    loads = np.asarray(loads)
+    width = int(loads.max(initial=0)) + 1
+    out = np.zeros((loads.shape[0], width), dtype=np.int64)
+    for t in range(loads.shape[0]):
+        out[t] = np.bincount(loads[t], minlength=width)
+    return out
+
+
+def load_distribution(
+    histograms: np.ndarray, n_bins: int, n_balls: int
+) -> LoadDistribution:
+    """The :class:`LoadDistribution` of a ``(trials, width)`` histogram matrix.
+
+    Counts are the column sums; a trial's maximum load is the last nonzero
+    column of its row, in row order.
+    """
+    hist = np.asarray(histograms, dtype=np.int64)
+    levels = np.arange(hist.shape[1])
+    return LoadDistribution(
+        n_bins=n_bins,
+        n_balls=n_balls,
+        trials=hist.shape[0],
+        counts=hist.sum(axis=0),
+        max_load_per_trial=np.where(hist > 0, levels, 0).max(axis=1),
+    )
+
+
+def level_stats(histograms: np.ndarray, load: int) -> LevelStats:
+    """Sample statistics of the per-trial count of bins at ``load``.
+
+    Column ``load`` of a ``(trials, width)`` histogram matrix; a load past
+    the width held no bin in any trial, so its statistics are all zero.
+    """
+    hist = np.asarray(histograms, dtype=np.int64)
+    if load >= hist.shape[1]:
+        return LevelStats(load=load, minimum=0, maximum=0, mean=0.0, std=0.0)
+    column = hist[:, load]
+    trials = len(column)
+    return LevelStats(
+        load=load,
+        minimum=int(column.min()),
+        maximum=int(column.max()),
+        mean=float(column.sum() / trials),
+        std=float(column.std(ddof=1)) if trials > 1 else 0.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,6 @@ class TestLegacyView:
         pv["table1"][(3, "random")][0] = -1.0
         assert paper_values()["table1"][(3, "random")][0] == pytest.approx(0.17693)
 
-    def test_config_reexport_matches(self):
-        from repro.experiments.config import PAPER_VALUES
-
-        assert PAPER_VALUES == paper_values()
-
 
 class TestSingleTranscription:
     """No paper value may be typed anywhere outside the registry."""

@@ -1,4 +1,4 @@
-"""Tests for result aggregation (stats) and the experiment runner."""
+"""Tests for the experiment runner and the aggregate it returns."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import run_experiment, simulate_batch
-from repro.core.stats import (
-    StreamingLoadAggregator,
-    trial_histograms,
-)
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentSpec
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
-from repro.types import TrialBatchResult
+from repro.metrics import MetricsRegistry
+from repro.parallel import chunk_sizes, pool
+from repro.rng import spawn_seeds
+from repro.types import TrialBatchResult, level_stats, trial_histograms
 
 
 def _small_batch(seed: int = 1, trials: int = 12) -> TrialBatchResult:
@@ -35,64 +34,89 @@ class TestTrialHistograms:
         assert (loads_recovered == 64).all()
 
 
-class TestStreamingAggregator:
-    def test_matches_direct_distribution(self):
-        batch = _small_batch(seed=3, trials=20)
-        agg = StreamingLoadAggregator(n_bins=64, n_balls=64)
-        agg.update(batch)
-        direct = batch.distribution()
-        streamed = agg.distribution()
-        assert np.array_equal(streamed.counts, direct.counts)
-        assert np.array_equal(
-            np.sort(streamed.max_load_per_trial),
-            np.sort(direct.max_load_per_trial),
-        )
+class TestRunAggregate:
+    """A run's aggregate is its chunks' histograms, stacked in order.
 
-    def test_chunked_equals_monolithic(self):
-        """Feeding trials in chunks must give identical statistics to one
-        batch (Welford merge correctness)."""
-        full = simulate_batch(FullyRandomChoices(32, 2), 32, 30, seed=5)
-        agg = StreamingLoadAggregator(n_bins=32, n_balls=32)
-        for start in range(0, 30, 7):
-            chunk = TrialBatchResult(
-                n_bins=32, n_balls=32, loads=full.loads[start : start + 7]
-            )
-            agg.update(chunk)
-        for load in range(4):
-            direct = full.level_stats(load)
-            streamed = agg.level_stats(load)
-            assert streamed.minimum == direct.minimum
-            assert streamed.maximum == direct.maximum
-            assert streamed.mean == pytest.approx(direct.mean, rel=1e-12)
-            assert streamed.std == pytest.approx(direct.std, rel=1e-9)
+    With one trial per chunk, ``seed=1`` gives chunks of max load 2 and
+    3: load 3 first appears in the third chunk.
+    """
 
-    def test_late_appearing_level_min_is_zero(self):
-        """A load level first seen in chunk 2 must report min=0 because
-        chunk-1 trials had zero bins at that level."""
-        agg = StreamingLoadAggregator(n_bins=4, n_balls=4)
-        agg.update_histograms(np.array([[4, 0, 0]]))  # no load-2 bins
-        agg.update_histograms(np.array([[1, 1, 1]]))  # one load-2 bin
-        st2 = agg.level_stats(2)
-        assert st2.minimum == 0
-        assert st2.maximum == 1
+    SPEC = ExperimentSpec(n=64, d=2, trials=6, seed=1)
 
-    def test_geometry_mismatch_rejected(self):
-        agg = StreamingLoadAggregator(n_bins=8, n_balls=8)
-        with pytest.raises(ValueError, match="geometry"):
-            agg.update(_small_batch())
+    @pytest.fixture
+    def one_trial_chunks(self, monkeypatch):
+        monkeypatch.setattr(pool, "CHUNK_CELLS", 64)
+        assert chunk_sizes(6, 64) == [1] * 6
 
-    def test_empty_aggregator_raises(self):
-        agg = StreamingLoadAggregator(n_bins=8, n_balls=8)
-        with pytest.raises(ValueError):
-            agg.distribution()
-        with pytest.raises(ValueError):
-            agg.level_stats(0)
+    @staticmethod
+    def _chunk_loads(spec: ExperimentSpec) -> np.ndarray:
+        """The raw loads of the run's chunks, stacked in chunk order."""
+        sizes = chunk_sizes(spec.trials, spec.n)
+        return np.concatenate([
+            simulate_batch(
+                FullyRandomChoices(spec.n, spec.d), spec.balls, size,
+                seed=np.random.default_rng(child),
+            ).loads
+            for size, child in zip(sizes, spawn_seeds(spec.seed, len(sizes)))
+        ])
+
+    def test_distribution_matches_stacked_chunk_loads(self, one_trial_chunks):
+        res = run_experiment(FullyRandomChoices(64, 2), self.SPEC)
+        loads = self._chunk_loads(self.SPEC)
+        assert len({int(row.max()) for row in loads}) > 1  # widths differ
+        dist = res.distribution
+        assert dist.counts.tolist() == np.bincount(loads.ravel()).tolist()
+        assert dist.max_load_per_trial.tolist() == loads.max(axis=1).tolist()
+        assert res.histograms.dtype == np.int64
+        assert res.histograms.shape == (6, loads.max() + 1)
+
+    def test_level_stats_match_stacked_chunk_loads(self, one_trial_chunks):
+        res = run_experiment(FullyRandomChoices(64, 2), self.SPEC)
+        loads = self._chunk_loads(self.SPEC)
+        for load in range(loads.max() + 1):
+            per_trial = (loads == load).sum(axis=1)
+            st = level_stats(res.histograms, load)
+            assert (st.minimum, st.maximum) == (per_trial.min(), per_trial.max())
+            assert st.mean == per_trial.sum() / len(per_trial)
+            assert st.std == per_trial.std(ddof=1)
+
+    def test_late_appearing_level_min_is_zero(self, one_trial_chunks):
+        """Load 3 is first seen in a later chunk, so the chunks before it
+        count zero bins there."""
+        res = run_experiment(FullyRandomChoices(64, 2), self.SPEC)
+        first = self._chunk_loads(self.SPEC)[0]
+        assert first.max() == 2 and res.distribution.max_load == 3
+        st = level_stats(res.histograms, 3)
+        assert st.minimum == 0 and st.maximum >= 1
 
     def test_stats_beyond_observed_levels(self):
-        agg = StreamingLoadAggregator(n_bins=4, n_balls=4)
-        agg.update_histograms(np.array([[2, 2]]))
-        st9 = agg.level_stats(9)
-        assert st9.minimum == 0 and st9.maximum == 0 and st9.mean == 0.0
+        res = run_experiment(FullyRandomChoices(64, 2), self.SPEC)
+        past = res.histograms.shape[1]
+        st = level_stats(res.histograms, past)
+        assert (st.minimum, st.maximum, st.mean, st.std) == (0, 0, 0.0, 0.0)
+
+    def test_one_trial_std_is_zero(self):
+        res = run_experiment(
+            FullyRandomChoices(64, 2), self.SPEC.replace(trials=1)
+        )
+        assert res.histograms.shape[0] == 1
+        for load in range(res.histograms.shape[1]):
+            assert level_stats(res.histograms, load).std == 0.0
+
+    def test_checkpoint_restore_is_identical(self, tmp_path):
+        spec = self.SPEC.replace(checkpoint=str(tmp_path / "ck.jsonl"))
+        first = run_experiment(FullyRandomChoices(64, 2), spec)
+        registry = MetricsRegistry()
+        again = run_experiment(FullyRandomChoices(64, 2), spec, metrics=registry)
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.chunks_resumed"] == counters["engine.chunks_total"] == 4
+        assert again.histograms.dtype == first.histograms.dtype
+        assert np.array_equal(again.histograms, first.histograms)
+        assert np.array_equal(again.distribution.counts, first.distribution.counts)
+        assert np.array_equal(
+            again.distribution.max_load_per_trial,
+            first.distribution.max_load_per_trial,
+        )
 
 
 class TestRunExperiment:
@@ -104,8 +128,6 @@ class TestRunExperiment:
         assert "double" in res.scheme_description
 
     def test_chunked_equals_unchunked_in_law(self, monkeypatch):
-        from repro.parallel import chunk_sizes, pool
-
         spec = ExperimentSpec(n=256, d=3, trials=40, seed=2)
         a = run_experiment(FullyRandomChoices(256, 3), spec)
         # A budget of 5 trials per chunk splits the run into 8 chunks.
@@ -171,13 +193,13 @@ class TestRunExperiment:
 )
 @settings(max_examples=25, deadline=None)
 def test_property_aggregator_counts_invariant(trials, chunk, seed):
-    """Total counts equal trials * n_bins regardless of chunking."""
-    full = simulate_batch(FullyRandomChoices(16, 2), 16, trials, seed=seed)
-    agg = StreamingLoadAggregator(n_bins=16, n_balls=16)
-    for start in range(0, trials, chunk):
-        agg.update(
-            TrialBatchResult(
-                n_bins=16, n_balls=16, loads=full.loads[start : start + chunk]
-            )
-        )
-    assert agg.distribution().counts.sum() == trials * 16
+    """A run's counts equal its stacked chunk loads' bincount, summing to
+    trials * n_bins, whatever the chunk size."""
+    spec = ExperimentSpec(n=16, d=2, trials=trials, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "CHUNK_CELLS", chunk * 16)
+        res = run_experiment(FullyRandomChoices(16, 2), spec)
+        loads = TestRunAggregate._chunk_loads(spec)
+    counts = res.distribution.counts
+    assert counts.tolist() == np.bincount(loads.ravel()).tolist()
+    assert counts.sum() == trials * 16

@@ -272,6 +272,19 @@ class TestExecution:
         flag = argv[1].split("=")[0]
         assert f"argument {flag}: expected a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["--seed=-3", "--seed=1.5"])
+    @pytest.mark.parametrize("command", ["serve", "peeling", "zoo", "reconcile"])
+    def test_seed_flags_refuse_non_seeds(self, command, seed, capsys):
+        # A seed that is not a whole number >= 0 is a usage error, caught
+        # before numpy sees it.
+        with pytest.raises(SystemExit) as exc:
+            main([command, seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"repro {command}: error: argument --seed: expected a" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text,want", [("65536", 65536), ("6.5536e4", 65536), ("1e6", 10**6),
                       ("0", 0)],

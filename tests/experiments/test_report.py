@@ -35,7 +35,6 @@ class TestFormatTable:
             title="demo",
             columns=["Load", "Value"],
             rows=[(0, 0.12345678), (1, 2.5e-6)],
-            paper={},
             meta={"n": 16},
         )
 
@@ -57,7 +56,7 @@ class TestFormatTable:
 
     def test_empty_rows(self):
         table = ExperimentTable(
-            table_id="T", title="empty", columns=["A"], rows=[], paper=None
+            table_id="T", title="empty", columns=["A"], rows=[]
         )
         text = format_table(table)
         assert "A" in text
@@ -70,7 +69,6 @@ class TestFormatTableAlignment:
             title="alignment demo",
             columns=["Load", "A long header", "B"],
             rows=[(0, 0.5, 1752.4974), (10, 2.5e-6, 3)],
-            paper={},
             meta={},
         )
 

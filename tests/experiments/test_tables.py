@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.certify.anchors import anchor_value
+from repro.certify.anchors import anchor_value, paper_values
 from repro.experiments import (
-    PAPER_VALUES,
     ExperimentSpec,
     format_table,
     table1_load_fractions,
@@ -42,7 +41,7 @@ class TestTable1(object):
         assert sum(r[2] for r in t1.rows) == pytest.approx(1.0, abs=1e-9)
 
     def test_near_paper_values(self, t1):
-        paper = PAPER_VALUES["table1"][(3, "double")]
+        paper = paper_values()["table1"][(3, "double")]
         for load, _, double_frac in t1.rows:
             if load in paper:
                 assert double_frac == pytest.approx(paper[load], abs=0.004)
@@ -51,13 +50,15 @@ class TestTable1(object):
         for _, random_frac, double_frac in t1.rows:
             assert random_frac == pytest.approx(double_frac, abs=0.005)
 
-    def test_paper_reference_attached(self, t1):
-        assert t1.paper["random"][0] == anchor_value("table1/d3/random/load0")
+    def test_random_column_near_paper_values(self, t1):
+        for load, random_frac, _ in t1.rows[:4]:
+            paper = anchor_value(f"table1/d3/random/load{load}")
+            assert random_frac == pytest.approx(paper, abs=0.004)
 
 
 class TestTable2(object):
     def test_fluid_column_matches_paper(self, t2):
-        paper = PAPER_VALUES["table2"]["fluid"]
+        paper = paper_values()["table2"]["fluid"]
         for load, fluid, _, _ in t2.rows:
             if load in paper:
                 assert fluid == pytest.approx(paper[load], abs=2e-4)
@@ -77,11 +78,13 @@ class TestTable3:
     def test_small_scale_run(self):
         t = table3_larger_n(ExperimentSpec(n=2**12, d=3, trials=20, seed=3))
         assert "2^12" in t.table_id
-        assert t.paper == {"random": {}, "double": {}}  # no 2^12 in paper
 
     def test_paper_reference_for_published_sizes(self):
         t = table3_larger_n(ExperimentSpec(n=2**16, d=3, trials=2, seed=4))
-        assert t.paper["random"][0] == 0.17695
+        for load, random_frac, double_frac in t.rows[:4]:
+            for role, frac in (("random", random_frac), ("double", double_frac)):
+                paper = anchor_value(f"table3/n16/d3/{role}/load{load}")
+                assert frac == pytest.approx(paper, abs=0.004)
 
 
 class TestTable4:
@@ -127,7 +130,7 @@ class TestTable6:
 
     def test_fluid_column_matches_paper(self):
         t = table6_heavy_load(ExperimentSpec(n=2**10, d=3, trials=5, seed=10), balls_per_bin=16)
-        paper = PAPER_VALUES["table6"][(3, "random")]
+        paper = paper_values()["table6"][(3, "random")]
         fluid_by_load = {r[0]: r[3] for r in t.rows}
         for load, expected in paper.items():
             if expected > 1e-3:

@@ -149,13 +149,11 @@ class TestDoubleHashingStructure:
         assert (gaps == gaps[:, :1]).all()
 
     def test_stride_is_unit(self, rng):
-        scheme = DoubleHashingChoices(24, 4)
-        _, _, g = scheme.batch_with_hashes(800, rng)
+        g = sample_units(24, 800, rng)
         assert np.all(np.gcd(g, 24) == 1)
 
     def test_power_of_two_strides_odd(self, rng):
-        scheme = DoubleHashingChoices(64, 4)
-        _, _, g = scheme.batch_with_hashes(800, rng)
+        g = sample_units(64, 800, rng)
         assert (g % 2 == 1).all()
 
     @pytest.mark.parametrize(
@@ -182,40 +180,9 @@ class TestDoubleHashingStructure:
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_batch_with_hashes_consistent(self, rng):
-        scheme = DoubleHashingChoices(31, 4)
-        choices, f, g = scheme.batch_with_hashes(200, rng)
-        ks = np.arange(4)
-        assert np.array_equal(choices, (f[:, None] + g[:, None] * ks) % 31)
-
     def test_single_bin_table(self, rng):
         scheme = DoubleHashingChoices(1, 1)
         assert (scheme.batch(10, rng) == 0).all()
-
-    def test_batch_with_hashes_single_bin(self):
-        """Regression: with n == 1, ``batch_with_hashes`` must share
-        ``batch``'s early return — all-zero choices, f = 0, g = 1, and
-        crucially *no RNG consumption* (the old code drew f and g anyway,
-        desynchronizing it from ``batch``)."""
-        scheme = DoubleHashingChoices(1, 1)
-        rng = np.random.default_rng(123)
-        state_before = rng.bit_generator.state
-        choices, f, g = scheme.batch_with_hashes(50, rng)
-        assert rng.bit_generator.state == state_before
-        assert choices.shape == (50, 1) and (choices == 0).all()
-        assert (f == 0).all() and (g == 1).all()
-        assert np.array_equal(
-            choices, scheme.batch(50, np.random.default_rng(123))
-        )
-
-    def test_batch_with_hashes_two_bins(self, rng):
-        """n == 2 is the smallest table with a real stride: the only unit
-        mod 2 is 1, so d = 2 choices must alternate."""
-        scheme = DoubleHashingChoices(2, 2)
-        choices, f, g = scheme.batch_with_hashes(400, rng)
-        assert (g == 1).all()
-        assert np.array_equal(choices[:, 0], f % 2)
-        assert (choices[:, 0] != choices[:, 1]).all()
 
     def test_batch_planar_matches_batch(self):
         """The planar (d, trials) layout is the transposed row layout for
@@ -330,6 +297,5 @@ def test_property_double_hashing_rows_distinct_any_geometry(n_exp, d, seed):
 @settings(max_examples=60, deadline=None)
 def test_property_arbitrary_modulus_strides_are_units(n, seed):
     """For arbitrary (possibly composite) n, sampled strides are coprime."""
-    scheme = DoubleHashingChoices(n, min(3, n))
-    _, _, g = scheme.batch_with_hashes(40, np.random.default_rng(seed))
+    g = sample_units(n, 40, np.random.default_rng(seed))
     assert np.all(np.gcd(g, n) == 1)

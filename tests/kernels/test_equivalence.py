@@ -17,16 +17,18 @@ import pytest
 from repro.analysis.comparison import compare_distributions
 from repro.core import simulate_batch, simulate_single_trial
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
+from repro.types import load_distribution, trial_histograms
 
 
 def _reference_distribution(scheme_factory, n, n_balls, trials, seed, tie_break):
-    dist = None
-    for t in range(trials):
-        one = simulate_single_trial(
-            scheme_factory(), n_balls, seed=seed + t, tie_break=tie_break
+    loads = np.stack([
+        simulate_single_trial(
+            scheme_factory(), n_balls, seed=seed + t, tie_break=tie_break,
+            return_loads=True,
         )
-        dist = one if dist is None else dist.merged_with(one)
-    return dist
+        for t in range(trials)
+    ])
+    return load_distribution(trial_histograms(loads), n, n_balls)
 
 
 class TestScalarReferenceEquivalence:

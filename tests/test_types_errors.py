@@ -13,7 +13,14 @@ from repro.errors import (
     StabilityError,
     TableFullError,
 )
-from repro.types import LevelStats, LoadDistribution, TrialBatchResult
+from repro.types import (
+    LevelStats,
+    LoadDistribution,
+    TrialBatchResult,
+    level_stats,
+    load_distribution,
+    trial_histograms,
+)
 
 
 class TestErrorHierarchy:
@@ -85,21 +92,14 @@ class TestLoadDistribution:
         assert d.fraction_trials_max_load(5) == 0.0
 
     def test_merge(self):
-        a = _dist([10, 6, 4])
-        b = _dist([12, 8])
-        merged = a.merged_with(b)
+        # Two runs merge by stacking their histogram matrices: counts add,
+        # trials add, max loads keep row order.
+        a = np.array([[1, 2, 1], [0, 4, 0]])
+        b = np.array([[2, 0, 2], [1, 2, 1]])
+        merged = load_distribution(np.vstack([a, b]), 4, 4)
         assert merged.trials == 4
-        assert merged.counts.tolist() == [22, 14, 4]
-        assert len(merged.max_load_per_trial) == 4
-
-    def test_merge_geometry_mismatch(self):
-        a = _dist([10, 10])
-        b = LoadDistribution(
-            n_bins=99, n_balls=10, trials=2,
-            counts=np.array([198]), max_load_per_trial=np.zeros(2),
-        )
-        with pytest.raises(ValueError, match="geometry"):
-            a.merged_with(b)
+        assert merged.counts.tolist() == [4, 8, 4]
+        assert merged.max_load_per_trial.tolist() == [2, 1, 2, 2]
 
 
 class TestTrialBatchResult:
@@ -112,14 +112,12 @@ class TestTrialBatchResult:
 
     def test_level_stats(self):
         loads = np.array([[0, 0, 2], [1, 1, 0]])
-        batch = TrialBatchResult(n_bins=3, n_balls=2, loads=loads)
-        st = batch.level_stats(0)
+        st = level_stats(trial_histograms(loads), 0)
         assert isinstance(st, LevelStats)
         assert st.minimum == 1 and st.maximum == 2
-        assert st.mean == pytest.approx(1.5)
+        assert st.mean == 1.5
+        assert st.std == np.std([2, 1], ddof=1)
 
     def test_level_stats_single_trial_std_zero(self):
-        batch = TrialBatchResult(
-            n_bins=3, n_balls=2, loads=np.array([[1, 1, 0]])
-        )
-        assert batch.level_stats(1).std == 0.0
+        hist = trial_histograms(np.array([[1, 1, 0]]))
+        assert level_stats(hist, 1).std == 0.0
