@@ -27,9 +27,6 @@ scattered tolerance checks:
 Entry point: ``python -m repro certify --tier smoke`` (see
 ``docs/certification.md`` for the methodology and
 ``docs/reproducing.md`` for the workflow).
-
-Heavy submodules (runner, renderer) are imported lazily, so importing
-the registry does not import the experiment stack.
 """
 
 from __future__ import annotations
@@ -42,6 +39,13 @@ from repro.certify.anchors import (
     anchor_value,
     paper_values,
 )
+from repro.certify.experiments_md import (
+    check_experiments_md_drift,
+    render_experiments_md,
+)
+from repro.certify.runner import Certification, CheckResult, run_certification
+from repro.certify.tiers import TIERS, CertificationTier, TableRun
+from repro.certify.verdict import validate_certification, write_certification
 
 __all__ = [
     "ANCHORS",
@@ -50,7 +54,6 @@ __all__ = [
     "anchor",
     "anchor_value",
     "paper_values",
-    # Lazily resolved (PEP 562):
     "TIERS",
     "CertificationTier",
     "TableRun",
@@ -62,28 +65,3 @@ __all__ = [
     "render_experiments_md",
     "check_experiments_md_drift",
 ]
-
-_LAZY = {
-    "TIERS": "repro.certify.tiers",
-    "CertificationTier": "repro.certify.tiers",
-    "TableRun": "repro.certify.tiers",
-    "Certification": "repro.certify.runner",
-    "CheckResult": "repro.certify.runner",
-    "run_certification": "repro.certify.runner",
-    "validate_certification": "repro.certify.verdict",
-    "write_certification": "repro.certify.verdict",
-    "render_experiments_md": "repro.certify.experiments_md",
-    "check_experiments_md_drift": "repro.certify.experiments_md",
-}
-
-
-def __getattr__(name: str):
-    """Resolve heavy certification members on first access (PEP 562)."""
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(_LAZY[name])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SchemeError
 from repro.hashing.base import ChoiceScheme
-from repro.numtheory import count_units, sample_units
+from repro.numtheory import sample_units
 
 __all__ = ["DoubleHashingChoices", "progressions"]
 
@@ -54,9 +53,9 @@ class DoubleHashingChoices(ChoiceScheme):
     ----------
     n_bins, d:
         Table geometry.  The paper recommends ``n_bins`` prime (all nonzero
-        strides valid) or a power of two (odd strides valid); any modulus
-        with at least one unit stride is accepted, with general moduli
-        handled by rejection sampling of strides.
+        strides valid) or a power of two (odd strides valid); any other
+        modulus is accepted too (1 is always a unit), with its strides
+        drawn by rejection sampling.
 
     Notes
     -----
@@ -66,11 +65,6 @@ class DoubleHashingChoices(ChoiceScheme):
     states for all of its results (Section 1, final remark).  The test suite
     verifies this empirically via :mod:`repro.hashing.pairwise`.
     """
-
-    def __init__(self, n_bins: int, d: int) -> None:
-        super().__init__(n_bins, d)
-        if n_bins >= 2 and count_units(n_bins) == 0:  # pragma: no cover
-            raise SchemeError(f"no valid strides mod {n_bins}")
 
     @property
     def distinct(self) -> bool:

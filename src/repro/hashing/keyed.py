@@ -9,7 +9,8 @@ Balanced Allocations*, arXiv:1503.00658; *Power of d Choices with Simple
 Tabulation*, arXiv:1804.09684).  This module makes it a first-class API:
 
 - :class:`KeyedChoices` — the interface: a batched, vectorized
-  ``choices(keys) -> (len(keys), d)`` map, deterministic per instance;
+  ``choices_planar(keys) -> (d, len(keys))`` map, deterministic per
+  instance, with ``choices(keys)`` its row-major view;
 - :class:`DoubleHashedKeyed` — choices ``(f(x) + j·g(x)) mod n`` from two
   hash values drawn from a concrete family (multiply-shift, tabulation,
   universal), with the stride forced to a unit so choices are distinct;
@@ -134,25 +135,22 @@ class KeyedChoices(abc.ABC):
         self.d = int(d)
 
     @abc.abstractmethod
-    def choices(self, keys) -> np.ndarray:
-        """Return a ``(len(keys), d)`` int64 array of bin indices.
-
-        Row ``i`` holds the candidate bins of ``keys[i]``; equal keys get
-        equal rows (within and across calls on the same instance).
-        """
-
     def choices_planar(self, keys) -> np.ndarray:
-        """Like :meth:`choices` but transposed: a ``(d, len(keys))`` array.
+        """Return a ``(d, len(keys))`` int64 array of bin indices.
 
         Plane ``j`` holds the ``j``-th choice of every key — the layout
-        the placement-kernel generation path consumes so each flat
-        gather walks one contiguous plane.  The default transposes
-        :meth:`choices`; subclasses with a natural per-plane fill
-        (:class:`IndependentKeyed`) override it, bit-identically, and
-        :class:`DoubleHashedKeyed` builds its planes with a stride
-        recurrence and derives :meth:`choices` from them.
+        the store and the placement kernels consume, so each gather
+        walks one contiguous plane.  Equal keys get equal columns
+        (within and across calls on the same instance).
         """
-        return np.ascontiguousarray(self.choices(keys).T)
+
+    def choices(self, keys) -> np.ndarray:
+        """Row-major ``(len(keys), d)`` choices: row ``i`` holds the
+        candidate bins of ``keys[i]``.
+
+        The transposed *view* of :meth:`choices_planar`.
+        """
+        return self.choices_planar(keys).T
 
     @abc.abstractmethod
     def fingerprint(self) -> str:
@@ -234,13 +232,6 @@ class DoubleHashedKeyed(KeyedChoices):
         """True: the stride is a unit, so the ``d`` probes never collide."""
         return True
 
-    def choices(self, keys) -> np.ndarray:
-        """Row-major ``(len(keys), d)`` arithmetic progressions mod ``n``.
-
-        The transposed *view* of :meth:`choices_planar`.
-        """
-        return self.choices_planar(keys).T
-
     def choices_planar(self, keys) -> np.ndarray:
         """Planar ``(f + j·stride) mod n`` via the stride recurrence.
 
@@ -312,18 +303,8 @@ class IndependentKeyed(KeyedChoices):
         self.family = family
         self._hashes = [make_hash_family(family, self.n_bins, rng) for _ in range(d)]
 
-    def choices(self, keys) -> np.ndarray:
-        """Row-major ``(len(keys), d)`` table: column ``j`` is hash ``j``."""
-        keys = _as_key_array(keys)
-        if self.n_bins == 1:
-            return np.zeros((keys.size, self.d), dtype=np.int64)
-        out = np.empty((keys.size, self.d), dtype=np.int64)
-        for j, h in enumerate(self._hashes):
-            out[:, j] = h(keys)
-        return out
-
     def choices_planar(self, keys) -> np.ndarray:
-        """Planar choices filled one contiguous hash plane at a time."""
+        """Planar choices: plane ``j`` is hash ``j`` of every key."""
         keys = _as_key_array(keys)
         out = np.empty((self.d, keys.size), dtype=np.int64)
         if self.n_bins == 1:
@@ -382,18 +363,13 @@ class KeyedStreamScheme(ChoiceScheme):
         return self.keyed.distinct
 
     def batch(self, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``trials`` fresh keys and hash them to ``(trials, d)`` rows."""
-        keys = rng.integers(0, self._key_high, size=trials, dtype=np.int64)
-        return self.keyed.choices(keys)
+        """Row-major ``(trials, d)`` choices: the transposed *view* of
+        :meth:`batch_planar` (same draws)."""
+        return self.batch_planar(trials, rng).T
 
     def batch_planar(self, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Planar batch for the kernel generation path (same key stream).
-
-        Draws the identical key stream as :meth:`batch` and routes it
-        through :meth:`KeyedChoices.choices_planar`, so the fused
-        placement kernel consumes keyed families without the transpose —
-        and with the exact same choices as the row-major path.
-        """
+        """Draw ``trials`` fresh keys and hash them to ``(d, trials)``
+        planes through :meth:`KeyedChoices.choices_planar`."""
         keys = rng.integers(0, self._key_high, size=trials, dtype=np.int64)
         return self.keyed.choices_planar(keys)
 

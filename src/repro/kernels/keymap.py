@@ -166,91 +166,10 @@ def _cap_bits_for(needed: int) -> int:
 # makes the EARLIEST occurrence win — exactly the sequential/dict
 # winner, which is what makes duplicate keys inside one batch behave
 # bit-identically to the oracle without any per-slot reduction pass.
-# The general kernels overwrite every claimed batch index within the
-# same round (with the winner's value, or TOMBSTONE for a delete), so no
-# later round reads one and the table needs no claim scratch: 12 bytes
-# per slot, int64 key plus int32 value.
-
-
-def _insert_fresh_numpy(tkeys, tvals, cap_bits, keys, vals, probe_seed):
-    """Batch insert into a known-empty table.  Returns (prev, stats).
-
-    Also the rehash kernel: a rehash is a fresh insert of distinct keys,
-    whose losers never match their winner's key.
-
-    Duplicate keys share a probe sequence, so they move in lockstep:
-    whenever one occurrence *wins* a slot, its twins contend for that
-    same slot in that same round and resolve against it immediately.
-    A survivor therefore never probes an occupied slot holding its own
-    key — hit tests (and their int64 key gathers) vanish from every
-    round.  Duplicates can still travel together when a third key wins
-    their slot, so each round keeps the full reversed-claim protocol.
-
-    Because neither table array is *read* for keys or values during the
-    loop (only the empty/occupied distinction matters), claimed slots
-    keep their winner **batch indexes** until the loop ends (one
-    reversed scatter + one gather per round), and a final fixup pass —
-    sequential writes, the slots come out of ``flatnonzero`` sorted —
-    converts them into the stored keys and values.
-    """
-    mask = np.int32((1 << cap_bits) - 1)
-    n = keys.size
-    cur, stride = probe_start_stride(keys, cap_bits, probe_seed)
-    prev = np.full(n, NOT_FOUND, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int32)
-    kk = keys
-    probes = 0
-    rounds = 0
-    first = True
-    while cur.size:
-        rounds += 1
-        probes += cur.size
-        if first:
-            e_sel = None
-            ecur, ekk, eidx = cur, kk, idx
-            first = False
-        else:
-            e_sel = np.flatnonzero(tvals.take(cur) == EMPTY)
-            ecur = cur[e_sel]
-            ekk = kk[e_sel]
-            eidx = idx[e_sel]
-        if ecur.size:
-            rv = slice(None, None, -1)
-            tvals[ecur[rv]] = eidx[rv]
-            w = tvals.take(ecur)
-            ewin = w == eidx
-            eres = ewin
-            elose = ~ewin
-            if elose.any():
-                l_sel = np.flatnonzero(elose)
-                wi = w[l_sel]
-                samek = keys.take(wi) == ekk[l_sel]
-                if samek.any():
-                    s_sel = l_sel[samek]
-                    prev[eidx[s_sel]] = vals.take(w[s_sel])
-                    eres[s_sel] = True
-        else:
-            eres = None
-        if e_sel is None:
-            res = eres
-        else:
-            res = np.zeros(cur.size, dtype=bool)
-            if eres is not None:
-                res[e_sel] = eres
-        sel = np.flatnonzero(~res)
-        if sel.size == 0:
-            break
-        stride = stride.take(sel)
-        cur = (cur.take(sel) + stride) & mask
-        idx = idx.take(sel)
-        kk = kk.take(sel)
-    # Fixup: every occupied slot holds its winner's batch index; convert
-    # to the stored key/value in sorted-slot (sequential-write) order.
-    slots = np.flatnonzero(tvals != EMPTY)
-    widx = tvals.take(slots)
-    tkeys[slots] = keys.take(widx)
-    tvals[slots] = vals.take(widx)
-    return prev, int(slots.size), probes, rounds
+# The kernels overwrite every claimed batch index within the same round
+# (with the winner's value, or TOMBSTONE for a delete), so no later
+# round reads one and the table needs no claim scratch: 12 bytes per
+# slot, int64 key plus int32 value.
 
 
 def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, probe_seed):
@@ -258,7 +177,9 @@ def _insert_numpy(tkeys, tvals, cap_bits, keys, vals, probe_seed):
 
     Keys are gathered only at probed slots whose value is live: an
     EMPTY or TOMBSTONE slot cannot hold the probing key, and the int64
-    key gather is a round's costliest read.
+    key gather is a round's costliest read.  Every ``insert_many`` and
+    every rehash (a set-default of distinct keys into an empty table)
+    runs here.
     """
     mask = np.int32((1 << cap_bits) - 1)
     n = keys.size
@@ -494,7 +415,7 @@ class KeyMap:
         keys, vals = self._keys[live], self._vals[live]
         self._alloc(cap_bits)
         if keys.size:
-            _insert_fresh_numpy(
+            _insert_numpy(
                 self._keys, self._vals, cap_bits, keys, vals, self.probe_seed
             )
         self._tombstones = 0
@@ -510,12 +431,7 @@ class KeyMap:
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         self._ensure_capacity(keys.size)
-        fn = (
-            _insert_fresh_numpy
-            if self._live == 0 and self._tombstones == 0
-            else _insert_numpy
-        )
-        prev, inserted, probes, rounds = fn(
+        prev, inserted, probes, rounds = _insert_numpy(
             self._keys,
             self._vals,
             self.cap_bits,

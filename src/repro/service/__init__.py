@@ -9,8 +9,7 @@ insert/delete/lookup streams.
 - :class:`KeyedStore` — the single-node keyed dictionary/router with
   micro-batched least-loaded placement and tail-SLO sampling.
 - :class:`ShardedRouter` — deterministic sharding over stores sharing one
-  keyed scheme, with an associative :meth:`~KeyedStore.merge` and
-  reusable per-batch :class:`RoutePlan` routing passes.
+  keyed scheme, with an associative :meth:`~KeyedStore.merge`.
 - :class:`WorkloadSpec` / :func:`generate_stream` — deterministic keyed
   workload streams (uniform/zipf popularity, churn, arrival shaping).
 - :func:`run_service_workload` — the engine loop the CLI ``serve``
@@ -24,14 +23,13 @@ assignment-map kernel (:mod:`repro.kernels.keymap`); pick a tier with
 """
 
 from repro.service.runner import ServiceReport, run_service_workload
-from repro.service.shard import RoutePlan, ShardedRouter
+from repro.service.shard import ShardedRouter
 from repro.service.store import DEFAULT_MICRO_BATCH, KeyedStore
 from repro.service.workloads import StepBatch, WorkloadSpec, generate_stream
 
 __all__ = [
     "DEFAULT_MICRO_BATCH",
     "KeyedStore",
-    "RoutePlan",
     "ServiceReport",
     "ShardedRouter",
     "StepBatch",

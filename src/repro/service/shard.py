@@ -13,17 +13,12 @@ Each shard balances against *its own* load view (the loads of keys routed
 to it), which is the distributed model: shards are nodes that do not see
 each other's placements.  Batched operations are dispatched with a stable
 sort by shard id, so per-shard sub-batches preserve stream order and the
-whole router is deterministic given the seed and the input stream.  The
-routing pass (hash, stable sort, shard boundaries) is computed once per
-batch as a :class:`RoutePlan` — and :meth:`ShardedRouter.route` exposes
-it so callers issuing several operations over the *same* key batch
-(insert-then-lookup loops, read-audit passes) pay for routing once.
+whole router is deterministic given the seed and the input stream.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +35,7 @@ from repro.service.store import (
     histogram_quantiles,
 )
 
-__all__ = ["RoutePlan", "ShardedRouter"]
-
-
-@dataclass(frozen=True)
-class RoutePlan:
-    """One routing pass over a key batch, reusable across operations.
-
-    Attributes
-    ----------
-    keys:
-        The normalized int64 key batch the plan was built for.
-    order:
-        Stable permutation sorting the batch by shard id.
-    sorted_keys:
-        ``keys[order]`` — contiguous per-shard sub-batches.
-    bounds:
-        ``n_shards + 1`` offsets; shard ``s`` owns
-        ``sorted_keys[bounds[s]:bounds[s + 1]]``.
-    """
-
-    keys: np.ndarray
-    order: np.ndarray
-    sorted_keys: np.ndarray
-    bounds: np.ndarray
+__all__ = ["ShardedRouter"]
 
 
 class ShardedRouter:
@@ -86,8 +58,9 @@ class ShardedRouter:
     expected_keys:
         Presize hint for the *whole router*; each shard presizes its
         assignment map for ``expected_keys / n_shards`` live keys.
-    micro_batch, slo_interval, metrics, series:
-        Forwarded to every shard (sampling, when enabled, is per shard).
+    micro_batch, metrics, series:
+        Forwarded to every shard; with more than one shard, shard ``i``
+        records its own samples under ``<series>.shard<i>``.
     """
 
     def __init__(
@@ -102,7 +75,6 @@ class ShardedRouter:
         micro_batch: int = DEFAULT_MICRO_BATCH,
         backend: str | None = None,
         expected_keys: int = 0,
-        slo_interval: int | None = None,
         metrics: MetricsRegistry | None = None,
         series: str = "service.slo",
     ) -> None:
@@ -137,7 +109,6 @@ class ShardedRouter:
                 micro_batch=micro_batch,
                 backend=backend,
                 expected_keys=per_shard,
-                slo_interval=slo_interval,
                 metrics=self._metrics,
                 series=f"{series}.shard{i}" if n_shards > 1 else series,
             )
@@ -193,73 +164,40 @@ class ShardedRouter:
 
     # -- batched operations -----------------------------------------------
 
-    def route(self, keys) -> RoutePlan:
-        """Build the routing pass for a key batch (hash, sort, bounds).
-
-        The returned :class:`RoutePlan` can be passed to
-        :meth:`insert_many` / :meth:`delete_many` / :meth:`lookup_many`
-        via ``plan=`` so repeated operations over the same batch reuse
-        one routing pass.
-        """
+    def _dispatch(self, keys, op: str, **kwargs):
+        """Run ``op`` on each shard's sub-batch, in stream order, and
+        return the results in input order."""
         keys = _as_key_array(keys)
+        if keys.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if self.n_shards == 1:
+            return getattr(self.shards[0], op)(keys, **kwargs)
         sid = self.shard_of(keys)
         order = np.argsort(sid, kind="stable")
         sorted_keys = keys[order]
         bounds = np.searchsorted(sid[order], np.arange(self.n_shards + 1))
-        return RoutePlan(
-            keys=keys, order=order, sorted_keys=sorted_keys, bounds=bounds
-        )
-
-    def _dispatch(self, keys, op: str, plan: RoutePlan | None = None, **kwargs):
-        if plan is None:
-            keys = _as_key_array(keys)
-            if keys.size == 0:
-                return np.empty(0, dtype=np.int64)
-            if self.n_shards == 1:
-                return getattr(self.shards[0], op)(keys, **kwargs)
-            plan = self.route(keys)
-        else:
-            if keys is not None and keys is not plan.keys:
-                keys = _as_key_array(keys)
-                if keys.shape != plan.keys.shape or not np.array_equal(
-                    keys, plan.keys
-                ):
-                    raise ConfigurationError(
-                        "RoutePlan was built for a different key batch"
-                    )
-            if plan.keys.size == 0:
-                return np.empty(0, dtype=np.int64)
-            if self.n_shards == 1:
-                return getattr(self.shards[0], op)(plan.keys, **kwargs)
-        out_sorted = np.empty(plan.keys.size, dtype=np.int64)
-        bounds = plan.bounds
+        out_sorted = np.empty(keys.size, dtype=np.int64)
         for s in range(self.n_shards):
             lo, hi = int(bounds[s]), int(bounds[s + 1])
             if hi > lo:
                 out_sorted[lo:hi] = getattr(self.shards[s], op)(
-                    plan.sorted_keys[lo:hi], **kwargs
+                    sorted_keys[lo:hi], **kwargs
                 )
-        out = np.empty(plan.keys.size, dtype=np.int64)
-        out[plan.order] = out_sorted
+        out = np.empty(keys.size, dtype=np.int64)
+        out[order] = out_sorted
         return out
 
-    def insert_many(self, keys=None, *, plan: RoutePlan | None = None) -> np.ndarray:
+    def insert_many(self, keys) -> np.ndarray:
         """Route and place a key batch; returns the assigned bin per key."""
-        return self._dispatch(keys, "insert_many", plan=plan)
+        return self._dispatch(keys, "insert_many")
 
-    def delete_many(
-        self,
-        keys=None,
-        *,
-        missing: str = "ignore",
-        plan: RoutePlan | None = None,
-    ) -> np.ndarray:
+    def delete_many(self, keys, *, missing: str = "ignore") -> np.ndarray:
         """Route and remove a key batch; returns the freed bin per key."""
-        return self._dispatch(keys, "delete_many", plan=plan, missing=missing)
+        return self._dispatch(keys, "delete_many", missing=missing)
 
-    def lookup_many(self, keys=None, *, plan: RoutePlan | None = None) -> np.ndarray:
+    def lookup_many(self, keys) -> np.ndarray:
         """Route and look up a key batch (``-1`` for absent keys)."""
-        return self._dispatch(keys, "lookup_many", plan=plan)
+        return self._dispatch(keys, "lookup_many")
 
     # -- SLO sampling and merge -------------------------------------------
 

@@ -42,8 +42,8 @@ Tail-SLO observability
 :meth:`KeyedStore.record_slo` pushes a ``{ops, size, max_load, p50, p99,
 p999}`` sample onto a :class:`repro.metrics.MetricsRegistry` time series
 (p-quantiles are over the per-bin load vector — the tail a load balancer's
-SLO cares about).  Pass ``slo_interval`` to sample automatically every so
-many operations.
+SLO cares about).  Samples are taken only when a caller asks; the
+workload runner paces them across a run.
 
 Sharding
 --------
@@ -66,8 +66,8 @@ from repro.metrics import MetricsRegistry, global_registry
 __all__ = ["KeyedStore", "DEFAULT_MICRO_BATCH", "histogram_quantiles"]
 
 #: Keys placed per load-snapshot micro-batch.  Large enough that the
-#: per-micro-batch numpy dispatch overhead amortizes (the gather/argmin/
-#: scatter costs ~3 ops of this length), small enough that the snapshot
+#: per-micro-batch numpy dispatch overhead amortizes (a few gathers,
+#: compares and one scatter of this length), small enough that the snapshot
 #: staleness stays far below one ball per bin for the default geometries.
 DEFAULT_MICRO_BATCH = 2048
 
@@ -141,10 +141,6 @@ class KeyedStore:
         Presize the assignment map for this many live keys, keeping
         amortized rehashes out of the serving path (it still grows on
         demand).
-    slo_interval:
-        Record an SLO sample automatically every this many operations
-        (``None`` — the default — samples only on explicit
-        :meth:`record_slo` calls).
     metrics:
         Registry receiving counters/timers/SLO series (global by default).
     series:
@@ -162,17 +158,12 @@ class KeyedStore:
         micro_batch: int = DEFAULT_MICRO_BATCH,
         backend: str | None = None,
         expected_keys: int = 0,
-        slo_interval: int | None = None,
         metrics: MetricsRegistry | None = None,
         series: str = "service.slo",
     ) -> None:
         if micro_batch < 1:
             raise ConfigurationError(
                 f"micro_batch must be positive, got {micro_batch}"
-            )
-        if slo_interval is not None and slo_interval < 1:
-            raise ConfigurationError(
-                f"slo_interval must be positive, got {slo_interval}"
             )
         if isinstance(scheme, KeyedChoices):
             if scheme.n_bins != n_bins or scheme.d != d:
@@ -186,7 +177,6 @@ class KeyedStore:
         self.n_bins = int(n_bins)
         self.d = int(d)
         self.micro_batch = int(micro_batch)
-        self.slo_interval = slo_interval
         self.series = series
         self.loads = np.zeros(self.n_bins, dtype=np.int64)
         self._metrics = metrics if metrics is not None else global_registry()
@@ -196,7 +186,6 @@ class KeyedStore:
         self.backend = self._map.backend
         self.counters: dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         self._ops = 0
-        self._ops_at_last_sample = 0
 
     # -- inspection -------------------------------------------------------
 
@@ -242,34 +231,26 @@ class KeyedStore:
         """Least-loaded placement with speculative increments for all keys.
 
         Returns the chosen bin per key under micro-batch snapshot
-        semantics.  ``d == 2`` runs on contiguous planar choice rows with
-        a branch-free pick (ties to the first choice — exactly what
-        ``argmin`` does); other ``d`` take the generic argmin path.  Both
-        are bit-identical to the historical per-batch loop.
+        semantics.  Each micro-batch walks the contiguous choice planes,
+        keeping a running minimum: a later choice replaces it only when
+        strictly less loaded, so ties go to the first choice, as
+        ``argmin`` would.
         """
         n_keys = keys.size
         bins = np.empty(n_keys, dtype=np.int64)
         loads = self.loads
-        mb = self.micro_batch
-        if self.d == 2:
-            planes = self.keyed.choices_planar(keys)
-            c0, c1 = planes[0], planes[1]
-            for lo in range(0, n_keys, mb):
-                b0 = c0[lo : lo + mb]
-                b1 = c1[lo : lo + mb]
-                picks = loads[b1] < loads[b0]
-                chosen = np.where(picks, b1, b0)
-                np.add.at(loads, chosen, 1)
-                bins[lo : lo + mb] = chosen
-        else:
-            choices = self.keyed.choices(keys)
-            for lo in range(0, n_keys, mb):
-                block = choices[lo : lo + mb]
-                rows = np.arange(block.shape[0])
-                picks = np.argmin(loads[block], axis=1)
-                chosen = block[rows, picks]
-                np.add.at(loads, chosen, 1)
-                bins[lo : lo + mb] = chosen
+        planes = self.keyed.choices_planar(keys)
+        for lo in range(0, n_keys, self.micro_batch):
+            hi = lo + self.micro_batch
+            chosen = planes[0, lo:hi]
+            best = loads[chosen]
+            for plane in planes[1:]:
+                cand = plane[lo:hi]
+                cand_loads = loads[cand]
+                chosen = np.where(cand_loads < best, cand, chosen)
+                np.minimum(best, cand_loads, out=best)
+            np.add.at(loads, chosen, 1)
+            bins[lo:hi] = chosen
         return bins
 
     def insert_many(self, keys) -> np.ndarray:
@@ -297,7 +278,6 @@ class KeyedStore:
         self.counters["inserts"] += n_keys
         self._ops += n_keys
         self._metrics.increment("service.inserts", n_keys)
-        self._maybe_sample()
         return bins
 
     def delete_many(self, keys, *, missing: str = "ignore") -> np.ndarray:
@@ -332,7 +312,6 @@ class KeyedStore:
         self._metrics.increment("service.deletes", n_freed)
         if misses:
             self._metrics.increment("service.delete_misses", misses)
-        self._maybe_sample()
         return out
 
     def lookup_many(self, keys) -> np.ndarray:
@@ -347,7 +326,6 @@ class KeyedStore:
         self.counters["lookup_misses"] += misses
         self._ops += keys.size
         self._metrics.increment("service.lookups", keys.size)
-        self._maybe_sample()
         return out
 
     # -- SLO sampling -----------------------------------------------------
@@ -369,15 +347,7 @@ class KeyedStore:
             "p999": p999,
         }
         self._metrics.sample(self.series, **sample)
-        self._ops_at_last_sample = self._ops
         return sample
-
-    def _maybe_sample(self) -> None:
-        if (
-            self.slo_interval is not None
-            and self._ops - self._ops_at_last_sample >= self.slo_interval
-        ):
-            self.record_slo()
 
     # -- shard merge ------------------------------------------------------
 
@@ -410,7 +380,6 @@ class KeyedStore:
             micro_batch=self.micro_batch,
             backend=self.backend,
             expected_keys=self.size + other.size,
-            slo_interval=self.slo_interval,
             metrics=self._metrics,
             series=self.series,
         )

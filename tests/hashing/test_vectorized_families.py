@@ -71,8 +71,9 @@ def _double_hashed_formula(keyed, keys):
 
 
 class TestPlanarIdentity:
-    """``choices_planar`` is exactly ``choices(keys).T`` for every scheme;
-    keyed double hashing's both layouts equal its broadcast formula."""
+    """Each keyed family's planes equal its definition: plane ``j`` of
+    independent hashing is hash ``j``, and keyed double hashing's both
+    layouts equal its broadcast formula."""
 
     @pytest.mark.parametrize("family", ["multiply-shift", "tabulation",
                                         "pairwise", "universal"])
@@ -86,9 +87,10 @@ class TestPlanarIdentity:
         keys = np.random.default_rng(9).integers(
             0, 1 << 63, size=5000, dtype=np.int64
         )
-        assert np.array_equal(
-            keyed.choices_planar(keys), keyed.choices(keys).T
-        )
+        planes = keyed.choices_planar(keys)
+        assert planes.shape == (3, keys.size) and planes.dtype == np.int64
+        for plane, h in zip(planes, keyed._hashes, strict=True):
+            assert np.array_equal(plane, np.asarray(h(keys), dtype=np.int64))
 
     @pytest.mark.parametrize("family", ["multiply-shift", "tabulation",
                                         "pairwise"])

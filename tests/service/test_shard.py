@@ -99,52 +99,17 @@ class TestSLO:
 
     def test_per_shard_series_are_namespaced(self):
         reg = MetricsRegistry()
-        router = fresh_router(metrics=reg, slo_interval=100)
+        router = fresh_router(metrics=reg)
         router.insert_many(np.arange(1, 2001, dtype=np.int64))
+        for shard in router.shards:
+            shard.record_slo()
         snap = reg.snapshot()
-        shard_series = [k for k in snap["series"] if ".shard" in k]
-        assert shard_series  # per-shard auto-samples landed
-
-
-class TestRoutePlan:
-    def test_plan_reuse_matches_direct_dispatch(self):
-        router = fresh_router()
-        keys = np.arange(1, 3001, dtype=np.int64)
-        plan = router.route(keys)
-        bins = router.insert_many(plan=plan)
-        assert (router.lookup_many(plan=plan) == bins).all()
-        # An independent router fed the same keys without a plan agrees.
-        other = fresh_router()
-        assert (other.insert_many(keys) == bins).all()
-        freed = router.delete_many(plan=plan)
-        assert (freed == bins).all()
-        assert router.size == 0
-
-    def test_plan_with_matching_keys_is_accepted(self):
-        router = fresh_router()
-        keys = np.arange(1, 101, dtype=np.int64)
-        plan = router.route(keys)
-        bins = router.insert_many(keys.copy(), plan=plan)
-        assert (router.lookup_many(keys, plan=plan) == bins).all()
-
-    def test_plan_for_different_batch_is_rejected(self):
-        router = fresh_router()
-        plan = router.route(np.arange(1, 101, dtype=np.int64))
-        with pytest.raises(ConfigurationError):
-            router.insert_many(np.arange(2, 102, dtype=np.int64), plan=plan)
-        with pytest.raises(ConfigurationError):
-            router.lookup_many(np.arange(1, 51, dtype=np.int64), plan=plan)
-
-    def test_plan_bounds_cover_all_shards(self):
-        router = fresh_router()
-        keys = np.arange(1, 2001, dtype=np.int64)
-        plan = router.route(keys)
-        assert plan.bounds.size == router.n_shards + 1
-        assert plan.bounds[0] == 0 and plan.bounds[-1] == keys.size
-        sid = router.shard_of(keys)
-        for s in range(router.n_shards):
-            lo, hi = int(plan.bounds[s]), int(plan.bounds[s + 1])
-            assert (sid[plan.order[lo:hi]] == s).all()
+        assert sorted(k for k in snap["series"] if ".shard" in k) == [
+            f"service.slo.shard{i}" for i in range(router.n_shards)
+        ]
+        for i, shard in enumerate(router.shards):
+            assert snap["series"][f"service.slo.shard{i}"][-1]["size"] == shard.size
+        assert "service.slo" not in snap["series"]  # no cluster sample taken
 
 
 class TestMergeUnderChurn:
